@@ -13,6 +13,7 @@
 //! one constituent remains.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Payload types that support bitwise XOR superposition.
 ///
@@ -59,18 +60,75 @@ impl_xor_uint!(u8, u16, u32, u64, u128);
 /// assert!(decoded.is_plain());
 /// assert_eq!(decoded, a);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct Coded<T> {
     payload: T,
-    keys: Vec<u64>,
+    keys: Keys,
+}
+
+/// Constituent keys a word stores without touching the heap.
+///
+/// A switch only ever XORs *plain* (already decoded) flits, one per
+/// contending input, and a flit never leaves through the port it came in
+/// on, so a link word of a radix-`r` router superposes at most `r - 1`
+/// constituents: four on the paper's five-port mesh. Wider superpositions
+/// (a radix-8 concentrated mesh, algebra over arbitrary words) spill to the
+/// heap. Four, not eight: the word sits in every FIFO slot, decode
+/// register and presented-flit record of the simulator, and a fatter word
+/// measurably slows the lightly loaded mesh.
+pub const INLINE_KEYS: usize = 4;
+
+/// Sorted key storage: inline up to [`INLINE_KEYS`], heap beyond.
+///
+/// Words built by this module are inline exactly when they fit, but no
+/// caller may observe the difference: equality and hashing of [`Coded`] go
+/// through [`Keys::as_slice`].
+#[derive(Clone)]
+enum Keys {
+    Inline { len: u8, keys: [u64; INLINE_KEYS] },
+    Spilled(Vec<u64>),
+}
+
+impl Keys {
+    const EMPTY: Keys = Keys::Inline {
+        len: 0,
+        keys: [0; INLINE_KEYS],
+    };
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Keys::Inline { len, keys } => &keys[..*len as usize],
+            Keys::Spilled(v) => v,
+        }
+    }
+
+    /// Appends `key`; `cap` bounds the final key count, so a spill
+    /// allocates once.
+    fn push(&mut self, key: u64, cap: usize) {
+        match self {
+            Keys::Inline { len, keys } if (*len as usize) < INLINE_KEYS => {
+                keys[*len as usize] = key;
+                *len += 1;
+            }
+            Keys::Inline { keys, .. } => {
+                let mut v = Vec::with_capacity(cap);
+                v.extend_from_slice(keys);
+                v.push(key);
+                *self = Keys::Spilled(v);
+            }
+            Keys::Spilled(v) => v.push(key),
+        }
+    }
 }
 
 impl<T: Xor> Coded<T> {
     /// Creates a plain (un-encoded) word for a single constituent.
     pub fn plain(key: u64, payload: T) -> Self {
+        let mut keys = [0; INLINE_KEYS];
+        keys[0] = key;
         Coded {
             payload,
-            keys: vec![key],
+            keys: Keys::Inline { len: 1, keys },
         }
     }
 
@@ -80,7 +138,7 @@ impl<T: Xor> Coded<T> {
     pub fn empty() -> Self {
         Coded {
             payload: T::zero(),
-            keys: Vec::new(),
+            keys: Keys::EMPTY,
         }
     }
 
@@ -88,17 +146,19 @@ impl<T: Xor> Coded<T> {
     /// symmetric difference.
     pub fn xor(&self, other: &Coded<T>) -> Coded<T> {
         let payload = self.payload.xor(&other.payload);
-        let mut keys = Vec::with_capacity(self.keys.len() + other.keys.len());
+        let (a, b) = (self.keys(), other.keys());
+        let cap = a.len() + b.len();
+        let mut keys = Keys::EMPTY;
         // Merge two sorted key lists, dropping pairs (symmetric difference).
         let (mut i, mut j) = (0, 0);
-        while i < self.keys.len() && j < other.keys.len() {
-            match self.keys[i].cmp(&other.keys[j]) {
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
-                    keys.push(self.keys[i]);
+                    keys.push(a[i], cap);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    keys.push(other.keys[j]);
+                    keys.push(b[j], cap);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
@@ -107,31 +167,32 @@ impl<T: Xor> Coded<T> {
                 }
             }
         }
-        keys.extend_from_slice(&self.keys[i..]);
-        keys.extend_from_slice(&other.keys[j..]);
+        for &k in a[i..].iter().chain(&b[j..]) {
+            keys.push(k, cap);
+        }
         Coded { payload, keys }
     }
 
     /// Number of constituent symbols still superposed in this word.
     pub fn arity(&self) -> usize {
-        self.keys.len()
+        self.keys().len()
     }
 
     /// `true` when exactly one constituent remains — the word is directly
     /// usable without decoding. Mirrors the *encoded* marker bit the NoX
     /// router sends alongside each link word (inverted).
     pub fn is_plain(&self) -> bool {
-        self.keys.len() == 1
+        self.arity() == 1
     }
 
     /// `true` when more than one constituent is superposed.
     pub fn is_encoded(&self) -> bool {
-        self.keys.len() > 1
+        self.arity() > 1
     }
 
     /// `true` when no constituents remain (the zero word).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.arity() == 0
     }
 
     /// The XORed payload bits.
@@ -141,17 +202,16 @@ impl<T: Xor> Coded<T> {
 
     /// The sorted constituent keys.
     pub fn keys(&self) -> &[u64] {
-        &self.keys
+        self.keys.as_slice()
     }
 
     /// The sole constituent key of a plain word.
     ///
     /// Returns `None` if the word is encoded or empty.
     pub fn sole_key(&self) -> Option<u64> {
-        if self.keys.len() == 1 {
-            Some(self.keys[0])
-        } else {
-            None
+        match self.keys() {
+            [key] => Some(*key),
+            _ => None,
         }
     }
 
@@ -174,6 +234,24 @@ impl<T: Xor> Coded<T> {
     }
 }
 
+// Equality and hashing see the live keys only, never the storage: the
+// model checker deduplicates states by hashing words, so an inline word
+// and a spilled word with the same constituents must be one state.
+impl<T: PartialEq> PartialEq for Coded<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.payload == other.payload && self.keys.as_slice() == other.keys.as_slice()
+    }
+}
+
+impl<T: Eq> Eq for Coded<T> {}
+
+impl<T: Hash> Hash for Coded<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.payload.hash(state);
+        self.keys.as_slice().hash(state);
+    }
+}
+
 impl<T: Xor> FromIterator<Coded<T>> for Coded<T> {
     /// XOR-folds any number of words together, as the NoX switch does for
     /// all uninhibited inputs of an output port.
@@ -184,7 +262,7 @@ impl<T: Xor> FromIterator<Coded<T>> for Coded<T> {
 
 impl<T: fmt::Debug> fmt::Debug for Coded<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Coded({:?} <- {:?})", self.payload, self.keys)
+        write!(f, "Coded({:?} <- {:?})", self.payload, self.keys.as_slice())
     }
 }
 
@@ -265,6 +343,71 @@ mod tests {
         let decoded = ab.xor(&b);
         assert_eq!(decoded.sole_key(), Some(1));
         assert_eq!(*decoded.payload(), 0xA1 ^ 0x40);
+    }
+
+    fn hash_of(w: &Coded<u64>) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        w.hash(&mut h);
+        h.finish()
+    }
+
+    /// The XOR of the plain words keyed `keys`, payload `key * 0x11`.
+    fn word(keys: std::ops::Range<u64>) -> Coded<u64> {
+        keys.map(|k| Coded::plain(k, k * 0x11)).collect()
+    }
+
+    #[test]
+    fn word_stays_within_six_machine_words() {
+        assert!(std::mem::size_of::<Coded<u64>>() <= 48);
+        assert!(std::mem::size_of::<Option<Coded<u64>>>() <= 48);
+    }
+
+    #[test]
+    fn xor_round_trips_across_the_spill_boundary() {
+        // Inline -> spilled -> inline, and spilled -> inline -> spilled.
+        for (a, b) in [(word(0..3), word(10..13)), (word(0..6), word(0..3))] {
+            let there = a.xor(&b);
+            assert_ne!(
+                a.arity() > INLINE_KEYS,
+                there.arity() > INLINE_KEYS,
+                "the pair must cross the inline capacity"
+            );
+            let back = there.xor(&b);
+            assert_eq!(back, a);
+            assert_eq!(hash_of(&back), hash_of(&a));
+            assert_eq!(back.keys(), a.keys());
+        }
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_storage() {
+        let inline = word(1..4);
+        let spilled = Coded {
+            payload: *inline.payload(),
+            keys: Keys::Spilled(inline.keys().to_vec()),
+        };
+        let dirty = Coded {
+            payload: *inline.payload(),
+            keys: Keys::Inline {
+                len: 3,
+                keys: [1, 2, 3, 0xDEAD],
+            },
+        };
+        for other in [&spilled, &dirty] {
+            assert_eq!(&inline, other);
+            assert_eq!(hash_of(&inline), hash_of(other));
+        }
+        assert_ne!(inline, word(1..5));
+    }
+
+    #[test]
+    fn words_up_to_the_inline_capacity_stay_off_the_heap() {
+        assert!(matches!(word(0..4).keys, Keys::Inline { len: 4, .. }));
+        assert!(matches!(word(0..5).keys, Keys::Spilled(_)));
+        // A spilled word that cancels back under the capacity is inline
+        // again.
+        let back = word(0..7).xor(&word(2..7));
+        assert!(matches!(back.keys, Keys::Inline { len: 2, .. }));
     }
 
     #[test]

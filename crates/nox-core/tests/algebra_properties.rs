@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use nox_core::coded::INLINE_KEYS;
 use nox_core::{Coded, MatrixArbiter, PortId, PortSet, RoundRobinArbiter};
 
 fn coded() -> impl Strategy<Value = Coded<u64>> {
@@ -55,6 +56,52 @@ proptest! {
         prop_assert_eq!(toggled.keys().contains(&k), !had);
         // Toggling twice restores the original.
         prop_assert_eq!(toggled.xor(&w), a.clone());
+    }
+
+    /// A word that grows past the inline key capacity and cancels back
+    /// under it behaves, at every step, like the plain sorted key set it
+    /// models — whichever storage holds the keys.
+    #[test]
+    fn coded_grows_and_cancels_across_inline_capacity(
+        base in prop::collection::vec(any::<u64>(), 1..4),
+        extra in prop::collection::vec(any::<u64>(), INLINE_KEYS..9),
+    ) {
+        // Distinct keys, interleaved so merges insert in the middle.
+        let base: Vec<Coded<u64>> = (0u64..).step_by(2).zip(base)
+            .map(|(k, v)| Coded::plain(k, v)).collect();
+        let extra: Vec<Coded<u64>> = (1u64..).step_by(2).zip(extra)
+            .map(|(k, v)| Coded::plain(k, v)).collect();
+        let start: Coded<u64> = base.iter().cloned().collect();
+
+        let mut w = start.clone();
+        let mut arity = base.len();
+        let check = |w: &Coded<u64>, arity: usize| {
+            prop_assert!(w.keys().windows(2).all(|p| p[0] < p[1]), "unsorted: {w:?}");
+            prop_assert_eq!(w.arity(), arity);
+            prop_assert_eq!(w.keys().len(), arity);
+            prop_assert_eq!(w.is_plain(), arity == 1);
+            prop_assert_eq!(w.is_encoded(), arity > 1);
+            prop_assert_eq!(w.sole_key(), (arity == 1).then(|| w.keys()[0]));
+        };
+        for e in &extra {
+            w = w.xor(e);
+            arity += 1;
+            check(&w, arity);
+        }
+        prop_assert!(w.arity() > INLINE_KEYS);
+        // Cancel in insertion order, i.e. not the order a stack would.
+        for e in &extra {
+            w = w.xor(e);
+            arity -= 1;
+            check(&w, arity);
+        }
+        prop_assert_eq!(&w, &start);
+        // And on down to a single plain constituent.
+        for b in &base[1..] {
+            w = w.xor(b);
+        }
+        check(&w, 1);
+        prop_assert_eq!(w, base[0].clone());
     }
 
     // -------------------------------------------------------- port lattice

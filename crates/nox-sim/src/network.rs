@@ -28,7 +28,7 @@ use crate::router::{CreditReturn, Router, Send, TickCtx};
 use crate::sink::Sink;
 use crate::source::Source;
 use crate::stats::{Counters, LatencyStats};
-use crate::topology::{NodeId, Topology};
+use crate::topology::{NodeId, Topology, Wiring};
 use crate::trace::Trace;
 
 /// A complete simulated network: routers, sources, sinks, and wiring.
@@ -36,6 +36,8 @@ use crate::trace::Trace;
 pub struct Network {
     cfg: NetConfig,
     topo: Topology,
+    /// `topo`'s links, tabulated: delivery and credit return index it.
+    wiring: Wiring,
     routers: Vec<Router>,
     /// One source per core.
     sources: Vec<Source>,
@@ -127,6 +129,7 @@ impl Network {
         Network {
             cfg,
             topo,
+            wiring: Wiring::new(&topo),
             routers,
             sources,
             sinks,
@@ -455,10 +458,10 @@ impl Network {
         // 2. Sources inject, each into its core's local input port.
         for (i, src) in self.sources.iter_mut().enumerate() {
             let core = NodeId(i as u16);
-            let router = self.topo.router_of(core).index();
+            let (router, port) = self.wiring.attach(core);
             let injected = src.inject(
                 self.cycle,
-                self.routers[router].input_mut(self.topo.local_port(core)),
+                self.routers[router.index()].input_mut(port),
                 &self.packets,
                 &mut self.counters,
             );
@@ -548,11 +551,8 @@ impl Network {
             if outcome.credit_freed {
                 // A freed ejection slot credits the owning router's local
                 // output port for this core.
-                let core = NodeId(i as u16);
-                credit_returns.push(CreditReturn {
-                    node: self.topo.router_of(core),
-                    input: self.topo.local_port(core),
-                });
+                let (node, input) = self.wiring.attach(NodeId(i as u16));
+                credit_returns.push(CreditReturn { node, input });
             }
             #[cfg(feature = "probe")]
             if outcome.credit_freed && outcome.consumed.is_none() {
@@ -563,30 +563,37 @@ impl Network {
                 }
             }
             if let Some(info) = outcome.consumed {
-                let expected = self.expected_seq.entry(info.packet).or_insert(0);
-                #[cfg(feature = "faults")]
-                if *expected != info.seq {
-                    if let Some(f) = &mut faults {
-                        // Upstream losses broke the flit sequence: the NIC
-                        // discards the flit; retransmission (if configured)
-                        // re-delivers the whole packet.
-                        f.note_seq_mismatch();
-                        #[cfg(feature = "probe")]
-                        if let Some(p) = &mut self.probe {
-                            let core = NodeId(i as u16);
-                            p.on_fault(core, self.topo.local_port(core), "detect sequence");
+                // Flit order within a packet. A single-flit packet has
+                // nothing to order (its one flit is seq 0 and the tail),
+                // so it never enters the map.
+                if info.multiflit {
+                    let expected = self.expected_seq.entry(info.packet).or_insert(0);
+                    #[cfg(feature = "faults")]
+                    if *expected != info.seq {
+                        if let Some(f) = &mut faults {
+                            // Upstream losses broke the flit sequence: the NIC
+                            // discards the flit; retransmission (if configured)
+                            // re-delivers the whole packet.
+                            f.note_seq_mismatch();
+                            #[cfg(feature = "probe")]
+                            if let Some(p) = &mut self.probe {
+                                let core = NodeId(i as u16);
+                                p.on_fault(core, self.topo.local_port(core), "detect sequence");
+                            }
+                            continue;
                         }
-                        continue;
+                    }
+                    assert_eq!(
+                        *expected, info.seq,
+                        "packet {:?} flits arrived out of order",
+                        info.packet
+                    );
+                    *expected += 1;
+                    if info.tail {
+                        self.expected_seq.remove(&info.packet);
                     }
                 }
-                assert_eq!(
-                    *expected, info.seq,
-                    "packet {:?} flits arrived out of order",
-                    info.packet
-                );
-                *expected += 1;
                 if info.tail {
-                    self.expected_seq.remove(&info.packet);
                     #[cfg(feature = "faults")]
                     if let Some(f) = &mut faults {
                         match f.note_tail(info.packet, self.cycle + 1) {
@@ -704,15 +711,11 @@ impl Network {
         if self.topo.is_local(c.input) {
             (c.node, c.input)
         } else {
-            // Input port `c.input` of router `c.node` is fed by the
-            // neighbour in that direction (wraparound-aware on rings); the
-            // credit belongs to the neighbour's opposite output port.
-            let dir = self.topo.port_direction(c.input);
-            let upstream = self
-                .topo
-                .neighbor(c.node, dir)
-                .expect("credit for an unconnected port");
-            (upstream, self.topo.direction_port(dir.opposite()))
+            // The credit belongs to the output port whose link feeds
+            // input `c.input` of router `c.node`.
+            self.wiring
+                .link_source(c.node, c.input)
+                .expect("credit for an unconnected port")
         }
     }
 
@@ -725,7 +728,7 @@ impl Network {
             self.sinks[core.index()].receive(s.word);
         } else {
             let (dest, inp) = self
-                .topo
+                .wiring
                 .link_dest(s.node, s.out)
                 .expect("send on an unconnected port");
             self.routers[dest.index()].input_mut(inp).receive(s.word);
@@ -755,7 +758,7 @@ impl Network {
             self.sinks[core.index()].has_space()
         } else {
             let (dest, inp) = self
-                .topo
+                .wiring
                 .link_dest(s.node, s.out)
                 .expect("send on an unconnected port");
             self.routers[dest.index()].input(inp).has_space()

@@ -415,6 +415,19 @@ struct TickScratch {
     frozen: bool,
 }
 
+/// A route-row entry nobody has asked for yet (no router has 255 ports).
+const UNROUTED: PortId = PortId(u8::MAX);
+
+/// Looks `dest` up in `node`'s route row, asking `topo` on first use.
+#[inline]
+fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId) -> PortId {
+    let slot = &mut routes[dest.index()];
+    if *slot == UNROUTED {
+        *slot = topo.route(node, dest);
+    }
+    *slot
+}
+
 /// A router of a given architecture: five ports on the paper's mesh,
 /// more on a concentrated mesh.
 ///
@@ -440,6 +453,12 @@ pub struct Router {
     node: NodeId,
     arch: Arch,
     topo: Topology,
+    /// This router's row of the route table: [`Topology::route`] from
+    /// here to each core, [`UNROUTED`] until first asked. Filled on
+    /// demand, not at construction: tabulating all 64 x 64 pairs of the
+    /// paper's mesh up front costs about a third of building the network,
+    /// and most runs never present most pairs.
+    routes: Box<[PortId]>,
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
     scratch: TickScratch,
@@ -484,6 +503,7 @@ impl Router {
             node,
             arch,
             topo,
+            routes: vec![UNROUTED; topo.cores()].into_boxed_slice(),
             inputs,
             outputs,
             scratch: TickScratch::default(),
@@ -498,6 +518,12 @@ impl Router {
     /// This router's node id.
     pub fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// The output port a flit here takes toward `dest_core`:
+    /// [`Topology::route`], through this router's route row.
+    pub fn route_to(&mut self, dest_core: NodeId) -> PortId {
+        route_via(&mut self.routes, &self.topo, self.node, dest_core)
     }
 
     /// Immutable access to an input port (for assertions and tracing).
@@ -660,10 +686,15 @@ impl Router {
     /// the input's cycle).
     fn collect_presented(&mut self, ctx: &mut TickCtx<'_>) {
         let out = &mut self.scratch.presented;
+        // Blank the table first and write only the inputs that present:
+        // a `None` is then a one-byte store, not a copy of a whole record
+        // around a link word, which is most of what an idle port costs.
         out.clear();
+        out.resize_with(self.inputs.len(), || None);
         let node = self.node;
         let topo = self.topo;
         let arch = self.arch;
+        let routes = &mut self.routes;
         for (idx, input) in self.inputs.iter_mut().enumerate() {
             let presented = match arch {
                 Arch::Nox => match input.decoder.plan(input.fifo.front()) {
@@ -693,7 +724,7 @@ impl Router {
                             None
                         } else {
                             let info = ctx.packets.word_info(&word);
-                            let preferred = topo.route(node, info.dest);
+                            let preferred = route_via(routes, &topo, node, info.dest);
                             let out_port = ctx.fault_route(&topo, node, &info, preferred);
                             Some(Presented {
                                 word,
@@ -707,7 +738,7 @@ impl Router {
                 _ => match input.fifo.front() {
                     Some(w) => {
                         let info = ctx.packets.word_info(w);
-                        let preferred = topo.route(node, info.dest);
+                        let preferred = route_via(routes, &topo, node, info.dest);
                         let out_port = ctx.fault_route(&topo, node, &info, preferred);
                         Some(Presented {
                             word: w.clone(),
@@ -719,7 +750,9 @@ impl Router {
                     None => None,
                 },
             };
-            out.push(presented);
+            if presented.is_some() {
+                out[idx] = presented;
+            }
         }
     }
 

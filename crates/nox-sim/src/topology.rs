@@ -539,6 +539,72 @@ impl Topology {
     }
 }
 
+/// The link wiring of a [`Topology`], tabulated once per network.
+///
+/// Every entry is computed by calling [`Topology::link_dest`], which stays
+/// the definition of the wiring (and what `nox-statics` analyses); the
+/// table only saves the per-word coordinate arithmetic behind it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Wiring {
+    ports: usize,
+    /// `(router, output port)` to the `(router, input port)` its link
+    /// lands on.
+    dest: Vec<Option<(NodeId, PortId)>>,
+    /// `(router, input port)` to the `(router, output port)` feeding it:
+    /// the inverse of `dest`, i.e. who owns a freed slot's credit.
+    source: Vec<Option<(NodeId, PortId)>>,
+    /// Core to the `(router, local port)` it attaches to.
+    attach: Vec<(NodeId, PortId)>,
+}
+
+impl Wiring {
+    /// Tabulates `topo`'s links.
+    pub fn new(topo: &Topology) -> Self {
+        let ports = topo.ports() as usize;
+        let mut w = Wiring {
+            ports,
+            dest: vec![None; topo.routers() * ports],
+            source: vec![None; topo.routers() * ports],
+            attach: (0..topo.cores() as u16)
+                .map(|core| (topo.router_of(NodeId(core)), topo.local_port(NodeId(core))))
+                .collect(),
+        };
+        for router in topo.grid().iter() {
+            for out in (0..topo.ports()).map(PortId) {
+                let Some((nb, inp)) = topo.link_dest(router, out) else {
+                    continue;
+                };
+                let (from, to) = (w.slot(router, out), w.slot(nb, inp));
+                w.dest[from] = Some((nb, inp));
+                let fed = w.source[to].replace((router, out));
+                assert!(fed.is_none(), "two links land on {nb} port {inp}");
+            }
+        }
+        w
+    }
+
+    fn slot(&self, router: NodeId, port: PortId) -> usize {
+        router.index() * self.ports + port.index()
+    }
+
+    /// [`Topology::link_dest`], from the table.
+    pub fn link_dest(&self, router: NodeId, out: PortId) -> Option<(NodeId, PortId)> {
+        self.dest[self.slot(router, out)]
+    }
+
+    /// The `(router, local port)` a core attaches to:
+    /// [`Topology::router_of`] and [`Topology::local_port`], from the table.
+    pub fn attach(&self, core: NodeId) -> (NodeId, PortId) {
+        self.attach[core.index()]
+    }
+
+    /// The `(router, output port)` whose link lands on `input` of
+    /// `router`, or `None` for local ports and unwired directions.
+    pub fn link_source(&self, router: NodeId, input: PortId) -> Option<(NodeId, PortId)> {
+        self.source[self.slot(router, input)]
+    }
+}
+
 #[cfg(test)]
 mod topology_tests {
     use super::*;

@@ -1,0 +1,127 @@
+//! The step loop is heap-free in steady state.
+//!
+//! Link words keep their constituent keys inline, single-flit packets
+//! bypass the reassembly map, and every per-cycle buffer is recycled, so
+//! once queues have reached their working size a cycle allocates nothing.
+//! A test-local counting allocator pins that for every architecture at
+//! the paper's saturating operating point, and a `const` assertion pins
+//! the word size the FIFO slots, decode registers and presented-flit
+//! records are built from.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nox_sim::config::{Arch, NetConfig};
+use nox_sim::flit::Word;
+use nox_sim::network::Network;
+use nox_sim::topology::NodeId;
+use nox_sim::trace::{PacketEvent, Trace};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+// Six machine words: payload, four inline keys, and the length/tag word.
+// A fatter word measurably slows the lightly loaded mesh (DESIGN.md §16).
+const _: () = assert!(std::mem::size_of::<Word>() <= 48);
+
+thread_local! {
+    // Per-thread, so the harness's other test threads never count here;
+    // const-initialised `Cell`s, so touching them cannot itself allocate.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// thread-local integer and never influences what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if ARMED.with(Cell::get) {
+            ALLOCS.with(|c| c.set(c.get() + 1));
+        }
+        // SAFETY: the caller's layout is passed through untouched.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if ARMED.with(Cell::get) {
+            ALLOCS.with(|c| c.set(c.get() + 1));
+        }
+        // SAFETY: `ptr` and `layout` come from an earlier call on this
+        // allocator, which handed out `System` blocks.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Heap allocations (and growing reallocations) `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get) - before
+}
+
+const WARMUP_CYCLES: u64 = 2_000;
+const MEASURED_CYCLES: u64 = 10_000;
+
+/// Uniform-random single-flit traffic at 2000 MB/s per node (0.25 flits
+/// per node per nanosecond at 8-byte flits): one Bernoulli draw per node
+/// per cycle, covering the whole run so every source injects to the end.
+fn saturating_trace(cfg: &NetConfig) -> Trace {
+    let nodes = cfg.nodes() as u16;
+    let per_cycle = 0.25 * cfg.clock_ns();
+    let mut rng = StdRng::seed_from_u64(0x0A0C5);
+    let mut trace = Trace::new();
+    for cycle in 0..WARMUP_CYCLES + MEASURED_CYCLES {
+        for src in 0..nodes {
+            if rng.gen_bool(per_cycle) {
+                trace.push(PacketEvent {
+                    time_ns: cycle as f64 * cfg.clock_ns(),
+                    src: NodeId(src),
+                    dest: NodeId(rng.gen_range(0..nodes)),
+                    len: 1,
+                });
+            }
+        }
+    }
+    trace
+}
+
+#[test]
+fn saturated_step_loop_does_not_allocate() {
+    for arch in Arch::ALL {
+        let cfg = NetConfig::paper(arch);
+        let mut net = Network::new(cfg, &saturating_trace(&cfg), (0.0, f64::MAX));
+        net.run(WARMUP_CYCLES);
+        let before = *net.counters();
+        let allocs = allocations(|| {
+            for _ in 0..MEASURED_CYCLES {
+                net.step();
+            }
+        });
+        let moved = net.counters().link_flits - before.link_flits;
+        assert!(
+            moved > MEASURED_CYCLES * 50,
+            "{arch}: only {moved} link flits, the mesh was not busy"
+        );
+        if arch == Arch::Nox {
+            let encoded = net.counters().encoded_transfers - before.encoded_transfers;
+            assert!(encoded > 1_000, "NoX encoded only {encoded} words");
+        }
+        // Amortised growth of the in-flight queues is all that is left.
+        assert!(
+            allocs < 10,
+            "{arch}: {allocs} heap allocations in {MEASURED_CYCLES} steady-state cycles"
+        );
+    }
+}
