@@ -56,6 +56,20 @@ pub struct SpecDecision {
     pub wasted_reservation: bool,
 }
 
+impl SpecDecision {
+    /// The decision of a cycle in which nothing traverses, nothing
+    /// collides and nothing is reserved — what a
+    /// [settled](SpecCtl::settled) controller returns for an empty
+    /// request set.
+    pub const IDLE: SpecDecision = SpecDecision {
+        drive: None,
+        collided: PortSet::EMPTY,
+        serviced: PortSet::EMPTY,
+        granted: None,
+        wasted_reservation: false,
+    };
+}
+
 /// Per-output controller for the speculative routers.
 ///
 /// # Example
@@ -78,7 +92,7 @@ pub struct SpecDecision {
 /// assert_eq!(d.collided, two);
 /// assert!(d.granted.is_some());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpecCtl {
     n: u8,
     mode: SpecMode,
@@ -124,6 +138,20 @@ impl SpecCtl {
     /// The input currently streaming a multi-flit packet, if any.
     pub fn hold(&self) -> Option<PortId> {
         self.hold
+    }
+
+    /// `true` when a tick with an empty request set is the identity: it
+    /// returns [`SpecDecision::IDLE`] and leaves the controller unchanged,
+    /// so a caller with nothing to request may skip the tick. That is
+    /// exactly when no reservation is outstanding. A reservation needs its
+    /// cycle: with nobody to use it the tick consumes it and reports a
+    /// wasted reservation (Spec-Fast's stale re-grant, §3.1.2), and
+    /// Spec-Accurate renews it every cycle for the input whose multi-flit
+    /// packet holds the output, so an Accurate controller mid-stream is
+    /// never settled. A Spec-Fast stream whose body flit is late holds
+    /// with no reservation, and is.
+    pub fn settled(&self) -> bool {
+        self.reserved.is_none()
     }
 
     /// Advances the controller by one cycle.
@@ -238,6 +266,16 @@ pub struct NonSpecDecision {
     pub granted: bool,
 }
 
+impl NonSpecDecision {
+    /// The decision of a cycle without a winner — what the controller
+    /// returns for an empty request set.
+    pub const IDLE: NonSpecDecision = NonSpecDecision {
+        drive: None,
+        serviced: PortSet::EMPTY,
+        granted: false,
+    };
+}
+
 /// Per-output controller for the sequential (non-speculative) router of
 /// §3.1.1 / Figure 5.
 ///
@@ -261,7 +299,7 @@ pub struct NonSpecDecision {
 /// assert_eq!(out.tick(both).drive, Some(PortId(1)));
 /// assert_eq!(out.tick(both).drive, Some(PortId(2)));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NonSpecCtl {
     n: u8,
     arbiter: RoundRobinArbiter,
@@ -291,6 +329,16 @@ impl NonSpecCtl {
     /// The input currently streaming a multi-flit packet, if any.
     pub fn hold(&self) -> Option<PortId> {
         self.hold
+    }
+
+    /// `true` when a tick with an empty request set is the identity: it
+    /// returns [`NonSpecDecision::IDLE`] and leaves the controller
+    /// unchanged, so a caller with nothing to request may skip the tick.
+    /// Always: arbitration and traversal share the cycle, so nothing is
+    /// carried into the next one except the wormhole hold, which an empty
+    /// tick keeps.
+    pub fn settled(&self) -> bool {
+        true
     }
 
     /// Advances the controller by one cycle: arbitrates among the

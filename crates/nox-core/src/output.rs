@@ -107,7 +107,11 @@ pub struct NoxDecision {
 }
 
 impl NoxDecision {
-    fn idle(mode: Mode) -> Self {
+    /// The decision of a cycle in which nothing drives, nothing is
+    /// serviced and nothing is granted — what a
+    /// [settled](OutputCtl::settled) controller returns for an empty
+    /// request set.
+    pub fn idle(mode: Mode) -> Self {
         NoxDecision {
             drive: PortSet::EMPTY,
             encoded: false,
@@ -240,6 +244,17 @@ impl OutputCtl {
             State::Scheduled { input, .. } => PortSet::single(input).complement(self.n),
             State::Stream { .. } => PortSet::EMPTY,
         }
+    }
+
+    /// `true` when a tick with an empty request set is the identity: it
+    /// returns [`NoxDecision::idle`] for the current mode and leaves the
+    /// controller unchanged, so a caller with nothing to request may skip
+    /// the tick. Every state is settled except a non-chain Scheduled slot,
+    /// which needs one grant-less tick to fall back to Recovery (§2.6).
+    /// Recovery holds its chain, a chain loser's Scheduled slot holds its
+    /// lock, and Stream holds the wormhole across empty ticks.
+    pub fn settled(&self) -> bool {
+        !matches!(self.state, State::Scheduled { chain: false, .. })
     }
 
     /// Advances the controller by one cycle.

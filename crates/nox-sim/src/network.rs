@@ -8,7 +8,10 @@
 //!    §4's 2 mm inter-tile channels) and matured credits into output
 //!    credit counters;
 //! 2. lets every source inject up to one flit into its local input port;
-//! 3. ticks every router (they emit link transfers and credit returns);
+//! 3. ticks every router whose tick can change something (they emit link
+//!    transfers and credit returns); a router with empty input FIFOs and
+//!    settled engines sleeps until a word or an injected flit reaches it
+//!    (DESIGN.md §17);
 //! 4. drains every sink by at most one flit, recording packet latencies.
 //!
 //! Per-packet flit ordering, payload integrity, and credit conservation
@@ -39,6 +42,14 @@ pub struct Network {
     /// `topo`'s links, tabulated: delivery and credit return index it.
     wiring: Wiring,
     routers: Vec<Router>,
+    /// The active set: `awake[i]` means router `i` ticks this cycle. A
+    /// router falls asleep when it is [settled](Router::settled) after
+    /// its tick and is woken by a link word delivered to one of its
+    /// inputs or by its source injecting; while a fault campaign is
+    /// attached every router stays awake.
+    awake: Vec<bool>,
+    /// Router ticks performed so far: awake routers, summed over cycles.
+    router_ticks: u64,
     /// One source per core.
     sources: Vec<Source>,
     /// One sink per core.
@@ -104,20 +115,21 @@ impl Network {
             );
             let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
             measured_total += u64::from(measured);
+            let created_cycle = (e.time_ns / clock_ns) as u64;
             let id = packets.push(PacketMeta {
                 src: e.src,
                 dest: e.dest,
                 len: e.len,
-                created_cycle: (e.time_ns / clock_ns) as u64,
+                created_cycle,
                 measured,
             });
-            sources[e.src.index()].schedule(id);
+            sources[e.src.index()].schedule(id, created_cycle);
         }
 
         let nox_options = nox_core::NoxOptions {
             scheduled_mode: cfg.nox_scheduled_mode,
         };
-        let routers = topo
+        let routers: Vec<Router> = topo
             .grid()
             .iter()
             .map(|n| Router::with_options(n, cfg.arch, topo, cfg.buffer_depth, nox_options))
@@ -130,6 +142,10 @@ impl Network {
             cfg,
             topo,
             wiring: Wiring::new(&topo),
+            // A freshly built router is settled: nothing buffered, every
+            // engine in its reset state.
+            awake: vec![false; routers.len()],
+            router_ticks: 0,
             routers,
             sources,
             sinks,
@@ -168,8 +184,9 @@ impl Network {
     }
 
     /// Turns on the per-cycle sanitizer audits: flit conservation,
-    /// credit-loop accounting, and §3.2 link-cycle productivity
-    /// classification, re-checked at the end of every [`step`](Self::step).
+    /// credit-loop accounting, §3.2 link-cycle productivity
+    /// classification, and that every skipped router tick was the
+    /// identity, re-checked at the end of every [`step`](Self::step).
     /// Any audit failure panics with a description of the broken books.
     #[cfg(feature = "sanitize")]
     pub fn enable_sanitizer(&mut self) {
@@ -225,6 +242,9 @@ impl Network {
             st.register(id, self.packets.meta(id));
         }
         self.faults = Some(Box::new(st));
+        // Freeze draws, credit corruption and watchdog resets reach
+        // routers that have nothing buffered: under a campaign all tick.
+        self.awake.fill(true);
     }
 
     /// The attached fault campaign's state, if any.
@@ -286,7 +306,7 @@ impl Network {
             measured,
         });
         self.measured_total += u64::from(measured);
-        self.sources[src.index()].schedule(id);
+        self.sources[src.index()].schedule(id, self.cycle);
         #[cfg(feature = "faults")]
         if let Some(f) = &mut self.faults {
             f.register(id, self.packets.meta(id));
@@ -313,6 +333,14 @@ impl Network {
     /// Cycles simulated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Router ticks performed so far: one per router per cycle it was
+    /// awake. A deterministic measure of the work [`step`](Self::step)
+    /// does (`cycles x routers` would be every router every cycle); not a
+    /// simulated statistic, so not a [`Counters`] field.
+    pub fn router_ticks(&self) -> u64 {
+        self.router_ticks
     }
 
     /// Current event counters (cumulative).
@@ -349,10 +377,23 @@ impl Network {
     /// `true` once every scheduled packet has been injected and the
     /// network, links, and sinks are empty.
     pub fn is_quiescent(&self) -> bool {
-        self.in_flight.is_empty()
+        // Only awake routers are scanned. A sleeping router's FIFOs are
+        // empty; its decode registers are too once everything else here
+        // holds, because a register left mid-chain is owed the chain's
+        // final word, which is still buffered upstream (that router is
+        // awake and not idle), on a link, or in a FIFO of this router
+        // (then it is awake). Under a fault campaign, which can orphan a
+        // register, every router is awake.
+        let quiescent = self.in_flight.is_empty()
             && self.sources.iter().all(Source::is_done)
-            && self.routers.iter().all(Router::is_idle)
-            && self.sinks.iter().all(Sink::is_idle)
+            && self
+                .routers
+                .iter()
+                .zip(&self.awake)
+                .all(|(r, &awake)| !awake || r.is_idle())
+            && self.sinks.iter().all(Sink::is_idle);
+        debug_assert!(!quiescent || self.routers.iter().all(Router::is_idle));
+        quiescent
     }
 
     /// Advances the network by one clock cycle.
@@ -465,21 +506,25 @@ impl Network {
                 &self.packets,
                 &mut self.counters,
             );
+            if injected.is_some() {
+                self.awake[router.index()] = true;
+            }
             #[cfg(feature = "probe")]
             if let (Some(p), Some(key)) = (&mut self.probe, injected) {
                 p.on_inject(self.cycle, core, key);
             }
-            #[cfg(not(feature = "probe"))]
-            let _ = injected;
         }
         #[cfg(feature = "telemetry")]
         self.mark_phase(nox_telemetry::phase::SIM_INJECT);
 
-        // 3. Routers tick, staged so each phase runs across *all* routers
-        // (present → arbitrate → apply) and its wall time is attributable
-        // as a whole; routers never interact within a cycle, so the
-        // staged order is behaviourally identical to ticking each router
-        // start-to-finish (see the `Router` docs). Both tick buffers
+        // 3. Awake routers tick, staged so each phase runs across *all* of
+        // them (present → arbitrate → apply) and its wall time is
+        // attributable as a whole; routers never interact within a cycle,
+        // so the staged order is behaviourally identical to ticking each
+        // router start-to-finish (see the `Router` docs). A sleeping
+        // router is settled, so its tick would emit nothing, count
+        // nothing and change nothing (DESIGN.md §17); the wakes of this
+        // cycle (1a, 2) are all in by now. Both tick buffers
         // recycle allocations instead of growing fresh `Vec`s every
         // cycle: the drained `deliveries` vector becomes this cycle's
         // send buffer (it returns to `in_flight` in step 5, closing the
@@ -488,6 +533,7 @@ impl Network {
         let mut sends = deliveries;
         let mut credit_returns = std::mem::take(&mut self.credit_scratch);
         debug_assert!(sends.is_empty() && credit_returns.is_empty());
+        let stay_awake = self.faults_attached();
         {
             let mut ctx = TickCtx::new(
                 &self.packets,
@@ -511,21 +557,34 @@ impl Network {
             // transient-freeze draw happens here, exactly once per router
             // per cycle; a frozen router loses the whole cycle (no
             // decode, no arbitration, no link drive).
-            for r in &mut self.routers {
+            for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
+                if !awake {
+                    continue;
+                }
+                self.router_ticks += 1;
                 let frozen = ctx.fault_frozen(r.node());
                 r.tick_present(frozen, &mut ctx);
             }
             #[cfg(feature = "telemetry")]
             ctx.phase_mark(nox_telemetry::phase::SIM_ROUTE);
             // 3b. Arbitrate: every credited output's engine decides.
-            for r in &mut self.routers {
-                r.tick_arbitrate();
+            for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
+                if awake {
+                    r.tick_arbitrate();
+                }
             }
             #[cfg(feature = "telemetry")]
             ctx.phase_mark(nox_telemetry::phase::SIM_ARBITRATE);
             // 3c. Apply: drive links, service inputs, return credits.
-            for r in &mut self.routers {
-                r.tick_apply(&mut ctx);
+            // Then the router sleeps if it has come to rest. Checked here
+            // and not when a FIFO empties, so an engine that is owed one
+            // more tick (Spec-Fast's stale reservation, a grant-less
+            // Scheduled slot) gets it, wasted-reservation count included.
+            for (r, awake) in self.routers.iter_mut().zip(&mut self.awake) {
+                if *awake {
+                    r.tick_apply(&mut ctx);
+                    *awake = stay_awake || !r.settled();
+                }
             }
             #[cfg(feature = "telemetry")]
             ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
@@ -732,11 +791,11 @@ impl Network {
                 .link_dest(s.node, s.out)
                 .expect("send on an unconnected port");
             self.routers[dest.index()].input_mut(inp).receive(s.word);
+            self.awake[dest.index()] = true;
         }
     }
 
     /// `true` when a fault campaign is attached (any feature set).
-    #[cfg(feature = "sanitize")]
     fn faults_attached(&self) -> bool {
         #[cfg(feature = "faults")]
         {
@@ -805,7 +864,7 @@ impl Network {
                 created_cycle: self.cycle,
                 measured: false,
             });
-            self.sources[rt.src.index()].schedule(id);
+            self.sources[rt.src.index()].schedule(id, self.cycle);
             f.map_attempt(id, idx);
             let router = self.topo.router_of(rt.src);
             self.probe_fault_event(router, self.topo.local_port(rt.src), "retransmit");
@@ -891,7 +950,8 @@ impl Network {
     #[cfg(feature = "sanitize")]
     fn sanitize_audit(&self) {
         use crate::sanitize::{
-            check_credit_loop, check_flit_conservation, check_productivity, CreditLoopView,
+            check_credit_loop, check_flit_conservation, check_productivity, check_skipped_router,
+            CreditLoopView,
         };
         use nox_core::PortId;
 
@@ -963,6 +1023,17 @@ impl Network {
         // §3.2 link-cycle productivity classification.
         if let Err(e) = check_productivity(self.cfg.arch, &self.counters) {
             fail(e);
+        }
+
+        // Skipped ticks. A router asleep now either slept through this
+        // step untouched or has just been put to sleep; in both cases its
+        // tick must be the identity.
+        for (r, &awake) in self.routers.iter().zip(&self.awake) {
+            if !awake {
+                if let Err(e) = check_skipped_router(r, &self.packets) {
+                    fail(e);
+                }
+            }
         }
     }
 

@@ -333,6 +333,19 @@ enum Engine {
     Nox(OutputCtl),
 }
 
+impl Engine {
+    /// `true` when ticking this engine with an empty request set would
+    /// return its idle decision and leave it unchanged (the `settled`
+    /// contract of `nox-core`), so the tick can be skipped.
+    fn settled(&self) -> bool {
+        match self {
+            Engine::NonSpec(e) => e.settled(),
+            Engine::Spec(e) => e.settled(),
+            Engine::Nox(e) => e.settled(),
+        }
+    }
+}
+
 /// One output port: control engine plus downstream credit counter.
 #[derive(Clone, Debug)]
 pub struct OutputPort {
@@ -392,7 +405,9 @@ struct Presented {
 /// stage and consumed by the apply stage.
 #[derive(Clone, Copy, Debug)]
 enum Decision {
-    /// Output frozen by credit exhaustion: the engine was not ticked.
+    /// The engine was not ticked: the output is frozen by credit
+    /// exhaustion, or nobody requested it and the engine is settled, so
+    /// the tick would have decided nothing and changed nothing.
     Skip,
     NonSpec(nox_core::NonSpecDecision),
     Spec(nox_core::SpecDecision),
@@ -551,6 +566,19 @@ impl Router {
         self.inputs.iter().all(InputPort::is_idle)
     }
 
+    /// `true` when a tick would be the identity: every input FIFO is
+    /// empty, so nothing can be presented or latched, and every output
+    /// engine is settled, so an empty request set decides nothing. The
+    /// network skips such a router until a word or an injected flit
+    /// reaches one of its inputs (DESIGN.md §17). Credits do not enter
+    /// into it: with nothing buffered there is nothing to request with,
+    /// whatever the counters say, and a decode register left mid-chain
+    /// over an empty FIFO waits for its next word without being clocked.
+    pub fn settled(&self) -> bool {
+        self.inputs.iter().all(|i| i.fifo.is_empty())
+            && self.outputs.iter().all(|o| o.engine.settled())
+    }
+
     /// Total flits buffered across all input ports.
     pub fn buffered_flits(&self) -> usize {
         self.inputs.iter().map(|i| i.fifo.len()).sum()
@@ -625,9 +653,10 @@ impl Router {
         self.build_request_sets();
     }
 
-    /// Stage 2: ticks every credited output's control engine against the
-    /// request sets from stage 1 and records its decision. Pure control
-    /// logic — no counters, no link traffic, no credit movement.
+    /// Stage 2: ticks the control engine of every credited output that
+    /// is requested or not settled against the request sets from stage 1
+    /// and records its decision. Pure control logic — no counters, no
+    /// link traffic, no credit movement.
     pub(crate) fn tick_arbitrate(&mut self) {
         if self.scratch.frozen {
             return;
@@ -644,6 +673,12 @@ impl Router {
                 // Credit exhaustion freezes the whole output: nothing can
                 // traverse, and ticking the controller would tear down a
                 // valid schedule (DESIGN.md, clarification 4).
+                decisions.push(Decision::Skip);
+                continue;
+            }
+            if reqs[o].req.is_empty() && out.engine.settled() {
+                // Nothing to decide and nothing to carry over: the idle
+                // decision, which the apply stage ignores.
                 decisions.push(Decision::Skip);
                 continue;
             }

@@ -13,16 +13,22 @@
 //!   flight + credits in return flight always equal the buffer depth;
 //! * **link-cycle productivity** — every wasted link cycle is explained
 //!   by its architecture's waste mechanism per §3.2: aborts for NoX,
-//!   failed speculation for Spec, and nothing at all for Non-Spec.
+//!   failed speculation for Spec, and nothing at all for Non-Spec;
+//! * **skipped ticks** — every router the step left asleep is ticked as
+//!   a clone, and the tick must have been the identity: the reference
+//!   the quiescence-driven step loop (DESIGN.md §17) is held to, in
+//!   place of a second loop that ticks everything.
 //!
-//! The checks here are pure functions over counter snapshots and
-//! occupancy views; [`Network`](crate::network::Network) assembles the
-//! views and panics on the first audit failure, in keeping with the
-//! simulator's fail-fast assertion style.
+//! The checks here are pure functions over counter snapshots, occupancy
+//! views and router clones; [`Network`](crate::network::Network)
+//! assembles the views and panics on the first audit failure, in keeping
+//! with the simulator's fail-fast assertion style.
 
 use std::collections::BTreeSet;
 
 use crate::config::Arch;
+use crate::flit::PacketTable;
+use crate::router::{Router, TickCtx};
 use crate::stats::Counters;
 
 /// Slot accounting for one credit loop (one connected output port and
@@ -128,6 +134,33 @@ pub fn check_productivity(arch: Arch, c: &Counters) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks that skipping `router`'s tick lost nothing: a clone, ticked
+/// against scratch buffers, must emit no link word and no credit return,
+/// move no counter, and still be [settled](Router::settled).
+pub fn check_skipped_router(router: &Router, packets: &PacketTable) -> Result<(), String> {
+    let mut r = router.clone();
+    let mut counters = Counters::new();
+    let (mut sends, mut credits) = (Vec::new(), Vec::new());
+    r.tick(&mut TickCtx::new(
+        packets,
+        &mut counters,
+        &mut sends,
+        &mut credits,
+    ));
+    if !sends.is_empty() || !credits.is_empty() || counters != Counters::new() || !r.settled() {
+        return Err(format!(
+            "router {} was skipped, but its tick was not the identity: {} sends, {} credit \
+             returns, counters {:?}, settled afterwards: {}",
+            router.node(),
+            sends.len(),
+            credits.len(),
+            counters,
+            r.settled()
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,5 +216,47 @@ mod tests {
         c.collisions = 3;
         assert!(check_productivity(Arch::SpecFast, &c).is_ok());
         assert!(check_productivity(Arch::SpecAccurate, &c).is_ok());
+    }
+
+    #[test]
+    fn skipped_router_check_rejects_a_router_with_work_to_do() {
+        use crate::flit::{word_for, FlitKey, PacketMeta};
+        use crate::topology::{NodeId, Port, Topology};
+
+        let mut packets = PacketTable::new();
+        let id = packets.push(PacketMeta {
+            src: NodeId(5),
+            dest: NodeId(7),
+            len: 1,
+            created_cycle: 0,
+            measured: false,
+        });
+        for arch in Arch::ALL {
+            let mut r = Router::new(NodeId(5), arch, Topology::mesh(4, 4), 4);
+            assert!(check_skipped_router(&r, &packets).is_ok(), "{arch}: idle");
+            // A buffered flit: the skipped tick would have forwarded it.
+            r.input_mut(Port::West.id())
+                .receive(word_for(FlitKey { packet: id, seq: 0 }));
+            let err = check_skipped_router(&r, &packets).unwrap_err();
+            assert!(err.contains("1 sends"), "{arch}: {err}");
+        }
+
+        // Empty FIFOs are not enough: after forwarding, Spec-Fast holds a
+        // stale reservation whose wasted cycle must still be counted.
+        let mut r = Router::new(NodeId(5), Arch::SpecFast, Topology::mesh(4, 4), 4);
+        r.input_mut(Port::West.id())
+            .receive(word_for(FlitKey { packet: id, seq: 0 }));
+        let mut counters = Counters::new();
+        let (mut sends, mut credits) = (Vec::new(), Vec::new());
+        r.tick(&mut TickCtx::new(
+            &packets,
+            &mut counters,
+            &mut sends,
+            &mut credits,
+        ));
+        assert_eq!(r.buffered_flits(), 0);
+        assert!(!r.settled());
+        let err = check_skipped_router(&r, &packets).unwrap_err();
+        assert!(err.contains("wasted_reservations: 1"), "{err}");
     }
 }

@@ -14,22 +14,40 @@ use crate::router::InputPort;
 use crate::stats::Counters;
 
 /// The injection process for one node.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Source {
     /// Packets scheduled for this node, in creation order.
     pending: VecDeque<PacketId>,
+    /// Creation cycle of `pending`'s head, `u64::MAX` when it is empty:
+    /// a source with nothing due is one compare per cycle, not a packet
+    /// table lookup.
+    head_due: u64,
     /// Packet currently being injected flit by flit.
     current: Option<(PacketId, u16, u16)>, // (id, next_seq, len)
+}
+
+impl Default for Source {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Source {
     /// Creates an empty source.
     pub fn new() -> Self {
-        Self::default()
+        Source {
+            pending: VecDeque::new(),
+            head_due: u64::MAX,
+            current: None,
+        }
     }
 
-    /// Schedules a packet (must be pushed in creation-time order).
-    pub fn schedule(&mut self, id: PacketId) {
+    /// Schedules a packet created at `created_cycle` (must be pushed in
+    /// creation-time order).
+    pub fn schedule(&mut self, id: PacketId, created_cycle: u64) {
+        if self.pending.is_empty() {
+            self.head_due = created_cycle;
+        }
         self.pending.push_back(id);
     }
 
@@ -53,13 +71,16 @@ impl Source {
         counters: &mut Counters,
     ) -> Option<FlitKey> {
         if self.current.is_none() {
-            if let Some(&id) = self.pending.front() {
-                if packets.meta(id).created_cycle <= cycle {
-                    self.pending.pop_front();
-                    self.current = Some((id, 0, packets.meta(id).len));
-                    counters.packets_injected += 1;
-                }
+            if self.head_due > cycle {
+                return None;
             }
+            let id = self.pending.pop_front().expect("a due head is queued");
+            self.head_due = self
+                .pending
+                .front()
+                .map_or(u64::MAX, |&next| packets.meta(next).created_cycle);
+            self.current = Some((id, 0, packets.meta(id).len));
+            counters.packets_injected += 1;
         }
         let (id, seq, len) = self.current?;
         if !local_in.has_space() {
@@ -105,7 +126,7 @@ mod tests {
             created_cycle: 0,
             measured: false,
         });
-        src.schedule(id);
+        src.schedule(id, packets.meta(id).created_cycle);
         for cycle in 0..3 {
             src.inject(
                 cycle,
@@ -131,7 +152,7 @@ mod tests {
             created_cycle: 5,
             measured: false,
         });
-        src.schedule(id);
+        src.schedule(id, packets.meta(id).created_cycle);
         src.inject(
             4,
             router.input_mut(Port::Local.id()),
@@ -160,7 +181,7 @@ mod tests {
                 created_cycle: 0,
                 measured: false,
             });
-            src.schedule(id);
+            src.schedule(id, packets.meta(id).created_cycle);
         }
         for cycle in 0..6 {
             src.inject(
@@ -193,8 +214,8 @@ mod tests {
             created_cycle: 0,
             measured: false,
         });
-        src.schedule(a);
-        src.schedule(b);
+        src.schedule(a, 0);
+        src.schedule(b, 0);
         for cycle in 0..3 {
             src.inject(
                 cycle,

@@ -118,3 +118,43 @@ fn zero_rate_fault_plan_is_inert_under_the_sanitizer() {
         assert_eq!(stats.detected_crc, 0);
     }
 }
+
+/// The fourth audit: every router the step loop skips is ticked as a
+/// clone, and the tick must have emitted nothing, counted nothing and
+/// left the router settled. Sparse traffic on the 4x4 mesh keeps most
+/// routers asleep most cycles — including right after a Spec-Fast output
+/// took its stale reservation's extra tick and a NoX output fell back
+/// from Scheduled — so the audit has routers to check on every cycle.
+#[test]
+fn skipped_router_ticks_are_audited_as_identities() {
+    for arch in Arch::ALL {
+        let cfg = NetConfig::small(arch);
+        let mut events = Vec::new();
+        for i in 0..40u16 {
+            events.push(PacketEvent {
+                time_ns: f64::from(i) * 6.0,
+                src: NodeId(i % 16),
+                dest: NodeId((i * 5 + 3) % 16),
+                len: 1 + (i % 3) * 2,
+            });
+            // A second packet for the same router a cycle later: contention.
+            events.push(PacketEvent {
+                time_ns: f64::from(i) * 6.0 + cfg.clock_ns(),
+                src: NodeId((i + 4) % 16),
+                dest: NodeId((i * 5 + 3) % 16),
+                len: 1,
+            });
+        }
+        events.sort_by(|a, b| a.time_ns.total_cmp(&b.time_ns));
+        let mut net = Network::new(cfg, &Trace::from_events(events), (0.0, f64::MAX));
+        net.enable_sanitizer();
+        assert!(net.run_to_quiescence(20_000), "{arch} failed to drain");
+        assert_eq!(net.counters().packets_ejected, 80, "{arch}");
+        let all = net.cycle() * 16;
+        assert!(
+            net.router_ticks() * 2 < all,
+            "{arch}: {} of {all} router ticks, the audit had little to check",
+            net.router_ticks()
+        );
+    }
+}

@@ -169,6 +169,11 @@ impl Model {
         }
     }
 
+    /// The sender's output controller in this state.
+    pub fn ctl(&self) -> &OutputCtl {
+        &self.ctl
+    }
+
     /// The head flit input `i` currently presents, if any.
     fn head(&self, scripts: &[Vec<Flit>], i: usize) -> Option<Flit> {
         if self.sent[i] < self.arrived[i] {

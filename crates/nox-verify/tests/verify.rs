@@ -96,3 +96,49 @@ fn multiflit_abort_scenario_is_explored_and_clean() {
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
 }
+
+#[test]
+fn settled_contract_holds_on_every_reachable_output_state() {
+    // `OutputCtl::settled` is what lets the simulator skip a tick: on
+    // every controller state the checker can reach, a settled controller
+    // must answer an empty request set with the idle decision and not
+    // change, and an unsettled one must settle within one empty tick.
+    use nox_core::{NoxDecision, RequestSet};
+    use nox_verify::{scenarios, Model};
+    use std::collections::{HashSet, VecDeque};
+
+    let bounds = Bounds::quick();
+    let (mut settled, mut unsettled) = (0u64, 0u64);
+    for sc in scenarios(&bounds) {
+        let scripts = sc.scripts();
+        let init = Model::init(&sc);
+        let mut visited: HashSet<Model> = HashSet::from([init.clone()]);
+        let mut queue = VecDeque::from([init]);
+        while let Some(state) = queue.pop_front() {
+            let ctl = state.ctl();
+            let mut probe = ctl.clone();
+            let d = probe.tick(RequestSet::default());
+            if ctl.settled() {
+                settled += 1;
+                assert_eq!(d, NoxDecision::idle(ctl.mode()), "{}: {ctl:?}", sc.label());
+                assert_eq!(&probe, ctl, "{}: settled state moved", sc.label());
+            } else {
+                unsettled += 1;
+                assert!(probe.settled(), "{}: {ctl:?} -> {probe:?}", sc.label());
+            }
+            for choice in state.choices(&scripts) {
+                let mut next = state.clone();
+                next.step(&sc, &scripts, choice, None)
+                    .unwrap_or_else(|v| panic!("real FSMs violated the protocol: {v}"));
+                assert!(visited.len() < bounds.max_states, "state budget exceeded");
+                if visited.insert(next.clone()) {
+                    queue.push_back(next);
+                }
+            }
+        }
+    }
+    assert!(
+        settled > 1_000 && unsettled > 100,
+        "walk too small to mean anything: {settled} settled, {unsettled} unsettled"
+    );
+}
