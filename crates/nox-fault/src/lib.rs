@@ -24,7 +24,7 @@
 //!
 //! The simulator integration (interception points, chain-kill
 //! containment, end-to-end retransmission, fault-aware rerouting) lives
-//! in `nox-sim`'s `fault` module behind its `faults` cargo feature.
+//! in `nox-sim`'s `fault` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

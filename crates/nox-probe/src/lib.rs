@@ -66,7 +66,6 @@ use nox_sim::config::NetConfig;
 use nox_sim::network::Network;
 use nox_sim::probe::{Probe, ProbeConfig};
 use nox_sim::sim::{RunSpec, SimResult};
-use nox_sim::stats::Counters;
 use nox_sim::trace::Trace;
 
 pub use json::Json;
@@ -124,7 +123,7 @@ pub fn probed_run(
     let result = SimResult {
         cfg,
         cycles: net.cycle(),
-        window_counters: delta(&at_open, &at_close),
+        window_counters: at_close.since(&at_open),
         latency_ns: *net.latency_measured_ns(),
         latency_hist: net.latency_histogram_ns().clone(),
         measured_total: net.measured_total(),
@@ -146,34 +145,6 @@ pub fn probed_run(
         probe,
         profile,
     }
-}
-
-fn delta(open: &Counters, close: &Counters) -> Counters {
-    let mut d = Counters::new();
-    macro_rules! sub {
-        ($($f:ident),+ $(,)?) => { $( d.$f = close.$f - open.$f; )+ };
-    }
-    sub!(
-        cycles,
-        link_flits,
-        link_wasted,
-        xbar_traversals,
-        xbar_inputs_active,
-        buffer_writes,
-        buffer_reads,
-        arbitrations,
-        decode_xors,
-        decode_reg_writes,
-        collisions,
-        aborts,
-        encoded_transfers,
-        wasted_reservations,
-        flits_injected,
-        flits_ejected,
-        packets_injected,
-        packets_ejected,
-    );
-    d
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Runtime fault-injection state (feature `faults`).
+//! Runtime fault-injection state.
 //!
 //! This module wires the pure, deterministic machinery of `nox-fault`
 //! (fault plans, CRC sidebands, campaign statistics) into the simulator.

@@ -46,16 +46,13 @@
 #![warn(missing_docs)]
 
 pub mod config;
-#[cfg(feature = "faults")]
 pub mod fault;
 pub mod flit;
 pub mod histogram;
 pub mod network;
-#[cfg(feature = "probe")]
 pub mod probe;
 pub mod router;
 pub mod routing;
-#[cfg(feature = "sanitize")]
 pub mod sanitize;
 pub mod sim;
 pub mod sink;

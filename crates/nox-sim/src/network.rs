@@ -21,12 +21,11 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-#[cfg(feature = "faults")]
-use crate::fault::{FaultConfig, FaultState, LinkFate, TailDelivery};
-
 use crate::config::NetConfig;
+use crate::fault::{FaultConfig, FaultState, LinkFate, TailDelivery};
 use crate::flit::{PacketId, PacketMeta, PacketTable};
 use crate::histogram::LogHistogram;
+use crate::probe::ProbeSlot;
 use crate::router::{CreditReturn, Router, Send, TickCtx};
 use crate::sink::Sink;
 use crate::source::Source;
@@ -75,19 +74,15 @@ pub struct Network {
     measured_ejected: u64,
     eject_log: Option<Vec<(PacketId, u64)>>,
     /// Runtime switch for the per-cycle sanitizer audits.
-    #[cfg(feature = "sanitize")]
     sanitize: bool,
-    /// Telemetry collector, if probing is enabled.
-    #[cfg(feature = "probe")]
-    probe: Option<Box<crate::probe::Probe>>,
+    /// Telemetry collector, if this build has one and it is attached.
+    pub(crate) probe: ProbeSlot,
     /// Fault-injection campaign, if one is attached.
-    #[cfg(feature = "faults")]
     faults: Option<Box<FaultState>>,
     /// Phase-attribution clock, allocated when the process-wide profiling
     /// switch was on at construction. Cloning a network starts a fresh
     /// clock (see [`nox_telemetry::PhaseClock`]) so history is never
     /// double-counted.
-    #[cfg(feature = "telemetry")]
     phases: Option<Box<nox_telemetry::PhaseClock>>,
 }
 
@@ -162,20 +157,15 @@ impl Network {
             measured_total,
             measured_ejected: 0,
             eject_log: None,
-            #[cfg(feature = "sanitize")]
             sanitize: false,
-            #[cfg(feature = "probe")]
-            probe: None,
-            #[cfg(feature = "faults")]
+            probe: ProbeSlot::default(),
             faults: None,
-            #[cfg(feature = "telemetry")]
             phases: nox_telemetry::profiling()
                 .then(|| Box::new(nox_telemetry::PhaseClock::start())),
         }
     }
 
     /// Attributes time since the previous phase mark to `phase`.
-    #[cfg(feature = "telemetry")]
     #[inline]
     fn mark_phase(&mut self, phase: nox_telemetry::PhaseId) {
         if let Some(clock) = &mut self.phases {
@@ -188,35 +178,8 @@ impl Network {
     /// classification, and that every skipped router tick was the
     /// identity, re-checked at the end of every [`step`](Self::step).
     /// Any audit failure panics with a description of the broken books.
-    #[cfg(feature = "sanitize")]
     pub fn enable_sanitizer(&mut self) {
         self.sanitize = true;
-    }
-
-    /// Attaches a telemetry [`Probe`](crate::probe::Probe): every
-    /// subsequent cycle is observed — per-router windowed metrics, the
-    /// bounded event trace, and per-packet latency decomposition. Call
-    /// [`Probe::finish`](crate::probe::Probe::finish) on the collector
-    /// after the run to flush the final partial window.
-    #[cfg(feature = "probe")]
-    pub fn enable_probe(&mut self, cfg: crate::probe::ProbeConfig) {
-        self.probe = Some(Box::new(crate::probe::Probe::new(
-            cfg,
-            self.topo,
-            self.cfg.clock_ns(),
-        )));
-    }
-
-    /// The attached probe, if any.
-    #[cfg(feature = "probe")]
-    pub fn probe(&self) -> Option<&crate::probe::Probe> {
-        self.probe.as_deref()
-    }
-
-    /// Detaches and returns the probe, ending observation.
-    #[cfg(feature = "probe")]
-    pub fn take_probe(&mut self) -> Option<crate::probe::Probe> {
-        self.probe.take().map(|b| *b)
     }
 
     /// Attaches a fault-injection campaign: from the next cycle on, link
@@ -234,7 +197,6 @@ impl Network {
     ///
     /// Panics if the configuration is invalid (see
     /// [`FaultConfig::validate`]).
-    #[cfg(feature = "faults")]
     pub fn enable_faults(&mut self, cfg: FaultConfig) {
         let mut st = FaultState::new(cfg);
         for i in 0..self.packets.len() {
@@ -248,7 +210,6 @@ impl Network {
     }
 
     /// The attached fault campaign's state, if any.
-    #[cfg(feature = "faults")]
     pub fn fault_state(&self) -> Option<&FaultState> {
         self.faults.as_deref()
     }
@@ -256,7 +217,6 @@ impl Network {
     /// `true` when the retransmission protocol (if any) has settled:
     /// every logical packet is delivered or written off. `true` when no
     /// campaign is attached.
-    #[cfg(feature = "faults")]
     pub fn faults_settled(&self) -> bool {
         self.faults.as_ref().is_none_or(|f| f.settled())
     }
@@ -267,7 +227,6 @@ impl Network {
     /// [`run_to_quiescence`](Self::run_to_quiescence) is not sufficient
     /// under faults: a drained network may still owe retransmissions whose
     /// timeouts have not expired yet.
-    #[cfg(feature = "faults")]
     pub fn run_to_settlement(&mut self, max_cycles: u64) -> bool {
         for _ in 0..max_cycles {
             if self.is_quiescent() && self.faults_settled() {
@@ -307,7 +266,6 @@ impl Network {
         });
         self.measured_total += u64::from(measured);
         self.sources[src.index()].schedule(id, self.cycle);
-        #[cfg(feature = "faults")]
         if let Some(f) = &mut self.faults {
             f.register(id, self.packets.meta(id));
         }
@@ -401,19 +359,12 @@ impl Network {
         // Phase attribution (DESIGN.md §14): one clock read per phase
         // boundary. The marks partition the step interval exactly, so the
         // named phases telescope to the `sim.step` total.
-        #[cfg(feature = "telemetry")]
         if let Some(clock) = &mut self.phases {
             clock.begin_step();
         }
 
         self.counters.cycles += 1;
-
-        #[cfg(feature = "probe")]
-        if let Some(p) = &mut self.probe {
-            p.on_cycle_start(self.cycle);
-        }
-
-        #[cfg(feature = "faults")]
+        self.probe.on_cycle_start(self.cycle);
         if let Some(f) = &mut self.faults {
             f.begin_cycle(self.cycle);
         }
@@ -422,55 +373,47 @@ impl Network {
         // fault plan if a campaign is attached. The vector is drained (not
         // consumed) so its allocation can carry this cycle's sends below.
         let mut deliveries = std::mem::take(&mut self.in_flight);
-        #[cfg(feature = "faults")]
-        {
-            let mut faults = self.faults.take();
-            for mut s in deliveries.drain(..) {
-                if let Some(f) = &mut faults {
-                    let (fate, flipped) = f.intercept(s.node, s.out, &mut s.word);
-                    if flipped {
-                        self.probe_fault_event(s.node, s.out, "inject bit-flip");
-                    }
-                    match fate {
-                        LinkFate::Drop => {
-                            // The word vanished in flight: its downstream
-                            // slot never fills, so the consumed credit is
-                            // returned straight to the sender's output.
-                            self.probe_fault_event(s.node, s.out, "link drop");
-                            self.credits_in_flight.push_back((
-                                self.cycle + self.cfg.credit_delay,
-                                s.node,
-                                s.out.0,
-                            ));
-                            continue;
-                        }
-                        LinkFate::DeliverTwice => {
-                            if self.fault_space_for(&s) {
-                                f.note_dup_delivered(s.node, s.out.0);
-                                self.probe_fault_event(s.node, s.out, "inject duplicate");
-                                self.deliver_word(s.clone());
-                            }
-                        }
-                        LinkFate::Deliver => {}
-                    }
-                    if !self.fault_space_for(&s) {
-                        // Phantom credits (credit corruption) let a word
-                        // arrive at a full buffer: it is dropped there,
-                        // and no credit returns for it.
-                        f.note_overflow();
-                        self.probe_fault_event(s.node, s.out, "overflow drop");
+        let mut faults = self.faults.take();
+        for mut s in deliveries.drain(..) {
+            if let Some(f) = &mut faults {
+                let (fate, flipped) = f.intercept(s.node, s.out, &mut s.word);
+                if flipped {
+                    self.probe.on_fault(s.node, s.out, "inject bit-flip");
+                }
+                match fate {
+                    LinkFate::Drop => {
+                        // The word vanished in flight: its downstream
+                        // slot never fills, so the consumed credit is
+                        // returned straight to the sender's output.
+                        self.probe.on_fault(s.node, s.out, "link drop");
+                        self.credits_in_flight.push_back((
+                            self.cycle + self.cfg.credit_delay,
+                            s.node,
+                            s.out.0,
+                        ));
                         continue;
                     }
+                    LinkFate::DeliverTwice => {
+                        if self.fault_space_for(&s) {
+                            f.note_dup_delivered(s.node, s.out.0);
+                            self.probe.on_fault(s.node, s.out, "inject duplicate");
+                            self.deliver_word(s.clone());
+                        }
+                    }
+                    LinkFate::Deliver => {}
                 }
-                self.deliver_word(s);
+                if !self.fault_space_for(&s) {
+                    // Phantom credits (credit corruption) let a word
+                    // arrive at a full buffer: it is dropped there,
+                    // and no credit returns for it.
+                    f.note_overflow();
+                    self.probe.on_fault(s.node, s.out, "overflow drop");
+                    continue;
+                }
             }
-            self.faults = faults;
-        }
-        #[cfg(not(feature = "faults"))]
-        for s in deliveries.drain(..) {
             self.deliver_word(s);
         }
-        #[cfg(feature = "telemetry")]
+        self.faults = faults;
         self.mark_phase(nox_telemetry::phase::SIM_DELIVER);
 
         // 1b. Deliver matured credits.
@@ -480,7 +423,6 @@ impl Network {
             }
             self.credits_in_flight.pop_front();
             let out = self.routers[node.index()].output_mut(nox_core::PortId(port));
-            #[cfg(feature = "faults")]
             if self.faults.is_some() {
                 // Phantom credits from injected faults can over-return;
                 // clamping keeps the loop self-balancing.
@@ -491,9 +433,7 @@ impl Network {
         }
 
         // 1c. Corrupt a credit counter, if the plan says so this cycle.
-        #[cfg(feature = "faults")]
         self.fault_credit_corruption();
-        #[cfg(feature = "telemetry")]
         self.mark_phase(nox_telemetry::phase::SIM_CREDIT);
 
         // 2. Sources inject, each into its core's local input port.
@@ -506,15 +446,11 @@ impl Network {
                 &self.packets,
                 &mut self.counters,
             );
-            if injected.is_some() {
+            if let Some(key) = injected {
                 self.awake[router.index()] = true;
-            }
-            #[cfg(feature = "probe")]
-            if let (Some(p), Some(key)) = (&mut self.probe, injected) {
-                p.on_inject(self.cycle, core, key);
+                self.probe.on_inject(self.cycle, core, key);
             }
         }
-        #[cfg(feature = "telemetry")]
         self.mark_phase(nox_telemetry::phase::SIM_INJECT);
 
         // 3. Awake routers tick, staged so each phase runs across *all* of
@@ -533,7 +469,7 @@ impl Network {
         let mut sends = deliveries;
         let mut credit_returns = std::mem::take(&mut self.credit_scratch);
         debug_assert!(sends.is_empty() && credit_returns.is_empty());
-        let stay_awake = self.faults_attached();
+        let stay_awake = self.faults.is_some();
         {
             let mut ctx = TickCtx::new(
                 &self.packets,
@@ -541,18 +477,9 @@ impl Network {
                 &mut sends,
                 &mut credit_returns,
             );
-            #[cfg(feature = "probe")]
-            {
-                ctx.probe = self.probe.as_deref_mut();
-            }
-            #[cfg(feature = "faults")]
-            {
-                ctx.faults = self.faults.as_deref_mut();
-            }
-            #[cfg(feature = "telemetry")]
-            {
-                ctx.phases = self.phases.as_deref_mut();
-            }
+            ctx.probe = std::mem::take(&mut self.probe);
+            ctx.faults = self.faults.as_deref_mut();
+            ctx.phases = self.phases.as_deref_mut();
             // 3a. Present: decode plans, routing, request sets. The
             // transient-freeze draw happens here, exactly once per router
             // per cycle; a frozen router loses the whole cycle (no
@@ -565,7 +492,6 @@ impl Network {
                 let frozen = ctx.fault_frozen(r.node());
                 r.tick_present(frozen, &mut ctx);
             }
-            #[cfg(feature = "telemetry")]
             ctx.phase_mark(nox_telemetry::phase::SIM_ROUTE);
             // 3b. Arbitrate: every credited output's engine decides.
             for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
@@ -573,7 +499,6 @@ impl Network {
                     r.tick_arbitrate();
                 }
             }
-            #[cfg(feature = "telemetry")]
             ctx.phase_mark(nox_telemetry::phase::SIM_ARBITRATE);
             // 3c. Apply: drive links, service inputs, return credits.
             // Then the router sleeps if it has come to rest. Checked here
@@ -586,39 +511,33 @@ impl Network {
                     *awake = stay_awake || !r.settled();
                 }
             }
-            #[cfg(feature = "telemetry")]
             ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
+            self.probe = ctx.probe;
         }
 
         // 4. Sinks drain one flit each and record latencies.
         let clock_ns = self.cfg.clock_ns();
-        #[cfg(feature = "faults")]
         let mut faults = self.faults.take();
         for (i, sink) in self.sinks.iter_mut().enumerate() {
-            #[cfg(feature = "faults")]
+            let core = NodeId(i as u16);
             let outcome = match &mut faults {
-                Some(f) => sink.drain_faulty(&self.packets, &mut self.counters, f),
+                Some(f) => {
+                    let outcome = sink.drain_faulty(&self.packets, &mut self.counters, f);
+                    if let Some(label) = outcome.fault_event {
+                        self.probe.on_fault(core, self.topo.local_port(core), label);
+                    }
+                    outcome
+                }
                 None => sink.drain(&self.packets, &mut self.counters),
             };
-            #[cfg(not(feature = "faults"))]
-            let outcome = sink.drain(&self.packets, &mut self.counters);
-            #[cfg(all(feature = "faults", feature = "probe"))]
-            if let (Some(label), Some(p)) = (outcome.fault_event, &mut self.probe) {
-                let core = NodeId(i as u16);
-                p.on_fault(core, self.topo.local_port(core), label);
-            }
             if outcome.credit_freed {
                 // A freed ejection slot credits the owning router's local
                 // output port for this core.
-                let (node, input) = self.wiring.attach(NodeId(i as u16));
+                let (node, input) = self.wiring.attach(core);
                 credit_returns.push(CreditReturn { node, input });
-            }
-            #[cfg(feature = "probe")]
-            if outcome.credit_freed && outcome.consumed.is_none() {
-                // A decode-register latch at the sink (§2.4 at ejection).
-                if let Some(p) = &mut self.probe {
-                    let core = NodeId(i as u16);
-                    p.on_latch(core, self.topo.local_port(core));
+                if outcome.consumed.is_none() {
+                    // A decode-register latch at the sink (§2.4 at ejection).
+                    self.probe.on_latch(core, input);
                 }
             }
             if let Some(info) = outcome.consumed {
@@ -627,18 +546,17 @@ impl Network {
                 // so it never enters the map.
                 if info.multiflit {
                     let expected = self.expected_seq.entry(info.packet).or_insert(0);
-                    #[cfg(feature = "faults")]
                     if *expected != info.seq {
                         if let Some(f) = &mut faults {
                             // Upstream losses broke the flit sequence: the NIC
                             // discards the flit; retransmission (if configured)
                             // re-delivers the whole packet.
                             f.note_seq_mismatch();
-                            #[cfg(feature = "probe")]
-                            if let Some(p) = &mut self.probe {
-                                let core = NodeId(i as u16);
-                                p.on_fault(core, self.topo.local_port(core), "detect sequence");
-                            }
+                            self.probe.on_fault(
+                                core,
+                                self.topo.local_port(core),
+                                "detect sequence",
+                            );
                             continue;
                         }
                     }
@@ -653,7 +571,6 @@ impl Network {
                     }
                 }
                 if info.tail {
-                    #[cfg(feature = "faults")]
                     if let Some(f) = &mut faults {
                         match f.note_tail(info.packet, self.cycle + 1) {
                             TailDelivery::Duplicate => {
@@ -661,17 +578,11 @@ impl Network {
                                 // earlier attempt: discard this copy.
                                 continue;
                             }
-                            TailDelivery::First { recovered } => {
-                                #[cfg(feature = "probe")]
-                                if recovered {
-                                    if let Some(p) = &mut self.probe {
-                                        let core = NodeId(i as u16);
-                                        p.on_fault(core, self.topo.local_port(core), "recovered");
-                                    }
-                                }
-                                #[cfg(not(feature = "probe"))]
-                                let _ = recovered;
+                            TailDelivery::First { recovered: true } => {
+                                self.probe
+                                    .on_fault(core, self.topo.local_port(core), "recovered");
                             }
+                            TailDelivery::First { recovered: false } => {}
                         }
                     }
                     self.counters.packets_ejected += 1;
@@ -679,15 +590,8 @@ impl Network {
                         log.push((info.packet, self.cycle + 1));
                     }
                     let meta = self.packets.meta(info.packet);
-                    #[cfg(feature = "probe")]
-                    if let Some(p) = &mut self.probe {
-                        p.on_eject(
-                            self.cycle + 1,
-                            NodeId(i as u16),
-                            info.packet,
-                            meta.created_cycle,
-                        );
-                    }
+                    self.probe
+                        .on_eject(self.cycle + 1, core, info.packet, meta.created_cycle);
                     let latency_ns = (self.cycle + 1 - meta.created_cycle) as f64 * clock_ns;
                     self.latency_all.record(latency_ns);
                     if meta.measured {
@@ -698,14 +602,10 @@ impl Network {
                 }
             }
         }
+        self.faults = faults;
 
-        #[cfg(feature = "faults")]
-        {
-            self.faults = faults;
-            // 4b. Launch retransmissions whose timeouts expired.
-            self.fault_retx_pump();
-        }
-        #[cfg(feature = "telemetry")]
+        // 4b. Launch retransmissions whose timeouts expired.
+        self.fault_retx_pump();
         self.mark_phase(nox_telemetry::phase::SIM_SINK);
 
         // 5. Launch this cycle's sends and schedule credits. Routers never
@@ -715,7 +615,6 @@ impl Network {
         self.in_flight = sends;
         for c in credit_returns.drain(..) {
             let (owner, port) = self.credit_owner(&c);
-            #[cfg(feature = "faults")]
             if let Some(f) = &mut self.faults {
                 if f.swallow_credit(owner.0, port.0) {
                     // Annihilate the phantom credit a duplication fault
@@ -727,25 +626,20 @@ impl Network {
                 .push_back((self.cycle + self.cfg.credit_delay, owner, port.0));
         }
         self.credit_scratch = credit_returns;
-        #[cfg(feature = "telemetry")]
         self.mark_phase(nox_telemetry::phase::SIM_CREDIT);
 
         // 5b. Deadlock watchdog: recover the network if injected losses
         // wedged a control engine (e.g. a reservation whose tail died).
-        #[cfg(feature = "faults")]
         self.fault_watchdog();
 
         // End-of-cycle telemetry: this cycle's launched words, buffer
         // occupancies, and FSM modes.
-        #[cfg(feature = "probe")]
-        if let Some(p) = &mut self.probe {
-            p.on_cycle_end(self.cycle, &self.in_flight, &self.routers, &self.sinks);
-        }
+        self.probe
+            .on_cycle_end(self.cycle, &self.in_flight, &self.routers, &self.sinks);
 
         self.cycle += 1;
 
-        #[cfg(feature = "sanitize")]
-        if self.sanitize && !self.faults_attached() {
+        if self.sanitize && self.faults.is_none() {
             // Injected faults violate conservation by design; the audits
             // only apply to fault-free operation.
             self.sanitize_audit();
@@ -753,12 +647,9 @@ impl Network {
 
         // Residual bookkeeping (watchdog, probe flush, sanitizer) lands
         // in `sim.other`; the step closes with no further clock read.
-        #[cfg(feature = "telemetry")]
-        {
-            self.mark_phase(nox_telemetry::phase::SIM_OTHER);
-            if let Some(clock) = &mut self.phases {
-                clock.end_step();
-            }
+        self.mark_phase(nox_telemetry::phase::SIM_OTHER);
+        if let Some(clock) = &mut self.phases {
+            clock.end_step();
         }
     }
 
@@ -795,22 +686,9 @@ impl Network {
         }
     }
 
-    /// `true` when a fault campaign is attached (any feature set).
-    fn faults_attached(&self) -> bool {
-        #[cfg(feature = "faults")]
-        {
-            self.faults.is_some()
-        }
-        #[cfg(not(feature = "faults"))]
-        {
-            false
-        }
-    }
-
     /// `true` when the destination buffer of `s` can accept a word —
     /// checked explicitly under fault injection, where phantom credits
     /// make the normal overflow assertion unsound.
-    #[cfg(feature = "faults")]
     fn fault_space_for(&self, s: &Send) -> bool {
         if self.topo.is_local(s.out) {
             let core = self.topo.core_at(s.node, s.out);
@@ -827,7 +705,6 @@ impl Network {
     /// Applies this cycle's credit-corruption draw, if any: one randomly
     /// chosen connected output port has its credit counter forced to full
     /// capacity, handing it phantom credits for occupied downstream slots.
-    #[cfg(feature = "faults")]
     fn fault_credit_corruption(&mut self) {
         let Some(f) = &mut self.faults else { return };
         let ports = self.topo.ports() as usize;
@@ -844,14 +721,13 @@ impl Network {
             .force_credits(self.cfg.buffer_depth);
         f.note_credit_corrupted();
         let node = self.routers[r].node();
-        self.probe_fault_event(node, port, "corrupt credits");
+        self.probe.on_fault(node, port, "corrupt credits");
     }
 
     /// Launches retransmissions for logical packets whose timeout expired
     /// this cycle: each becomes a fresh physical packet (unmeasured, so
     /// retries do not pollute baseline latency statistics) scheduled at
     /// its original source.
-    #[cfg(feature = "faults")]
     fn fault_retx_pump(&mut self) {
         let Some(mut f) = self.faults.take() else {
             return;
@@ -867,7 +743,8 @@ impl Network {
             self.sources[rt.src.index()].schedule(id, self.cycle);
             f.map_attempt(id, idx);
             let router = self.topo.router_of(rt.src);
-            self.probe_fault_event(router, self.topo.local_port(rt.src), "retransmit");
+            self.probe
+                .on_fault(router, self.topo.local_port(rt.src), "retransmit");
         }
         self.faults = Some(f);
     }
@@ -878,7 +755,6 @@ impl Network {
     /// returning the credits of any freed slots. Containment only — the
     /// packets whose flits are discarded here are re-delivered by the
     /// end-to-end retransmission protocol, if configured.
-    #[cfg(feature = "faults")]
     fn fault_watchdog(&mut self) {
         if self.faults.is_none() {
             return;
@@ -930,24 +806,13 @@ impl Network {
             }
         }
         self.faults = Some(f);
-        self.probe_fault_event(NodeId(0), nox_core::PortId(0), "watchdog reset");
-    }
-
-    /// Emits a fault event into the probe trace, if probing is enabled.
-    #[cfg(feature = "faults")]
-    fn probe_fault_event(&mut self, node: NodeId, port: nox_core::PortId, label: &'static str) {
-        #[cfg(feature = "probe")]
-        if let Some(p) = &mut self.probe {
-            p.on_fault(node, port, label);
-        }
-        #[cfg(not(feature = "probe"))]
-        let _ = (node, port, label);
+        self.probe
+            .on_fault(NodeId(0), nox_core::PortId(0), "watchdog reset");
     }
 
     /// Runs the global conservation audits over the current state. See
     /// the [`sanitize`](crate::sanitize) module for what each check
     /// proves; any failure is a router bug and panics immediately.
-    #[cfg(feature = "sanitize")]
     fn sanitize_audit(&self) {
         use crate::sanitize::{
             check_credit_loop, check_flit_conservation, check_productivity, check_skipped_router,
@@ -1057,7 +922,6 @@ impl Network {
     }
 }
 
-#[cfg(feature = "telemetry")]
 impl Drop for Network {
     /// Flushes the phase clock into the dropping thread's telemetry
     /// accumulator. Inside an executor job this lands in the job's
@@ -1220,7 +1084,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "faults"))]
+#[cfg(test)]
 mod fault_tests {
     use super::*;
     use crate::config::Arch;
@@ -1441,75 +1305,5 @@ mod fault_tests {
             )
         };
         assert_eq!(run(), run());
-    }
-}
-
-#[cfg(all(test, feature = "probe"))]
-mod probe_tests {
-    use super::*;
-    use crate::config::Arch;
-    use crate::trace::PacketEvent;
-
-    /// Probe-verified check for the recycled tick scratch buffers: the
-    /// full per-cycle telemetry (event trace, windowed metrics, launched
-    /// words) of a probed run is identical run-to-run, and the probed
-    /// run agrees with an unprobed network on every externally visible
-    /// output — so recycling the `sends`/`credit_returns` allocations
-    /// across cycles changed nothing about per-cycle behavior.
-    #[cfg(feature = "probe")]
-    #[test]
-    fn scratch_buffer_recycling_keeps_per_cycle_behavior_identical() {
-        use crate::probe::ProbeConfig;
-        let mut events = Vec::new();
-        for i in 0..32u16 {
-            events.push(PacketEvent {
-                time_ns: i as f64 * 0.7,
-                src: NodeId(i % 16),
-                dest: NodeId((i * 7 + 3) % 16),
-                len: 1 + (i % 4),
-            });
-        }
-        let trace = Trace::from_events(events);
-
-        let probed = |arch: Arch| {
-            let mut net = Network::new(NetConfig::small(arch), &trace, (0.0, f64::MAX));
-            net.enable_eject_log();
-            net.enable_probe(ProbeConfig {
-                window_cycles: 16,
-                ring_capacity: 1 << 14,
-            });
-            assert!(net.run_to_quiescence(10_000));
-            let mut probe = net.take_probe().unwrap();
-            probe.finish();
-            assert_eq!(probe.events_dropped(), 0, "ring too small for the test");
-            let telemetry = format!(
-                "{:?} {:?}",
-                probe.windows(),
-                probe.events().collect::<Vec<_>>()
-            );
-            (
-                net.cycle(),
-                *net.counters(),
-                net.eject_log().unwrap().to_vec(),
-                telemetry,
-            )
-        };
-
-        for arch in Arch::ALL {
-            let a = probed(arch);
-            let b = probed(arch);
-            assert_eq!(a, b, "{arch}: per-cycle telemetry diverged between runs");
-
-            let mut plain = Network::new(NetConfig::small(arch), &trace, (0.0, f64::MAX));
-            plain.enable_eject_log();
-            assert!(plain.run_to_quiescence(10_000));
-            assert_eq!(plain.cycle(), a.0, "{arch}: cycle count diverged");
-            assert_eq!(*plain.counters(), a.1, "{arch}: counters diverged");
-            assert_eq!(
-                plain.eject_log().unwrap(),
-                &a.2[..],
-                "{arch}: ejection schedule diverged"
-            );
-        }
     }
 }

@@ -26,7 +26,9 @@ use nox_core::{
 };
 
 use crate::config::Arch;
+use crate::fault::FaultState;
 use crate::flit::{FlitInfo, PacketTable, Word};
+use crate::probe::ProbeSlot;
 use crate::stats::Counters;
 use crate::topology::{NodeId, Topology};
 
@@ -60,19 +62,18 @@ pub struct TickCtx<'a> {
     pub sends: &'a mut Vec<Send>,
     /// Credit returns produced this cycle (usable after the credit delay).
     pub credits: &'a mut Vec<CreditReturn>,
-    /// Telemetry collector, if one is attached to the network.
-    #[cfg(feature = "probe")]
-    pub probe: Option<&'a mut crate::probe::Probe>,
+    /// The network's probe slot, lent for the router stages and handed
+    /// back afterwards.
+    pub(crate) probe: ProbeSlot,
     /// Fault-injection state, if a campaign is attached to the network.
-    #[cfg(feature = "faults")]
-    pub faults: Option<&'a mut crate::fault::FaultState>,
+    pub(crate) faults: Option<&'a mut FaultState>,
     /// Phase clock, if self-profiling is enabled on the network.
-    #[cfg(feature = "telemetry")]
-    pub phases: Option<&'a mut nox_telemetry::PhaseClock>,
+    pub(crate) phases: Option<&'a mut nox_telemetry::PhaseClock>,
 }
 
 impl<'a> TickCtx<'a> {
-    /// Creates a context with no probe attached.
+    /// Creates a context with no probe, fault campaign or phase clock
+    /// attached.
     pub fn new(
         packets: &'a PacketTable,
         counters: &'a mut Counters,
@@ -84,29 +85,21 @@ impl<'a> TickCtx<'a> {
             counters,
             sends,
             credits,
-            #[cfg(feature = "probe")]
-            probe: None,
-            #[cfg(feature = "faults")]
+            probe: ProbeSlot::default(),
             faults: None,
-            #[cfg(feature = "telemetry")]
             phases: None,
         }
     }
 
-    /// Attributes time since the previous phase mark to `phase`. A
-    /// branch when profiling is attached, nothing otherwise.
-    #[cfg(feature = "telemetry")]
+    /// Attributes time since the previous phase mark to `phase`: one
+    /// branch unless a phase clock is attached.
     pub(crate) fn phase_mark(&mut self, phase: nox_telemetry::PhaseId) {
         if let Some(clock) = &mut self.phases {
             clock.mark(phase);
         }
     }
 
-    // Fault hook shims: real under the `faults` feature, empty inline
-    // no-ops otherwise, so the router call sites stay unconditional.
-
     /// Fault-aware route selection: detours around stuck-at-dead links.
-    #[cfg(feature = "faults")]
     fn fault_route(
         &mut self,
         topo: &Topology,
@@ -120,35 +113,15 @@ impl<'a> TickCtx<'a> {
         }
     }
 
-    #[cfg(not(feature = "faults"))]
-    #[inline(always)]
-    fn fault_route(
-        &mut self,
-        _topo: &Topology,
-        _node: NodeId,
-        _info: &FlitInfo,
-        preferred: PortId,
-    ) -> PortId {
-        preferred
-    }
-
     /// FSM desync self-check: a presented word that is not exactly one
     /// plain flit means the decode register lost sync with the chain
     /// (possible only under fault injection; otherwise `word_info` panics
     /// on this condition as a simulator invariant).
-    #[cfg(feature = "faults")]
     fn fault_desync(&mut self, word: &Word) -> bool {
         self.faults.is_some() && !word.is_plain()
     }
 
-    #[cfg(not(feature = "faults"))]
-    #[inline(always)]
-    fn fault_desync(&mut self, _word: &Word) -> bool {
-        false
-    }
-
     /// Is this router frozen (transient fault) this cycle?
-    #[cfg(feature = "faults")]
     pub(crate) fn fault_frozen(&mut self, node: NodeId) -> bool {
         match &mut self.faults {
             Some(f) => f.frozen_tick(node.0),
@@ -156,66 +129,12 @@ impl<'a> TickCtx<'a> {
         }
     }
 
-    #[cfg(not(feature = "faults"))]
-    #[inline(always)]
-    pub(crate) fn fault_frozen(&mut self, _node: NodeId) -> bool {
-        false
-    }
-
-    #[cfg(feature = "faults")]
     fn fault_chain_kill(&mut self, node: NodeId, input: PortId, lost: usize) {
         if let Some(f) = &mut self.faults {
             f.note_chain_kill(lost);
         }
-        self.probe_fault(node, input, "detect desync");
+        self.probe.on_fault(node, input, "detect desync");
     }
-
-    #[cfg(all(feature = "faults", feature = "probe"))]
-    fn probe_fault(&mut self, node: NodeId, port: PortId, label: &'static str) {
-        if let Some(p) = &mut self.probe {
-            p.on_fault(node, port, label);
-        }
-    }
-
-    #[cfg(all(feature = "faults", not(feature = "probe")))]
-    #[inline(always)]
-    fn probe_fault(&mut self, _node: NodeId, _port: PortId, _label: &'static str) {}
-
-    // Probe hook shims: real under the `probe` feature, empty inline
-    // no-ops otherwise, so the router call sites stay unconditional.
-
-    #[cfg(feature = "probe")]
-    fn probe_encoded(&mut self, node: NodeId, out: PortId, chain_len: u8) {
-        if let Some(p) = &mut self.probe {
-            p.on_encoded(node, out, chain_len);
-        }
-    }
-
-    #[cfg(not(feature = "probe"))]
-    #[inline(always)]
-    fn probe_encoded(&mut self, _node: NodeId, _out: PortId, _chain_len: u8) {}
-
-    #[cfg(feature = "probe")]
-    fn probe_wasted(&mut self, node: NodeId, out: PortId, colliding: u8, abort: bool) {
-        if let Some(p) = &mut self.probe {
-            p.on_wasted(node, out, colliding, abort);
-        }
-    }
-
-    #[cfg(not(feature = "probe"))]
-    #[inline(always)]
-    fn probe_wasted(&mut self, _node: NodeId, _out: PortId, _colliding: u8, _abort: bool) {}
-
-    #[cfg(feature = "probe")]
-    fn probe_latch(&mut self, node: NodeId, input: PortId) {
-        if let Some(p) = &mut self.probe {
-            p.on_latch(node, input);
-        }
-    }
-
-    #[cfg(not(feature = "probe"))]
-    #[inline(always)]
-    fn probe_latch(&mut self, _node: NodeId, _input: PortId) {}
 }
 
 /// One input port: wormhole FIFO, NoX decode register, and the Spec-Fast
@@ -270,14 +189,12 @@ impl InputPort {
     }
 
     /// Words currently buffered, head first (sanitizer support).
-    #[cfg(feature = "sanitize")]
     pub(crate) fn buffered_words(&self) -> impl Iterator<Item = &Word> {
         self.fifo.iter()
     }
 
     /// The decode register contents, if a chain is in progress
     /// (sanitizer support).
-    #[cfg(feature = "sanitize")]
     pub(crate) fn decode_register(&self) -> Option<&Word> {
         self.decoder.register()
     }
@@ -299,7 +216,6 @@ impl InputPort {
     /// (part of the same broken chain), it is popped too. Returns the
     /// number of constituent flit keys discarded and whether a FIFO slot
     /// was freed (whose credit the caller must return).
-    #[cfg(feature = "faults")]
     pub(crate) fn chain_kill(&mut self) -> (usize, bool) {
         let mut lost = 0;
         if let Some(reg) = self.decoder.reset() {
@@ -374,19 +290,16 @@ impl OutputPort {
     /// Under fault injection phantom credits (from credit-counter
     /// corruption or duplication faults) can legitimately over-return;
     /// clamping makes the loop self-balancing.
-    #[cfg(feature = "faults")]
     pub(crate) fn return_credit_saturating(&mut self, capacity: usize) {
         self.credits = (self.credits + 1).min(capacity);
     }
 
     /// Overwrites the credit counter (a credit-corruption fault).
-    #[cfg(feature = "faults")]
     pub(crate) fn force_credits(&mut self, credits: usize) {
         self.credits = credits;
     }
 
     /// `true` when a physical link is attached to this port.
-    #[cfg(feature = "faults")]
     pub(crate) fn is_connected(&self) -> bool {
         self.connected
     }
@@ -586,7 +499,6 @@ impl Router {
 
     /// The NoX FSM mode of one output's control engine, for telemetry
     /// sampling. `None` for non-NoX architectures.
-    #[cfg(feature = "probe")]
     pub fn output_mode(&self, p: PortId) -> Option<nox_core::Mode> {
         match &self.outputs[p.index()].engine {
             Engine::Nox(ctl) => Some(ctl.mode()),
@@ -602,7 +514,6 @@ impl Router {
     /// Resetting engines mid-wormhole can interleave healthy packets;
     /// their flits then fail the sink sequence check and fall back to
     /// end-to-end retransmission — graceful degradation, not a panic.
-    #[cfg(feature = "faults")]
     pub(crate) fn watchdog_flush(&mut self) -> Vec<(PortId, usize, bool)> {
         let ports = self.topo.ports();
         for out in &mut self.outputs {
@@ -741,7 +652,7 @@ impl Router {
                         input.decoder.latch(w);
                         ctx.counters.buffer_reads += 1;
                         ctx.counters.decode_reg_writes += 1;
-                        ctx.probe_latch(node, PortId(idx as u8));
+                        ctx.probe.on_latch(node, PortId(idx as u8));
                         if !topo.is_local(PortId(idx as u8)) {
                             ctx.credits.push(CreditReturn {
                                 node,
@@ -793,7 +704,6 @@ impl Router {
 
     /// Truncates a poisoned decode chain at `input`, accounting for the
     /// discarded flits and returning the credit of any freed FIFO slot.
-    #[cfg(feature = "faults")]
     fn chain_kill_input(
         input: &mut InputPort,
         node: NodeId,
@@ -809,17 +719,6 @@ impl Router {
                 ctx.credits.push(CreditReturn { node, input: port });
             }
         }
-    }
-
-    #[cfg(not(feature = "faults"))]
-    #[inline(always)]
-    fn chain_kill_input(
-        _input: &mut InputPort,
-        _node: NodeId,
-        _port: PortId,
-        _topo: &Topology,
-        _ctx: &mut TickCtx<'_>,
-    ) {
     }
 
     /// Builds the per-output request sets (and the per-output fresh sets
@@ -920,7 +819,6 @@ impl Router {
         // link with zero allocations.
         // A multi-input drive is an XOR encode: bracket the fold with
         // phase marks so its cost lands in `sim.encode`, not `sim.drive`.
-        #[cfg(feature = "telemetry")]
         if drive.len() > 1 {
             ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
         }
@@ -935,7 +833,6 @@ impl Router {
                 Some(acc) => acc.xor(&w),
             });
         }
-        #[cfg(feature = "telemetry")]
         if drive.len() > 1 {
             ctx.phase_mark(nox_telemetry::phase::SIM_ENCODE);
         }
@@ -973,13 +870,14 @@ impl Router {
             ctx.counters.link_wasted += 1;
             ctx.counters.xbar_traversals += 1;
             ctx.counters.xbar_inputs_active += d.drive.len() as u64;
-            ctx.probe_wasted(self.node, out, d.drive.len() as u8, true);
+            ctx.probe
+                .on_wasted(self.node, out, d.drive.len() as u8, true);
             return;
         }
         if !d.drive.is_empty() {
             if d.encoded {
                 ctx.counters.encoded_transfers += 1;
-                ctx.probe_encoded(self.node, out, d.drive.len() as u8);
+                ctx.probe.on_encoded(self.node, out, d.drive.len() as u8);
             }
             self.drive_link(out, d.drive, presented, ctx);
         }
@@ -1010,7 +908,8 @@ impl Router {
             ctx.counters.link_wasted += 1;
             ctx.counters.xbar_traversals += 1;
             ctx.counters.xbar_inputs_active += d.collided.len() as u64;
-            ctx.probe_wasted(self.node, out, d.collided.len() as u8, false);
+            ctx.probe
+                .on_wasted(self.node, out, d.collided.len() as u8, false);
         }
         if d.wasted_reservation {
             ctx.counters.wasted_reservations += 1;

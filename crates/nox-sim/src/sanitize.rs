@@ -1,5 +1,5 @@
-//! Simulation sanitizer: per-cycle conservation audits (the `sanitize`
-//! cargo feature).
+//! Simulation sanitizer: per-cycle conservation audits, off until
+//! [`Network::enable_sanitizer`](crate::network::Network::enable_sanitizer).
 //!
 //! The simulator's inline assertions catch *local* protocol violations
 //! (buffer overflow, out-of-order flits, payload corruption at ejection).

@@ -142,7 +142,7 @@ pub fn run(cfg: NetConfig, trace: &Trace, spec: &RunSpec) -> SimResult {
         remaining -= 1;
     }
 
-    let window_counters = delta(&at_open, &at_close);
+    let window_counters = at_close.since(&at_open);
 
     SimResult {
         cfg,
@@ -154,29 +154,6 @@ pub fn run(cfg: NetConfig, trace: &Trace, spec: &RunSpec) -> SimResult {
         measured_ejected: net.measured_ejected(),
         window_ns: window_cycles as f64 * clock,
         drained: net.measured_ejected() == net.measured_total(),
-    }
-}
-
-fn delta(open: &Counters, close: &Counters) -> Counters {
-    Counters {
-        cycles: close.cycles - open.cycles,
-        link_flits: close.link_flits - open.link_flits,
-        link_wasted: close.link_wasted - open.link_wasted,
-        xbar_traversals: close.xbar_traversals - open.xbar_traversals,
-        xbar_inputs_active: close.xbar_inputs_active - open.xbar_inputs_active,
-        buffer_writes: close.buffer_writes - open.buffer_writes,
-        buffer_reads: close.buffer_reads - open.buffer_reads,
-        arbitrations: close.arbitrations - open.arbitrations,
-        decode_xors: close.decode_xors - open.decode_xors,
-        decode_reg_writes: close.decode_reg_writes - open.decode_reg_writes,
-        collisions: close.collisions - open.collisions,
-        aborts: close.aborts - open.aborts,
-        encoded_transfers: close.encoded_transfers - open.encoded_transfers,
-        wasted_reservations: close.wasted_reservations - open.wasted_reservations,
-        flits_injected: close.flits_injected - open.flits_injected,
-        flits_ejected: close.flits_ejected - open.flits_ejected,
-        packets_injected: close.packets_injected - open.packets_injected,
-        packets_ejected: close.packets_ejected - open.packets_ejected,
     }
 }
 

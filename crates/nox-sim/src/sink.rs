@@ -27,7 +27,6 @@ pub struct SinkOutcome {
     pub consumed: Option<FlitInfo>,
     /// Fault-campaign event label for the probe trace, if a fault was
     /// detected or a corruption slipped through at this sink.
-    #[cfg(feature = "faults")]
     pub fault_event: Option<&'static str>,
 }
 
@@ -70,7 +69,6 @@ impl Sink {
     }
 
     /// `true` when the ejection buffer can accept another word.
-    #[cfg(feature = "faults")]
     pub(crate) fn has_space(&self) -> bool {
         self.fifo.len() < self.capacity
     }
@@ -81,14 +79,12 @@ impl Sink {
     }
 
     /// Words currently buffered, head first (sanitizer support).
-    #[cfg(feature = "sanitize")]
     pub(crate) fn buffered_words(&self) -> impl Iterator<Item = &Word> {
         self.fifo.iter()
     }
 
     /// The decode register contents, if a chain is in progress
     /// (sanitizer support).
-    #[cfg(feature = "sanitize")]
     pub(crate) fn decode_register(&self) -> Option<&Word> {
         self.decoder.register()
     }
@@ -128,7 +124,6 @@ impl Sink {
                 SinkOutcome {
                     credit_freed,
                     consumed: Some(info),
-                    #[cfg(feature = "faults")]
                     fault_event: None,
                 }
             }
@@ -168,7 +163,6 @@ impl Sink {
     /// undetected one is delivered and counted as a silent corruption.
     /// The wrong-node check stays an assertion: headers (keys) are
     /// modeled as protected, so misrouting still indicates a router bug.
-    #[cfg(feature = "faults")]
     pub(crate) fn drain_faulty(
         &mut self,
         packets: &PacketTable,
@@ -240,7 +234,6 @@ impl Sink {
     /// Watchdog deadlock recovery: truncates an in-progress decode chain
     /// whose remaining words will never arrive. Returns the number of
     /// constituent keys discarded and whether a FIFO slot freed.
-    #[cfg(feature = "faults")]
     pub(crate) fn watchdog_flush(&mut self) -> (usize, bool) {
         if self.decoder.is_mid_chain() {
             self.chain_kill()
@@ -251,7 +244,6 @@ impl Sink {
 
     /// Truncates a poisoned decode chain at this sink. Returns the number
     /// of constituent keys discarded and whether a FIFO slot freed.
-    #[cfg(feature = "faults")]
     fn chain_kill(&mut self) -> (usize, bool) {
         let mut lost = 0;
         if let Some(reg) = self.decoder.reset() {

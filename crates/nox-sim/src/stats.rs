@@ -62,24 +62,39 @@ impl Counters {
 
     /// Adds another counter set into this one.
     pub fn merge(&mut self, other: &Counters) {
-        self.cycles += other.cycles;
-        self.link_flits += other.link_flits;
-        self.link_wasted += other.link_wasted;
-        self.xbar_traversals += other.xbar_traversals;
-        self.xbar_inputs_active += other.xbar_inputs_active;
-        self.buffer_writes += other.buffer_writes;
-        self.buffer_reads += other.buffer_reads;
-        self.arbitrations += other.arbitrations;
-        self.decode_xors += other.decode_xors;
-        self.decode_reg_writes += other.decode_reg_writes;
-        self.collisions += other.collisions;
-        self.aborts += other.aborts;
-        self.encoded_transfers += other.encoded_transfers;
-        self.wasted_reservations += other.wasted_reservations;
-        self.flits_injected += other.flits_injected;
-        self.flits_ejected += other.flits_ejected;
-        self.packets_injected += other.packets_injected;
-        self.packets_ejected += other.packets_ejected;
+        *self = self.zip(other, |a, b| a + b);
+    }
+
+    /// What was counted since the snapshot `open`: `self - open`, field
+    /// by field. `open` must be an earlier reading of the same counters.
+    pub fn since(&self, open: &Counters) -> Counters {
+        self.zip(open, |close, open| close - open)
+    }
+
+    /// Combines two counter sets field by field. The only function that
+    /// lists every counter, so a new one cannot be left out of
+    /// [`merge`](Self::merge) or [`since`](Self::since).
+    fn zip(&self, other: &Counters, f: impl Fn(u64, u64) -> u64) -> Counters {
+        Counters {
+            cycles: f(self.cycles, other.cycles),
+            link_flits: f(self.link_flits, other.link_flits),
+            link_wasted: f(self.link_wasted, other.link_wasted),
+            xbar_traversals: f(self.xbar_traversals, other.xbar_traversals),
+            xbar_inputs_active: f(self.xbar_inputs_active, other.xbar_inputs_active),
+            buffer_writes: f(self.buffer_writes, other.buffer_writes),
+            buffer_reads: f(self.buffer_reads, other.buffer_reads),
+            arbitrations: f(self.arbitrations, other.arbitrations),
+            decode_xors: f(self.decode_xors, other.decode_xors),
+            decode_reg_writes: f(self.decode_reg_writes, other.decode_reg_writes),
+            collisions: f(self.collisions, other.collisions),
+            aborts: f(self.aborts, other.aborts),
+            encoded_transfers: f(self.encoded_transfers, other.encoded_transfers),
+            wasted_reservations: f(self.wasted_reservations, other.wasted_reservations),
+            flits_injected: f(self.flits_injected, other.flits_injected),
+            flits_ejected: f(self.flits_ejected, other.flits_ejected),
+            packets_injected: f(self.packets_injected, other.packets_injected),
+            packets_ejected: f(self.packets_ejected, other.packets_ejected),
+        }
     }
 }
 
@@ -203,6 +218,58 @@ mod tests {
         assert_eq!(a.link_wasted, 2);
         assert_eq!(a.cycles, 10);
         assert_eq!(a.link_transitions(), 9);
+    }
+
+    #[test]
+    fn since_undoes_merge_on_every_field() {
+        // Both operands name every field (no `..Default::default()`), so
+        // a counter added to the struct fails to compile here until it
+        // has a value that `since` must get right.
+        let open = Counters {
+            cycles: 1,
+            link_flits: 2,
+            link_wasted: 3,
+            xbar_traversals: 4,
+            xbar_inputs_active: 5,
+            buffer_writes: 6,
+            buffer_reads: 7,
+            arbitrations: 8,
+            decode_xors: 9,
+            decode_reg_writes: 10,
+            collisions: 11,
+            aborts: 12,
+            encoded_transfers: 13,
+            wasted_reservations: 14,
+            flits_injected: 15,
+            flits_ejected: 16,
+            packets_injected: 17,
+            packets_ejected: 18,
+        };
+        let grown = Counters {
+            cycles: 100,
+            link_flits: 200,
+            link_wasted: 300,
+            xbar_traversals: 400,
+            xbar_inputs_active: 500,
+            buffer_writes: 600,
+            buffer_reads: 700,
+            arbitrations: 800,
+            decode_xors: 900,
+            decode_reg_writes: 1_000,
+            collisions: 1_100,
+            aborts: 1_200,
+            encoded_transfers: 1_300,
+            wasted_reservations: 1_400,
+            flits_injected: 1_500,
+            flits_ejected: 1_600,
+            packets_injected: 1_700,
+            packets_ejected: 1_800,
+        };
+        let mut close = open;
+        close.merge(&grown);
+        assert_eq!(close.since(&open), grown);
+        assert_eq!(close.since(&grown), open);
+        assert_eq!(close.since(&close), Counters::new());
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! The benchmark's traces are single-flit; these tests cover what they
 //! cannot — multi-flit wormholes, NoX aborts, decode chains that outlive
 //! their router's last tick, traffic injected into a sleeping network,
-//! cloning — and pin the work counter [`Network::router_ticks`]. Where
-//! the `sanitize` feature is on, every cycle of every run is audited
-//! (each skipped router is ticked as a clone and must not have moved);
-//! where `faults` is on, runs are also compared with the same network
-//! under a zero-rate fault plan, which ticks every router every cycle.
+//! cloning — and pin the work counter [`Network::router_ticks`]. Every
+//! cycle of every run is audited by the sanitizer (each skipped router is
+//! ticked as a clone and must not have moved), and runs are also compared
+//! with the same network under a zero-rate fault plan, which ticks every
+//! router every cycle.
 
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::network::Network;
@@ -59,11 +59,10 @@ fn uniform_trace(cfg: &NetConfig, mbps: f64, cycles: u64) -> Trace {
     random_trace(cfg, per_cycle, cycles, 0.0, 0x0A0C5)
 }
 
-/// A network with every observer this build has switched on.
+/// A network with its eject log and the sanitizer switched on.
 fn observed(cfg: NetConfig, trace: &Trace) -> Network {
     let mut net = Network::new(cfg, trace, (0.0, f64::MAX));
     net.enable_eject_log();
-    #[cfg(feature = "sanitize")]
     net.enable_sanitizer();
     net
 }
@@ -113,18 +112,15 @@ fn multiflit_traffic_is_unchanged_by_skipping_on_every_topology() {
             );
 
             // The reference: the same run with every router ticking.
-            #[cfg(feature = "faults")]
-            {
-                let mut every = observed(cfg, &trace);
-                every.enable_faults(nox_sim::fault::FaultConfig::default());
-                assert!(every.run_to_settlement(200_000));
-                assert_eq!(every.router_ticks(), every.cycle() * routers(&cfg));
-                assert_eq!(
-                    report(&every),
-                    report(&net),
-                    "{arch} {name}: skipping settled routers changed the run"
-                );
-            }
+            let mut every = observed(cfg, &trace);
+            every.enable_faults(nox_sim::fault::FaultConfig::default());
+            assert!(every.run_to_settlement(200_000));
+            assert_eq!(every.router_ticks(), every.cycle() * routers(&cfg));
+            assert_eq!(
+                report(&every),
+                report(&net),
+                "{arch} {name}: skipping settled routers changed the run"
+            );
         }
     }
 }
@@ -262,7 +258,6 @@ fn router_ticks_follow_the_load() {
 /// A fault campaign reaches routers that have nothing buffered (freeze
 /// draws, credit corruption, watchdog resets), so while one is attached
 /// every router ticks — even a plan that never fires.
-#[cfg(feature = "faults")]
 #[test]
 fn every_router_ticks_under_a_fault_plan() {
     let cfg = NetConfig::paper(Arch::Nox);

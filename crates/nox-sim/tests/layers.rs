@@ -1,0 +1,148 @@
+//! The simulator's optional layers — sanitizer, phase clock, probe, fault
+//! campaign — are all compiled into one build and switched at run time.
+//! Attached together they must not move a simulated number: this runs
+//! every architecture on the 4x4 mesh and the concentrated mesh bare,
+//! then with every observer at once, then under a zero-rate fault plan,
+//! and compares everything a run reports.
+//!
+//! The probe is the one layer behind a cargo feature; under
+//! `--features probe` it joins the observers.
+
+use nox_sim::config::{Arch, NetConfig};
+use nox_sim::fault::FaultConfig;
+use nox_sim::flit::PacketId;
+use nox_sim::network::Network;
+use nox_sim::topology::NodeId;
+use nox_sim::trace::{PacketEvent, Trace};
+use nox_sim::{Counters, LatencyStats};
+use nox_telemetry::phase::SIM_STEP;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Uniform-random traffic with a 40 % share of nine-flit data packets,
+/// dense enough for collisions, aborts and decode chains.
+fn mixed_trace(cfg: &NetConfig, per_cycle: f64, cycles: u64) -> Trace {
+    let nodes = cfg.nodes() as u16;
+    let mut rng = StdRng::seed_from_u64(0x1A7E5);
+    let mut trace = Trace::new();
+    for cycle in 0..cycles {
+        for src in 0..nodes {
+            if rng.gen_bool(per_cycle) {
+                trace.push(PacketEvent {
+                    time_ns: cycle as f64 * cfg.clock_ns(),
+                    src: NodeId(src),
+                    dest: NodeId(rng.gen_range(0..nodes)),
+                    len: if rng.gen_bool(0.4) { 9 } else { 1 },
+                });
+            }
+        }
+    }
+    trace
+}
+
+/// Everything a run reports, apart from the work counter.
+#[derive(Debug, PartialEq)]
+struct Report {
+    cycles: u64,
+    counters: Counters,
+    latency: LatencyStats,
+    ejections: Vec<(PacketId, u64)>,
+}
+
+fn report(net: &Network) -> Report {
+    Report {
+        cycles: net.cycle(),
+        counters: *net.counters(),
+        latency: *net.latency_measured_ns(),
+        ejections: net.eject_log().expect("eject log enabled").to_vec(),
+    }
+}
+
+/// A network that measures the second half of the trace and logs every
+/// ejection.
+fn network(cfg: NetConfig, trace: &Trace) -> Network {
+    let mut net = Network::new(cfg, trace, (trace.horizon_ns() / 2.0, f64::MAX));
+    net.enable_eject_log();
+    net
+}
+
+/// A network with every observer of this build attached. Must be called
+/// with the process-wide profiling switch on, so it owns a phase clock.
+fn observed(cfg: NetConfig, trace: &Trace) -> Network {
+    let mut net = network(cfg, trace);
+    net.enable_sanitizer();
+    #[cfg(feature = "probe")]
+    net.enable_probe(nox_sim::probe::ProbeConfig {
+        window_cycles: 64,
+        ring_capacity: 1_024,
+    });
+    net
+}
+
+/// Drops `net` and returns how many steps its phase clock flushed into
+/// this thread's telemetry accumulator.
+fn profiled_steps(net: Network) -> u64 {
+    drop(nox_telemetry::take_acc());
+    drop(net);
+    nox_telemetry::take_acc().map_or(0, |acc| acc.phase(SIM_STEP).count)
+}
+
+// One test function: the profiling switch is process-wide, the bare runs
+// must be built while it is off, and a clock only flushes while it is on.
+#[test]
+fn layers_attached_together_move_no_simulated_number() {
+    for arch in Arch::ALL {
+        let topologies = [
+            ("mesh(4,4)", NetConfig::small(arch), 0.04),
+            ("cmesh(4,4,4)", NetConfig::cmesh_paper(arch), 0.015),
+        ];
+        for (name, cfg, per_cycle) in topologies {
+            let trace = mixed_trace(&cfg, per_cycle, 1_200);
+            let routers = cfg.topology().routers() as u64;
+
+            let mut bare = network(cfg, &trace);
+            assert!(bare.run_to_quiescence(200_000), "{arch} {name}: no drain");
+            let expected = report(&bare);
+            assert_eq!(expected.counters.packets_ejected, trace.len() as u64);
+            assert!(expected.latency.count() > 0, "{arch} {name}: none measured");
+            assert!(
+                bare.router_ticks() < expected.cycles * routers,
+                "{arch} {name}: no router ever slept"
+            );
+            assert_eq!(profiled_steps(bare), 0, "{arch} {name}: bare run profiled");
+
+            // Sanitizer + phase clock (+ probe) on one network.
+            nox_telemetry::set_profiling(true);
+            let mut all = observed(cfg, &trace);
+            assert!(all.run_to_quiescence(200_000));
+            assert_eq!(report(&all), expected, "{arch} {name}: observers perturbed");
+            #[cfg(feature = "probe")]
+            {
+                let mut probe = all.take_probe().expect("probe attached");
+                probe.finish();
+                assert_eq!(probe.cycles_observed(), expected.cycles);
+            }
+            assert_eq!(
+                profiled_steps(all),
+                expected.cycles,
+                "{arch} {name}: the phase clock missed steps"
+            );
+
+            // The same, under a fault plan that never fires: every router
+            // ticks every cycle, and nothing else differs.
+            let mut campaign = observed(cfg, &trace);
+            campaign.enable_faults(FaultConfig::default());
+            assert!(campaign.run_to_settlement(200_000));
+            assert_eq!(
+                report(&campaign),
+                expected,
+                "{arch} {name}: a zero-rate campaign perturbed the run"
+            );
+            assert_eq!(campaign.router_ticks(), expected.cycles * routers);
+            let stats = campaign.fault_state().expect("campaign attached").stats();
+            assert_eq!(stats.injected_total(), 0);
+            assert_eq!(profiled_steps(campaign), expected.cycles);
+            nox_telemetry::set_profiling(false);
+        }
+    }
+}

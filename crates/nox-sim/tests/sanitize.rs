@@ -1,8 +1,5 @@
 //! Sanitized end-to-end runs: every architecture under contention-heavy
-//! traffic with the per-cycle conservation audits enabled. Only compiled
-//! with the `sanitize` feature (the workspace `nox` facade enables it by
-//! default, so `cargo test` at the workspace root runs these).
-#![cfg(feature = "sanitize")]
+//! traffic with the per-cycle conservation audits enabled.
 
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::topology::NodeId;
@@ -87,7 +84,6 @@ fn sanitizer_stays_clean_on_a_fully_drained_network() {
 /// must be completely inert: same counters as a fault-free run, zero
 /// fault events, settled from the first cycle — with the sanitizer
 /// auditing the combination the whole way.
-#[cfg(feature = "faults")]
 #[test]
 fn zero_rate_fault_plan_is_inert_under_the_sanitizer() {
     use nox_fault::FaultConfig;

@@ -66,7 +66,7 @@
 //!   flagged ([`fault::check_decoder_crc`]).
 //!
 //! `noxsim verify` runs the same sweep at [`Bounds::full`] plus a
-//! sanitized simulation smoke sweep (`nox-sim`'s `sanitize` feature) and
+//! sanitized simulation smoke sweep (`nox-sim`'s `sanitize` module) and
 //! the I7 fault sweep at [`FaultBounds::quick`].
 
 pub mod checker;

@@ -845,7 +845,6 @@ fn fault_invariant(exec: &nox::exec::Executor) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(feature = "sanitize")]
 fn sanitized_smoke(opts: &Opts) -> Result<(), String> {
     use nox::sim::network::Network;
 
@@ -877,12 +876,6 @@ fn sanitized_smoke(opts: &Opts) -> Result<(), String> {
         }
     }
     println!("sanitized sweep clean");
-    Ok(())
-}
-
-#[cfg(not(feature = "sanitize"))]
-fn sanitized_smoke(_opts: &Opts) -> Result<(), String> {
-    println!("sanitized sweep skipped: built without the `sanitize` feature");
     Ok(())
 }
 

@@ -49,7 +49,6 @@
 pub use nox_analysis as analysis;
 pub use nox_core as core;
 pub use nox_exec as exec;
-#[cfg(feature = "faults")]
 pub use nox_fault as fault;
 pub use nox_power as power;
 #[cfg(feature = "probe")]

@@ -43,7 +43,6 @@ fn counters_balance_on_a_contended_run_for_all_architectures() {
     let total_flits = trace.total_flits();
     for arch in Arch::ALL {
         let mut net = Network::new(NetConfig::small(arch), &trace, (0.0, f64::MAX));
-        #[cfg(feature = "sanitize")]
         net.enable_sanitizer();
         assert!(
             net.run_to_quiescence(400_000),
