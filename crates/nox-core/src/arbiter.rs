@@ -61,7 +61,13 @@ impl RoundRobinArbiter {
     /// Requests for ports outside the arbiter's universe are ignored.
     pub fn grant(&mut self, req: PortSet) -> Option<PortId> {
         let winner = self.peek(req)?;
-        self.next = (winner.0 + 1) % self.n;
+        // Compare-and-wrap, not `% n`: a division by a run-time value on
+        // every grant is most of what a grant costs.
+        self.next = if winner.0 + 1 == self.n {
+            0
+        } else {
+            winner.0 + 1
+        };
         Some(winner)
     }
 
@@ -73,10 +79,11 @@ impl RoundRobinArbiter {
         }
         // Rotate the request mask so the priority port is bit 0, pick the
         // lowest set bit, rotate back. The winner is a real request, so the
-        // mod-32 result is always inside the universe.
+        // mod-32 result (a mask: the rotation is over 32 bits whatever `n`
+        // is) is always inside the universe.
         let rot = req.bits().rotate_right(self.next as u32);
         let off = rot.trailing_zeros();
-        Some(PortId(((self.next as u32 + off) % 32) as u8))
+        Some(PortId(((self.next as u32 + off) & 31) as u8))
     }
 }
 
@@ -128,6 +135,26 @@ mod tests {
         // Pointer wrapped to 0.
         assert_eq!(arb.priority(), PortId(0));
         assert_eq!(arb.grant(set(&[0, 2])), Some(PortId(0)));
+    }
+
+    #[test]
+    fn wraps_at_the_full_thirty_two_port_universe() {
+        // n = 32 is where the pointer arithmetic meets the width of the
+        // mask: winner 31 must wrap the pointer to 0, and a priority of 31
+        // must find a winner below it by rotating past bit 31.
+        let mut arb = RoundRobinArbiter::new(32);
+        assert_eq!(arb.grant(set(&[31])), Some(PortId(31)));
+        assert_eq!(arb.priority(), PortId(0));
+        assert_eq!(arb.grant(set(&[30])), Some(PortId(30)));
+        assert_eq!(arb.priority(), PortId(31));
+        assert_eq!(arb.peek(set(&[3, 30])), Some(PortId(3)));
+        assert_eq!(arb.grant(set(&[3, 31])), Some(PortId(31)));
+        assert_eq!(arb.priority(), PortId(0));
+        // A full request set walks the whole universe in order, twice.
+        let wins: Vec<u8> = (0..64)
+            .map(|_| arb.grant(PortSet::all(32)).unwrap().0)
+            .collect();
+        assert_eq!(wins, (0..64).map(|i| i % 32).collect::<Vec<u8>>());
     }
 
     #[test]

@@ -17,9 +17,18 @@
 //!   register, continuing a longer chain.
 //!
 //! The [`Decoder`] here is the planning/commit core of that logic; the FIFO
-//! itself lives with the router model in `nox-sim`, so `plan` works from a
+//! itself lives with the router model in `nox-sim`, so planning works from a
 //! borrowed FIFO head and the router commits the resulting [`DecodeAction`]
 //! only when the presented word actually wins the switch.
+//!
+//! Planning comes in two grains. [`Decoder::step`] decides what the port
+//! does from the register and the head's encoded bit alone and copies no
+//! word; [`Decoder::presented`] then yields the offered word where it sits
+//! (the head itself, borrowed, when nothing needs decoding). A caller that
+//! moves many words per cycle takes the two separately; [`Decoder::plan`]
+//! bundles them into an owned [`DecodePlan`].
+
+use std::borrow::Cow;
 
 use crate::coded::{Coded, Xor};
 
@@ -37,6 +46,20 @@ pub enum DecodeAction {
     /// Encoded head, occupied register: `register ^ head` was presented. On
     /// service, pop the head into the register (the chain continues).
     DecodeShift,
+}
+
+/// What an input port does this cycle, as decided by [`Decoder::step`]:
+/// a [`DecodePlan`] without the presented word.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum DecodeStep {
+    /// FIFO empty: nothing to do.
+    Idle,
+    /// Encoded head, empty register: pop the head into the register now.
+    /// Commit with [`Decoder::latch`].
+    Latch,
+    /// [`Decoder::presented`] is offered to the switch. If it wins, commit
+    /// the action via [`Decoder::commit`].
+    Present(DecodeAction),
 }
 
 /// What an input port does this cycle, as computed by [`Decoder::plan`].
@@ -121,28 +144,45 @@ impl<T: Xor> Decoder<T> {
         self.reg.is_some()
     }
 
-    /// Computes this cycle's plan from the FIFO head.
+    /// Decides this cycle's step from the FIFO head, copying nothing.
     ///
-    /// This is a pure function of `(register, head)`; calling it repeatedly
-    /// on a stalled cycle (presented word not serviced) yields the same
-    /// presentation, which models the input port simply re-requesting.
-    pub fn plan(&self, head: Option<&Coded<T>>) -> DecodePlan<T> {
+    /// This is a pure function of `(register occupied, head encoded)`;
+    /// calling it repeatedly on a stalled cycle (presented word not
+    /// serviced) yields the same step, which models the input port simply
+    /// re-requesting.
+    pub fn step(&self, head: Option<&Coded<T>>) -> DecodeStep {
         let Some(head) = head else {
-            return DecodePlan::Idle;
+            return DecodeStep::Idle;
         };
-        match (&self.reg, head.is_encoded()) {
-            (None, true) => DecodePlan::Latch,
-            (None, false) => DecodePlan::Present {
-                word: head.clone(),
-                action: DecodeAction::Pass,
-            },
-            (Some(reg), enc) => DecodePlan::Present {
-                word: reg.xor(head),
-                action: if enc {
-                    DecodeAction::DecodeShift
-                } else {
-                    DecodeAction::DecodeKeep
-                },
+        match (self.reg.is_some(), head.is_encoded()) {
+            (false, true) => DecodeStep::Latch,
+            (false, false) => DecodeStep::Present(DecodeAction::Pass),
+            (true, false) => DecodeStep::Present(DecodeAction::DecodeKeep),
+            (true, true) => DecodeStep::Present(DecodeAction::DecodeShift),
+        }
+    }
+
+    /// The word offered to the switch when [`step`](Self::step) says
+    /// [`Present`](DecodeStep::Present) for `head`: the head itself,
+    /// borrowed, over an empty register, `register ^ head` otherwise.
+    pub fn presented<'a>(&self, head: &'a Coded<T>) -> Cow<'a, Coded<T>> {
+        match &self.reg {
+            None => Cow::Borrowed(head),
+            Some(reg) => Cow::Owned(reg.xor(head)),
+        }
+    }
+
+    /// Computes this cycle's plan from the FIFO head: [`step`](Self::step)
+    /// with an owned copy of the [`presented`](Self::presented) word.
+    pub fn plan(&self, head: Option<&Coded<T>>) -> DecodePlan<T> {
+        match self.step(head) {
+            DecodeStep::Idle => DecodePlan::Idle,
+            DecodeStep::Latch => DecodePlan::Latch,
+            DecodeStep::Present(action) => DecodePlan::Present {
+                word: self
+                    .presented(head.expect("only a head is presented"))
+                    .into_owned(),
+                action,
             },
         }
     }

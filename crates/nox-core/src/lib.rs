@@ -72,6 +72,6 @@ pub mod port;
 pub use arbiter::{MatrixArbiter, RoundRobinArbiter};
 pub use baseline::{NonSpecCtl, NonSpecDecision, SpecCtl, SpecDecision, SpecMode};
 pub use coded::{Coded, Xor};
-pub use decode::{DecodeAction, DecodePlan, Decoder};
+pub use decode::{DecodeAction, DecodePlan, DecodeStep, Decoder};
 pub use output::{Mode, NoxDecision, NoxOptions, OutputCtl, RequestSet};
 pub use port::{PortId, PortSet};

@@ -9,9 +9,11 @@
 //!    credit counters;
 //! 2. lets every source inject up to one flit into its local input port;
 //! 3. ticks every router whose tick can change something (they emit link
-//!    transfers and credit returns); a router with empty input FIFOs and
-//!    settled engines sleeps until a word or an injected flit reaches it
-//!    (DESIGN.md §17);
+//!    transfers and credit returns), each start to finish; a router with
+//!    empty input FIFOs and settled engines sleeps until a word or an
+//!    injected flit reaches it (DESIGN.md §17). Only under an attached
+//!    phase clock is the tick staged across all routers, so that each
+//!    stage's time can be named for one clock read (DESIGN.md §18);
 //! 4. drains every sink by at most one flit, recording packet latencies.
 //!
 //! Per-packet flit ordering, payload integrity, and credit conservation
@@ -453,19 +455,14 @@ impl Network {
         }
         self.mark_phase(nox_telemetry::phase::SIM_INJECT);
 
-        // 3. Awake routers tick, staged so each phase runs across *all* of
-        // them (present → arbitrate → apply) and its wall time is
-        // attributable as a whole; routers never interact within a cycle,
-        // so the staged order is behaviourally identical to ticking each
-        // router start-to-finish (see the `Router` docs). A sleeping
-        // router is settled, so its tick would emit nothing, count
-        // nothing and change nothing (DESIGN.md §17); the wakes of this
-        // cycle (1a, 2) are all in by now. Both tick buffers
-        // recycle allocations instead of growing fresh `Vec`s every
-        // cycle: the drained `deliveries` vector becomes this cycle's
-        // send buffer (it returns to `in_flight` in step 5, closing the
-        // loop), and the credit buffer is the network's persistent
-        // scratch vector.
+        // 3. Awake routers tick. A sleeping router is settled, so its
+        // tick would emit nothing, count nothing and change nothing
+        // (DESIGN.md §17); the wakes of this cycle (1a, 2) are all in by
+        // now. Both tick buffers recycle allocations instead of growing
+        // fresh `Vec`s every cycle: the drained `deliveries` vector
+        // becomes this cycle's send buffer (it returns to `in_flight` in
+        // step 5, closing the loop), and the credit buffer is the
+        // network's persistent scratch vector.
         let mut sends = deliveries;
         let mut credit_returns = std::mem::take(&mut self.credit_scratch);
         debug_assert!(sends.is_empty() && credit_returns.is_empty());
@@ -480,38 +477,61 @@ impl Network {
             ctx.probe = std::mem::take(&mut self.probe);
             ctx.faults = self.faults.as_deref_mut();
             ctx.phases = self.phases.as_deref_mut();
-            // 3a. Present: decode plans, routing, request sets. The
-            // transient-freeze draw happens here, exactly once per router
-            // per cycle; a frozen router loses the whole cycle (no
-            // decode, no arbitration, no link drive).
-            for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
-                if !awake {
-                    continue;
+            if ctx.phases.is_none() {
+                // Each router start to finish, while its ports are in
+                // cache. Then it sleeps if it has come to rest. Checked
+                // after the whole tick and not when a FIFO empties, so an
+                // engine that is owed one more tick (Spec-Fast's stale
+                // reservation, a grant-less Scheduled slot) gets it,
+                // wasted-reservation count included.
+                for (r, awake) in self.routers.iter_mut().zip(&mut self.awake) {
+                    if *awake {
+                        self.router_ticks += 1;
+                        r.tick(&mut ctx);
+                        *awake = stay_awake || !r.settled();
+                    }
                 }
-                self.router_ticks += 1;
-                let frozen = ctx.fault_frozen(r.node());
-                r.tick_present(frozen, &mut ctx);
-            }
-            ctx.phase_mark(nox_telemetry::phase::SIM_ROUTE);
-            // 3b. Arbitrate: every credited output's engine decides.
-            for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
-                if awake {
-                    r.tick_arbitrate();
+            } else {
+                // The same ticks, staged so each of present → arbitrate →
+                // apply runs across *all* awake routers and its wall time
+                // goes to a named phase for one clock read (a read per
+                // router per stage would cost more than the step:
+                // DESIGN.md §18). Routers never interact within a cycle,
+                // so the order is behaviourally identical (see the
+                // `Router` docs). The sweeps cost about a tenth of a
+                // saturated step, so only a network that was built with
+                // profiling on, and so has a clock to feed, runs them.
+                //
+                // 3a. Present: decode steps, routing, request sets. The
+                // transient-freeze draw happens here, exactly once per
+                // router per cycle; a frozen router loses the whole cycle
+                // (no decode, no arbitration, no link drive).
+                for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
+                    if !awake {
+                        continue;
+                    }
+                    self.router_ticks += 1;
+                    let frozen = ctx.fault_frozen(r.node());
+                    r.tick_present(frozen, &mut ctx);
                 }
-            }
-            ctx.phase_mark(nox_telemetry::phase::SIM_ARBITRATE);
-            // 3c. Apply: drive links, service inputs, return credits.
-            // Then the router sleeps if it has come to rest. Checked here
-            // and not when a FIFO empties, so an engine that is owed one
-            // more tick (Spec-Fast's stale reservation, a grant-less
-            // Scheduled slot) gets it, wasted-reservation count included.
-            for (r, awake) in self.routers.iter_mut().zip(&mut self.awake) {
-                if *awake {
-                    r.tick_apply(&mut ctx);
-                    *awake = stay_awake || !r.settled();
+                ctx.phase_mark(nox_telemetry::phase::SIM_ROUTE);
+                // 3b. Arbitrate: every credited output's engine decides.
+                for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
+                    if awake {
+                        r.tick_arbitrate();
+                    }
                 }
+                ctx.phase_mark(nox_telemetry::phase::SIM_ARBITRATE);
+                // 3c. Apply: drive links, service inputs, return credits;
+                // then the sleep decision, as above.
+                for (r, awake) in self.routers.iter_mut().zip(&mut self.awake) {
+                    if *awake {
+                        r.tick_apply(&mut ctx);
+                        *awake = stay_awake || !r.settled();
+                    }
+                }
+                ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
             }
-            ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
             self.probe = ctx.probe;
         }
 

@@ -6,22 +6,31 @@
 //! cycle the router:
 //!
 //! 1. computes, per input, the *presented* flit — for NoX this runs the
-//!    decode plan, possibly consuming the cycle to latch an encoded word;
-//! 2. groups presented flits into per-output request sets, qualified by
-//!    downstream credit;
-//! 3. ticks each output's control engine;
-//! 4. applies the decisions: drives link words (possibly XOR-encoded,
+//!    decode step, possibly consuming the cycle to latch an encoded word —
+//!    and files it in its output's request set, qualified by downstream
+//!    credit;
+//! 2. ticks each output's control engine;
+//! 3. applies the decisions: drives link words (possibly XOR-encoded,
 //!    possibly invalid on a collision/abort), consumes serviced flits,
 //!    returns credits upstream, and counts every energy-relevant event.
+//!
+//! A link word moves once per hop, as a flit crosses the paper's switch
+//! once per cycle (DESIGN.md §18). The control logic works on a [`Presented`]
+//! record that holds the flit's routing information but not the word; the
+//! word stays in its FIFO slot until its input is serviced, and is then
+//! popped straight into the [`Send`]. Only an XOR-encoded drive (1.4 % of
+//! link words on the saturated mesh) and a decode build a new word, from
+//! references to the heads and registers where they sit.
 //!
 //! The router emits link transfers and credit returns into a [`TickCtx`];
 //! the surrounding [`Network`](crate::network::Network) owns the wiring
 //! and delivers them on the next cycle.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use nox_core::{
-    DecodeAction, DecodePlan, Decoder, NonSpecCtl, NoxOptions, OutputCtl, PortId, PortSet,
+    DecodeAction, DecodeStep, Decoder, NonSpecCtl, NoxOptions, OutputCtl, PortId, PortSet,
     RequestSet, SpecCtl, SpecMode,
 };
 
@@ -30,7 +39,7 @@ use crate::fault::FaultState;
 use crate::flit::{FlitInfo, PacketTable, Word};
 use crate::probe::ProbeSlot;
 use crate::stats::Counters;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{NodeId, Topology, MAX_PORTS};
 
 /// A link-word transfer leaving a router this cycle.
 #[derive(Clone, Debug)]
@@ -199,6 +208,13 @@ impl InputPort {
         self.decoder.register()
     }
 
+    /// The word this port offers the switch: its FIFO head as seen through
+    /// the decode register, borrowed when nothing needs decoding.
+    fn presented_word(&self) -> Cow<'_, Word> {
+        let head = self.fifo.front().expect("an empty port presents nothing");
+        self.decoder.presented(head)
+    }
+
     /// Starts a new cycle: promotes the freshness flag.
     fn begin_cycle(&mut self) {
         self.fresh = self.fresh_next;
@@ -305,10 +321,13 @@ impl OutputPort {
     }
 }
 
-/// A presented (decode-complete) flit and its routing information.
-#[derive(Clone, Debug)]
-struct Presented {
-    word: Word,
+/// What an input offers the switch this cycle: the routing information
+/// of its presented (decode-complete) flit, the output it requests and how
+/// to commit it when serviced. The word is not in here. It stays in the
+/// FIFO (and decode register) until the input is serviced, so the control
+/// logic copies a 24-byte record around, not a link word.
+#[derive(Clone, Copy, Debug)]
+pub struct Presented {
     info: FlitInfo,
     out: PortId,
     action: DecodeAction,
@@ -327,20 +346,36 @@ enum Decision {
     Nox(nox_core::NoxDecision),
 }
 
-/// Per-cycle working state, kept on the router so the tick loop recycles
-/// its allocations instead of growing fresh vectors every cycle.
+/// Per-cycle working state, one slot per port: what each input presents
+/// (indexed by input), and each output's request set, Spec-Fast fresh set
+/// and decision (indexed by output). Fixed arrays of [`MAX_PORTS`], so it
+/// is plain data inside the router with no heap block of its own.
 ///
-/// The vectors are meaningful only between
+/// The first `ports` slots are meaningful, and only between
 /// [`tick_present`](Router::tick_present) and the end of
 /// [`tick_apply`](Router::tick_apply) of the same cycle.
-#[derive(Clone, Debug, Default)]
-struct TickScratch {
-    presented: Vec<Option<Presented>>,
-    reqs: Vec<RequestSet>,
-    fresh: Vec<PortSet>,
-    decisions: Vec<Decision>,
+#[derive(Clone, Copy, Debug)]
+pub struct TickScratch {
+    presented: [Option<Presented>; MAX_PORTS],
+    reqs: [RequestSet; MAX_PORTS],
+    fresh: [PortSet; MAX_PORTS],
+    decisions: [Decision; MAX_PORTS],
     /// Transient router freeze this cycle: the later stages are no-ops.
     frozen: bool,
+}
+
+impl TickScratch {
+    const BLANK: TickScratch = TickScratch {
+        presented: [None; MAX_PORTS],
+        reqs: [RequestSet {
+            req: PortSet::EMPTY,
+            multiflit: PortSet::EMPTY,
+            tail: PortSet::EMPTY,
+        }; MAX_PORTS],
+        fresh: [PortSet::EMPTY; MAX_PORTS],
+        decisions: [Decision::Skip; MAX_PORTS],
+        frozen: false,
+    };
 }
 
 /// A route-row entry nobody has asked for yet (no router has 255 ports).
@@ -357,12 +392,11 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 }
 
 /// A router of a given architecture: five ports on the paper's mesh,
-/// more on a concentrated mesh.
+/// up to [`MAX_PORTS`] on a concentrated mesh.
 ///
-/// A cycle advances in three stages so the network can run each stage
-/// across *all* routers and attribute its wall time to a named phase:
+/// A cycle advances in three stages:
 ///
-/// 1. [`tick_present`](Self::tick_present) — decode plans, routing, and
+/// 1. [`tick_present`](Self::tick_present) — decode steps, routing, and
 ///    request-set construction (phase `sim.route`);
 /// 2. [`tick_arbitrate`](Self::tick_arbitrate) — the per-output control
 ///    engines decide (phase `sim.arbitrate`);
@@ -370,12 +404,15 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 ///    drive links, inputs are serviced, credits return, counters count
 ///    (phases `sim.drive` / `sim.encode`).
 ///
-/// Routers never interact within a cycle (sends and credits emitted into
-/// the [`TickCtx`] are delivered by the network on *later* cycles), and
-/// within one router the engines consume only state precomputed by the
-/// present stage — so staging the loops this way is behaviourally
-/// identical to ticking each router start-to-finish.
-/// [`tick`](Self::tick) composes the three stages for single-router use.
+/// [`tick`](Self::tick) runs the three back to back, and that is how the
+/// network ticks a router. Routers never interact within a cycle (sends
+/// and credits emitted into the [`TickCtx`] are delivered by the network
+/// on *later* cycles), and within one router the engines consume only
+/// state precomputed by the present stage — so running each stage across
+/// *all* routers before the next is behaviourally identical. The network
+/// does that only while a phase clock is attached, to attribute each
+/// stage's wall time to a named phase with one clock read per stage per
+/// step (DESIGN.md §18).
 #[derive(Clone, Debug)]
 pub struct Router {
     node: NodeId,
@@ -410,6 +447,10 @@ impl Router {
         options: NoxOptions,
     ) -> Self {
         let ports = topo.ports();
+        assert!(
+            usize::from(ports) <= MAX_PORTS,
+            "a router has at most {MAX_PORTS} ports, this topology asks for {ports}"
+        );
         let inputs = (0..ports).map(|_| InputPort::new(buffer_depth)).collect();
         let outputs = (0..ports)
             .map(|p| {
@@ -434,7 +475,7 @@ impl Router {
             routes: vec![UNROUTED; topo.cores()].into_boxed_slice(),
             inputs,
             outputs,
-            scratch: TickScratch::default(),
+            scratch: TickScratch::BLANK,
         }
     }
 
@@ -544,10 +585,11 @@ impl Router {
 
     // ------------------------------------------------------- tick stages
 
-    /// Stage 1: starts the cycle (freshness promotion), computes the
-    /// presented flit per input — for NoX running the decode plan,
-    /// possibly consuming the cycle to latch an encoded word — and builds
-    /// the credit-qualified per-output request sets.
+    /// Stage 1: starts the cycle (freshness promotion), computes what each
+    /// input presents — for NoX running the decode step, possibly
+    /// consuming the cycle to latch an encoded word — and files it in the
+    /// credit-qualified request set (and, for Spec-Fast, the fresh set) of
+    /// the output it asks for.
     ///
     /// `frozen` is this cycle's transient-fault freeze for this router
     /// (drawn by the caller exactly once per router per cycle); a frozen
@@ -557,11 +599,76 @@ impl Router {
         if frozen {
             return;
         }
-        for i in &mut self.inputs {
-            i.begin_cycle();
+        let TickScratch {
+            presented,
+            reqs,
+            fresh,
+            ..
+        } = &mut self.scratch;
+        let ports = self.inputs.len();
+        reqs[..ports].fill(RequestSet::default());
+        fresh[..ports].fill(PortSet::EMPTY);
+        for (idx, input) in self.inputs.iter_mut().enumerate() {
+            input.begin_cycle();
+            let ip = PortId(idx as u8);
+            let step = match self.arch {
+                Arch::Nox => input.decoder.step(input.fifo.front()),
+                // The baselines have no decode register: a head is
+                // presented as it stands.
+                _ if input.fifo.is_empty() => DecodeStep::Idle,
+                _ => DecodeStep::Present(DecodeAction::Pass),
+            };
+            presented[idx] = match step {
+                DecodeStep::Idle => None,
+                DecodeStep::Latch => {
+                    // Known early in the cycle (§2.4): pop the encoded
+                    // word into the register; the slot frees now.
+                    let w = input.pop(false);
+                    input.decoder.latch(w);
+                    ctx.counters.buffer_reads += 1;
+                    ctx.counters.decode_reg_writes += 1;
+                    ctx.probe.on_latch(self.node, ip);
+                    if !self.topo.is_local(ip) {
+                        ctx.credits.push(CreditReturn {
+                            node: self.node,
+                            input: ip,
+                        });
+                    }
+                    None
+                }
+                DecodeStep::Present(action) => {
+                    let word = input.presented_word();
+                    if !ctx.fault_desync(&word) {
+                        let info = ctx.packets.word_info(&word);
+                        let preferred =
+                            route_via(&mut self.routes, &self.topo, self.node, info.dest);
+                        let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
+                        Some(Presented { info, out, action })
+                    } else {
+                        // The decode register lost sync with its chain
+                        // (an injected drop or duplication upstream):
+                        // contain by truncating the poisoned chain.
+                        Self::chain_kill_input(input, self.node, ip, &self.topo, ctx);
+                        None
+                    }
+                }
+            };
+            let Some(p) = presented[idx] else { continue };
+            let o = p.out.index();
+            if self.outputs[o].credits == 0 {
+                continue; // output-wide stall: nobody requests
+            }
+            reqs[o].req.insert(ip);
+            if p.info.multiflit {
+                reqs[o].multiflit.insert(ip);
+            }
+            if p.info.tail {
+                reqs[o].tail.insert(ip);
+            }
+            if input.fresh && p.info.seq == 0 {
+                fresh[o].insert(ip);
+            }
         }
-        self.collect_presented(ctx);
-        self.build_request_sets();
     }
 
     /// Stage 2: ticks the control engine of every credited output that
@@ -578,26 +685,23 @@ impl Router {
             decisions,
             ..
         } = &mut self.scratch;
-        decisions.clear();
         for (o, out) in self.outputs.iter_mut().enumerate() {
-            if out.credits == 0 {
-                // Credit exhaustion freezes the whole output: nothing can
-                // traverse, and ticking the controller would tear down a
-                // valid schedule (DESIGN.md, clarification 4).
-                decisions.push(Decision::Skip);
-                continue;
-            }
-            if reqs[o].req.is_empty() && out.engine.settled() {
-                // Nothing to decide and nothing to carry over: the idle
-                // decision, which the apply stage ignores.
-                decisions.push(Decision::Skip);
-                continue;
-            }
-            decisions.push(match &mut out.engine {
-                Engine::NonSpec(e) => Decision::NonSpec(e.tick(reqs[o])),
-                Engine::Spec(e) => Decision::Spec(e.tick(reqs[o], fresh[o])),
-                Engine::Nox(e) => Decision::Nox(e.tick(reqs[o])),
-            });
+            // Credit exhaustion freezes the whole output: nothing can
+            // traverse, and ticking the controller would tear down a
+            // valid schedule (DESIGN.md, clarification 4). And with
+            // nothing requested and a settled engine there is nothing to
+            // decide and nothing to carry over: the tick would return the
+            // idle decision, which the apply stage ignores.
+            let skip = out.credits == 0 || (reqs[o].req.is_empty() && out.engine.settled());
+            decisions[o] = if skip {
+                Decision::Skip
+            } else {
+                match &mut out.engine {
+                    Engine::NonSpec(e) => Decision::NonSpec(e.tick(reqs[o])),
+                    Engine::Spec(e) => Decision::Spec(e.tick(reqs[o], fresh[o])),
+                    Engine::Nox(e) => Decision::Nox(e.tick(reqs[o])),
+                }
+            };
         }
     }
 
@@ -609,98 +713,18 @@ impl Router {
         if self.scratch.frozen {
             return;
         }
-        let mut presented = std::mem::take(&mut self.scratch.presented);
-        let decisions = std::mem::take(&mut self.scratch.decisions);
-        for (o, d) in decisions.iter().enumerate() {
+        for o in 0..self.outputs.len() {
             let out = PortId(o as u8);
-            match d {
+            match self.scratch.decisions[o] {
                 Decision::Skip => {}
-                Decision::Nox(d) => self.apply_nox(out, *d, &mut presented, ctx),
-                Decision::Spec(d) => self.apply_spec(out, *d, &mut presented, ctx),
-                Decision::NonSpec(d) => self.apply_nonspec(out, *d, &mut presented, ctx),
+                Decision::Nox(d) => self.apply_nox(out, d, ctx),
+                Decision::Spec(d) => self.apply_spec(out, d, ctx),
+                Decision::NonSpec(d) => self.apply_nonspec(out, d, ctx),
             }
         }
-        // Return the buffers so the next cycle reuses their allocations.
-        self.scratch.presented = presented;
-        self.scratch.decisions = decisions;
     }
 
     // ------------------------------------------------------------ helpers
-
-    /// Computes presented flits for all inputs into the scratch table.
-    /// For NoX this also performs decode-register latches (which consume
-    /// the input's cycle).
-    fn collect_presented(&mut self, ctx: &mut TickCtx<'_>) {
-        let out = &mut self.scratch.presented;
-        // Blank the table first and write only the inputs that present:
-        // a `None` is then a one-byte store, not a copy of a whole record
-        // around a link word, which is most of what an idle port costs.
-        out.clear();
-        out.resize_with(self.inputs.len(), || None);
-        let node = self.node;
-        let topo = self.topo;
-        let arch = self.arch;
-        let routes = &mut self.routes;
-        for (idx, input) in self.inputs.iter_mut().enumerate() {
-            let presented = match arch {
-                Arch::Nox => match input.decoder.plan(input.fifo.front()) {
-                    DecodePlan::Idle => None,
-                    DecodePlan::Latch => {
-                        // Known early in the cycle (§2.4): pop the encoded
-                        // word into the register; the slot frees now.
-                        let w = input.pop(false);
-                        input.decoder.latch(w);
-                        ctx.counters.buffer_reads += 1;
-                        ctx.counters.decode_reg_writes += 1;
-                        ctx.probe.on_latch(node, PortId(idx as u8));
-                        if !topo.is_local(PortId(idx as u8)) {
-                            ctx.credits.push(CreditReturn {
-                                node,
-                                input: PortId(idx as u8),
-                            });
-                        }
-                        None
-                    }
-                    DecodePlan::Present { word, action } => {
-                        if ctx.fault_desync(&word) {
-                            // The decode register lost sync with its chain
-                            // (an injected drop or duplication upstream):
-                            // contain by truncating the poisoned chain.
-                            Self::chain_kill_input(input, node, PortId(idx as u8), &topo, ctx);
-                            None
-                        } else {
-                            let info = ctx.packets.word_info(&word);
-                            let preferred = route_via(routes, &topo, node, info.dest);
-                            let out_port = ctx.fault_route(&topo, node, &info, preferred);
-                            Some(Presented {
-                                word,
-                                info,
-                                out: out_port,
-                                action,
-                            })
-                        }
-                    }
-                },
-                _ => match input.fifo.front() {
-                    Some(w) => {
-                        let info = ctx.packets.word_info(w);
-                        let preferred = route_via(routes, &topo, node, info.dest);
-                        let out_port = ctx.fault_route(&topo, node, &info, preferred);
-                        Some(Presented {
-                            word: w.clone(),
-                            info,
-                            out: out_port,
-                            action: DecodeAction::Pass,
-                        })
-                    }
-                    None => None,
-                },
-            };
-            if presented.is_some() {
-                out[idx] = presented;
-            }
-        }
-    }
 
     /// Truncates a poisoned decode chain at `input`, accounting for the
     /// discarded flits and returning the credit of any freed FIFO slot.
@@ -721,122 +745,87 @@ impl Router {
         }
     }
 
-    /// Builds the per-output request sets (and the per-output fresh sets
-    /// for Spec-Fast) from the presented flits, qualified by downstream
-    /// credit, into the scratch buffers.
-    fn build_request_sets(&mut self) {
-        let TickScratch {
-            presented,
-            reqs,
-            fresh,
-            ..
-        } = &mut self.scratch;
-        let n = self.inputs.len();
-        reqs.clear();
-        reqs.resize(n, RequestSet::default());
-        fresh.clear();
-        fresh.resize(n, PortSet::EMPTY);
-        for (idx, p) in presented.iter().enumerate() {
-            let Some(p) = p else { continue };
-            let o = p.out.index();
-            if self.outputs[o].credits == 0 {
-                continue; // output-wide stall: nobody requests
-            }
-            let ip = PortId(idx as u8);
-            reqs[o].req.insert(ip);
-            if p.info.multiflit {
-                reqs[o].multiflit.insert(ip);
-            }
-            if p.info.tail {
-                reqs[o].tail.insert(ip);
-            }
-            if self.inputs[idx].fresh && p.info.seq == 0 {
-                fresh[o].insert(ip);
-            }
-        }
-    }
-
-    /// Consumes a serviced flit at input `i`: commits the decode action,
-    /// pops the FIFO as required, and returns the freed slot's credit.
-    ///
-    /// Takes only the decode action and tail flag (not the whole
-    /// [`Presented`]) so callers never clone the presented word — the
-    /// word itself has already moved onto the link in
-    /// [`drive_link`](Self::drive_link).
-    fn service_input(
-        &mut self,
-        i: PortId,
-        action: DecodeAction,
-        tail: bool,
-        ctx: &mut TickCtx<'_>,
-    ) {
+    /// Consumes the serviced flit at input `i` — commits its decode
+    /// action, pops the FIFO as required, returns the freed slot's credit
+    /// — and hands back the word it presented. For a plain head over an
+    /// empty register, which is nearly every flit, that is the popped
+    /// head itself: the word's one move of the hop, FIFO slot to link.
+    fn take_presented(&mut self, i: PortId, ctx: &mut TickCtx<'_>) -> Word {
+        let p = self.scratch.presented[i.index()]
+            .expect("engine serviced an input that presented nothing");
         let input = &mut self.inputs[i.index()];
         ctx.counters.buffer_reads += 1;
-        match action {
+        let (word, slot_freed) = match p.action {
             DecodeAction::Pass => {
-                input.pop(tail);
+                let head = input.pop(p.info.tail);
                 input.decoder.commit(DecodeAction::Pass, None);
-                if !self.topo.is_local(i) {
-                    ctx.credits.push(CreditReturn {
-                        node: self.node,
-                        input: i,
-                    });
-                }
+                (head, true)
             }
             DecodeAction::DecodeKeep => {
                 // The head stays (it is the chain's final packet); only the
                 // decode register clears. No slot frees.
+                let word = input.presented_word().into_owned();
                 input.decoder.commit(DecodeAction::DecodeKeep, None);
                 ctx.counters.decode_xors += 1;
+                (word, false)
             }
             DecodeAction::DecodeShift => {
+                let word = input.presented_word().into_owned();
                 let head = input.pop(false);
                 input.decoder.commit(DecodeAction::DecodeShift, Some(head));
                 ctx.counters.decode_xors += 1;
                 ctx.counters.decode_reg_writes += 1;
-                if !self.topo.is_local(i) {
-                    ctx.credits.push(CreditReturn {
-                        node: self.node,
-                        input: i,
-                    });
-                }
+                (word, true)
             }
+        };
+        if slot_freed && !self.topo.is_local(i) {
+            ctx.credits.push(CreditReturn {
+                node: self.node,
+                input: i,
+            });
         }
+        word
     }
 
-    /// Drives one productive link word from `drive` and consumes a credit.
+    /// Drives one productive link word from the inputs in `drive`,
+    /// consuming a credit, and services those of them in `serviced` as
+    /// their words cross the switch.
     fn drive_link(
         &mut self,
         out: PortId,
         drive: PortSet,
-        presented: &mut [Option<Presented>],
+        serviced: PortSet,
         ctx: &mut TickCtx<'_>,
     ) {
-        // Move (never clone) each driven word out of the presented table:
-        // an input presents toward exactly one output per cycle, and
-        // servicing afterwards reads only the decode action and tail
-        // flag. In the common single-input case the word reaches the
-        // link with zero allocations.
-        // A multi-input drive is an XOR encode: bracket the fold with
-        // phase marks so its cost lands in `sim.encode`, not `sim.drive`.
-        if drive.len() > 1 {
-            ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
-        }
-        let mut word: Option<Word> = None;
-        for i in drive.iter() {
-            let p = presented[i.index()]
-                .as_mut()
-                .expect("engine drove an input that presented nothing");
-            let w = std::mem::replace(&mut p.word, Word::empty());
-            word = Some(match word {
-                None => w,
-                Some(acc) => acc.xor(&w),
-            });
-        }
-        if drive.len() > 1 {
-            ctx.phase_mark(nox_telemetry::phase::SIM_ENCODE);
-        }
-        let word = word.expect("engine drove an empty input set");
+        assert!(!drive.is_empty(), "engine drove an empty input set");
+        assert!(
+            serviced.is_subset(drive),
+            "engine serviced an input that did not drive the switch"
+        );
+        let word = match drive.sole() {
+            Some(i) if serviced == drive => self.take_presented(i, ctx),
+            _ => {
+                // A multi-input drive is an XOR encode, folded over the
+                // words where they sit; only the serviced winner's leaves
+                // its FIFO. Bracket the fold with phase marks so its cost
+                // lands in `sim.encode`, not `sim.drive`.
+                ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
+                let mut word = Word::empty();
+                for i in drive.iter() {
+                    word = if serviced.contains(i) {
+                        word.xor(&self.take_presented(i, ctx))
+                    } else {
+                        assert!(
+                            self.scratch.presented[i.index()].is_some(),
+                            "engine drove an input that presented nothing"
+                        );
+                        word.xor(&self.inputs[i.index()].presented_word())
+                    };
+                }
+                ctx.phase_mark(nox_telemetry::phase::SIM_ENCODE);
+                word
+            }
+        };
         let op = &mut self.outputs[out.index()];
         assert!(op.connected, "drove a word onto an unconnected port");
         assert!(op.credits > 0, "drove a word without downstream credit");
@@ -853,13 +842,7 @@ impl Router {
 
     // ---------------------------------------------------------------- NoX
 
-    fn apply_nox(
-        &mut self,
-        out: PortId,
-        d: nox_core::NoxDecision,
-        presented: &mut [Option<Presented>],
-        ctx: &mut TickCtx<'_>,
-    ) {
+    fn apply_nox(&mut self, out: PortId, d: nox_core::NoxDecision, ctx: &mut TickCtx<'_>) {
         if d.granted.is_some() {
             ctx.counters.arbitrations += 1;
         }
@@ -879,25 +862,13 @@ impl Router {
                 ctx.counters.encoded_transfers += 1;
                 ctx.probe.on_encoded(self.node, out, d.drive.len() as u8);
             }
-            self.drive_link(out, d.drive, presented, ctx);
-        }
-        for i in d.serviced.iter() {
-            let p = presented[i.index()]
-                .as_ref()
-                .expect("NoX engine serviced an input that presented nothing");
-            self.service_input(i, p.action, p.info.tail, ctx);
+            self.drive_link(out, d.drive, d.serviced, ctx);
         }
     }
 
     // --------------------------------------------------------------- spec
 
-    fn apply_spec(
-        &mut self,
-        out: PortId,
-        d: nox_core::SpecDecision,
-        presented: &mut [Option<Presented>],
-        ctx: &mut TickCtx<'_>,
-    ) {
+    fn apply_spec(&mut self, out: PortId, d: nox_core::SpecDecision, ctx: &mut TickCtx<'_>) {
         if d.granted.is_some() {
             ctx.counters.arbitrations += 1;
         }
@@ -915,32 +886,18 @@ impl Router {
             ctx.counters.wasted_reservations += 1;
         }
         if let Some(i) = d.drive {
-            self.drive_link(out, PortSet::single(i), presented, ctx);
-            let p = presented[i.index()]
-                .as_ref()
-                .expect("spec engine granted an input that presented nothing");
-            self.service_input(i, p.action, p.info.tail, ctx);
+            self.drive_link(out, PortSet::single(i), PortSet::single(i), ctx);
         }
     }
 
     // ------------------------------------------------------------ nonspec
 
-    fn apply_nonspec(
-        &mut self,
-        out: PortId,
-        d: nox_core::NonSpecDecision,
-        presented: &mut [Option<Presented>],
-        ctx: &mut TickCtx<'_>,
-    ) {
+    fn apply_nonspec(&mut self, out: PortId, d: nox_core::NonSpecDecision, ctx: &mut TickCtx<'_>) {
         if d.granted {
             ctx.counters.arbitrations += 1;
         }
         if let Some(i) = d.drive {
-            self.drive_link(out, PortSet::single(i), presented, ctx);
-            let p = presented[i.index()]
-                .as_ref()
-                .expect("sequential engine granted an input that presented nothing");
-            self.service_input(i, p.action, p.info.tail, ctx);
+            self.drive_link(out, PortSet::single(i), PortSet::single(i), ctx);
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use nox_core::{DecodeAction, DecodePlan, Decoder};
+use nox_core::{DecodeAction, DecodeStep, Decoder};
 
 use crate::flit::{FlitInfo, FlitKey, PacketTable, Word};
 use crate::stats::Counters;
@@ -96,22 +96,14 @@ impl Sink {
     /// Panics if a consumed flit fails the payload integrity check or was
     /// delivered to the wrong node — either indicates a router bug.
     pub fn drain(&mut self, packets: &PacketTable, counters: &mut Counters) -> SinkOutcome {
-        match self.decoder.plan(self.fifo.front()) {
-            DecodePlan::Idle => SinkOutcome::default(),
-            DecodePlan::Latch => {
-                let w = self.fifo.pop_front().expect("planned latch without head");
-                self.decoder.latch(w);
-                counters.buffer_reads += 1;
-                counters.decode_reg_writes += 1;
-                SinkOutcome {
-                    credit_freed: true,
-                    ..Default::default()
-                }
-            }
-            DecodePlan::Present { word, action } => {
-                let key = FlitKey::unpack(word.sole_key().expect("undecodable word at sink"));
+        match self.decoder.step(self.fifo.front()) {
+            DecodeStep::Idle => SinkOutcome::default(),
+            DecodeStep::Latch => self.latch(counters),
+            DecodeStep::Present(action) => {
+                let (key, payload) = self.presented();
+                let key = FlitKey::unpack(key.expect("undecodable word at sink"));
                 assert_eq!(
-                    *word.payload(),
+                    payload,
                     key.payload(),
                     "payload corrupted through XOR encode/decode"
                 );
@@ -127,6 +119,28 @@ impl Sink {
                     fault_event: None,
                 }
             }
+        }
+    }
+
+    /// The sole key (if it has exactly one) and the payload of the word
+    /// the ejection port presents: its FIFO head as seen through the
+    /// decode register, read where it sits.
+    fn presented(&self) -> (Option<u64>, u64) {
+        let head = self.fifo.front().expect("an empty sink presents nothing");
+        let word = self.decoder.presented(head);
+        (word.sole_key(), *word.payload())
+    }
+
+    /// Pops the encoded head into the decode register: the slot frees,
+    /// nothing is consumed this cycle.
+    fn latch(&mut self, counters: &mut Counters) -> SinkOutcome {
+        let w = self.fifo.pop_front().expect("latch without head");
+        self.decoder.latch(w);
+        counters.buffer_reads += 1;
+        counters.decode_reg_writes += 1;
+        SinkOutcome {
+            credit_freed: true,
+            ..Default::default()
         }
     }
 
@@ -170,20 +184,12 @@ impl Sink {
         faults: &mut crate::fault::FaultState,
     ) -> SinkOutcome {
         use crate::fault::DeliveryClass;
-        match self.decoder.plan(self.fifo.front()) {
-            DecodePlan::Idle => SinkOutcome::default(),
-            DecodePlan::Latch => {
-                let w = self.fifo.pop_front().expect("planned latch without head");
-                self.decoder.latch(w);
-                counters.buffer_reads += 1;
-                counters.decode_reg_writes += 1;
-                SinkOutcome {
-                    credit_freed: true,
-                    ..Default::default()
-                }
-            }
-            DecodePlan::Present { word, action } => {
-                let Some(raw_key) = word.sole_key() else {
+        match self.decoder.step(self.fifo.front()) {
+            DecodeStep::Idle => SinkOutcome::default(),
+            DecodeStep::Latch => self.latch(counters),
+            DecodeStep::Present(action) => {
+                let (raw_key, actual) = self.presented();
+                let Some(raw_key) = raw_key else {
                     // FSM desync at the ejection port: contain the chain.
                     let (lost, popped) = self.chain_kill();
                     faults.note_chain_kill(lost);
@@ -200,7 +206,6 @@ impl Sink {
                 let info = packets.flit_info(key);
                 assert_eq!(info.dest, self.node, "flit ejected at wrong node");
                 counters.buffer_reads += 1;
-                let actual = *word.payload();
                 let credit_freed = self.commit_action(action, counters);
                 match faults.classify_delivery(key, actual) {
                     DeliveryClass::DetectedCrc => SinkOutcome {

@@ -59,6 +59,11 @@ pub enum Port {
 /// Number of ports on a mesh router.
 pub const PORTS: u8 = 5;
 
+/// The most ports any router has: the radix of `cmesh(4,4,4)`, four
+/// directions plus four cores, and so the largest [`Topology::ports`]
+/// returns. A router's per-port state is arrays of this length.
+pub const MAX_PORTS: usize = 8;
+
 impl Port {
     /// All ports, in index order.
     pub const ALL: [Port; PORTS as usize] = [
@@ -350,11 +355,13 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `concentration` is not in `2..=4` (use
-    /// [`Topology::mesh`] for 1).
+    /// [`Topology::mesh`] for 1): with the four directions, four cores
+    /// make a router of [`MAX_PORTS`] ports.
     pub fn cmesh(width: u8, height: u8, concentration: u8) -> Self {
         assert!(
-            (2..=4).contains(&concentration),
-            "concentration must be 2..=4, got {concentration}"
+            (2..=MAX_PORTS - 4).contains(&usize::from(concentration)),
+            "concentration must be 2..=4, got {concentration}: \
+             a router has at most {MAX_PORTS} ports"
         );
         Topology {
             kind: TopologyKind::CMesh { concentration },
