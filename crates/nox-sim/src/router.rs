@@ -1043,6 +1043,95 @@ mod tests {
     }
 
     #[test]
+    fn tick_is_the_three_stages_in_turn() {
+        // The network ticks a router through `tick` when it has no phase
+        // clock and through the three stages when it has one. Drive two
+        // copies of one router, one each way, with the same words, credits
+        // and freezes, heavily enough for collisions, chains and stalls:
+        // they must emit the same and end every cycle in the same state.
+        for arch in Arch::ALL {
+            let mesh = Topology::mesh(4, 4);
+            let (mut packets, mut c1, mut s1, mut r1) = ctx_parts();
+            let (_, mut c2, mut s2, mut r2) = ctx_parts();
+            let mut whole = Router::new(NodeId(5), arch, mesh, 2);
+            let mut staged = whole.clone();
+            // Downstream is not modelled: credits come back at random.
+            let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+            let mut draw = |n: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % n
+            };
+            // One upstream link per input: a packet's flits arrive in
+            // order, one a cycle, as the buffer has room.
+            let mut links: Vec<VecDeque<Word>> = vec![VecDeque::new(); mesh.ports() as usize];
+            let mut sent = 0;
+            for cycle in 0..2_000u64 {
+                for p in 0..mesh.ports() {
+                    let port = PortId(p);
+                    let link = &mut links[port.index()];
+                    if link.is_empty() && draw(3) != 0 {
+                        let id = packets.push(PacketMeta {
+                            src: NodeId(0),
+                            dest: NodeId([1, 4, 6, 9, 5][draw(5) as usize]),
+                            len: if draw(8) == 0 { 3 } else { 1 },
+                            created_cycle: cycle,
+                            measured: false,
+                        });
+                        let len = packets.meta(id).len;
+                        link.extend((0..len).map(|seq| word_for(FlitKey { packet: id, seq })));
+                    }
+                    if whole.input(port).has_space() {
+                        if let Some(w) = link.pop_front() {
+                            whole.input_mut(port).receive(w.clone());
+                            staged.input_mut(port).receive(w);
+                        }
+                    }
+                    if draw(2) == 0 && whole.output(port).credits() < 2 {
+                        whole.output_mut(port).return_credit(2);
+                        staged.output_mut(port).return_credit(2);
+                    }
+                }
+                let frozen = draw(16) == 0;
+                let mut ctx = TickCtx::new(&packets, &mut c1, &mut s1, &mut r1);
+                if !frozen {
+                    whole.tick(&mut ctx);
+                }
+                let mut ctx = TickCtx::new(&packets, &mut c2, &mut s2, &mut r2);
+                staged.tick_present(frozen, &mut ctx);
+                staged.tick_arbitrate();
+                staged.tick_apply(&mut ctx);
+                if frozen {
+                    // A frozen cycle changes nothing but the flag.
+                    whole.scratch.frozen = true;
+                }
+                assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "{arch} cycle {cycle}");
+                assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "{arch} cycle {cycle}");
+                assert_eq!(c1, c2, "{arch} cycle {cycle}");
+                assert_eq!(
+                    format!("{whole:?}"),
+                    format!("{staged:?}"),
+                    "{arch} cycle {cycle}"
+                );
+                sent += s1.len();
+                s1.clear();
+                s2.clear();
+                r1.clear();
+                r2.clear();
+            }
+            assert!(sent > 1_000, "{arch}: only {sent} words sent");
+            assert!(c1.arbitrations > 500, "{arch}: {c1:?}");
+            match arch {
+                Arch::NonSpec => {}
+                Arch::SpecFast => assert!(c1.collisions > 50 && c1.wasted_reservations > 50),
+                Arch::SpecAccurate => assert!(c1.collisions > 50, "{c1:?}"),
+                Arch::Nox => assert!(c1.encoded_transfers > 50 && c1.aborts > 5, "{c1:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn multiflit_packet_streams_contiguously_everywhere() {
         for arch in Arch::ALL {
             let mesh = Topology::mesh(4, 4);

@@ -1,9 +1,18 @@
 //! The simulator's optional layers — sanitizer, phase clock, probe, fault
 //! campaign — are all compiled into one build and switched at run time.
 //! Attached together they must not move a simulated number: this runs
-//! every architecture on the 4x4 mesh and the concentrated mesh bare,
-//! then with every observer at once, then under a zero-rate fault plan,
-//! and compares everything a run reports.
+//! every architecture on the 4x4 mesh, the concentrated mesh and the
+//! paper's 8x8 mesh driven past saturation bare, then with every observer
+//! at once, then under a zero-rate fault plan, and compares everything a
+//! run reports.
+//!
+//! The phase clock is more than an observer: a network that has one runs
+//! the router stages as three sweeps across all routers, a bare network
+//! ticks each router start to finish (DESIGN.md §18). So the bare run
+//! against the observed one is also the fused loop against the staged
+//! one, and the saturated case is there to compare them on routers that
+//! are busy on every port: collisions, encoded chains, aborts, Spec-Fast
+//! stale reservations, outputs out of credit.
 //!
 //! The probe is the one layer behind a cargo feature; under
 //! `--features probe` it joins the observers.
@@ -19,9 +28,10 @@ use nox_telemetry::phase::SIM_STEP;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Uniform-random traffic with a 40 % share of nine-flit data packets,
-/// dense enough for collisions, aborts and decode chains.
-fn mixed_trace(cfg: &NetConfig, per_cycle: f64, cycles: u64) -> Trace {
+/// Uniform-random traffic, a `long_share` of it nine-flit data packets
+/// and the rest single flits: `per_cycle` packets per node per cycle for
+/// `cycles` cycles.
+fn mixed_trace(cfg: &NetConfig, per_cycle: f64, long_share: f64, cycles: u64) -> Trace {
     let nodes = cfg.nodes() as u16;
     let mut rng = StdRng::seed_from_u64(0x1A7E5);
     let mut trace = Trace::new();
@@ -32,7 +42,7 @@ fn mixed_trace(cfg: &NetConfig, per_cycle: f64, cycles: u64) -> Trace {
                     time_ns: cycle as f64 * cfg.clock_ns(),
                     src: NodeId(src),
                     dest: NodeId(rng.gen_range(0..nodes)),
-                    len: if rng.gen_bool(0.4) { 9 } else { 1 },
+                    len: if rng.gen_bool(long_share) { 9 } else { 1 },
                 });
             }
         }
@@ -92,12 +102,30 @@ fn profiled_steps(net: Network) -> u64 {
 #[test]
 fn layers_attached_together_move_no_simulated_number() {
     for arch in Arch::ALL {
+        // The small topologies carry a 40 % share of nine-flit packets,
+        // dense enough for collisions, aborts and decode chains. The 8x8
+        // mesh is offered mostly single flits (they are what collides
+        // and chains), 0.63 flits per node per cycle, about twice what it
+        // can carry.
         let topologies = [
-            ("mesh(4,4)", NetConfig::small(arch), 0.04),
-            ("cmesh(4,4,4)", NetConfig::cmesh_paper(arch), 0.015),
+            ("mesh(4,4)", NetConfig::small(arch), 0.04, 0.4, 1_200),
+            (
+                "cmesh(4,4,4)",
+                NetConfig::cmesh_paper(arch),
+                0.015,
+                0.4,
+                1_200,
+            ),
+            (
+                "mesh(8,8) saturated",
+                NetConfig::paper(arch),
+                0.45,
+                0.05,
+                200,
+            ),
         ];
-        for (name, cfg, per_cycle) in topologies {
-            let trace = mixed_trace(&cfg, per_cycle, 1_200);
+        for (name, cfg, per_cycle, long_share, cycles) in topologies {
+            let trace = mixed_trace(&cfg, per_cycle, long_share, cycles);
             let routers = cfg.topology().routers() as u64;
 
             let mut bare = network(cfg, &trace);
@@ -109,6 +137,19 @@ fn layers_attached_together_move_no_simulated_number() {
                 bare.router_ticks() < expected.cycles * routers,
                 "{arch} {name}: no router ever slept"
             );
+            if routers == 64 {
+                let c = &expected.counters;
+                let busy = match arch {
+                    Arch::NonSpec => true,
+                    Arch::SpecFast => c.collisions > 500 && c.wasted_reservations > 10_000,
+                    Arch::SpecAccurate => c.collisions > 3_000,
+                    Arch::Nox => c.encoded_transfers > 1_000 && c.aborts > 100,
+                };
+                assert!(
+                    busy && c.link_flits > 50 * expected.cycles,
+                    "{arch} {name}: the mesh was not busy: {c:?}"
+                );
+            }
             assert_eq!(profiled_steps(bare), 0, "{arch} {name}: bare run profiled");
 
             // Sanitizer + phase clock (+ probe) on one network.

@@ -4,9 +4,11 @@
 //! bypass the reassembly map, and every per-cycle buffer is recycled, so
 //! once queues have reached their working size a cycle allocates nothing.
 //! A test-local counting allocator pins that for every architecture at
-//! the paper's saturating operating point, and a `const` assertion pins
-//! the word size the FIFO slots, decode registers and presented-flit
-//! records are built from.
+//! the paper's saturating operating point, and `const` assertions pin
+//! the layout it rests on: the size of the word that FIFO slots, decode
+//! registers and link transfers are built from, that the per-input
+//! presented record carries no word, and that a router's tick scratch is
+//! plain inline data, which is why a router has at most eight ports.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +16,8 @@ use std::cell::Cell;
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::flit::Word;
 use nox_sim::network::Network;
-use nox_sim::topology::NodeId;
+use nox_sim::router::{Presented, Router, TickScratch};
+use nox_sim::topology::{NodeId, Topology, MAX_PORTS};
 use nox_sim::trace::{PacketEvent, Trace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +25,15 @@ use rand::{Rng, SeedableRng};
 // Six machine words: payload, four inline keys, and the length/tag word.
 // A fatter word measurably slows the lightly loaded mesh (DESIGN.md §16).
 const _: () = assert!(std::mem::size_of::<Word>() <= 48);
+
+// Flit info, output port and decode action, and no `Word`: what the
+// control logic copies per input per cycle is half a word's size
+// (DESIGN.md §18).
+const _: () = assert!(std::mem::size_of::<Presented>() <= 24);
+
+// `Copy`, so it owns no heap block: fixed arrays of `MAX_PORTS` slots.
+const fn holds_no_heap_pointer<T: Copy>() {}
+const _: () = holds_no_heap_pointer::<TickScratch>();
 
 thread_local! {
     // Per-thread, so the harness's other test threads never count here;
@@ -95,6 +107,15 @@ fn saturating_trace(cfg: &NetConfig) -> Trace {
         }
     }
     trace
+}
+
+#[test]
+#[should_panic(expected = "at most 8 ports")]
+fn a_nine_port_router_is_refused() {
+    // Four directions and five cores: one port more than `cmesh(4,4,4)`,
+    // the widest router the fixed per-port arrays are sized for.
+    assert_eq!(MAX_PORTS, 8);
+    let _ = Router::new(NodeId(0), Arch::Nox, Topology::cmesh(2, 2, 5), 4);
 }
 
 #[test]
