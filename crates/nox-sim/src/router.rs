@@ -351,9 +351,8 @@ enum Decision {
 /// and decision (indexed by output). Fixed arrays of [`MAX_PORTS`], so it
 /// is plain data inside the router with no heap block of its own.
 ///
-/// The first `ports` slots are meaningful, and only between
-/// [`tick_present`](Router::tick_present) and the end of
-/// [`tick_apply`](Router::tick_apply) of the same cycle.
+/// The first `ports` slots are meaningful, and only from the present
+/// stage of a router's tick to the end of its apply stage.
 #[derive(Clone, Copy, Debug)]
 pub struct TickScratch {
     presented: [Option<Presented>; MAX_PORTS],

@@ -18,7 +18,8 @@
 # neither side) and a verdict: "gain" needs wins on at least nine tenths
 # of the pairs and medians further apart than the parent's interquartile
 # range, "worse" is the same rule the other way round, anything else is
-# "no change shown". Exits non-zero only if a run failed its own
+# "no change shown"; fewer than ten pairs get no verdict, as the rule
+# asks for ten. Exits non-zero only if a run failed its own
 # correctness checks. Every run's full record is kept in
 # CHANGE_DIR/benchmark/out/pairs/<workload>.jsonl.
 set -euo pipefail
@@ -78,6 +79,8 @@ for line in open(log):
     runs[r["side"]].append({n: m["value"] for n, m in r["result"]["metrics"].items()})
 
 def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 
@@ -93,7 +96,9 @@ for m in json.load(open(bench))["end_to_end"]:
     apart = abs(cm - pm) > q3 - q1
     need = 0.9 * len(p)
     better = (cm < pm) if lower else (cm > pm)
-    if wins >= need and apart and better:
+    if len(p) < 10:
+        verdict = "no verdict below ten pairs"
+    elif wins >= need and apart and better:
         verdict = "gain"
     elif losses >= need and apart and not better:
         verdict = "worse"
