@@ -498,7 +498,7 @@ impl Network {
                 // router per stage would cost more than the step:
                 // DESIGN.md §18). Routers never interact within a cycle,
                 // so the order is behaviourally identical (see the
-                // `Router` docs). The sweeps cost about a tenth of a
+                // `Router` docs). The sweeps cost about an eighth of a
                 // saturated step, so only a network that was built with
                 // profiling on, and so has a clock to feed, runs them.
                 //

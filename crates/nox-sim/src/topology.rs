@@ -358,9 +358,10 @@ impl Topology {
     /// [`Topology::mesh`] for 1): with the four directions, four cores
     /// make a router of [`MAX_PORTS`] ports.
     pub fn cmesh(width: u8, height: u8, concentration: u8) -> Self {
+        let most = MAX_PORTS - 4;
         assert!(
-            (2..=MAX_PORTS - 4).contains(&usize::from(concentration)),
-            "concentration must be 2..=4, got {concentration}: \
+            (2..=most).contains(&usize::from(concentration)),
+            "concentration must be 2..={most}, got {concentration}: \
              a router has at most {MAX_PORTS} ports"
         );
         Topology {

@@ -21,7 +21,7 @@
 # "no change shown"; fewer than ten pairs get no verdict, as the rule
 # asks for ten. Exits non-zero only if a run failed its own
 # correctness checks. Every run's full record is kept in
-# CHANGE_DIR/benchmark/out/pairs/<workload>.jsonl.
+# CHANGE_DIR/benchmark/out/pairs/<workload>.{parent,change}.jsonl.
 set -euo pipefail
 unset CARGO_TARGET_DIR # each checkout builds into its own benchmark/target
 
@@ -41,19 +41,12 @@ done
 
 out="$change/benchmark/out/pairs"
 mkdir -p "$out"
-log="$out/$workload.jsonl"
-rm -f "$log"
+log="$out/$workload"
+rm -f "$log.parent.jsonl" "$log.change.jsonl"
 
 run() { # side dir
     (cd "$2" && ./benchmark/target/release/nox-benchmark run \
-        --workload "$workload" --seed "$seed" --out "$out/$1.tmp" >/dev/null)
-    python3 - "$1" "$out/$1.tmp" >>"$log" <<'PY'
-import json, sys
-r = json.loads(open(sys.argv[2]).readlines()[-1])
-r["side"] = sys.argv[1]
-print(json.dumps(r))
-PY
-    rm -f "$out/$1.tmp"
+        --workload "$workload" --seed "$seed" --out "$log.$1.jsonl" >/dev/null)
 }
 
 for i in $(seq "$pairs"); do
@@ -73,10 +66,11 @@ import json, statistics, sys
 log, bench, workload, seed = sys.argv[1:5]
 runs = {"parent": [], "change": []}
 failed = 0
-for line in open(log):
-    r = json.loads(line)
-    failed += not r["result"]["correct"]
-    runs[r["side"]].append({n: m["value"] for n, m in r["result"]["metrics"].items()})
+for side, records in runs.items():
+    for line in open(f"{log}.{side}.jsonl"):
+        r = json.loads(line)
+        failed += not r["result"]["correct"]
+        records.append({n: m["value"] for n, m in r["result"]["metrics"].items()})
 
 def quartiles(xs):
     if len(xs) < 2:
