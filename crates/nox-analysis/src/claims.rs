@@ -235,18 +235,12 @@ pub struct ClaimInputs {
 }
 
 impl ClaimInputs {
-    /// Runs every harness the registry draws on, at `tier`, serially.
-    pub fn gather(tier: Tier) -> ClaimInputs {
-        Self::gather_with(tier, &nox_exec::Executor::sequential())
-    }
-
     /// Runs every harness the registry draws on, at `tier`, fanning the
     /// three heavy studies (synthetic, apps, faults) out over `exec`.
     /// The timing/clock/power/area harnesses are single closed-form or
     /// golden-trace evaluations and stay serial. Every study reduces in
     /// submission order, so the inputs — and every claim evaluated from
-    /// them — are bit-identical to the serial [`gather`](Self::gather)
-    /// at any thread count.
+    /// them — are bit-identical at any thread count.
     pub fn gather_with(tier: Tier, exec: &nox_exec::Executor) -> ClaimInputs {
         ClaimInputs {
             tier,

@@ -44,16 +44,10 @@ pub fn app_tier_spec(tier: Tier) -> (RunSpec, f64) {
     }
 }
 
-/// Runs the study at `tier`, serially.
-pub fn study(tier: Tier) -> AppStudy {
-    study_with(tier, &Executor::sequential())
-}
-
 /// Runs the study at `tier`, fanning every (workload, architecture) run
 /// out over `exec`. Each run is independent (same seed, same spec), and
 /// the ordered reduction rebuilds the rows in `WORKLOADS` × `Arch::ALL`
-/// order, so the study is bit-identical to the serial [`study`] at any
-/// thread count.
+/// order, so the study is bit-identical at any thread count.
 pub fn study_with(tier: Tier, exec: &Executor) -> AppStudy {
     let (spec, trace_ns) = app_tier_spec(tier);
     let jobs: Vec<_> = WORKLOADS

@@ -5,8 +5,8 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::appstudy::{self, AppStudy};
-use crate::harness::{Tier, ARCH_COLUMNS};
+use crate::harness::appstudy::AppStudy;
+use crate::harness::ARCH_COLUMNS;
 use crate::json::Json;
 use crate::Table;
 use nox_sim::config::Arch;
@@ -20,13 +20,6 @@ pub const SCHEMA: &str = "nox-bench/fig10/v1";
 pub struct Fig10Result {
     /// The underlying workloads-by-architectures study.
     pub study: AppStudy,
-}
-
-/// Runs the study at `tier` and wraps it in the Figure 10 view.
-pub fn run(tier: Tier) -> Fig10Result {
-    Fig10Result {
-        study: appstudy::study(tier),
-    }
 }
 
 impl Fig10Result {

@@ -6,8 +6,8 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::appstudy::{self, AppStudy};
-use crate::harness::{Tier, ARCH_COLUMNS};
+use crate::harness::appstudy::AppStudy;
+use crate::harness::ARCH_COLUMNS;
 use crate::json::Json;
 use crate::Table;
 use nox_sim::config::Arch;
@@ -27,13 +27,6 @@ pub const PAPER_IMPROVEMENTS_PCT: [(Arch, f64); 3] = [
 pub struct Fig11Result {
     /// The underlying workloads-by-architectures study.
     pub study: AppStudy,
-}
-
-/// Runs the study at `tier` and wraps it in the Figure 11 view.
-pub fn run(tier: Tier) -> Fig11Result {
-    Fig11Result {
-        study: appstudy::study(tier),
-    }
 }
 
 impl Fig11Result {

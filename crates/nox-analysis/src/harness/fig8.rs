@@ -3,8 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::synthetic::{self, Metric, SyntheticStudy, SATURATION_FACTOR};
-use crate::harness::{Tier, ARCH_COLUMNS};
+use crate::harness::synthetic::{Metric, SyntheticStudy, SATURATION_FACTOR};
+use crate::harness::ARCH_COLUMNS;
 use crate::json::Json;
 use crate::sweep::ArchSeries;
 use crate::Table;
@@ -18,13 +18,6 @@ pub const SCHEMA: &str = "nox-bench/fig8/v1";
 pub struct Fig8Result {
     /// The underlying four-scenario study.
     pub study: SyntheticStudy,
-}
-
-/// Runs the study at `tier` and wraps it in the Figure 8 view.
-pub fn run(tier: Tier) -> Fig8Result {
-    Fig8Result {
-        study: synthetic::study(tier),
-    }
 }
 
 impl Fig8Result {

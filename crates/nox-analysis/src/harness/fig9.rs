@@ -6,8 +6,8 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::synthetic::{self, Metric, SyntheticStudy};
-use crate::harness::{Tier, ARCH_COLUMNS};
+use crate::harness::synthetic::{Metric, SyntheticStudy};
+use crate::harness::ARCH_COLUMNS;
 use crate::json::Json;
 use crate::sweep::ArchSeries;
 use crate::Table;
@@ -21,13 +21,6 @@ pub const SCHEMA: &str = "nox-bench/fig9/v1";
 pub struct Fig9Result {
     /// The underlying four-scenario study.
     pub study: SyntheticStudy,
-}
-
-/// Runs the study at `tier` and wraps it in the Figure 9 view.
-pub fn run(tier: Tier) -> Fig9Result {
-    Fig9Result {
-        study: synthetic::study(tier),
-    }
 }
 
 impl Fig9Result {

@@ -109,18 +109,13 @@ pub fn sweep_config(tier: Tier, rates: Vec<f64>) -> SweepConfig {
     }
 }
 
-/// Runs the full four-scenario study at `tier`, serially.
-pub fn study(tier: Tier) -> SyntheticStudy {
-    study_with(tier, &Executor::sequential())
-}
-
 /// Runs the full four-scenario study at `tier`, fanning every
 /// (scenario, architecture, rate) operating point out over `exec`.
 ///
 /// Each point is measured by [`measure_point`] from nothing but its own
 /// configuration, and the ordered reduction reassembles the panel /
 /// series / point nesting in definition order — so the study is
-/// bit-identical to the serial [`study`] at any thread count.
+/// bit-identical at any thread count.
 pub fn study_with(tier: Tier, exec: &Executor) -> SyntheticStudy {
     let rates = rates(tier);
     let defs = scenario_defs();

@@ -8,19 +8,20 @@
 //!   detection (Figures 8 and 9);
 //! * [`apps`] — dual-network application-workload runs and the mean
 //!   energy-delay^2 comparison (Figures 10 and 11);
-//! * [`harness`] — one library module per `bench` binary, each returning
-//!   a structured result type with `render()` (the human table) and
-//!   `to_json()` (a versioned `nox-bench/<harness>/v1` document);
+//! * [`harness`] — one library module per figure or table, each
+//!   returning a structured result type with `render()` (the human
+//!   table) and `to_json()` (a versioned `nox-bench/<harness>/v1`
+//!   document), and the one table ([`harness::HARNESSES`]) through which
+//!   `noxsim run`, `noxsim profile` and the serve daemon reach them;
 //! * [`claims`] — the machine-checkable conformance registry binding
 //!   every EXPERIMENTS.md claim to a harness measurement;
-//! * [`bench_artifact`] — the `BENCH_sim_throughput.json` performance
-//!   artifact (multi-trial) and its regression comparison;
 //! * [`mod@profile`] — the `nox-bench/profile/v1` phase-attribution
 //!   artifact collected by `noxsim profile`;
-//! * [`mod@json`] — the dependency-free JSON value, serializer, and
-//!   parser the structured outputs are built on;
-//! * [`table`] — shared plain-text / CSV table rendering for all of the
-//!   `bench` harness binaries.
+//! * [`mod@json`] — the workspace's one JSON value, serializer, and
+//!   parser (it lives in the leaf crate `nox-telemetry`; this is a plain
+//!   re-export);
+//! * [`table`] — shared plain-text / CSV table rendering for every
+//!   harness.
 //!
 //! # Example
 //!
@@ -37,16 +38,14 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod bench_artifact;
 pub mod claims;
 pub mod harness;
-pub mod json;
 pub mod profile;
 pub mod sweep;
 pub mod table;
 
 pub use apps::{mean_ed2_improvement_pct, run_workload, AppResult};
-pub use harness::{HarnessArgs, Tier};
-pub use json::Json;
+pub use harness::Tier;
+pub use nox_telemetry::json::{self, Json};
 pub use sweep::{crossover_mbps, sweep, ArchSeries, SweepConfig, SweepPoint};
 pub use table::Table;

@@ -1,8 +1,7 @@
 //! Plain-text and CSV table rendering for the experiment harnesses.
 //!
-//! Every `bench/src/bin/figN` binary prints its series through this module
-//! so the regenerated tables share one format and can be diffed run to
-//! run.
+//! Every figure harness renders its series through this module so the
+//! regenerated tables share one format and can be diffed run to run.
 
 use std::fmt;
 

@@ -8,8 +8,9 @@
 use std::collections::BTreeSet;
 
 use nox_analysis::claims::REGISTRY;
-use nox_analysis::harness::{fig13, figs237, table1, table2};
+use nox_analysis::harness::{self, fig13, figs237, table1, table2};
 use nox_analysis::{Json, Tier};
+use nox_exec::Executor;
 
 fn experiments_md() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
@@ -94,10 +95,45 @@ fn assert_round_trips(doc: Json, want_schema: &str) {
 
 #[test]
 fn cheap_harness_schemas_round_trip() {
-    assert_round_trips(figs237::run(Tier::Quick).to_json(), "nox-bench/figs237/v1");
-    assert_round_trips(table1::run(Tier::Quick).to_json(), "nox-bench/table1/v1");
-    assert_round_trips(table2::run(Tier::Quick).to_json(), "nox-bench/table2/v1");
-    assert_round_trips(fig13::run(Tier::Quick).to_json(), "nox-bench/fig13_area/v1");
+    // Each typed result's document round-trips on its schema, and the
+    // harness-table row of the same name reports exactly that result's
+    // two views and its own verdict.
+    let check = |name: &str, text: String, json: Json, ok: bool, schema: &str| {
+        assert_round_trips(json.clone(), schema);
+        let row = harness::find(name).expect("in the table");
+        let report = (row.run)(Tier::Quick, &Executor::sequential());
+        assert_eq!(report.json, json, "{name}");
+        assert_eq!(report.text, text, "{name}");
+        assert_eq!(report.ok, ok, "{name}");
+    };
+    let r = figs237::run(Tier::Quick);
+    let ok = r.all_pass();
+    check(
+        "figs237",
+        r.render(),
+        r.to_json(),
+        ok,
+        "nox-bench/figs237/v1",
+    );
+    let r = table1::run(Tier::Quick);
+    check(
+        "table1",
+        r.render(),
+        r.to_json(),
+        true,
+        "nox-bench/table1/v1",
+    );
+    let r = table2::run(Tier::Quick);
+    let ok = r.all_match();
+    check("table2", r.render(), r.to_json(), ok, "nox-bench/table2/v1");
+    let r = fig13::run(Tier::Quick);
+    check(
+        "fig13",
+        r.render(),
+        r.to_json(),
+        true,
+        "nox-bench/fig13_area/v1",
+    );
 }
 
 #[test]

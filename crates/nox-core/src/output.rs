@@ -130,8 +130,8 @@ enum State {
     Stream { input: PortId },
 }
 
-/// Ablation switches for architecture studies (see the `ablation` harness
-/// in the `bench` crate). The real NoX router enables everything.
+/// Ablation switches for architecture studies (see the `ablation` harness,
+/// `noxsim run ablation`). The real NoX router enables everything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NoxOptions {
     /// Enable *Scheduled* mode (§2.6). When disabled the controller stays

@@ -39,7 +39,7 @@ use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 
-use nox_telemetry::stream::Field;
+use nox_telemetry::Json;
 use nox_telemetry::{phase, ProfileAcc, SpanEvent, Stopwatch};
 
 /// A fixed-width worker pool that maps closures over indexed work lists
@@ -82,10 +82,10 @@ impl Progress<'_> {
             nox_telemetry::stream::emit(
                 "job",
                 &[
-                    ("stage", Field::Str(self.stage)),
-                    ("index", Field::U64(self.next as u64)),
-                    ("total", Field::U64(self.total as u64)),
-                    ("ms", Field::F64(dur as f64 / 1e6)),
+                    ("stage", Json::from(self.stage)),
+                    ("index", Json::from(self.next)),
+                    ("total", Json::from(self.total)),
+                    ("ms", Json::from(dur as f64 / 1e6)),
                 ],
             );
             self.next += 1;
@@ -249,7 +249,7 @@ impl Executor {
         if streaming {
             nox_telemetry::stream::emit(
                 "stage",
-                &[("stage", Field::Str(stage)), ("jobs", Field::U64(n as u64))],
+                &[("stage", Json::from(stage)), ("jobs", Json::from(n))],
             );
         }
         let mut progress = Progress {

@@ -55,17 +55,17 @@ pub mod profile;
 pub mod report;
 pub mod waveform;
 
-/// The workspace-wide JSON value type (builder + parser), re-exported
-/// from `nox-analysis` so probe reports share one serializer with the
-/// harness `--json` outputs, the claims report, and the perf artifact.
-pub use nox_analysis::json;
+/// The workspace-wide JSON value type (builder + parser), re-exported so
+/// probe reports share one serializer with the harness `--json` outputs
+/// and the claims report.
+pub use nox_telemetry::json;
 
 use std::time::Instant;
 
 use nox_sim::config::NetConfig;
 use nox_sim::network::Network;
 use nox_sim::probe::{Probe, ProbeConfig};
-use nox_sim::sim::{RunSpec, SimResult};
+use nox_sim::sim::{run_phases, RunSpec, SimResult};
 use nox_sim::trace::Trace;
 
 pub use json::Json;
@@ -84,58 +84,31 @@ pub struct ProbedRun {
     pub profile: SelfProfile,
 }
 
-/// Runs `trace` through a probed network: identical warmup / measurement
-/// window / drain structure to [`nox_sim::sim::run`], with a [`Probe`]
-/// attached from cycle zero and per-phase wall-clock timing.
+/// Runs `trace` through a probed network: [`nox_sim::sim::run`]'s own
+/// warmup / measurement window / drain loop
+/// ([`nox_sim::sim::run_phases`]), with a [`Probe`] attached from cycle
+/// zero and the wall clock read at each phase boundary.
 pub fn probed_run(
     cfg: NetConfig,
     trace: &Trace,
     spec: &RunSpec,
     probe_cfg: ProbeConfig,
 ) -> ProbedRun {
-    let window = (spec.warmup_ns, spec.warmup_ns + spec.measure_ns);
-    let mut net = Network::new(cfg, trace, window);
+    let mut net = Network::new(cfg, trace, spec.window());
     net.enable_probe(probe_cfg);
-    let clock = cfg.clock_ns();
-
-    let warmup_cycles = (spec.warmup_ns / clock).ceil() as u64;
-    let window_cycles = (spec.measure_ns / clock).ceil() as u64;
-    let drain_cycles = (spec.drain_ns / clock).ceil() as u64;
 
     // Self-profiling of the *harness* (host wall time per phase), reported
     // alongside — never inside — the simulation results; the simulated
     // artifact bytes do not depend on these readings.
-    let t0 = Instant::now(); // detlint: allow(wall_clock)
-    net.run(warmup_cycles);
-    let t1 = Instant::now(); // detlint: allow(wall_clock)
-    let at_open = *net.counters();
-    net.run(window_cycles);
-    let t2 = Instant::now(); // detlint: allow(wall_clock)
-    let at_close = *net.counters();
-
-    let mut remaining = drain_cycles;
-    while remaining > 0 && net.measured_ejected() < net.measured_total() {
-        net.step();
-        remaining -= 1;
-    }
-    let t3 = Instant::now(); // detlint: allow(wall_clock)
-
-    let result = SimResult {
-        cfg,
-        cycles: net.cycle(),
-        window_counters: at_close.since(&at_open),
-        latency_ns: *net.latency_measured_ns(),
-        latency_hist: net.latency_histogram_ns().clone(),
-        measured_total: net.measured_total(),
-        measured_ejected: net.measured_ejected(),
-        window_ns: window_cycles as f64 * clock,
-        drained: net.measured_ejected() == net.measured_total(),
-    };
+    let mut marks = vec![Instant::now()]; // detlint: allow(wall_clock)
+    let result = run_phases(&mut net, spec, || {
+        marks.push(Instant::now()); // detlint: allow(wall_clock)
+    });
     let profile = SelfProfile {
-        warmup: t1 - t0,
-        measure: t2 - t1,
-        drain: t3 - t2,
-        cycles: net.cycle(),
+        warmup: marks[1] - marks[0],
+        measure: marks[2] - marks[1],
+        drain: marks[3] - marks[2],
+        cycles: result.cycles,
     };
     let mut probe = net.take_probe().expect("probe was attached above");
     probe.finish();

@@ -36,7 +36,7 @@ use std::time::Duration;
 
 use nox_analysis::json::Json;
 use nox_exec::Executor;
-use nox_telemetry::stream::{self, Field};
+use nox_telemetry::stream;
 
 use crate::cache::{Cache, Lookup};
 use crate::job::{self, CancelToken, JobError};
@@ -573,7 +573,7 @@ fn run_job(shared: &Arc<Shared>, exec: &Executor, job: Queued) {
     }));
     stream::emit(
         "run",
-        &[("cmd", Field::Str("serve")), ("id", Field::Str(&req.id))],
+        &[("cmd", Json::from("serve")), ("id", Json::from(&*req.id))],
     );
     let outcome = job::execute(&req.body, exec, &token, shared.cfg.debug_ops);
     stream::emit("done", &[]);

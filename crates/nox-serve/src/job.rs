@@ -12,8 +12,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use nox_analysis::claims::{evaluate, ClaimInputs};
-use nox_analysis::harness::{faults, run_by_name, Tier};
+use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
 use nox_analysis::profile;
 use nox_analysis::sweep::{point_from_result, SweepPoint};
@@ -131,14 +130,8 @@ pub fn execute(
             Ok(Json::obj().field("slept_ms", *ms))
         }
         Body::Debug(DebugOp::Panic) => contained(|| panic!("debug-requested panic")),
-        Body::Claims { tier } => {
-            let tier = *tier;
-            contained(|| evaluate(&ClaimInputs::gather_with(tier, exec)).to_json())
-        }
-        Body::Faults { tier } => {
-            let tier = *tier;
-            contained(|| faults::run_with(tier, exec).to_json())
-        }
+        Body::Claims { tier } => contained(|| harness_run("claims", *tier, exec).json),
+        Body::Faults { tier } => contained(|| harness_run("faults", *tier, exec).json),
         Body::Verify { quick } => {
             let bounds = if *quick {
                 Bounds::quick()
@@ -163,17 +156,22 @@ pub fn execute(
                     )
             })
         }
-        Body::Profile { harness, tier } => {
-            let (harness, tier) = (harness.clone(), *tier);
-            contained(move || {
-                let (_, report) = profile::collect(&harness, tier, exec.threads(), || {
-                    run_by_name(&harness, tier, exec)
-                });
-                report.to_json()
-            })
-        }
+        Body::Profile { harness, tier } => contained(|| {
+            let (_, report) = profile::collect(harness, *tier, exec.threads(), || {
+                harness_run(harness, *tier, exec)
+            });
+            report.to_json()
+        }),
         Body::Sweep(req) => sweep_artifact(req, exec, token),
     }
+}
+
+/// Runs one row of the harness table. The protocol parser admits only
+/// names that are in it; a hand-built [`Body`] naming anything else
+/// panics here, inside [`contained`].
+fn harness_run(name: &str, tier: Tier, exec: &Executor) -> harness::Report {
+    let row = harness::find(name).unwrap_or_else(|e| panic!("{e}"));
+    (row.run)(tier, exec)
 }
 
 /// Runs `f` under `catch_unwind`, mapping a panic to [`JobError::Panic`].

@@ -34,7 +34,7 @@
 //! `artifact`), and `error` (terminal: `kind` is `bad_request`,
 //! `deadline`, `panic`, or `internal`).
 
-use nox_analysis::harness::{Tier, HARNESS_NAMES};
+use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
 use nox_sim::config::Arch;
 use nox_traffic::synthetic::Process;
@@ -90,7 +90,7 @@ pub enum Body {
     /// Span-profile one named harness. Never cached: the artifact is
     /// wall-clock attribution, different on every run by design.
     Profile {
-        /// Harness name (one of `HARNESS_NAMES`).
+        /// Harness name (a row of [`harness::HARNESSES`]).
         harness: String,
         /// Harness tier.
         tier: Tier,
@@ -179,12 +179,7 @@ impl Request {
                     .get("harness")
                     .and_then(Json::as_str)
                     .ok_or("profile needs a string \"harness\" field")?;
-                if !HARNESS_NAMES.contains(&harness) {
-                    return Err(format!(
-                        "unknown harness {harness:?}; one of: {}",
-                        HARNESS_NAMES.join(" ")
-                    ));
-                }
+                harness::find(harness)?;
                 Body::Profile {
                     harness: harness.to_string(),
                     tier: tier(doc)?,
@@ -239,13 +234,7 @@ impl Request {
                     Json::Arr(s.archs.iter().map(|a| Json::from(a.name())).collect()),
                 )
                 .field("pattern", s.pattern.name())
-                .field(
-                    "process",
-                    match s.process {
-                        Process::Poisson => "poisson",
-                        Process::ParetoOnOff => "pareto",
-                    },
-                )
+                .field("process", s.process.name())
                 .field(
                     "rates",
                     Json::Arr(s.rates.iter().map(|&r| Json::from(r)).collect()),
@@ -261,27 +250,26 @@ impl Request {
 
 impl SweepReq {
     fn from_json(doc: &Json) -> Result<SweepReq, String> {
-        let archs = match doc.get("arch").map(|v| v.as_str()) {
+        let archs = match doc.get("arch") {
             None => Arch::ALL.to_vec(),
-            Some(Some("all")) => Arch::ALL.to_vec(),
-            Some(Some("nonspec")) => vec![Arch::NonSpec],
-            Some(Some("fast")) => vec![Arch::SpecFast],
-            Some(Some("acc")) => vec![Arch::SpecAccurate],
-            Some(Some("nox")) => vec![Arch::Nox],
-            _ => return Err("\"arch\" must be all|nonspec|fast|acc|nox".into()),
+            Some(v) => v
+                .as_str()
+                .and_then(Arch::parse)
+                .ok_or("\"arch\" must be all|nonspec|fast|acc|nox")?,
         };
         let pattern = match doc.get("pattern").map(|v| v.as_str()) {
             None => Pattern::UniformRandom,
-            Some(Some(name)) => Pattern::ALL
-                .into_iter()
-                .find(|p| p.name() == name)
-                .ok_or_else(|| format!("unknown pattern {name:?}"))?,
+            Some(Some(name)) => {
+                Pattern::parse(name).ok_or_else(|| format!("unknown pattern {name:?}"))?
+            }
             Some(None) => return Err("\"pattern\" must be a string".into()),
         };
-        let process = match doc.get("process").map(|v| v.as_str()) {
-            None | Some(Some("poisson")) => Process::Poisson,
-            Some(Some("pareto")) => Process::ParetoOnOff,
-            _ => return Err("\"process\" must be poisson|pareto".into()),
+        let process = match doc.get("process") {
+            None => Process::Poisson,
+            Some(v) => v
+                .as_str()
+                .and_then(Process::parse)
+                .ok_or("\"process\" must be poisson|pareto")?,
         };
         let rates = match doc.get("rates") {
             None => vec![500.0, 1_000.0, 2_000.0],
@@ -385,6 +373,21 @@ mod tests {
     }
 
     #[test]
+    fn profile_accepts_exactly_the_harness_table() {
+        for name in harness::names() {
+            let line = format!(r#"{{"req":"profile","harness":"{name}"}}"#);
+            let r = Request::parse(&line).expect(name);
+            assert!(matches!(r.body, Body::Profile { ref harness, .. } if harness == name));
+        }
+        // Names of retired front ends and near misses are not in it.
+        for name in ["fig13_area", "synthetic", "Fig8", ""] {
+            let line = format!(r#"{{"req":"profile","harness":"{name}"}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(err.contains(&harness::names().join(" ")), "{err}");
+        }
+    }
+
+    #[test]
     fn rejects_malformed_requests() {
         for bad in [
             r#"{"id":"x"}"#,
@@ -396,6 +399,8 @@ mod tests {
             r#"{"req":"sweep","rates":[0.5]}"#,
             r#"{"req":"sweep","len":0}"#,
             r#"{"req":"sweep","arch":"mips"}"#,
+            r#"{"req":"sweep","arch":7}"#,
+            r#"{"req":"sweep","process":"bursty"}"#,
             r#"{"req":"debug","op":"fork"}"#,
             r#"{"req":"ping","id":""}"#,
             r#"{"req":"ping","deadline_ms":0}"#,
@@ -432,5 +437,13 @@ mod tests {
         let x = Request::parse(r#"{"seed":9,"req":"sweep","rates":[500],"arch":"nox"}"#).unwrap();
         let y = Request::parse(r#"{"req":"sweep","arch":"nox","rates":[500],"seed":9}"#).unwrap();
         assert_eq!(x.canonical(), y.canonical());
+        // The bytes a sweep's cache key hashes, pinned: display names for
+        // the architectures, wire names for pattern and process.
+        let z = Request::parse(r#"{"req":"sweep","arch":"acc","process":"pareto","rates":[500]}"#)
+            .unwrap();
+        assert_eq!(
+            z.canonical().unwrap(),
+            r#"{"req":"sweep","archs":["Spec-Accurate"],"pattern":"uniform","process":"pareto","rates":[500],"len":1,"seed":7,"tier":"smoke","cmesh":false}"#
+        );
     }
 }

@@ -55,6 +55,29 @@ impl Arch {
             Arch::Nox => "NoX",
         }
     }
+
+    /// The short lowercase key the CLI's `--arch` and the serve
+    /// protocol's `"arch"` select an architecture by.
+    pub fn key(self) -> &'static str {
+        match self {
+            Arch::NonSpec => "nonspec",
+            Arch::SpecFast => "fast",
+            Arch::SpecAccurate => "acc",
+            Arch::Nox => "nox",
+        }
+    }
+
+    /// Parses an architecture selector — one [`key`](Arch::key), or
+    /// `all` — into the architectures it names, in [`Arch::ALL`] order.
+    pub fn parse(selector: &str) -> Option<Vec<Arch>> {
+        if selector == "all" {
+            return Some(Arch::ALL.to_vec());
+        }
+        Arch::ALL
+            .into_iter()
+            .find(|a| a.key() == selector)
+            .map(|a| vec![a])
+    }
 }
 
 impl fmt::Display for Arch {
@@ -236,6 +259,15 @@ impl Default for NetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arch_selectors_parse() {
+        assert_eq!(Arch::parse("all"), Some(Arch::ALL.to_vec()));
+        for a in Arch::ALL {
+            assert_eq!(Arch::parse(a.key()), Some(vec![a]));
+        }
+        assert_eq!(Arch::parse("NoX"), None);
+    }
 
     #[test]
     fn table2_clock_periods() {

@@ -25,6 +25,12 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
+    /// The `(open, close)` times of the measurement window, ns — what
+    /// [`Network::new`] takes to tag the packets created inside it.
+    pub fn window(&self) -> (f64, f64) {
+        (self.warmup_ns, self.warmup_ns + self.measure_ns)
+    }
+
     /// A short spec for unit tests.
     pub fn quick() -> Self {
         RunSpec {
@@ -121,8 +127,18 @@ impl SimResult {
 /// assert!(res.avg_latency_ns() > 0.0);
 /// ```
 pub fn run(cfg: NetConfig, trace: &Trace, spec: &RunSpec) -> SimResult {
-    let window = (spec.warmup_ns, spec.warmup_ns + spec.measure_ns);
-    let mut net = Network::new(cfg, trace, window);
+    let mut net = Network::new(cfg, trace, spec.window());
+    run_phases(&mut net, spec, || {})
+}
+
+/// Drives a freshly built network (its window set by
+/// [`RunSpec::window`]) through `spec`'s three phases and assembles
+/// the result. `phase_done` is called at each phase boundary — after
+/// warmup, after the measurement window, after the drain — which is how
+/// an observer attached to `net` (the probe's self-profile) times the
+/// phases without a second copy of this loop.
+pub fn run_phases(net: &mut Network, spec: &RunSpec, mut phase_done: impl FnMut()) -> SimResult {
+    let cfg = *net.config();
     let clock = cfg.clock_ns();
 
     let warmup_cycles = (spec.warmup_ns / clock).ceil() as u64;
@@ -130,8 +146,10 @@ pub fn run(cfg: NetConfig, trace: &Trace, spec: &RunSpec) -> SimResult {
     let drain_cycles = (spec.drain_ns / clock).ceil() as u64;
 
     net.run(warmup_cycles);
+    phase_done();
     let at_open = *net.counters();
     net.run(window_cycles);
+    phase_done();
     let at_close = *net.counters();
 
     // Drain: keep running (injection continues from the trace) until all
@@ -141,13 +159,12 @@ pub fn run(cfg: NetConfig, trace: &Trace, spec: &RunSpec) -> SimResult {
         net.step();
         remaining -= 1;
     }
-
-    let window_counters = at_close.since(&at_open);
+    phase_done();
 
     SimResult {
         cfg,
         cycles: net.cycle(),
-        window_counters,
+        window_counters: at_close.since(&at_open),
         latency_ns: *net.latency_measured_ns(),
         latency_hist: net.latency_histogram_ns().clone(),
         measured_total: net.measured_total(),

@@ -10,7 +10,7 @@
 //!   checks credit round-trip against buffer depth. Results ship as the
 //!   `nox-bench/statics/v1` JSON artifact, byte-identical at any thread
 //!   count.
-//! - **Codebase lint** ([`lint`], the `detlint` binary): scans workspace
+//! - **Codebase lint** ([`lint`], run as `noxsim lint`): scans workspace
 //!   sources for determinism hazards — unordered hash-container usage in
 //!   artifact-feeding code, wall-clock reads, thread-count-dependent
 //!   output — with a `// detlint: allow(...)` escape hatch.

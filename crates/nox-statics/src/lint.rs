@@ -50,12 +50,12 @@ pub const ARTIFACT_CRATES: &[&str] = &[
 
 /// Crates (by `crates/<dir>` name) whose sources may carry
 /// `allow(wall_clock)` directives: the self-profiling layers whose whole
-/// job is reading the wall clock, and the perf benchmark whose artifact
-/// *is* wall time. The allowlist audit ([`audit_path`]) flags a
-/// wall-clock allow anywhere else — the directive suppresses the lint,
-/// so the audit is what keeps real-time reads from quietly spreading
-/// into the simulation and analysis crates under cover of an `allow`.
-pub const WALL_CLOCK_ALLOW_CRATES: &[&str] = &["bench", "nox-probe", "nox-telemetry"];
+/// job is reading the wall clock. The allowlist audit ([`audit_path`])
+/// flags a wall-clock allow anywhere else — the directive suppresses the
+/// lint, so the audit is what keeps real-time reads from quietly
+/// spreading into the simulation and analysis crates under cover of an
+/// `allow`.
+pub const WALL_CLOCK_ALLOW_CRATES: &[&str] = &["nox-probe", "nox-telemetry"];
 
 /// The lint rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -695,7 +695,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].line, f[0].rule), (2, Rule::WallClock));
         assert!(f[0].to_string().contains("allow(wall_clock)"));
-        // The profiling layers and the perf benchmark may.
+        // The profiling layers may.
         for ok in WALL_CLOCK_ALLOW_CRATES {
             assert!(audit_source("x.rs", src, Some(ok)).is_empty(), "{ok}");
         }

@@ -1,15 +1,15 @@
 //! The `nox-bench/statics/v1` artifact: the standard design-analysis
 //! suite, its gating verdict, and the deterministic JSON rendering.
 //!
-//! The writer is self-contained (this crate sits *below* `nox-analysis`
-//! in the dependency graph, so it cannot borrow that crate's JSON
-//! module): ASCII-escaped strings, shortest-roundtrip float formatting,
-//! fields emitted in fixed order. Byte-identical output at any
-//! `--threads` width is part of the contract and is tested.
+//! The document is built from the workspace's one JSON value type
+//! ([`nox_telemetry::json::Json`]): fields in fixed order,
+//! shortest-roundtrip floats. Byte-identical output at any `--threads`
+//! width is part of the contract and is tested.
 
 use nox_exec::Executor;
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::topology::{Topology, TopologyKind};
+use nox_telemetry::json::Json;
 
 use crate::cdg;
 use crate::credit::{check_credits, CreditCheck};
@@ -188,148 +188,46 @@ impl StaticsReport {
     /// The `nox-bench/statics/v1` JSON artifact. Deterministic: fixed
     /// field order, sorted content, no floats beyond shortest-roundtrip
     /// duty ratios, no timestamps.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.raw("{");
-        w.str_field("schema", SCHEMA);
-        w.raw(",\"analyses\":[");
-        for (i, a) in self.analyses.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.raw("{");
-            w.str_field("name", &a.name);
-            w.raw(",");
-            w.str_field("topology", &a.topology);
-            w.raw(",");
-            w.str_field("routing", &a.routing);
-            w.raw(",");
-            w.bool_field("expect_safe", a.expect_safe);
-            w.raw(",");
-            w.uint_field("routers", a.routers as u64);
-            w.raw(",");
-            w.uint_field("channels", a.channels as u64);
-            w.raw(",");
-            w.uint_field("edges", a.edges as u64);
-            w.raw(",");
-            w.uint_field("cyclic_sccs", a.cyclic_sccs as u64);
-            w.raw(",");
-            w.bool_field("deadlock_free", a.deadlock_free);
-            w.raw(",");
-            w.uint_field("routes_walked", a.routes_walked as u64);
-            w.raw(",");
-            w.uint_field("max_route_hops", a.max_route_hops as u64);
-            w.raw(",\"witness_cycles\":[");
-            for (j, cycle) in a.witnesses.iter().enumerate() {
-                if j > 0 {
-                    w.raw(",");
-                }
-                w.raw("[");
-                for (k, ch) in cycle.iter().enumerate() {
-                    if k > 0 {
-                        w.raw(",");
-                    }
-                    w.string(ch);
-                }
-                w.raw("]");
-            }
-            w.raw("]}");
-        }
-        w.raw("],\"credit_checks\":[");
-        for (i, c) in self.credits.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.raw("{");
-            w.str_field("name", &c.name);
-            w.raw(",");
-            w.str_field("arch", &c.arch);
-            w.raw(",");
-            w.uint_field("buffer_depth", c.buffer_depth as u64);
-            w.raw(",");
-            w.uint_field("credit_delay", c.credit_delay);
-            w.raw(",");
-            w.uint_field("round_trip_cycles", c.round_trip);
-            w.raw(",");
-            w.bool_field("sound", c.sound);
-            w.raw(",");
-            w.bool_field("expect_sound", c.expect_sound);
-            w.raw(",");
-            w.float_field("max_link_duty", c.max_link_duty);
-            w.raw("}");
-        }
-        w.raw("],");
-        w.bool_field("verdict_ok", self.verdict_ok());
-        w.raw("}\n");
-        w.finish()
-    }
-}
-
-/// Minimal deterministic JSON assembly: the caller controls structure,
-/// the writer only guarantees escaping and canonical number formatting.
-struct JsonWriter {
-    buf: String,
-}
-
-impl JsonWriter {
-    fn new() -> Self {
-        JsonWriter { buf: String::new() }
-    }
-
-    fn raw(&mut self, s: &str) {
-        self.buf.push_str(s);
-    }
-
-    fn string(&mut self, s: &str) {
-        self.buf.push('"');
-        for ch in s.chars() {
-            match ch {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                '\t' => self.buf.push_str("\\t"),
-                '\r' => self.buf.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-    }
-
-    fn str_field(&mut self, key: &str, val: &str) {
-        self.string(key);
-        self.buf.push(':');
-        self.string(val);
-    }
-
-    fn uint_field(&mut self, key: &str, val: u64) {
-        self.string(key);
-        self.buf.push_str(&format!(":{val}"));
-    }
-
-    fn bool_field(&mut self, key: &str, val: bool) {
-        self.string(key);
-        self.buf.push_str(if val { ":true" } else { ":false" });
-    }
-
-    /// Shortest-roundtrip decimal, always with a decimal point or
-    /// exponent so readers see a float.
-    fn float_field(&mut self, key: &str, val: f64) {
-        self.string(key);
-        let s = format!("{val}");
-        let s = if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        };
-        self.buf.push(':');
-        self.buf.push_str(&s);
-    }
-
-    fn finish(self) -> String {
-        self.buf
+    pub fn to_json(&self) -> Json {
+        let analyses: Vec<Json> = self
+            .analyses
+            .iter()
+            .map(|a| {
+                Json::obj()
+                    .field("name", &*a.name)
+                    .field("topology", &*a.topology)
+                    .field("routing", &*a.routing)
+                    .field("expect_safe", a.expect_safe)
+                    .field("routers", a.routers)
+                    .field("channels", a.channels)
+                    .field("edges", a.edges)
+                    .field("cyclic_sccs", a.cyclic_sccs)
+                    .field("deadlock_free", a.deadlock_free)
+                    .field("routes_walked", a.routes_walked)
+                    .field("max_route_hops", a.max_route_hops)
+                    .field("witness_cycles", a.witnesses.clone())
+            })
+            .collect();
+        let credits: Vec<Json> = self
+            .credits
+            .iter()
+            .map(|c| {
+                Json::obj()
+                    .field("name", &*c.name)
+                    .field("arch", &*c.arch)
+                    .field("buffer_depth", c.buffer_depth)
+                    .field("credit_delay", c.credit_delay)
+                    .field("round_trip_cycles", c.round_trip)
+                    .field("sound", c.sound)
+                    .field("expect_sound", c.expect_sound)
+                    .field("max_link_duty", c.max_link_duty)
+            })
+            .collect();
+        Json::obj()
+            .field("schema", SCHEMA)
+            .field("analyses", analyses)
+            .field("credit_checks", credits)
+            .field("verdict_ok", self.verdict_ok())
     }
 }
 
@@ -370,11 +268,28 @@ mod tests {
 
     #[test]
     fn json_shape_is_sane() {
-        let j = standard_report(&Executor::sequential()).to_json();
+        let j = standard_report(&Executor::sequential())
+            .to_json()
+            .to_string();
         assert!(j.starts_with("{\"schema\":\"nox-bench/statics/v1\""));
         assert!(j.contains("\"witness_cycles\":[["));
-        assert!(j.contains("\"verdict_ok\":true"));
-        assert!(j.ends_with("}\n"));
+        assert!(j.ends_with("\"verdict_ok\":true}"));
+        // What the one serializer wrote, the one parser reads back.
+        let doc = Json::parse(&j).expect("artifact parses");
+        assert_eq!(
+            doc.get("analyses").and_then(Json::as_array).map(<[_]>::len),
+            Some(4)
+        );
+        // One credit row pinned byte for byte (field order, integer and
+        // float formatting).
+        assert!(
+            j.contains(
+                "{\"name\":\"undersized-demo\",\"arch\":\"NoX\",\"buffer_depth\":4,\
+                 \"credit_delay\":6,\"round_trip_cycles\":8,\"sound\":false,\
+                 \"expect_sound\":false,\"max_link_duty\":0.5}"
+            ),
+            "{j}"
+        );
     }
 
     #[test]
@@ -385,12 +300,5 @@ mod tests {
         assert!(txt.contains("verdict: PASS"));
         assert!(txt.contains("DEADLOCK-PRONE"));
         assert!(txt.contains("UNDERSIZED"));
-    }
-
-    #[test]
-    fn string_escaping_is_correct() {
-        let mut w = JsonWriter::new();
-        w.string("a\"b\\c\nd");
-        assert_eq!(w.finish(), r#""a\"b\\c\nd""#);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! The build environment is fully offline (no serde), so every
 //! machine-readable artifact in the workspace — probe run reports, the
-//! per-harness `--json` outputs, `claims_report.json`, and the
-//! `BENCH_sim_throughput.json` perf artifact — is constructed from this
-//! small value type and serialized with [`std::fmt::Display`]. The
+//! per-harness `--json` outputs, `claims_report.json`, the statics and
+//! profile artifacts, and every [`crate::stream`] frame — is constructed
+//! from this small value type and serialized with [`std::fmt::Display`];
+//! it lives in this leaf crate so every layer above can use it. The
 //! parser exists so the same artifacts can be read back (baseline
-//! diffing, `noxsim bench-compare`) and so round-trip tests can pin the
+//! diffing, the serve wire protocol) and so round-trip tests can pin the
 //! schemas. Objects preserve insertion order, floats render via Rust's
 //! shortest-roundtrip `Display` (which never emits `NaN`/`inf` — those
 //! become `null`), and `u64` counters are kept lossless rather than

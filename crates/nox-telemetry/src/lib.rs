@@ -18,7 +18,10 @@
 //!   values) is identical at every thread count even though the durations
 //!   themselves are wall-clock;
 //! - a line-delimited JSON **stream sink** ([`stream`]) for live progress
-//!   events — the wire format a future `noxsim serve` will speak.
+//!   events — the wire format `noxsim serve` speaks;
+//! - the workspace's one **JSON value type** ([`Json`]: builder,
+//!   serializer, hardened parser), here because this is the leaf crate
+//!   every artifact-emitting layer already depends on.
 //!
 //! Everything is disabled by default: until [`set_profiling`] turns the
 //! global switch on, no accumulator is allocated and every hook is a
@@ -30,10 +33,12 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 mod acc;
+pub mod json;
 pub mod phase;
 pub mod stream;
 
 pub use acc::{LogHist, PhaseSlot, ProfileAcc, SpanEvent, EVENT_CAP};
+pub use json::Json;
 pub use phase::{PhaseClock, PhaseId, PHASES};
 
 /// The global profiling switch. Off by default; when off, every

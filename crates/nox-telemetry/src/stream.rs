@@ -34,9 +34,12 @@
 //! line on the wire, which a consumer must treat as end-of-stream —
 //! never as data.
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+
+use crate::json::Json;
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
@@ -114,69 +117,20 @@ pub enum SeqStep {
     Gap,
 }
 
-/// One field value of a stream event.
-#[derive(Clone, Copy, Debug)]
-pub enum Field<'a> {
-    /// A JSON string (escaped on emission).
-    Str(&'a str),
-    /// An unsigned integer.
-    U64(u64),
-    /// A float (emitted with shortest round-trip formatting).
-    F64(f64),
-    /// A boolean.
-    Bool(bool),
-}
-
-/// Appends `s` to `out` as a JSON string literal.
-pub fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Emits one event line: `{"event":<kind>,"seq":N,<fields...>}`.
+/// Emits one event line: `{"event":<kind>,"seq":N,<fields...>}`, every
+/// key and value serialized by [`Json`]'s `Display`.
 ///
 /// A no-op when no sink is installed. A sink write error deactivates the
 /// stream (progress telemetry must never abort a run).
-pub fn emit(kind: &str, fields: &[(&str, Field<'_>)]) {
+pub fn emit(kind: &str, fields: &[(&str, Json)]) {
     if !active() {
         return;
     }
     let mut sink = SINK.lock().unwrap_or_else(|e| e.into_inner());
     let Some(s) = sink.as_mut() else { return };
-    let mut line = String::with_capacity(64);
-    line.push_str("{\"event\":");
-    push_json_str(&mut line, kind);
-    line.push_str(",\"seq\":");
-    line.push_str(&s.seq.to_string());
+    let mut line = format!("{{\"event\":{},\"seq\":{}", Json::from(kind), s.seq);
     for (key, value) in fields {
-        line.push(',');
-        push_json_str(&mut line, key);
-        line.push(':');
-        match value {
-            Field::Str(v) => push_json_str(&mut line, v),
-            Field::U64(v) => line.push_str(&v.to_string()),
-            Field::F64(v) => {
-                if v.is_finite() {
-                    line.push_str(&v.to_string())
-                } else {
-                    line.push_str("null")
-                }
-            }
-            Field::Bool(v) => line.push_str(if *v { "true" } else { "false" }),
-        }
+        let _ = write!(line, ",{}:{value}", Json::from(*key));
     }
     line.push_str("}\n");
     s.seq += 1;
@@ -220,7 +174,7 @@ mod tests {
     fn emit_without_sink_is_a_no_op() {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         clear();
-        emit("job", &[("index", Field::U64(1))]);
+        emit("job", &[("index", Json::UInt(1))]);
         assert!(!active());
     }
 
@@ -231,14 +185,14 @@ mod tests {
         set(Box::new(cap.clone()));
         emit(
             "stage",
-            &[("stage", Field::Str("sweep.nox")), ("jobs", Field::U64(12))],
+            &[("stage", Json::from("sweep.nox")), ("jobs", Json::UInt(12))],
         );
         emit(
             "job",
             &[
-                ("index", Field::U64(0)),
-                ("ms", Field::F64(1.5)),
-                ("ok", Field::Bool(true)),
+                ("index", Json::UInt(0)),
+                ("ms", Json::Num(1.5)),
+                ("ok", Json::Bool(true)),
             ],
         );
         clear();
@@ -253,13 +207,6 @@ mod tests {
             lines[1],
             r#"{"event":"job","seq":1,"index":0,"ms":1.5,"ok":true}"#
         );
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     /// A sink recording the byte span of every individual `write` call,
@@ -282,8 +229,8 @@ mod tests {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rec = CallRecorder::default();
         set(Box::new(rec.clone()));
-        emit("run", &[("cmd", Field::Str("claims"))]);
-        emit("job", &[("index", Field::U64(3)), ("ms", Field::F64(0.25))]);
+        emit("run", &[("cmd", Json::from("claims"))]);
+        emit("job", &[("index", Json::UInt(3)), ("ms", Json::Num(0.25))]);
         emit("done", &[]);
         clear();
         let calls = rec.0.lock().unwrap().clone();
@@ -308,12 +255,12 @@ mod tests {
         // First "connection".
         let a = Capture::default();
         set(Box::new(a.clone()));
-        emit("run", &[("cmd", Field::Str("verify"))]);
-        emit("job", &[("index", Field::U64(0))]);
+        emit("run", &[("cmd", Json::from("verify"))]);
+        emit("job", &[("index", Json::UInt(0))]);
         // Reconnect: a second installation restarts the stream.
         let b = Capture::default();
         set(Box::new(b.clone()));
-        emit("run", &[("cmd", Field::Str("verify"))]);
+        emit("run", &[("cmd", Json::from("verify"))]);
         clear();
         let first: Vec<String> = a.contents().lines().map(str::to_string).collect();
         let second: Vec<String> = b.contents().lines().map(str::to_string).collect();

@@ -1,14 +1,14 @@
 //! Fuzz-style corpus for the handwritten JSON parser.
 //!
 //! The `noxsim serve` daemon parses client-supplied request lines with
-//! [`nox_analysis::json::Json::parse`], so the parser's failure mode on
+//! [`nox_telemetry::json::Json::parse`], so the parser's failure mode on
 //! hostile input must be a clean `Err` — never a panic, unbounded
 //! recursion, or an allocation explosion. Each test here feeds a family
 //! of adversarial documents through the parser; the test harness itself
 //! asserts "no panic" (a panic fails the test), and the assertions pin
 //! the error-vs-ok split where it matters.
 
-use nox_analysis::json::{Json, MAX_DEPTH};
+use nox_telemetry::json::{Json, MAX_DEPTH};
 
 /// splitmix64 — the workspace's standard deterministic test RNG.
 fn splitmix64(state: &mut u64) -> u64 {

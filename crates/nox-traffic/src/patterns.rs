@@ -62,6 +62,11 @@ impl Pattern {
         }
     }
 
+    /// Parses a pattern [`name`](Pattern::name).
+    pub fn parse(name: &str) -> Option<Pattern> {
+        Pattern::ALL.into_iter().find(|p| p.name() == name)
+    }
+
     /// The destination for a packet injected at `src`, or `None` when the
     /// pattern maps the node to itself (the node stays silent).
     ///

@@ -45,6 +45,24 @@ pub enum Process {
     ParetoOnOff,
 }
 
+impl Process {
+    /// The name the CLI's `--process` and the serve protocol's
+    /// `"process"` use (`poisson` / `pareto`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Process::Poisson => "poisson",
+            Process::ParetoOnOff => "pareto",
+        }
+    }
+
+    /// Parses a process name.
+    pub fn parse(name: &str) -> Option<Process> {
+        [Process::Poisson, Process::ParetoOnOff]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+}
+
 /// Configuration for one synthetic trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SyntheticConfig {
@@ -187,6 +205,14 @@ mod tests {
 
     fn mesh() -> Mesh {
         Mesh::new(8, 8)
+    }
+
+    #[test]
+    fn process_names_round_trip() {
+        for p in [Process::Poisson, Process::ParetoOnOff] {
+            assert_eq!(Process::parse(p.name()), Some(p));
+        }
+        assert_eq!(Process::parse("bursty"), None);
     }
 
     #[test]

@@ -1,109 +1,321 @@
 //! `noxsim` — command-line front end for the NoX reproduction.
 //!
-//! ```text
-//! noxsim sweep   [--arch all|nonspec|fast|acc|nox] [--pattern uniform|...]
-//!                [--process poisson|pareto] [--rates 500,1000,...]
-//!                [--len N] [--cmesh] [--csv] [--probe] [--probe-out FILE]
-//! noxsim app     [--workload tpcc|all] [--seed N] [--probe] [--probe-out FILE]
-//! noxsim power   [--rate MBPS]
-//! noxsim gen     --out FILE [--pattern P] [--rate MBPS] [--duration NS] [--len N] [--seed N]
-//! noxsim replay  --trace FILE [--arch A] [--cmesh] [--probe] [--probe-out FILE]
-//!                [--wave NODE] [--chrome FILE]
-//! noxsim heatmap [--arch A] [--rate MBPS] [--pattern P] [--len N] [--cmesh]
-//! noxsim verify  [--quick] [--threads N]
-//! noxsim statics [--json] [--out FILE] [--threads N]
-//! noxsim lint    [PATH ...]
-//! noxsim claims  [--quick|--smoke|--full] [--out FILE] [--baseline FILE]
-//!                [--update-baseline] [--threads N]
-//! noxsim faults  [--quick|--smoke|--full] [--json] [--out FILE] [--threads N]
-//! noxsim profile HARNESS [--quick|--smoke|--full] [--json] [--out FILE]
-//!                [--chrome FILE] [--threads N] [--stream FILE|-]
-//! noxsim bench-compare OLD.json NEW.json [--threshold PCT]
-//! noxsim serve   [--socket PATH] [--cache-dir DIR] [--queue-cap N] [--threads N]
-//!                [--deadline-ms N] [--watchdog-ms N] [--debug-ops]
-//! noxsim client  REQUEST_JSON [--socket PATH] [--attempts N] [--rounds N] [--quiet]
-//! noxsim info
-//! ```
+//! Every command, its positional arguments, the flags it accepts and its
+//! one-line description live in one table ([`COMMANDS`]); `noxsim --help`
+//! prints it, and a flag a command does not list is an error, not a
+//! silent no-op.
 //!
 //! `--threads N` fans the heavy sweeps (`verify`, `claims`, `faults`,
-//! `profile`) out over a deterministic worker pool ([`nox::exec`]);
-//! results reduce in submission order, so every table, claim status, and
-//! JSON artifact is bit-identical at any thread count. `N` defaults to
-//! the machine's available parallelism; `--threads 1` runs everything
-//! inline on the calling thread, exactly as the serial code paths always
-//! have.
+//! `run`, `profile`) out over a deterministic worker pool
+//! ([`nox::exec`]); results reduce in submission order, so every table,
+//! claim status, and JSON artifact is bit-identical at any thread count.
+//! `N` defaults to the machine's available parallelism; `--threads 1`
+//! runs everything inline on the calling thread.
 //!
-//! `profile` runs one figure harness under the span profiler and emits
-//! the `nox-bench/profile/v1` phase-attribution artifact plus a
-//! human-readable breakdown (phase table, executor worker utilization,
-//! latency histograms). `--stream FILE|-` additionally emits
-//! line-delimited JSON progress events while any instrumented command
-//! runs — the wire format a future `noxsim serve` would speak.
+//! `run` regenerates one figure or table of the paper from the harness
+//! table ([`nox::analysis::harness::HARNESSES`]); `profile` runs the same
+//! harness under the span profiler and emits the `nox-bench/profile/v1`
+//! phase-attribution artifact. `--stream FILE|-` additionally emits
+//! line-delimited JSON progress events while an instrumented command
+//! runs — the wire format `noxsim serve` speaks.
 //!
 //! The probe flags need the `probe` cargo feature
 //! (`cargo run --features probe --bin noxsim -- ...`); without it they
 //! fail with a pointer to the feature rather than silently doing nothing.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
 use nox::analysis::apps::{app_run_spec, run_workload};
+use nox::analysis::harness::{self, Harness};
 use nox::analysis::sweep::point_from_result;
-use nox::analysis::Table;
+use nox::analysis::{Json, Table, Tier};
 use nox::power::energy::EnergyModel;
 use nox::power::timing::CriticalPath;
 use nox::prelude::*;
 use nox::traffic::cmp::workload;
 use nox::traffic::synthetic::{generate, Process};
 
+type Opts = BTreeMap<String, String>;
+
+/// One `noxsim` command: all that the argument parser, `--help` and the
+/// dispatcher know about it.
+struct Command {
+    name: &'static str,
+    /// How `--help` writes the positional arguments (`""` for none) and
+    /// how many the command takes.
+    positional: (&'static str, RangeInclusive<usize>),
+    /// Flags that take a value, with the placeholder `--help` shows.
+    values: &'static [(&'static str, &'static str)],
+    /// Flags that take none.
+    switches: &'static [&'static str],
+    help: &'static str,
+    run: fn(&[String], &Opts) -> Result<(), String>,
+}
+
+const NONE: (&str, RangeInclusive<usize>) = ("", 0..=0);
+const HARNESS: (&str, RangeInclusive<usize>) = ("HARNESS", 1..=1);
+const ARCH: (&str, &str) = ("arch", "all|nonspec|fast|acc|nox");
+const PATTERN: (&str, &str) = ("pattern", "uniform|transpose|...");
+const RATE: (&str, &str) = ("rate", "MBPS");
+const LEN: (&str, &str) = ("len", "FLITS");
+const SEED: (&str, &str) = ("seed", "N");
+const OUT: (&str, &str) = ("out", "FILE");
+const THREADS: (&str, &str) = ("threads", "N|auto");
+const STREAM: (&str, &str) = ("stream", "FILE|-");
+const SOCKET: (&str, &str) = ("socket", "PATH");
+const PROBE_OUT: (&str, &str) = ("probe-out", "FILE");
+const WAVE: (&str, &str) = ("wave", "NODE");
+const CHROME: (&str, &str) = ("chrome", "FILE");
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "sweep",
+        positional: NONE,
+        values: &[
+            ARCH,
+            PATTERN,
+            ("process", "poisson|pareto"),
+            ("rates", "MBPS,MBPS,..."),
+            LEN,
+            SEED,
+            PROBE_OUT,
+            WAVE,
+            CHROME,
+        ],
+        switches: &["cmesh", "csv", "probe"],
+        help: "latency/throughput/ED^2 over injection rates",
+        run: |_, o| cmd_sweep(o),
+    },
+    Command {
+        name: "app",
+        positional: NONE,
+        values: &[ARCH, ("workload", "tpcc|...|all"), SEED, PROBE_OUT, WAVE, CHROME],
+        switches: &["csv", "probe"],
+        help: "cache-coherent CMP workloads on two physical networks",
+        run: |_, o| cmd_app(o),
+    },
+    Command {
+        name: "power",
+        positional: NONE,
+        values: &[ARCH, RATE],
+        switches: &["cmesh", "csv"],
+        help: "Figure 12-style power breakdown at one rate",
+        run: |_, o| cmd_power(o),
+    },
+    Command {
+        name: "gen",
+        positional: NONE,
+        values: &[OUT, PATTERN, RATE, ("duration", "NS"), LEN, SEED],
+        switches: &[],
+        help: "generate a trace file (needs --out)",
+        run: |_, o| cmd_gen(o),
+    },
+    Command {
+        name: "replay",
+        positional: NONE,
+        values: &[("trace", "FILE"), ARCH, PROBE_OUT, WAVE, CHROME],
+        switches: &["cmesh", "csv", "probe"],
+        help: "run a trace file through a network (needs --trace)",
+        run: |_, o| cmd_replay(o),
+    },
+    Command {
+        name: "heatmap",
+        positional: NONE,
+        values: &[ARCH, RATE, PATTERN, LEN, SEED],
+        switches: &["cmesh"],
+        help: "per-router utilization/occupancy grids (needs --features probe)",
+        run: |_, o| cmd_heatmap(o),
+    },
+    Command {
+        name: "verify",
+        positional: NONE,
+        values: &[THREADS, STREAM],
+        switches: &["quick"],
+        help: "model-check invariants + sanitized sweep (--quick: fast CI bounds)",
+        run: |_, o| cmd_verify(o),
+    },
+    Command {
+        name: "statics",
+        positional: NONE,
+        values: &[OUT, THREADS],
+        switches: &["json"],
+        help: "static design analysis: deadlock CDG proofs + credit sizing (nox-bench/statics/v1)",
+        run: |_, o| cmd_statics(o),
+    },
+    Command {
+        name: "lint",
+        positional: ("[PATH ...]", 0..=usize::MAX),
+        values: &[],
+        switches: &["audit"],
+        help: "determinism lint over .rs sources (default root: crates/; --audit checks the allow directives against policy)",
+        run: cmd_lint,
+    },
+    Command {
+        name: "claims",
+        positional: NONE,
+        values: &[OUT, ("baseline", "FILE"), THREADS, STREAM],
+        switches: &["quick", "smoke", "full", "update-baseline"],
+        help: "evaluate the paper-conformance registry and diff CLAIMS_BASELINE.json (default tier quick; --update-baseline re-pins)",
+        run: |_, o| cmd_claims(o),
+    },
+    Command {
+        name: "faults",
+        positional: NONE,
+        values: &[OUT, THREADS, STREAM],
+        switches: &["quick", "smoke", "full", "json"],
+        help: "fault-injection campaigns: XOR-chain fragility + CRC/retransmission recovery (default tier quick; writes faults_report.json)",
+        run: |_, o| cmd_faults(o),
+    },
+    Command {
+        name: "run",
+        positional: HARNESS,
+        values: &[OUT, THREADS, STREAM],
+        switches: &["quick", "smoke", "full", "json"],
+        help: "regenerate one figure or table of the paper (default tier full; --json prints the nox-bench/<harness>/v1 document)",
+        run: cmd_run,
+    },
+    Command {
+        name: "profile",
+        positional: HARNESS,
+        values: &[OUT, CHROME, THREADS, STREAM],
+        switches: &["quick", "smoke", "full", "json"],
+        help: "span-profile one harness (default tier quick); the nox-bench/profile/v1 artifact goes to --out or --json",
+        run: cmd_profile,
+    },
+    Command {
+        name: "serve",
+        positional: NONE,
+        values: &[
+            SOCKET,
+            ("cache-dir", "DIR"),
+            ("queue-cap", "N"),
+            THREADS,
+            ("deadline-ms", "N"),
+            ("watchdog-ms", "N"),
+        ],
+        switches: &["debug-ops"],
+        help: "crash-safe simulation daemon on a Unix socket: bounded queue, deadlines, watchdog, SIGTERM drain, result cache",
+        run: |_, o| cmd_serve(o),
+    },
+    Command {
+        name: "client",
+        positional: ("REQUEST_JSON", 1..=1),
+        values: &[SOCKET, ("attempts", "N"), ("rounds", "N")],
+        switches: &["quiet"],
+        help: "send one request line to a serve daemon and stream its events",
+        run: cmd_client,
+    },
+    Command {
+        name: "info",
+        positional: NONE,
+        values: &[],
+        switches: &[],
+        help: "clock periods, area, configuration summary",
+        run: |_, _| cmd_info(),
+    },
+];
+
+impl Command {
+    /// `name ARGS [--flag VALUE] ... [--switch] ...`, as `--help` and the
+    /// unknown-flag error print it.
+    fn synopsis(&self) -> String {
+        let mut s = self.name.to_string();
+        if !self.positional.0.is_empty() {
+            s.push(' ');
+            s.push_str(self.positional.0);
+        }
+        for (flag, value) in self.values {
+            s.push_str(&format!(" [--{flag} {value}]"));
+        }
+        for flag in self.switches {
+            s.push_str(&format!(" [--{flag}]"));
+        }
+        s
+    }
+
+    /// Splits the arguments after the command name into positionals and
+    /// flags, rejecting anything this command does not list.
+    fn parse(&self, rest: &[String]) -> Result<(Vec<String>, Opts), String> {
+        let mut positional = Vec::new();
+        let mut opts = Opts::new();
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                positional.push(arg.clone());
+                continue;
+            };
+            if self.switches.contains(&name) {
+                opts.insert(name.to_string(), "true".into());
+            } else if self.values.iter().any(|(flag, _)| *flag == name) {
+                let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+                opts.insert(name.to_string(), value.clone());
+            } else {
+                return Err(format!(
+                    "`{}` has no flag --{name}; usage: noxsim {}",
+                    self.name,
+                    self.synopsis()
+                ));
+            }
+        }
+        if !self.positional.1.contains(&positional.len()) {
+            return Err(format!(
+                "`{}` got {} positional argument(s) {positional:?}; usage: noxsim {}",
+                self.name,
+                positional.len(),
+                self.synopsis()
+            ));
+        }
+        Ok((positional, opts))
+    }
+}
+
+fn usage() -> String {
+    let mut out = String::from("noxsim — the NoX router reproduction\n\ncommands:\n");
+    for c in COMMANDS {
+        out.push_str(&format!("  {}\n      {}\n", c.synopsis(), c.help));
+    }
+    out.push_str("\nharnesses (`run HARNESS`, `profile HARNESS`):\n");
+    for h in harness::HARNESSES {
+        out.push_str(&format!("  {:<9} {}\n", h.name, h.what));
+    }
+    out.push('\n');
+    out.push_str(
+        "--threads: deterministic worker pool (default: all cores; artifacts are \
+         bit-identical at any thread count)\n\
+         --stream: line-delimited JSON progress events to FILE (or stdout with `-`) \
+         while the command runs\n\
+         --probe, --probe-out, --wave, --chrome: cycle-level telemetry; need a build \
+         with --features probe\n",
+    );
+    out
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        usage();
-        return ExitCode::FAILURE;
-    };
-    // `bench-compare` takes positional artifact paths ahead of its flags
-    // (`lint` roots, `profile` a harness name); every other command is
-    // flags-only (parse_opts rejects bare args).
-    let (positional, flags) = match cmd.as_str() {
-        "bench-compare" | "lint" | "profile" | "client" => {
-            let n = rest
-                .iter()
-                .position(|a| a.starts_with("--"))
-                .unwrap_or(rest.len());
-            rest.split_at(n)
-        }
-        _ => rest.split_at(0),
-    };
-    let opts = match parse_opts(flags) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
+    let result = match args.split_first() {
+        None => {
+            eprint!("{}", usage());
             return ExitCode::FAILURE;
         }
-    };
-    let result = match cmd.as_str() {
-        "sweep" => cmd_sweep(&opts),
-        "app" => cmd_app(&opts),
-        "power" => cmd_power(&opts),
-        "gen" => cmd_gen(&opts),
-        "replay" => cmd_replay(&opts),
-        "heatmap" => cmd_heatmap(&opts),
-        "verify" => cmd_verify(&opts),
-        "statics" => cmd_statics(&opts),
-        "lint" => cmd_lint(positional, &opts),
-        "claims" => cmd_claims(&opts),
-        "faults" => cmd_faults(&opts),
-        "profile" => cmd_profile(positional, &opts),
-        "bench-compare" => cmd_bench_compare(positional, &opts),
-        "serve" => cmd_serve(&opts),
-        "client" => cmd_client(positional, &opts),
-        "info" => cmd_info(),
-        "help" | "--help" | "-h" => {
-            usage();
+        Some((cmd, _)) if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        Some((cmd, rest)) => match COMMANDS.iter().find(|c| c.name == cmd) {
+            Some(c) => c
+                .parse(rest)
+                .and_then(|(positional, opts)| (c.run)(&positional, &opts)),
+            None => Err(format!(
+                "unknown command {cmd:?}; one of: {}",
+                COMMANDS
+                    .iter()
+                    .map(|c| c.name)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            )),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -114,97 +326,24 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() {
-    eprintln!(
-        "noxsim — the NoX router reproduction\n\
-         \n\
-         commands:\n\
-           sweep    latency/throughput/ED^2 over injection rates\n\
-           app      cache-coherent CMP workloads on two physical networks\n\
-           power    Figure 12-style power breakdown at one rate\n\
-           gen      generate a trace file\n\
-           replay   run a trace file through a network\n\
-           heatmap  per-router utilization/occupancy grids (needs --features probe)\n\
-           verify   model-check invariants + sanitized sweep (--quick: fast CI bounds)\n\
-           statics  static design analysis: deadlock CDG proofs + credit sizing (--json, --out FILE)\n\
-           lint     determinism lint over .rs sources (default root: crates/; --audit checks the allow directives against policy)\n\
-           claims   evaluate the paper-conformance registry and diff CLAIMS_BASELINE.json (--smoke/--full tiers, --update-baseline re-pins)\n\
-           faults   fault-injection campaigns: XOR-chain fragility + CRC/retransmission recovery (--json, --out FILE)\n\
-           profile HARNESS  span-profile one figure harness; writes the nox-bench/profile/v1 artifact (--json, --out FILE, --chrome FILE)\n\
-           bench-compare OLD.json NEW.json  diff two perf artifacts (--threshold PCT, default 10)\n\
-           serve    crash-safe simulation daemon on a Unix socket: bounded queue, deadlines, watchdog, SIGTERM drain, result cache (--socket, --cache-dir, --queue-cap, --threads, --deadline-ms, --watchdog-ms, --debug-ops)\n\
-           client REQUEST_JSON  send one request line to a serve daemon and stream its events (--socket PATH, --attempts N, --rounds N, --quiet)\n\
-           info     clock periods, area, configuration summary\n\
-         \n\
-         common flags: --arch all|nonspec|fast|acc|nox   --cmesh   --csv\n\
-         \n\
-         verify/claims/faults/profile: --threads N|auto  deterministic worker pool\n\
-           (default: all cores; artifacts are bit-identical at any thread count)\n\
-         \n\
-         streaming (verify/claims/faults/profile):\n\
-           --stream FILE|-    emit line-delimited JSON progress events to FILE\n\
-                              (or stdout with `-`) while the command runs\n\
-         \n\
-         telemetry (sweep/app/replay, needs a build with --features probe):\n\
-           --probe            attach the cycle-level probe; print the JSON run report\n\
-           --probe-out FILE   write the JSON run report to FILE instead\n\
-           --wave NODE        (replay) print NODE's events as a textual waveform\n\
-           --chrome FILE      (replay, one --arch) write a Chrome trace-event JSON\n\
-         \n\
-         run `noxsim <command>` with no flags for sensible defaults."
-    );
-}
-
-type Opts = BTreeMap<String, String>;
-
-fn parse_opts(rest: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts::new();
-    let mut it = rest.iter().peekable();
-    while let Some(flag) = it.next() {
-        let Some(name) = flag.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got {flag:?}"));
-        };
-        // Boolean flags take no value.
-        if matches!(
-            name,
-            "csv"
-                | "cmesh"
-                | "quick"
-                | "smoke"
-                | "full"
-                | "json"
-                | "probe"
-                | "update-baseline"
-                | "audit"
-                | "debug-ops"
-                | "quiet"
-        ) {
-            opts.insert(name.to_string(), "true".into());
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        opts.insert(name.to_string(), value.clone());
-    }
-    Ok(opts)
-}
-
 fn archs(opts: &Opts) -> Result<Vec<Arch>, String> {
-    match opts.get("arch").map(String::as_str).unwrap_or("all") {
-        "all" => Ok(Arch::ALL.to_vec()),
-        "nonspec" => Ok(vec![Arch::NonSpec]),
-        "fast" => Ok(vec![Arch::SpecFast]),
-        "acc" => Ok(vec![Arch::SpecAccurate]),
-        "nox" => Ok(vec![Arch::Nox]),
-        other => Err(format!("unknown --arch {other:?}")),
-    }
+    let name = opts.get("arch").map(String::as_str).unwrap_or("all");
+    Arch::parse(name).ok_or_else(|| format!("unknown --arch {name:?}"))
 }
 
 fn pattern(opts: &Opts) -> Result<Pattern, String> {
     let name = opts.get("pattern").map(String::as_str).unwrap_or("uniform");
-    Pattern::ALL
+    Pattern::parse(name).ok_or_else(|| format!("unknown --pattern {name:?}"))
+}
+
+/// The tier the `--quick` / `--smoke` / `--full` flags select, or the
+/// command's default. When more than one is given the cheapest wins.
+fn tier(opts: &Opts, default: Tier) -> Tier {
+    ["smoke", "quick", "full"]
         .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| format!("unknown --pattern {name:?}"))
+        .find(|name| opts.contains_key(*name))
+        .and_then(Tier::parse)
+        .unwrap_or(default)
 }
 
 fn net_config(opts: &Opts, arch: Arch) -> NetConfig {
@@ -239,7 +378,7 @@ fn executor(opts: &Opts) -> Result<nox::exec::Executor, String> {
 /// job emits a progress event; see DESIGN.md §14 for the wire format.
 /// Returns whether a stream was installed, for [`finish_stream`].
 fn setup_stream(opts: &Opts, cmd: &str) -> Result<bool, String> {
-    use nox::telemetry::stream::{self, Field};
+    use nox::telemetry::stream;
     let Some(target) = opts.get("stream") else {
         return Ok(false);
     };
@@ -252,7 +391,7 @@ fn setup_stream(opts: &Opts, cmd: &str) -> Result<bool, String> {
         )
     };
     stream::set(writer);
-    stream::emit("run", &[("cmd", Field::Str(cmd))]);
+    stream::emit("run", &[("cmd", Json::from(cmd))]);
     Ok(true)
 }
 
@@ -264,6 +403,77 @@ fn finish_stream(streaming: bool) {
     }
 }
 
+/// Prints a report — the JSON document under `--json`, the rendered text
+/// otherwise — then writes the document to `--out` (or the command's
+/// default artifact path, if it has one).
+fn emit_report(
+    opts: &Opts,
+    text: &str,
+    json: &Json,
+    default_out: Option<&str>,
+) -> Result<(), String> {
+    if opts.contains_key("json") {
+        println!("{json}");
+    } else {
+        print!("{text}");
+    }
+    if let Some(out) = opts.get("out").map(String::as_str).or(default_out) {
+        std::fs::write(out, format!("{json}\n"))
+            .map_err(|e| format!("could not write {out}: {e}"))?;
+        println!("wrote {out}");
+    }
+    Ok(())
+}
+
+/// Runs one row of the harness table for command `cmd` and reports it.
+/// Non-zero exit when the harness's own check fails (a golden trace
+/// diverged, the timing model drifted from Table 2, ...).
+fn run_harness(
+    cmd: &str,
+    h: &Harness,
+    default_tier: Tier,
+    default_out: Option<&str>,
+    opts: &Opts,
+) -> Result<(), String> {
+    let tier = tier(opts, default_tier);
+    let exec = executor(opts)?;
+    eprintln!(
+        "running {} at the {} tier on {} thread(s)...",
+        h.name,
+        tier.name(),
+        exec.threads()
+    );
+    let streaming = setup_stream(opts, cmd)?;
+    let report = (h.run)(tier, &exec);
+    finish_stream(streaming);
+    emit_report(opts, &report.text, &report.json, default_out)?;
+    if report.ok {
+        Ok(())
+    } else {
+        Err(format!("{}: the harness's own check failed", h.name))
+    }
+}
+
+/// Regenerates one figure or table of the paper (or one of the
+/// beyond-paper studies) at the full tier unless told otherwise.
+fn cmd_run(positional: &[String], opts: &Opts) -> Result<(), String> {
+    run_harness(
+        "run",
+        harness::find(&positional[0])?,
+        Tier::Full,
+        None,
+        opts,
+    )
+}
+
+/// Runs the fault-injection campaign study: the bit-flip sweep over all
+/// four architectures with and without the CRC + retransmission stack,
+/// and writes the versioned `nox-bench/faults/v1` artifact.
+fn cmd_faults(opts: &Opts) -> Result<(), String> {
+    let h = harness::find("faults")?;
+    run_harness("faults", h, Tier::Quick, Some("faults_report.json"), opts)
+}
+
 /// Runs one figure harness under the span profiler and reports where the
 /// wall time went: the per-phase attribution table, executor worker
 /// utilization, and latency histograms, plus the versioned
@@ -271,58 +481,30 @@ fn finish_stream(streaming: bool) {
 /// print it). `--chrome FILE` additionally writes the recorded spans as
 /// a Chrome trace-event document (needs a build with `--features probe`).
 fn cmd_profile(positional: &[String], opts: &Opts) -> Result<(), String> {
-    use nox::analysis::harness::{run_by_name, HARNESS_NAMES};
-    use nox::analysis::{profile, Tier};
+    use nox::analysis::profile;
 
-    let [name] = positional else {
-        return Err(format!(
-            "profile needs one harness name; one of: {}",
-            HARNESS_NAMES.join(" ")
-        ));
-    };
-    if !HARNESS_NAMES.contains(&name.as_str()) {
-        return Err(format!(
-            "unknown harness {name:?}; one of: {}",
-            HARNESS_NAMES.join(" ")
-        ));
-    }
+    let h = harness::find(&positional[0])?;
     #[cfg(not(feature = "probe"))]
     if opts.contains_key("chrome") {
         return Err("--chrome needs the trace exporter; rebuild with --features probe".into());
     }
-    let tier = if opts.contains_key("smoke") {
-        Tier::Smoke
-    } else if opts.contains_key("full") {
-        Tier::Full
-    } else {
-        Tier::Quick
-    };
+    let tier = tier(opts, Tier::Quick);
     let exec = executor(opts)?;
     let streaming = setup_stream(opts, "profile")?;
     eprintln!(
-        "profiling {name} at the {} tier on {} thread(s)...",
+        "profiling {} at the {} tier on {} thread(s)...",
+        h.name,
         tier.name(),
         exec.threads()
     );
-    let (rendered, report) = profile::collect(name, tier, exec.threads(), || {
-        run_by_name(name, tier, &exec)
-    });
+    let (harness_report, report) =
+        profile::collect(h.name, tier, exec.threads(), || (h.run)(tier, &exec));
     finish_stream(streaming);
-    let rendered = rendered.expect("harness name validated above");
-    print!("{rendered}");
-    if !rendered.ends_with('\n') {
+    print!("{}", harness_report.text);
+    if !harness_report.text.ends_with('\n') {
         println!();
     }
-    if opts.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if let Some(out) = opts.get("out") {
-        std::fs::write(out, format!("{}\n", report.to_json()))
-            .map_err(|e| format!("could not write {out}: {e}"))?;
-        println!("wrote {out}");
-    }
+    emit_report(opts, &report.render(), &report.to_json(), None)?;
     #[cfg(feature = "probe")]
     if let Some(path) = opts.get("chrome") {
         std::fs::write(path, nox::probe::chrome::chrome_spans(report.acc.events()))
@@ -344,10 +526,9 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
             .map(|r| r.trim().parse().map_err(|_| format!("bad rate {r:?}")))
             .collect::<Result<_, _>>()?,
     };
-    let process = match opts.get("process").map(String::as_str).unwrap_or("poisson") {
-        "poisson" => Process::Poisson,
-        "pareto" => Process::ParetoOnOff,
-        other => return Err(format!("unknown --process {other:?}")),
+    let process = match opts.get("process") {
+        None => Process::Poisson,
+        Some(name) => Process::parse(name).ok_or_else(|| format!("unknown --process {name:?}"))?,
     };
     let len: u16 = f64_opt(opts, "len", 1.0)? as u16;
     let pat = pattern(opts)?;
@@ -887,15 +1068,7 @@ fn sanitized_smoke(opts: &Opts) -> Result<(), String> {
 fn cmd_statics(opts: &Opts) -> Result<(), String> {
     let exec = executor(opts)?;
     let report = nox::statics::standard_report(&exec);
-    if opts.contains_key("json") {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if let Some(out) = opts.get("out") {
-        std::fs::write(out, report.to_json()).map_err(|e| format!("could not write {out}: {e}"))?;
-        println!("wrote {out}");
-    }
+    emit_report(opts, &report.render(), &report.to_json(), None)?;
     if report.verdict_ok() {
         Ok(())
     } else {
@@ -903,12 +1076,14 @@ fn cmd_statics(opts: &Opts) -> Result<(), String> {
     }
 }
 
-/// Runs the determinism lint over the given roots (default `crates/`),
-/// exactly as the standalone `detlint` binary does. Nonzero exit on any
-/// finding that survives the `// detlint: allow(...)` escape hatch.
-/// `--audit` additionally checks the allow directives themselves:
-/// `allow(wall_clock)` is policy-restricted to the self-profiling crates
-/// and the perf benchmark.
+/// Runs the determinism lint over the given roots (default `crates/`).
+/// Nonzero exit on any finding that survives the
+/// `// detlint: allow(...)` escape hatch. Directory walks skip
+/// `fixtures/` directories; naming a fixture file explicitly scans it
+/// anyway, which is how CI proves the lint still fires on a seeded
+/// violation. `--audit` additionally checks the allow directives
+/// themselves: `allow(wall_clock)` is policy-restricted to the
+/// self-profiling crates (`nox-telemetry`, `nox-probe`).
 fn cmd_lint(positional: &[String], opts: &Opts) -> Result<(), String> {
     let roots: Vec<&str> = if positional.is_empty() {
         vec!["crates"]
@@ -952,15 +1127,8 @@ fn cmd_lint(positional: &[String], opts: &Opts) -> Result<(), String> {
 /// committed baseline — nonzero exit on any status regression.
 fn cmd_claims(opts: &Opts) -> Result<(), String> {
     use nox::analysis::claims::{evaluate, Baseline, ClaimInputs};
-    use nox::analysis::Tier;
 
-    let tier = if opts.contains_key("smoke") {
-        Tier::Smoke
-    } else if opts.contains_key("full") {
-        Tier::Full
-    } else {
-        Tier::Quick
-    };
+    let tier = tier(opts, Tier::Quick);
     let exec = executor(opts)?;
     eprintln!(
         "gathering claim inputs at the {} tier (timing, synthetic sweeps, apps, power, area) \
@@ -971,15 +1139,12 @@ fn cmd_claims(opts: &Opts) -> Result<(), String> {
     let streaming = setup_stream(opts, "claims")?;
     let report = evaluate(&ClaimInputs::gather_with(tier, &exec));
     finish_stream(streaming);
-    print!("{}", report.render());
-
-    let out = opts
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("claims_report.json");
-    std::fs::write(out, format!("{}\n", report.to_json()))
-        .map_err(|e| format!("could not write {out}: {e}"))?;
-    println!("wrote {out}");
+    emit_report(
+        opts,
+        &report.render(),
+        &report.to_json(),
+        Some("claims_report.json"),
+    )?;
 
     let baseline_path = opts
         .get("baseline")
@@ -1024,73 +1189,6 @@ fn cmd_claims(opts: &Opts) -> Result<(), String> {
         ));
     }
     println!("conformance matches {baseline_path}: no claim fell below its pinned status");
-    Ok(())
-}
-
-/// Runs the fault-injection campaign study: the bit-flip sweep over all
-/// four architectures with and without the CRC + retransmission stack,
-/// and writes the versioned `nox-bench/faults/v1` artifact.
-fn cmd_faults(opts: &Opts) -> Result<(), String> {
-    use nox::analysis::harness::faults;
-    use nox::analysis::Tier;
-
-    let tier = if opts.contains_key("smoke") {
-        Tier::Smoke
-    } else if opts.contains_key("full") {
-        Tier::Full
-    } else {
-        Tier::Quick
-    };
-    let exec = executor(opts)?;
-    eprintln!(
-        "running fault campaigns at the {} tier (bit-flip sweep x 4 architectures x 2 modes) \
-         on {} thread(s)...",
-        tier.name(),
-        exec.threads()
-    );
-    let streaming = setup_stream(opts, "faults")?;
-    let study = faults::run_with(tier, &exec);
-    finish_stream(streaming);
-    let doc = format!("{}\n", study.to_json());
-    if opts.contains_key("json") {
-        print!("{doc}");
-    } else {
-        print!("{}", study.render());
-    }
-    let out = opts
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("faults_report.json");
-    std::fs::write(out, doc).map_err(|e| format!("could not write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Diffs two `BENCH_sim_throughput.json` artifacts — nonzero exit when
-/// simulator throughput or harness wall time regressed beyond the noise
-/// threshold.
-fn cmd_bench_compare(paths: &[String], opts: &Opts) -> Result<(), String> {
-    use nox::analysis::bench_artifact::{compare, BenchArtifact, DEFAULT_NOISE_THRESHOLD};
-
-    let [old_path, new_path] = paths else {
-        return Err("bench-compare needs two artifact paths: OLD.json NEW.json".into());
-    };
-    let threshold = f64_opt(opts, "threshold", DEFAULT_NOISE_THRESHOLD * 100.0)? / 100.0;
-    if !(0.0..1.0).contains(&threshold) {
-        return Err("--threshold: want a percentage in [0, 100)".into());
-    }
-    let read = |path: &String| -> Result<BenchArtifact, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        BenchArtifact::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let cmp = compare(&read(old_path)?, &read(new_path)?, threshold);
-    print!("{}", cmp.render());
-    if cmp.regressed() {
-        return Err(format!(
-            "performance regressed beyond the {:.0}% noise threshold",
-            threshold * 100.0
-        ));
-    }
     Ok(())
 }
 

@@ -12,10 +12,10 @@
 //! | [`sim`] | cycle-accurate 8x8 wormhole mesh simulator for all four architectures |
 //! | [`traffic`] | synthetic patterns, self-similar Pareto sources, CMP coherence synthesizer |
 //! | [`power`] | channel, logical-effort timing (Table 2), event-energy (Fig 12), area (Fig 13) |
-//! | [`analysis`] | sweeps, saturation/crossover detection, application runs, tables |
+//! | [`analysis`] | sweeps, saturation/crossover detection, application runs, tables, the figure harness table, the claims registry |
 //! | [`exec`] | deterministic parallel executor: ordered reduction over a thread pool |
 //! | [`statics`] | static design analysis: channel-dependency deadlock proofs, credit sizing, determinism lint |
-//! | [`telemetry`] | span profiler, metrics registry, and the line-delimited JSON event stream |
+//! | [`telemetry`] | span profiler, metrics registry, the line-delimited JSON event stream, and the workspace's JSON value type |
 //! | [`verify`] | bounded model checker for the protocol invariants + mutation smoke |
 //! | [`serve`] | crash-safe simulation daemon: Unix-socket service with backpressure, deadlines, a watchdog, and a content-addressed result cache |
 //!

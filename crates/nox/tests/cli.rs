@@ -1,0 +1,132 @@
+//! The `noxsim` binary itself, run as a process: the one front end to
+//! every figure harness, and an argument parser that rejects what a
+//! command does not list instead of ignoring it.
+//!
+//! Only the cheap harnesses (closed-form tables, golden traces) are run
+//! here; the simulating ones go through the same table and are driven by
+//! CI's `claims` job.
+
+use std::process::{Command, Output};
+
+use nox::analysis::harness;
+use nox::analysis::Json;
+
+fn noxsim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_noxsim"))
+        .args(args)
+        .output()
+        .expect("noxsim runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8(out.stderr.clone()).expect("utf-8 stderr")
+}
+
+#[test]
+fn run_prints_the_versioned_document_or_the_tables() {
+    let out = noxsim(&["run", "table2", "--json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let doc = Json::parse(stdout(&out).trim_end()).expect("--json prints one JSON document");
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("nox-bench/table2/v1")
+    );
+    assert_eq!(doc.get("all_match").and_then(Json::as_bool), Some(true));
+
+    let out = noxsim(&["run", "figs237"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("Figure 2"), "{}", stdout(&out));
+}
+
+#[test]
+fn run_rejects_an_unknown_harness_and_lists_the_table() {
+    let out = noxsim(&["run", "nosuch"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    for name in harness::names() {
+        assert!(err.contains(name), "{name} missing from: {err}");
+    }
+    // The retired wrapper's name for fig13 is not an alias.
+    assert!(!noxsim(&["run", "fig13_area"]).status.success());
+}
+
+#[test]
+fn smoke_outranks_quick() {
+    // The tier is announced on stderr; the cheapest tier named wins, in
+    // either order, and `run` with no tier flag means the full tier.
+    let tier_of = |args: &[&str]| {
+        let out = noxsim(&[&["run", "table1"], args].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        let err = stderr(&out);
+        ["full", "quick", "smoke"]
+            .into_iter()
+            .find(|t| err.contains(&format!("at the {t} tier")))
+            .unwrap_or_else(|| panic!("no tier announced: {err}"))
+    };
+    assert_eq!(tier_of(&["--quick", "--smoke"]), "smoke");
+    assert_eq!(tier_of(&["--smoke", "--quick"]), "smoke");
+    assert_eq!(tier_of(&["--quick"]), "quick");
+    assert_eq!(tier_of(&[]), "full");
+}
+
+#[test]
+fn flags_a_command_does_not_list_are_errors() {
+    // A typo, a flag that belongs to other commands, and a value flag
+    // spelled as another command's option: none may be swallowed.
+    for args in [
+        &["statics", "--jsno", "x"][..],
+        &["power", "--smoke", "--json"],
+        &["claims", "--tier", "smoke"],
+        &["run", "table1", "--chrome", "t.json"],
+        &["info", "--csv"],
+    ] {
+        let out = noxsim(args);
+        assert!(!out.status.success(), "{args:?} was accepted");
+        let err = stderr(&out);
+        assert!(err.contains("has no flag"), "{args:?}: {err}");
+        // The error names the command's own flags.
+        assert!(err.contains(&format!("usage: noxsim {}", args[0])), "{err}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran anyway");
+    }
+    // Stray positionals and unknown commands fail the same way.
+    assert!(!noxsim(&["info", "extra"]).status.success());
+    assert!(!noxsim(&["frobnicate"]).status.success());
+}
+
+#[test]
+fn help_is_printed_from_the_command_table() {
+    let out = noxsim(&["--help"]);
+    assert!(out.status.success());
+    let help = stdout(&out);
+    for cmd in [
+        "sweep", "app", "power", "gen", "replay", "heatmap", "verify", "statics", "lint", "claims",
+        "faults", "run", "profile", "serve", "client", "info",
+    ] {
+        assert!(
+            help.contains(&format!("\n  {cmd}")),
+            "{cmd} missing: {help}"
+        );
+    }
+    assert!(help.contains("run HARNESS"), "{help}");
+    for h in harness::HARNESSES {
+        assert!(help.contains(h.name) && help.contains(h.what), "{}", h.name);
+    }
+}
+
+#[test]
+fn lint_fails_on_the_seeded_fixture() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../nox-statics/tests/fixtures/seeded_violations.rs"
+    );
+    let out = noxsim(&["lint", fixture]);
+    assert!(!out.status.success(), "the lint gate is a no-op");
+    assert!(stdout(&out).contains("wall_clock"), "{}", stdout(&out));
+    // Flags may follow or precede the roots.
+    let out = noxsim(&["lint", "--audit", fixture]);
+    assert!(!out.status.success());
+}

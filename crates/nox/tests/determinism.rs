@@ -37,6 +37,26 @@ fn simulations_are_reproducible() {
 }
 
 #[test]
+fn saturated_paper_mesh_cycle_counts_are_pinned() {
+    // The paper's 8x8 mesh at 2 GB/s/node uniform, the operating point of
+    // the repo benchmark's `mesh_saturated` workload: how many cycles each
+    // architecture simulates before its measured packets drain. Nothing
+    // else pins these by value; any change to the step loop, the traffic
+    // generator or the RNG that moves a simulated number moves these.
+    let trace = generate(
+        Mesh::new(8, 8),
+        &SyntheticConfig::uniform(2_000.0, 40_000.0),
+    );
+    let spec = RunSpec {
+        warmup_ns: 1_500.0,
+        measure_ns: 6_000.0,
+        drain_ns: 30_000.0,
+    };
+    let cycles = Arch::ALL.map(|arch| run(NetConfig::paper(arch), &trace, &spec).cycles);
+    assert_eq!(cycles, [8169, 12918, 10436, 9887]);
+}
+
+#[test]
 fn eject_logs_are_reproducible() {
     let mesh = Mesh::new(4, 4);
     let trace = generate(mesh, &SyntheticConfig::uniform(1_000.0, 2_000.0));
