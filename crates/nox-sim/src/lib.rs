@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod active_set;
 pub mod config;
 pub mod fault;
 pub mod flit;

@@ -7,14 +7,19 @@
 //! 1. delivers last cycle's link words into input buffers (one-cycle link,
 //!    §4's 2 mm inter-tile channels) and matured credits into output
 //!    credit counters;
-//! 2. lets every source inject up to one flit into its local input port;
+//! 2. lets every source that is part-way through a packet or whose next
+//!    packet has been created inject one flit into its local input port;
 //! 3. ticks every router whose tick can change something (they emit link
 //!    transfers and credit returns), each start to finish; a router with
 //!    empty input FIFOs and settled engines sleeps until a word or an
 //!    injected flit reaches it (DESIGN.md §17). Only under an attached
 //!    phase clock is the tick staged across all routers, so that each
 //!    stage's time can be named for one clock read (DESIGN.md §18);
-//! 4. drains every sink by at most one flit, recording packet latencies.
+//! 4. drains every sink that holds a word by at most one flit, recording
+//!    packet latencies.
+//!
+//! Steps 2 to 4 each run over a set of the things that can act, kept
+//! exact by the events that change it (DESIGN.md §19).
 //!
 //! Per-packet flit ordering, payload integrity, and credit conservation
 //! are asserted continuously, so any router bug aborts the simulation
@@ -23,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
+use crate::active_set::ActiveSet;
 use crate::config::NetConfig;
 use crate::fault::{FaultConfig, FaultState, LinkFate, TailDelivery};
 use crate::flit::{PacketId, PacketMeta, PacketTable};
@@ -43,18 +49,33 @@ pub struct Network {
     /// `topo`'s links, tabulated: delivery and credit return index it.
     wiring: Wiring,
     routers: Vec<Router>,
-    /// The active set: `awake[i]` means router `i` ticks this cycle. A
-    /// router falls asleep when it is [settled](Router::settled) after
-    /// its tick and is woken by a link word delivered to one of its
-    /// inputs or by its source injecting; while a fault campaign is
-    /// attached every router stays awake.
-    awake: Vec<bool>,
-    /// Router ticks performed so far: awake routers, summed over cycles.
-    router_ticks: u64,
+    /// The routers that tick this cycle. A router falls asleep when it
+    /// is [settled](Router::settled) after its tick and is woken by a
+    /// link word delivered to one of its inputs or by its source
+    /// injecting. While a fault campaign is attached this set and the two
+    /// below hold everything.
+    awake: ActiveSet,
     /// One source per core.
     sources: Vec<Source>,
+    /// The sources that [can inject](Source::can_inject) this cycle. One
+    /// joins when a packet of its own is created and leaves, after its
+    /// visit, once it has none part-way in and none created yet.
+    injecting: ActiveSet,
+    /// The trace's packets are `0..static_packets` of the table, in
+    /// creation order; those before `next_static` have been created.
+    next_static: usize,
+    static_packets: usize,
     /// One sink per core.
     sinks: Vec<Sink>,
+    /// The sinks whose FIFO holds a word: in by `deliver_word`, out when
+    /// a drain empties the FIFO.
+    draining: ActiveSet,
+    /// Work done so far, in things visited.
+    router_ticks: u64,
+    source_visits: u64,
+    sink_visits: u64,
+    input_visits: u64,
+    output_ticks: u64,
     packets: PacketTable,
     cycle: u64,
     counters: Counters,
@@ -102,27 +123,6 @@ impl Network {
         let topo = cfg.topology();
         let clock_ns = cfg.clock_ns();
 
-        let mut packets = PacketTable::new();
-        let mut sources: Vec<Source> = (0..topo.cores()).map(|_| Source::new()).collect();
-        let mut measured_total = 0;
-        for e in trace.events() {
-            assert!(
-                e.src.index() < topo.cores() && e.dest.index() < topo.cores(),
-                "trace event addresses a node outside the mesh"
-            );
-            let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
-            measured_total += u64::from(measured);
-            let created_cycle = (e.time_ns / clock_ns) as u64;
-            let id = packets.push(PacketMeta {
-                src: e.src,
-                dest: e.dest,
-                len: e.len,
-                created_cycle,
-                measured,
-            });
-            sources[e.src.index()].schedule(id, created_cycle);
-        }
-
         let nox_options = nox_core::NoxOptions {
             scheduled_mode: cfg.nox_scheduled_mode,
         };
@@ -135,18 +135,26 @@ impl Network {
             .map(|c| Sink::new(NodeId(c), cfg.buffer_depth))
             .collect();
 
-        Network {
+        let mut net = Network {
             cfg,
             topo,
             wiring: Wiring::new(&topo),
             // A freshly built router is settled: nothing buffered, every
             // engine in its reset state.
-            awake: vec![false; routers.len()],
-            router_ticks: 0,
+            awake: ActiveSet::new(routers.len()),
             routers,
-            sources,
+            sources: (0..topo.cores()).map(|_| Source::new()).collect(),
+            injecting: ActiveSet::new(topo.cores()),
+            next_static: 0,
+            static_packets: 0,
             sinks,
-            packets,
+            draining: ActiveSet::new(topo.cores()),
+            router_ticks: 0,
+            source_visits: 0,
+            sink_visits: 0,
+            input_visits: 0,
+            output_ticks: 0,
+            packets: PacketTable::new(),
             cycle: 0,
             counters: Counters::new(),
             in_flight: Vec::new(),
@@ -156,7 +164,7 @@ impl Network {
             latency_measured: LatencyStats::new(),
             latency_all: LatencyStats::new(),
             hist_measured: LogHistogram::default_latency(),
-            measured_total,
+            measured_total: 0,
             measured_ejected: 0,
             eject_log: None,
             sanitize: false,
@@ -164,6 +172,51 @@ impl Network {
             faults: None,
             phases: nox_telemetry::profiling()
                 .then(|| Box::new(nox_telemetry::PhaseClock::start())),
+        };
+        for e in trace.events() {
+            assert!(
+                e.src.index() < topo.cores() && e.dest.index() < topo.cores(),
+                "trace event addresses a node outside the mesh"
+            );
+            let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
+            net.measured_total += u64::from(measured);
+            let id = net.packets.push(PacketMeta {
+                src: e.src,
+                dest: e.dest,
+                len: e.len,
+                created_cycle: (e.time_ns / clock_ns) as u64,
+                measured,
+            });
+            net.schedule(id);
+        }
+        net.static_packets = net.packets.len();
+        net
+    }
+
+    /// Queues packet `id` at its source: the one way into
+    /// [`Source::schedule`]. A packet created by now, as every injection
+    /// and retransmission is, puts its source in the injecting set at
+    /// once; a later one is the trace's, and `admit_created` finds it.
+    fn schedule(&mut self, id: PacketId) {
+        let meta = self.packets.meta(id);
+        self.sources[meta.src.index()].schedule(id, meta.created_cycle);
+        if meta.created_cycle <= self.cycle {
+            self.injecting.insert(meta.src.index());
+        }
+    }
+
+    /// Moves the cursor past the trace's packets created by this cycle,
+    /// putting their sources in the injecting set. Ids follow the trace,
+    /// which is in time order, so the first packet still in the future
+    /// ends the walk: one compare on most cycles.
+    fn admit_created(&mut self) {
+        while self.next_static < self.static_packets {
+            let meta = self.packets.meta(PacketId(self.next_static as u64));
+            if meta.created_cycle > self.cycle {
+                break;
+            }
+            self.injecting.insert(meta.src.index());
+            self.next_static += 1;
         }
     }
 
@@ -207,8 +260,11 @@ impl Network {
         }
         self.faults = Some(Box::new(st));
         // Freeze draws, credit corruption and watchdog resets reach
-        // routers that have nothing buffered: under a campaign all tick.
-        self.awake.fill(true);
+        // routers that have nothing buffered, and a flush reaches sinks
+        // that have: under a campaign everything is visited.
+        self.awake.fill();
+        self.injecting.fill();
+        self.draining.fill();
     }
 
     /// The attached fault campaign's state, if any.
@@ -267,7 +323,7 @@ impl Network {
             measured,
         });
         self.measured_total += u64::from(measured);
-        self.sources[src.index()].schedule(id, self.cycle);
+        self.schedule(id);
         if let Some(f) = &mut self.faults {
             f.register(id, self.packets.meta(id));
         }
@@ -301,6 +357,28 @@ impl Network {
     /// simulated statistic, so not a [`Counters`] field.
     pub fn router_ticks(&self) -> u64 {
         self.router_ticks
+    }
+
+    /// Sources visited so far: one per source per cycle it could inject.
+    /// Work done, like the three below, not a simulated statistic.
+    pub fn source_visits(&self) -> u64 {
+        self.source_visits
+    }
+
+    /// Sinks drained so far: one per sink per cycle it held a word.
+    pub fn sink_visits(&self) -> u64 {
+        self.sink_visits
+    }
+
+    /// Router inputs presented so far: the occupied inputs of every
+    /// router tick.
+    pub fn input_visits(&self) -> u64 {
+        self.input_visits
+    }
+
+    /// Output control engines ticked so far.
+    pub fn output_ticks(&self) -> u64 {
+        self.output_ticks
     }
 
     /// Current event counters (cumulative).
@@ -337,22 +415,28 @@ impl Network {
     /// `true` once every scheduled packet has been injected and the
     /// network, links, and sinks are empty.
     pub fn is_quiescent(&self) -> bool {
-        // Only awake routers are scanned. A sleeping router's FIFOs are
-        // empty; its decode registers are too once everything else here
-        // holds, because a register left mid-chain is owed the chain's
-        // final word, which is still buffered upstream (that router is
-        // awake and not idle), on a link, or in a FIFO of this router
-        // (then it is awake). Under a fault campaign, which can orphan a
-        // register, every router is awake.
+        // Answered from the three sets. A source outside its set has no
+        // packet part-way in or created yet, so none at all once the
+        // cursor has passed the trace's last. A sleeping router's FIFOs
+        // are empty, as is a sink's outside its set; their decode
+        // registers are too once everything else here holds, because a
+        // register left mid-chain is owed the chain's final word, which
+        // is buffered upstream (that router is awake and not idle), on a
+        // link, or in the FIFO behind the register (then that is in its
+        // set). Under a fault campaign, which can orphan a register, the
+        // sets hold everything.
         let quiescent = self.in_flight.is_empty()
-            && self.sources.iter().all(Source::is_done)
-            && self
-                .routers
-                .iter()
-                .zip(&self.awake)
-                .all(|(r, &awake)| !awake || r.is_idle())
-            && self.sinks.iter().all(Sink::is_idle);
-        debug_assert!(!quiescent || self.routers.iter().all(Router::is_idle));
+            && self.next_static == self.static_packets
+            && self.injecting.iter().all(|i| self.sources[i].is_done())
+            && self.awake.iter().all(|i| self.routers[i].is_idle())
+            && self.draining.iter().all(|i| self.sinks[i].is_idle());
+        debug_assert_eq!(
+            quiescent,
+            self.in_flight.is_empty()
+                && self.sources.iter().all(Source::is_done)
+                && self.routers.iter().all(Router::is_idle)
+                && self.sinks.iter().all(Sink::is_idle)
+        );
         quiescent
     }
 
@@ -370,6 +454,8 @@ impl Network {
         if let Some(f) = &mut self.faults {
             f.begin_cycle(self.cycle);
         }
+        // While a campaign is attached nothing leaves the three sets.
+        let visit_all = self.faults.is_some();
 
         // 1a. Deliver last cycle's link words, subjecting each to the
         // fault plan if a campaign is attached. The vector is drained (not
@@ -438,21 +524,29 @@ impl Network {
         self.fault_credit_corruption();
         self.mark_phase(nox_telemetry::phase::SIM_CREDIT);
 
-        // 2. Sources inject, each into its core's local input port.
-        for (i, src) in self.sources.iter_mut().enumerate() {
+        // 2. Sources inject, each into its core's local input port: the
+        // ones that can, in core order.
+        self.admit_created();
+        self.injecting.retain(|i| {
+            self.source_visits += 1;
             let core = NodeId(i as u16);
             let (router, port) = self.wiring.attach(core);
+            let src = &mut self.sources[i];
             let injected = src.inject(
                 self.cycle,
-                self.routers[router.index()].input_mut(port),
+                &mut self.routers[router.index()],
+                port,
                 &self.packets,
                 &mut self.counters,
             );
             if let Some(key) = injected {
-                self.awake[router.index()] = true;
+                self.awake.insert(router.index());
                 self.probe.on_inject(self.cycle, core, key);
             }
-        }
+            // A source stalled on a full buffer stays in: it is still
+            // part-way through its packet.
+            visit_all || src.can_inject(self.cycle)
+        });
         self.mark_phase(nox_telemetry::phase::SIM_INJECT);
 
         // 3. Awake routers tick. A sleeping router is settled, so its
@@ -466,7 +560,6 @@ impl Network {
         let mut sends = deliveries;
         let mut credit_returns = std::mem::take(&mut self.credit_scratch);
         debug_assert!(sends.is_empty() && credit_returns.is_empty());
-        let stay_awake = self.faults.is_some();
         {
             let mut ctx = TickCtx::new(
                 &self.packets,
@@ -484,13 +577,12 @@ impl Network {
                 // engine that is owed one more tick (Spec-Fast's stale
                 // reservation, a grant-less Scheduled slot) gets it,
                 // wasted-reservation count included.
-                for (r, awake) in self.routers.iter_mut().zip(&mut self.awake) {
-                    if *awake {
-                        self.router_ticks += 1;
-                        r.tick(&mut ctx);
-                        *awake = stay_awake || !r.settled();
-                    }
-                }
+                self.awake.retain(|i| {
+                    let r = &mut self.routers[i];
+                    self.router_ticks += 1;
+                    r.tick(&mut ctx);
+                    visit_all || !r.settled()
+                });
             } else {
                 // The same ticks, staged so each of present → arbitrate →
                 // apply runs across *all* awake routers and its wall time
@@ -506,40 +598,41 @@ impl Network {
                 // transient-freeze draw happens here, exactly once per
                 // router per cycle; a frozen router loses the whole cycle
                 // (no decode, no arbitration, no link drive).
-                for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
-                    if !awake {
-                        continue;
-                    }
+                for i in self.awake.iter() {
+                    let r = &mut self.routers[i];
                     self.router_ticks += 1;
                     let frozen = ctx.fault_frozen(r.node());
                     r.tick_present(frozen, &mut ctx);
                 }
                 ctx.phase_mark(nox_telemetry::phase::SIM_ROUTE);
-                // 3b. Arbitrate: every credited output's engine decides.
-                for (r, &awake) in self.routers.iter_mut().zip(&self.awake) {
-                    if awake {
-                        r.tick_arbitrate();
-                    }
+                // 3b. Arbitrate: the engine of every demanded output
+                // with credit decides.
+                for i in self.awake.iter() {
+                    self.routers[i].tick_arbitrate();
                 }
                 ctx.phase_mark(nox_telemetry::phase::SIM_ARBITRATE);
                 // 3c. Apply: drive links, service inputs, return credits;
                 // then the sleep decision, as above.
-                for (r, awake) in self.routers.iter_mut().zip(&mut self.awake) {
-                    if *awake {
-                        r.tick_apply(&mut ctx);
-                        *awake = stay_awake || !r.settled();
-                    }
-                }
+                self.awake.retain(|i| {
+                    let r = &mut self.routers[i];
+                    r.tick_apply(&mut ctx);
+                    visit_all || !r.settled()
+                });
                 ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
             }
+            self.input_visits += ctx.input_visits;
+            self.output_ticks += ctx.output_ticks;
             self.probe = ctx.probe;
         }
 
-        // 4. Sinks drain one flit each and record latencies.
+        // 4. Sinks that hold a word drain one flit each and record
+        // latencies, in core order.
         let clock_ns = self.cfg.clock_ns();
         let mut faults = self.faults.take();
-        for (i, sink) in self.sinks.iter_mut().enumerate() {
+        self.draining.retain(|i| {
+            self.sink_visits += 1;
             let core = NodeId(i as u16);
+            let sink = &mut self.sinks[i];
             let outcome = match &mut faults {
                 Some(f) => {
                     let outcome = sink.drain_faulty(&self.packets, &mut self.counters, f);
@@ -550,6 +643,7 @@ impl Network {
                 }
                 None => sink.drain(&self.packets, &mut self.counters),
             };
+            let stay = visit_all || sink.occupancy() != 0;
             if outcome.credit_freed {
                 // A freed ejection slot credits the owning router's local
                 // output port for this core.
@@ -577,7 +671,7 @@ impl Network {
                                 self.topo.local_port(core),
                                 "detect sequence",
                             );
-                            continue;
+                            return stay;
                         }
                     }
                     assert_eq!(
@@ -596,7 +690,7 @@ impl Network {
                             TailDelivery::Duplicate => {
                                 // The logical packet already arrived via an
                                 // earlier attempt: discard this copy.
-                                continue;
+                                return stay;
                             }
                             TailDelivery::First { recovered: true } => {
                                 self.probe
@@ -621,7 +715,8 @@ impl Network {
                     }
                 }
             }
-        }
+            stay
+        });
         self.faults = faults;
 
         // 4b. Launch retransmissions whose timeouts expired.
@@ -696,13 +791,14 @@ impl Network {
         if self.topo.is_local(s.out) {
             let core = self.topo.core_at(s.node, s.out);
             self.sinks[core.index()].receive(s.word);
+            self.draining.insert(core.index());
         } else {
             let (dest, inp) = self
                 .wiring
                 .link_dest(s.node, s.out)
                 .expect("send on an unconnected port");
-            self.routers[dest.index()].input_mut(inp).receive(s.word);
-            self.awake[dest.index()] = true;
+            self.routers[dest.index()].receive(inp, s.word);
+            self.awake.insert(dest.index());
         }
     }
 
@@ -760,7 +856,7 @@ impl Network {
                 created_cycle: self.cycle,
                 measured: false,
             });
-            self.sources[rt.src.index()].schedule(id, self.cycle);
+            self.schedule(id);
             f.map_attempt(id, idx);
             let router = self.topo.router_of(rt.src);
             self.probe
@@ -835,7 +931,8 @@ impl Network {
     /// proves; any failure is a router bug and panics immediately.
     fn sanitize_audit(&self) {
         use crate::sanitize::{
-            check_credit_loop, check_flit_conservation, check_productivity, check_skipped_router,
+            check_credit_loop, check_flit_conservation, check_port_sets, check_productivity,
+            check_skipped_router, check_skipped_sink, check_skipped_source, check_trace_cursor,
             CreditLoopView,
         };
         use nox_core::PortId;
@@ -910,15 +1007,39 @@ impl Network {
             fail(e);
         }
 
-        // Skipped ticks. A router asleep now either slept through this
+        // Skipped visits. A router asleep now either slept through this
         // step untouched or has just been put to sleep; in both cases its
-        // tick must be the identity.
-        for (r, &awake) in self.routers.iter().zip(&self.awake) {
-            if !awake {
-                if let Err(e) = check_skipped_router(r, &self.packets) {
-                    fail(e);
+        // tick must be the identity, and asleep or awake its port sets
+        // must be what its FIFOs and engines say. Sources and sinks
+        // outside their sets, likewise, in the step that just ended.
+        let stepped = self.cycle - 1;
+        let skipped = || -> Result<(), String> {
+            for (i, r) in self.routers.iter().enumerate() {
+                if !self.awake.contains(i) {
+                    check_skipped_router(r, &self.packets)?;
+                }
+                check_port_sets(r)?;
+            }
+            check_trace_cursor(
+                &self.packets,
+                self.static_packets,
+                self.next_static,
+                stepped,
+            )?;
+            for (i, src) in self.sources.iter().enumerate() {
+                if !self.injecting.contains(i) {
+                    check_skipped_source(i, src, stepped)?;
                 }
             }
+            for (i, sink) in self.sinks.iter().enumerate() {
+                if !self.draining.contains(i) {
+                    check_skipped_sink(i, sink, &self.packets)?;
+                }
+            }
+            Ok(())
+        };
+        if let Err(e) = skipped() {
+            fail(e);
         }
     }
 

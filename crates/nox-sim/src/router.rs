@@ -5,14 +5,19 @@
 //! architecture's per-output control engine from `nox-core`). Each network
 //! cycle the router:
 //!
-//! 1. computes, per input, the *presented* flit — for NoX this runs the
-//!    decode step, possibly consuming the cycle to latch an encoded word —
-//!    and files it in its output's request set, qualified by downstream
-//!    credit;
-//! 2. ticks each output's control engine;
+//! 1. computes, per input that holds a word, the *presented* flit — for
+//!    NoX this runs the decode step, possibly consuming the cycle to latch
+//!    an encoded word — and files it in its output's request set,
+//!    qualified by downstream credit;
+//! 2. ticks the control engine of each output that is requested or not
+//!    settled;
 //! 3. applies the decisions: drives link words (possibly XOR-encoded,
 //!    possibly invalid on a collision/abort), consumes serviced flits,
 //!    returns credits upstream, and counts every energy-relevant event.
+//!
+//! The two sets those loops run over (inputs whose FIFO holds a word,
+//! outputs whose engine is not settled) are kept exact as words come and
+//! go and engines tick: a cycle costs what moves (DESIGN.md §19).
 //!
 //! A link word moves once per hop, as a flit crosses the paper's switch
 //! once per cycle (DESIGN.md §18). The control logic works on a [`Presented`]
@@ -78,6 +83,9 @@ pub struct TickCtx<'a> {
     pub(crate) faults: Option<&'a mut FaultState>,
     /// Phase clock, if self-profiling is enabled on the network.
     pub(crate) phases: Option<&'a mut nox_telemetry::PhaseClock>,
+    /// Inputs visited and output engines ticked under this context.
+    pub(crate) input_visits: u64,
+    pub(crate) output_ticks: u64,
 }
 
 impl<'a> TickCtx<'a> {
@@ -97,6 +105,8 @@ impl<'a> TickCtx<'a> {
             probe: ProbeSlot::default(),
             faults: None,
             phases: None,
+            input_visits: 0,
+            output_ticks: 0,
         }
     }
 
@@ -178,13 +188,8 @@ impl InputPort {
         self.fifo.len() < self.capacity
     }
 
-    /// Accepts an arriving flit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on buffer overflow — the upstream credit discipline must
-    /// make that impossible.
-    pub fn receive(&mut self, word: Word) {
+    /// Accepts an arriving flit; [`Router::receive`] is the way in.
+    fn receive(&mut self, word: Word) {
         assert!(
             self.has_space(),
             "input buffer overflow: credit protocol violated"
@@ -221,35 +226,34 @@ impl InputPort {
         self.fresh_next = false;
     }
 
-    /// Test helper: pops the head flit directly, bypassing control logic.
-    #[cfg(test)]
-    pub(crate) fn receive_test_pop(&mut self) -> Option<Word> {
-        self.fifo.pop_front()
-    }
-
     /// Chain-kill containment: abandons a poisoned decode chain. The
     /// decode register is reset and, if the head-of-line word is encoded
     /// (part of the same broken chain), it is popped too. Returns the
     /// number of constituent flit keys discarded and whether a FIFO slot
-    /// was freed (whose credit the caller must return).
-    pub(crate) fn chain_kill(&mut self) -> (usize, bool) {
+    /// was freed (whose credit the caller must return). This port is
+    /// input `ip` of a router whose occupied set is `occupied`.
+    fn chain_kill(&mut self, ip: PortId, occupied: &mut PortSet) -> (usize, bool) {
         let mut lost = 0;
         if let Some(reg) = self.decoder.reset() {
             lost += reg.arity();
         }
         let mut popped = false;
         if self.fifo.front().is_some_and(Word::is_encoded) {
-            let head = self.fifo.pop_front().expect("front was Some");
+            let head = self.pop(false, ip, occupied);
             lost += head.arity();
             popped = true;
         }
         (lost, popped)
     }
 
-    /// Pops the head flit, maintaining the freshness flag for Spec-Fast.
-    fn pop(&mut self, popped_is_tail: bool) -> Word {
+    /// Pops the head flit, maintaining the freshness flag for Spec-Fast
+    /// and, this port being input `ip`, the router's occupied set. The one
+    /// place a word leaves a FIFO.
+    fn pop(&mut self, popped_is_tail: bool, ip: PortId, occupied: &mut PortSet) -> Word {
         let w = self.fifo.pop_front().expect("pop from empty FIFO");
-        if popped_is_tail && !self.fifo.is_empty() {
+        if self.fifo.is_empty() {
+            occupied.remove(ip);
+        } else if popped_is_tail {
             // The next packet is newly exposed at the head of line.
             self.fresh_next = true;
         }
@@ -333,14 +337,9 @@ pub struct Presented {
     action: DecodeAction,
 }
 
-/// One output engine's decision for the cycle, recorded by the arbitrate
-/// stage and consumed by the apply stage.
+/// One output engine's decision for the cycle.
 #[derive(Clone, Copy, Debug)]
 enum Decision {
-    /// The engine was not ticked: the output is frozen by credit
-    /// exhaustion, or nobody requested it and the engine is settled, so
-    /// the tick would have decided nothing and changed nothing.
-    Skip,
     NonSpec(nox_core::NonSpecDecision),
     Spec(nox_core::SpecDecision),
     Nox(nox_core::NoxDecision),
@@ -351,14 +350,22 @@ enum Decision {
 /// and decision (indexed by output). Fixed arrays of [`MAX_PORTS`], so it
 /// is plain data inside the router with no heap block of its own.
 ///
-/// The first `ports` slots are meaningful, and only from the present
-/// stage of a router's tick to the end of its apply stage.
+/// Meaningful only from the present stage of a router's tick to the end
+/// of its apply stage, and then only the slots the sets name: `presented`
+/// is blanked every tick, `reqs` and `fresh` are rewritten for the
+/// outputs in `requested`, `decisions` for those in `decided`.
 #[derive(Clone, Copy, Debug)]
 pub struct TickScratch {
     presented: [Option<Presented>; MAX_PORTS],
     reqs: [RequestSet; MAX_PORTS],
     fresh: [PortSet; MAX_PORTS],
+    /// Outputs that some input requests this cycle.
+    requested: PortSet,
+    /// Where the staged sweeps park decisions between the arbitrate and
+    /// the apply sweep; [`Router::tick`] applies each as it is made.
     decisions: [Decision; MAX_PORTS],
+    /// Outputs with a decision parked.
+    decided: PortSet,
     /// Transient router freeze this cycle: the later stages are no-ops.
     frozen: bool,
 }
@@ -372,7 +379,9 @@ impl TickScratch {
             tail: PortSet::EMPTY,
         }; MAX_PORTS],
         fresh: [PortSet::EMPTY; MAX_PORTS],
-        decisions: [Decision::Skip; MAX_PORTS],
+        requested: PortSet::EMPTY,
+        decisions: [Decision::NonSpec(nox_core::NonSpecDecision::IDLE); MAX_PORTS],
+        decided: PortSet::EMPTY,
         frozen: false,
     };
 }
@@ -396,24 +405,41 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 /// A cycle advances in three stages:
 ///
 /// 1. [`tick_present`](Self::tick_present) — decode steps, routing, and
-///    request-set construction (phase `sim.route`);
-/// 2. [`tick_arbitrate`](Self::tick_arbitrate) — the per-output control
-///    engines decide (phase `sim.arbitrate`);
+///    request-set construction, over the occupied inputs (phase
+///    `sim.route`);
+/// 2. [`tick_arbitrate`](Self::tick_arbitrate) — the control engines of
+///    the demanded outputs decide (phase `sim.arbitrate`);
 /// 3. [`tick_apply`](Self::tick_apply) — decisions take effect: words
 ///    drive links, inputs are serviced, credits return, counters count
 ///    (phases `sim.drive` / `sim.encode`).
 ///
-/// [`tick`](Self::tick) runs the three back to back, and that is how the
-/// network ticks a router. Routers never interact within a cycle (sends
-/// and credits emitted into the [`TickCtx`] are delivered by the network
-/// on *later* cycles), and within one router the engines consume only
-/// state precomputed by the present stage — so running each stage across
-/// *all* routers before the next is behaviourally identical. The network
-/// does that only while a phase clock is attached, to attribute each
-/// stage's wall time to a named phase with one clock read per stage per
-/// step (DESIGN.md §18).
+/// [`tick`](Self::tick) runs the first and then decides and applies one
+/// demanded output after another, and that is how the network ticks a
+/// router. An output's decision reads only what the present stage filed
+/// for it and its own engine and credit counter, and applying it touches
+/// only that counter and the inputs that requested it, so deciding every
+/// output before applying any comes to the same thing (DESIGN.md §19).
+/// Routers never interact within a cycle either (sends and credits
+/// emitted into the [`TickCtx`] are delivered by the network on *later*
+/// cycles), so running each stage across *all* routers before the next
+/// is behaviourally identical too. The network does that only while a
+/// phase clock is attached, to attribute each stage's wall time to a
+/// named phase with one clock read per stage per step (DESIGN.md §18).
+///
+/// Laid out as declared: a delivery to a sleeping router reads `inputs`
+/// and writes `occupied`, and declared first they share a cache line; the
+/// compiler's own order put the sets behind the scratch (DESIGN.md §19).
 #[derive(Clone, Debug)]
+#[repr(C)]
 pub struct Router {
+    inputs: Vec<InputPort>,
+    /// Inputs whose FIFO holds a word, the ones the present stage visits:
+    /// kept by [`receive`](Self::receive) and `InputPort::pop`.
+    occupied: PortSet,
+    /// Outputs whose engine is not settled and so is owed a tick with
+    /// nobody requesting it: re-read after every engine tick.
+    unsettled: PortSet,
+    outputs: Vec<OutputPort>,
     node: NodeId,
     arch: Arch,
     topo: Topology,
@@ -423,8 +449,6 @@ pub struct Router {
     /// paper's mesh up front costs about a third of building the network,
     /// and most runs never present most pairs.
     routes: Box<[PortId]>,
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
     scratch: TickScratch,
 }
 
@@ -474,6 +498,9 @@ impl Router {
             routes: vec![UNROUTED; topo.cores()].into_boxed_slice(),
             inputs,
             outputs,
+            // Nothing buffered, every engine in its reset state.
+            occupied: PortSet::EMPTY,
+            unsettled: PortSet::EMPTY,
             scratch: TickScratch::BLANK,
         }
     }
@@ -499,9 +526,16 @@ impl Router {
         &self.inputs[p.index()]
     }
 
-    /// Mutable access to an input port (the network delivers flits here).
-    pub fn input_mut(&mut self, p: PortId) -> &mut InputPort {
-        &mut self.inputs[p.index()]
+    /// Accepts a word arriving at input `p`: a link word the network
+    /// delivers, or a flit the core's source injects.
+    ///
+    /// # Panics
+    ///
+    /// Panics on buffer overflow — the upstream credit discipline must
+    /// make that impossible.
+    pub fn receive(&mut self, p: PortId, word: Word) {
+        self.inputs[p.index()].receive(word);
+        self.occupied.insert(p);
     }
 
     /// Immutable access to an output port.
@@ -521,15 +555,41 @@ impl Router {
 
     /// `true` when a tick would be the identity: every input FIFO is
     /// empty, so nothing can be presented or latched, and every output
-    /// engine is settled, so an empty request set decides nothing. The
+    /// engine is settled, so an empty request set decides nothing: both
+    /// port sets are empty. The
     /// network skips such a router until a word or an injected flit
     /// reaches one of its inputs (DESIGN.md §17). Credits do not enter
     /// into it: with nothing buffered there is nothing to request with,
     /// whatever the counters say, and a decode register left mid-chain
     /// over an empty FIFO waits for its next word without being clocked.
     pub fn settled(&self) -> bool {
-        self.inputs.iter().all(|i| i.fifo.is_empty())
-            && self.outputs.iter().all(|o| o.engine.settled())
+        self.occupied.is_empty() && self.unsettled.is_empty()
+    }
+
+    /// The stored `(occupied, unsettled)` port sets (sanitizer support).
+    pub(crate) fn port_sets(&self) -> (PortSet, PortSet) {
+        (self.occupied, self.unsettled)
+    }
+
+    /// The same two sets, read off the FIFOs and the engines.
+    pub(crate) fn scan_port_sets(&self) -> (PortSet, PortSet) {
+        let mut sets = (PortSet::EMPTY, PortSet::EMPTY);
+        for p in (0..self.ports()).map(PortId) {
+            if !self.inputs[p.index()].fifo.is_empty() {
+                sets.0.insert(p);
+            }
+            if !self.outputs[p.index()].engine.settled() {
+                sets.1.insert(p);
+            }
+        }
+        sets
+    }
+
+    /// Test helper: pops input `p`'s head behind the router's back — no
+    /// control logic runs, and the occupied set is not told.
+    #[cfg(test)]
+    pub(crate) fn pop_unaccounted(&mut self, p: PortId) -> Option<Word> {
+        self.inputs[p.index()].fifo.pop_front()
     }
 
     /// Total flits buffered across all input ports.
@@ -563,32 +623,42 @@ impl Router {
                 Engine::Nox(c) => Engine::Nox(OutputCtl::with_options(ports, c.options())),
             };
         }
+        // An engine in its reset state is settled.
+        self.unsettled = PortSet::EMPTY;
         let mut flushed = Vec::new();
         for (idx, input) in self.inputs.iter_mut().enumerate() {
             if input.decoder.is_mid_chain() {
-                let (lost, popped) = input.chain_kill();
-                flushed.push((PortId(idx as u8), lost, popped));
+                let port = PortId(idx as u8);
+                let (lost, popped) = input.chain_kill(port, &mut self.occupied);
+                flushed.push((port, lost, popped));
             }
         }
         flushed
     }
 
-    /// Advances the router by one cycle: the three tick stages back to
-    /// back, including the per-cycle transient-freeze draw.
+    /// Advances the router by one cycle, including the per-cycle
+    /// transient-freeze draw: the present stage, then each demanded output
+    /// decided and applied in turn.
     pub fn tick(&mut self, ctx: &mut TickCtx<'_>) {
         let frozen = ctx.fault_frozen(self.node);
         self.tick_present(frozen, ctx);
-        self.tick_arbitrate();
-        self.tick_apply(ctx);
+        if frozen {
+            return;
+        }
+        for out in self.demanded() {
+            if let Some(d) = self.decide(out) {
+                self.apply(out, d, ctx);
+            }
+        }
     }
 
     // ------------------------------------------------------- tick stages
 
-    /// Stage 1: starts the cycle (freshness promotion), computes what each
-    /// input presents — for NoX running the decode step, possibly
-    /// consuming the cycle to latch an encoded word — and files it in the
-    /// credit-qualified request set (and, for Spec-Fast, the fresh set) of
-    /// the output it asks for.
+    /// Stage 1: starts the cycle at every occupied input (freshness
+    /// promotion), computes what it presents — for NoX running the decode
+    /// step, possibly consuming the cycle to latch an encoded word — and
+    /// files it in the credit-qualified request set (and, for Spec-Fast,
+    /// the fresh set) of the output it asks for.
     ///
     /// `frozen` is this cycle's transient-fault freeze for this router
     /// (drawn by the caller exactly once per router per cycle); a frozen
@@ -598,31 +668,30 @@ impl Router {
         if frozen {
             return;
         }
-        let TickScratch {
-            presented,
-            reqs,
-            fresh,
-            ..
-        } = &mut self.scratch;
+        // Blanked every tick, so that an entry left by an earlier cycle
+        // can never stand in for an input that presents nothing now.
         let ports = self.inputs.len();
-        reqs[..ports].fill(RequestSet::default());
-        fresh[..ports].fill(PortSet::EMPTY);
-        for (idx, input) in self.inputs.iter_mut().enumerate() {
+        self.scratch.presented[..ports].fill(None);
+        self.scratch.requested = PortSet::EMPTY;
+        ctx.input_visits += u64::from(self.occupied.len());
+        // A copy of the set: a latch or a chain kill below may empty the
+        // FIFO it is looking at.
+        for ip in self.occupied {
+            let idx = ip.index();
+            let input = &mut self.inputs[idx];
             input.begin_cycle();
-            let ip = PortId(idx as u8);
             let step = match self.arch {
                 Arch::Nox => input.decoder.step(input.fifo.front()),
                 // The baselines have no decode register: a head is
                 // presented as it stands.
-                _ if input.fifo.is_empty() => DecodeStep::Idle,
                 _ => DecodeStep::Present(DecodeAction::Pass),
             };
-            presented[idx] = match step {
+            let presented = match step {
                 DecodeStep::Idle => None,
                 DecodeStep::Latch => {
                     // Known early in the cycle (§2.4): pop the encoded
                     // word into the register; the slot frees now.
-                    let w = input.pop(false);
+                    let w = input.pop(false, ip, &mut self.occupied);
                     input.decoder.latch(w);
                     ctx.counters.buffer_reads += 1;
                     ctx.counters.decode_reg_writes += 1;
@@ -647,15 +716,30 @@ impl Router {
                         // The decode register lost sync with its chain
                         // (an injected drop or duplication upstream):
                         // contain by truncating the poisoned chain.
-                        Self::chain_kill_input(input, self.node, ip, &self.topo, ctx);
+                        let occupied = &mut self.occupied;
+                        Self::chain_kill_input(input, occupied, self.node, ip, &self.topo, ctx);
                         None
                     }
                 }
             };
-            let Some(p) = presented[idx] else { continue };
+            self.scratch.presented[idx] = presented;
+            let Some(p) = presented else { continue };
             let o = p.out.index();
             if self.outputs[o].credits == 0 {
                 continue; // output-wide stall: nobody requests
+            }
+            let TickScratch {
+                reqs,
+                fresh,
+                requested,
+                ..
+            } = &mut self.scratch;
+            if !requested.contains(p.out) {
+                // The output's first request of the cycle: its sets still
+                // hold those of the last cycle it was asked for.
+                requested.insert(p.out);
+                reqs[o] = RequestSet::default();
+                fresh[o] = PortSet::EMPTY;
             }
             reqs[o].req.insert(ip);
             if p.info.multiflit {
@@ -670,56 +754,78 @@ impl Router {
         }
     }
 
-    /// Stage 2: ticks the control engine of every credited output that
-    /// is requested or not settled against the request sets from stage 1
-    /// and records its decision. Pure control logic — no counters, no
-    /// link traffic, no credit movement.
-    pub(crate) fn tick_arbitrate(&mut self) {
-        if self.scratch.frozen {
-            return;
-        }
-        let TickScratch {
-            reqs,
-            fresh,
-            decisions,
-            ..
-        } = &mut self.scratch;
-        for (o, out) in self.outputs.iter_mut().enumerate() {
-            // Credit exhaustion freezes the whole output: nothing can
-            // traverse, and ticking the controller would tear down a
-            // valid schedule (DESIGN.md, clarification 4). And with
-            // nothing requested and a settled engine there is nothing to
-            // decide and nothing to carry over: the tick would return the
-            // idle decision, which the apply stage ignores.
-            let skip = out.credits == 0 || (reqs[o].req.is_empty() && out.engine.settled());
-            decisions[o] = if skip {
-                Decision::Skip
-            } else {
-                match &mut out.engine {
-                    Engine::NonSpec(e) => Decision::NonSpec(e.tick(reqs[o])),
-                    Engine::Spec(e) => Decision::Spec(e.tick(reqs[o], fresh[o])),
-                    Engine::Nox(e) => Decision::Nox(e.tick(reqs[o])),
-                }
-            };
-        }
+    /// The outputs whose engine has something to decide this cycle: the
+    /// requested ones and the unsettled ones. Any other engine's tick
+    /// would return the idle decision, which applies as nothing, and
+    /// leave it unchanged (DESIGN.md §17).
+    fn demanded(&self) -> PortSet {
+        self.scratch.requested.union(self.unsettled)
     }
 
-    /// Stage 3: applies stage 2's decisions — drives link words (possibly
+    /// Ticks output `out`'s control engine against the request sets from
+    /// stage 1 and returns its decision; `None` when the output is out of
+    /// credit. Pure control logic — no counters, no link traffic, no
+    /// credit movement.
+    fn decide(&mut self, out: PortId) -> Option<Decision> {
+        let o = out.index();
+        let port = &mut self.outputs[o];
+        // Credit exhaustion freezes the whole output: nothing can
+        // traverse, and ticking the controller would tear down a valid
+        // schedule (DESIGN.md, clarification 4).
+        if port.credits == 0 {
+            return None;
+        }
+        let (reqs, fresh) = if self.scratch.requested.contains(out) {
+            (self.scratch.reqs[o], self.scratch.fresh[o])
+        } else {
+            (RequestSet::default(), PortSet::EMPTY)
+        };
+        let decision = match &mut port.engine {
+            Engine::NonSpec(e) => Decision::NonSpec(e.tick(reqs)),
+            Engine::Spec(e) => Decision::Spec(e.tick(reqs, fresh)),
+            Engine::Nox(e) => Decision::Nox(e.tick(reqs)),
+        };
+        if port.engine.settled() {
+            self.unsettled.remove(out);
+        } else {
+            self.unsettled.insert(out);
+        }
+        Some(decision)
+    }
+
+    /// Applies one output's decision — drives a link word (possibly
     /// XOR-encoded, possibly invalid on a collision/abort), consumes
     /// serviced flits, returns credits upstream, and counts every
     /// energy-relevant event.
-    pub(crate) fn tick_apply(&mut self, ctx: &mut TickCtx<'_>) {
+    fn apply(&mut self, out: PortId, decision: Decision, ctx: &mut TickCtx<'_>) {
+        ctx.output_ticks += 1;
+        match decision {
+            Decision::Nox(d) => self.apply_nox(out, d, ctx),
+            Decision::Spec(d) => self.apply_spec(out, d, ctx),
+            Decision::NonSpec(d) => self.apply_nonspec(out, d, ctx),
+        }
+    }
+
+    /// Stage 2 of a staged sweep: every demanded output with credit
+    /// decides, and the decisions wait in the scratch for stage 3.
+    pub(crate) fn tick_arbitrate(&mut self) {
+        self.scratch.decided = PortSet::EMPTY;
         if self.scratch.frozen {
             return;
         }
-        for o in 0..self.outputs.len() {
-            let out = PortId(o as u8);
-            match self.scratch.decisions[o] {
-                Decision::Skip => {}
-                Decision::Nox(d) => self.apply_nox(out, d, ctx),
-                Decision::Spec(d) => self.apply_spec(out, d, ctx),
-                Decision::NonSpec(d) => self.apply_nonspec(out, d, ctx),
+        for out in self.demanded() {
+            if let Some(d) = self.decide(out) {
+                self.scratch.decisions[out.index()] = d;
+                self.scratch.decided.insert(out);
             }
+        }
+    }
+
+    /// Stage 3 of a staged sweep: applies stage 2's decisions, in output
+    /// order.
+    pub(crate) fn tick_apply(&mut self, ctx: &mut TickCtx<'_>) {
+        for out in self.scratch.decided {
+            self.apply(out, self.scratch.decisions[out.index()], ctx);
         }
     }
 
@@ -729,12 +835,13 @@ impl Router {
     /// discarded flits and returning the credit of any freed FIFO slot.
     fn chain_kill_input(
         input: &mut InputPort,
+        occupied: &mut PortSet,
         node: NodeId,
         port: PortId,
         topo: &Topology,
         ctx: &mut TickCtx<'_>,
     ) {
-        let (lost, popped) = input.chain_kill();
+        let (lost, popped) = input.chain_kill(port, occupied);
         ctx.fault_chain_kill(node, port, lost);
         if popped {
             ctx.counters.buffer_reads += 1;
@@ -753,10 +860,11 @@ impl Router {
         let p = self.scratch.presented[i.index()]
             .expect("engine serviced an input that presented nothing");
         let input = &mut self.inputs[i.index()];
+        let occupied = &mut self.occupied;
         ctx.counters.buffer_reads += 1;
         let (word, slot_freed) = match p.action {
             DecodeAction::Pass => {
-                let head = input.pop(p.info.tail);
+                let head = input.pop(p.info.tail, i, occupied);
                 input.decoder.commit(DecodeAction::Pass, None);
                 (head, true)
             }
@@ -770,7 +878,7 @@ impl Router {
             }
             DecodeAction::DecodeShift => {
                 let word = input.presented_word().into_owned();
-                let head = input.pop(false);
+                let head = input.pop(false, i, occupied);
                 input.decoder.commit(DecodeAction::DecodeShift, Some(head));
                 ctx.counters.decode_xors += 1;
                 ctx.counters.decode_reg_writes += 1;
@@ -930,7 +1038,7 @@ mod tests {
             // Node 5 = (1,1); destination node 7 = (3,1): East.
             let key = single_flit_packet(&mut packets, 5, 7);
             let mut r = Router::new(NodeId(5), arch, mesh, 4);
-            r.input_mut(Port::West.id()).receive(word_for(key));
+            r.receive(Port::West.id(), word_for(key));
 
             // All four designs are single-cycle routers (§3.2): the flit
             // leaves on its arrival cycle, regardless of architecture.
@@ -954,7 +1062,7 @@ mod tests {
             let key = single_flit_packet(&mut packets, 5, 7);
             let mut r = Router::new(NodeId(5), arch, mesh, 4);
             r.output_mut(Port::East.id()).credits = 0;
-            r.input_mut(Port::West.id()).receive(word_for(key));
+            r.receive(Port::West.id(), word_for(key));
             for _ in 0..4 {
                 let mut ctx = TickCtx::new(&packets, &mut counters, &mut sends, &mut credits);
                 r.tick(&mut ctx);
@@ -971,8 +1079,8 @@ mod tests {
         let k1 = single_flit_packet(&mut packets, 5, 7);
         let k2 = single_flit_packet(&mut packets, 5, 7);
         let mut r = Router::new(NodeId(5), Arch::Nox, mesh, 4);
-        r.input_mut(Port::West.id()).receive(word_for(k1));
-        r.input_mut(Port::North.id()).receive(word_for(k2));
+        r.receive(Port::West.id(), word_for(k1));
+        r.receive(Port::North.id(), word_for(k2));
 
         let mut ctx = TickCtx::new(&packets, &mut counters, &mut sends, &mut credits);
         r.tick(&mut ctx);
@@ -1005,8 +1113,8 @@ mod tests {
             let k1 = single_flit_packet(&mut packets, 5, 7);
             let k2 = single_flit_packet(&mut packets, 5, 7);
             let mut r = Router::new(NodeId(5), arch, mesh, 4);
-            r.input_mut(Port::West.id()).receive(word_for(k1));
-            r.input_mut(Port::North.id()).receive(word_for(k2));
+            r.receive(Port::West.id(), word_for(k1));
+            r.receive(Port::North.id(), word_for(k2));
 
             let mut ctx = TickCtx::new(&packets, &mut counters, &mut sends, &mut credits);
             r.tick(&mut ctx);
@@ -1029,7 +1137,7 @@ mod tests {
         let mut r = Router::new(NodeId(5), Arch::NonSpec, mesh, 4);
         for _ in 0..4 {
             let k = single_flit_packet(&mut packets, 5, 7);
-            r.input_mut(Port::West.id()).receive(word_for(k));
+            r.receive(Port::West.id(), word_for(k));
         }
         let mut delivered = 0;
         for _ in 0..4 {
@@ -1047,7 +1155,12 @@ mod tests {
         // clock and through the three stages when it has one. Drive two
         // copies of one router, one each way, with the same words and
         // credits, heavily enough for collisions, chains and stalls: they
-        // must emit the same and end every cycle in the same state.
+        // must emit the same and end every cycle in the same state. The
+        // state is what outlives a tick. The scratch does not, and the
+        // two orders fill it differently: only the staged one parks
+        // decisions there.
+        let lasting =
+            |r: &Router| format!("{:?}", (&r.inputs, &r.outputs, r.occupied, r.unsettled));
         for arch in Arch::ALL {
             let mesh = Topology::mesh(4, 4);
             let (mut packets, mut c1, mut s1, mut r1) = ctx_parts();
@@ -1083,8 +1196,8 @@ mod tests {
                     }
                     if whole.input(port).has_space() {
                         if let Some(w) = link.pop_front() {
-                            whole.input_mut(port).receive(w.clone());
-                            staged.input_mut(port).receive(w);
+                            whole.receive(port, w.clone());
+                            staged.receive(port, w);
                         }
                     }
                     if draw(2) == 0 && whole.output(port).credits() < 2 {
@@ -1100,11 +1213,8 @@ mod tests {
                 assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "{arch} cycle {cycle}");
                 assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "{arch} cycle {cycle}");
                 assert_eq!(c1, c2, "{arch} cycle {cycle}");
-                assert_eq!(
-                    format!("{whole:?}"),
-                    format!("{staged:?}"),
-                    "{arch} cycle {cycle}"
-                );
+                assert_eq!(lasting(&whole), lasting(&staged), "{arch} cycle {cycle}");
+                assert_eq!(whole.port_sets(), whole.scan_port_sets(), "{arch} {cycle}");
                 sent += s1.len();
                 s1.clear();
                 s2.clear();
@@ -1123,6 +1233,20 @@ mod tests {
     }
 
     #[test]
+    fn a_delivery_and_the_sleep_decision_touch_one_cache_line() {
+        use std::mem::offset_of;
+        let end_of = |offset: usize, size: usize| offset + size;
+        assert!(
+            end_of(
+                offset_of!(Router, inputs),
+                std::mem::size_of::<Vec<InputPort>>()
+            ) <= 64
+        );
+        assert!(end_of(offset_of!(Router, occupied), 4) <= 64);
+        assert!(end_of(offset_of!(Router, unsettled), 4) <= 64);
+    }
+
+    #[test]
     fn multiflit_packet_streams_contiguously_everywhere() {
         for arch in Arch::ALL {
             let mesh = Topology::mesh(4, 4);
@@ -1137,11 +1261,10 @@ mod tests {
             let k_single = single_flit_packet(&mut packets, 5, 7);
             let mut r = Router::new(NodeId(5), arch, mesh, 4);
             for seq in 0..3 {
-                r.input_mut(Port::West.id())
-                    .receive(word_for(FlitKey { packet: id, seq }));
+                r.receive(Port::West.id(), word_for(FlitKey { packet: id, seq }));
             }
             // A competing single-flit on another input.
-            r.input_mut(Port::North.id()).receive(word_for(k_single));
+            r.receive(Port::North.id(), word_for(k_single));
 
             let mut order = Vec::new();
             for _ in 0..12 {

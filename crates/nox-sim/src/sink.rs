@@ -31,7 +31,7 @@ pub struct SinkOutcome {
 }
 
 /// The ejection interface of one node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sink {
     node: NodeId,
     fifo: VecDeque<Word>,

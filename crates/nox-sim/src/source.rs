@@ -9,8 +9,10 @@
 
 use std::collections::VecDeque;
 
+use nox_core::PortId;
+
 use crate::flit::{word_for, FlitKey, PacketId, PacketTable};
-use crate::router::InputPort;
+use crate::router::Router;
 use crate::stats::Counters;
 
 /// The injection process for one node.
@@ -61,12 +63,20 @@ impl Source {
         self.backlog() == 0
     }
 
-    /// Injects up to one flit into the local input port, returning the key
-    /// of the flit injected this cycle (if any).
+    /// `true` when [`inject`](Self::inject) at `cycle` has something to
+    /// do: a packet is part-way in, or the queue's head has been created.
+    /// The network visits exactly the sources for which this holds.
+    pub fn can_inject(&self, cycle: u64) -> bool {
+        self.current.is_some() || self.head_due <= cycle
+    }
+
+    /// Injects up to one flit into input `local` of the core's router,
+    /// returning the key of the flit injected this cycle (if any).
     pub fn inject(
         &mut self,
         cycle: u64,
-        local_in: &mut InputPort,
+        router: &mut Router,
+        local: PortId,
         packets: &PacketTable,
         counters: &mut Counters,
     ) -> Option<FlitKey> {
@@ -83,11 +93,11 @@ impl Source {
             counters.packets_injected += 1;
         }
         let (id, seq, len) = self.current?;
-        if !local_in.has_space() {
+        if !router.input(local).has_space() {
             return None;
         }
         let key = FlitKey { packet: id, seq };
-        local_in.receive(word_for(key));
+        router.receive(local, word_for(key));
         counters.flits_injected += 1;
         counters.buffer_writes += 1;
         self.current = if seq + 1 == len {
@@ -104,7 +114,6 @@ mod tests {
     use super::*;
     use crate::config::Arch;
     use crate::flit::PacketMeta;
-    use crate::router::Router;
     use crate::topology::{NodeId, Port, Topology};
 
     fn setup() -> (PacketTable, Router, Counters) {
@@ -130,7 +139,8 @@ mod tests {
         for cycle in 0..3 {
             src.inject(
                 cycle,
-                router.input_mut(Port::Local.id()),
+                &mut router,
+                Port::Local.id(),
                 &packets,
                 &mut counters,
             );
@@ -153,19 +163,9 @@ mod tests {
             measured: false,
         });
         src.schedule(id, packets.meta(id).created_cycle);
-        src.inject(
-            4,
-            router.input_mut(Port::Local.id()),
-            &packets,
-            &mut counters,
-        );
+        src.inject(4, &mut router, Port::Local.id(), &packets, &mut counters);
         assert_eq!(router.input(Port::Local.id()).occupancy(), 0);
-        src.inject(
-            5,
-            router.input_mut(Port::Local.id()),
-            &packets,
-            &mut counters,
-        );
+        src.inject(5, &mut router, Port::Local.id(), &packets, &mut counters);
         assert_eq!(router.input(Port::Local.id()).occupancy(), 1);
     }
 
@@ -186,7 +186,8 @@ mod tests {
         for cycle in 0..6 {
             src.inject(
                 cycle,
-                router.input_mut(Port::Local.id()),
+                &mut router,
+                Port::Local.id(),
                 &packets,
                 &mut counters,
             );
@@ -219,19 +220,16 @@ mod tests {
         for cycle in 0..3 {
             src.inject(
                 cycle,
-                router.input_mut(Port::Local.id()),
+                &mut router,
+                Port::Local.id(),
                 &packets,
                 &mut counters,
             );
         }
-        let fifo_keys: Vec<FlitKey> = (0..3)
-            .map(|_| {
-                let w = router
-                    .input_mut(Port::Local.id())
-                    .receive_test_pop()
-                    .expect("flit");
-                FlitKey::unpack(w.sole_key().unwrap())
-            })
+        let fifo_keys: Vec<FlitKey> = router
+            .input(Port::Local.id())
+            .buffered_words()
+            .map(|w| FlitKey::unpack(w.sole_key().unwrap()))
             .collect();
         assert_eq!(fifo_keys[0].packet, a);
         assert_eq!(fifo_keys[1].packet, a);

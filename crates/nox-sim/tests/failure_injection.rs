@@ -30,7 +30,7 @@ fn input_buffer_overflow_is_caught() {
     let mut r = Router::new(NodeId(0), Arch::Nox, Topology::mesh(2, 2), 2);
     for _ in 0..3 {
         let k = one_packet(&mut table, 3);
-        r.input_mut(Port::West.id()).receive(word_for(k));
+        r.receive(Port::West.id(), word_for(k));
     }
 }
 

@@ -115,12 +115,15 @@ fn zero_rate_fault_plan_is_inert_under_the_sanitizer() {
     }
 }
 
-/// The fourth audit: every router the step loop skips is ticked as a
-/// clone, and the tick must have emitted nothing, counted nothing and
-/// left the router settled. Sparse traffic on the 4x4 mesh keeps most
-/// routers asleep most cycles — including right after a Spec-Fast output
-/// took its stale reservation's extra tick and a NoX output fell back
-/// from Scheduled — so the audit has routers to check on every cycle.
+/// The audits of what the step loop skips: every sleeping router is
+/// ticked as a clone, and the tick must have emitted nothing, counted
+/// nothing and left the router settled; every source outside the
+/// injecting set must have had nothing to inject; every sink outside the
+/// draining set is drained as a clone, which must do nothing. Sparse
+/// traffic on the 4x4 mesh keeps most of them asleep most cycles —
+/// including right after a Spec-Fast output took its stale reservation's
+/// extra tick and a NoX output fell back from Scheduled — so the audits
+/// have something to check on every cycle.
 #[test]
 fn skipped_router_ticks_are_audited_as_identities() {
     for arch in Arch::ALL {
@@ -151,6 +154,14 @@ fn skipped_router_ticks_are_audited_as_identities() {
             net.router_ticks() * 2 < all,
             "{arch}: {} of {all} router ticks, the audit had little to check",
             net.router_ticks()
+        );
+        // The audits of skipped sources and sinks, likewise: on most
+        // cycles most of the sixteen of each were asleep and got checked.
+        assert!(
+            net.source_visits() * 2 < all && net.sink_visits() * 2 < all,
+            "{arch}: {} source and {} sink visits of {all}",
+            net.source_visits(),
+            net.sink_visits()
         );
     }
 }

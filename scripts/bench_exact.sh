@@ -26,7 +26,10 @@ out=benchmark/out/exact
 rm -rf "$out"
 mkdir -p "$out"
 
-bench=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --seconds 1 --traced)
+# One build that leaves the tracked benchmark/Cargo.lock alone, then the
+# binary itself: every `cargo run` would rewrite the lock again.
+scripts/bench_build.sh .
+bench=(benchmark/target/release/nox-benchmark run --seconds 1 --traced)
 for workload in mesh_saturated mesh_lowload serve_mixed; do
     for seed in 1 1 2; do
         "${bench[@]}" --workload "$workload" --seed "$seed" --out "$out/runs.jsonl" >"$out/last.log"

@@ -8,10 +8,13 @@
 # parent made with `git clone` or `git archive`, never a worktree of the
 # directory being measured). Each side's `benchmark/` is built once, into
 # that checkout's own `benchmark/target`, before any timing starts, so
-# nothing compiles while a run is going. Then PAIRS (default 10) pairs of
-# untraced runs at the benchmark's default run length, each from its own
-# checkout, alternating which side goes first. WORKLOAD is one of the
-# names in BENCHMARK.json; SEED defaults to 1.
+# nothing compiles while a run is going; the build goes through
+# scripts/bench_build.sh, which puts the tracked `benchmark/Cargo.lock`
+# back as it was and warns if anything under the frozen benchmark is
+# modified. Then PAIRS (default 10) pairs of untraced runs at the
+# benchmark's default run length, each from its own checkout, alternating
+# which side goes first. WORKLOAD is one of the names in BENCHMARK.json;
+# SEED defaults to 1.
 #
 # For every end-to-end metric it prints each pair, both medians, the
 # parent's interquartile range, the change's win count (ties count for
@@ -23,10 +26,9 @@
 # correctness checks. Every run's full record is kept in
 # CHANGE_DIR/benchmark/out/pairs/<workload>.{parent,change}.jsonl.
 set -euo pipefail
-unset CARGO_TARGET_DIR # each checkout builds into its own benchmark/target
 
 if [ $# -lt 3 ]; then
-    sed -n '2,24p' "$0" >&2
+    sed -n '2,27p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -36,7 +38,7 @@ pairs=${4:-10}
 seed=${5:-1}
 
 for dir in "$parent" "$change"; do
-    cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
+    "$(dirname "$0")/bench_build.sh" "$dir"
 done
 
 out="$change/benchmark/out/pairs"
