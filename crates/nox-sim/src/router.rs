@@ -556,12 +556,12 @@ impl Router {
     /// `true` when a tick would be the identity: every input FIFO is
     /// empty, so nothing can be presented or latched, and every output
     /// engine is settled, so an empty request set decides nothing: both
-    /// port sets are empty. The
-    /// network skips such a router until a word or an injected flit
-    /// reaches one of its inputs (DESIGN.md §17). Credits do not enter
-    /// into it: with nothing buffered there is nothing to request with,
-    /// whatever the counters say, and a decode register left mid-chain
-    /// over an empty FIFO waits for its next word without being clocked.
+    /// port sets are empty. The network skips such a router until a word
+    /// or an injected flit reaches one of its inputs (DESIGN.md §17).
+    /// Credits do not enter into it: with nothing buffered there is
+    /// nothing to request with, whatever the counters say, and a decode
+    /// register left mid-chain over an empty FIFO waits for its next word
+    /// without being clocked.
     pub fn settled(&self) -> bool {
         self.occupied.is_empty() && self.unsettled.is_empty()
     }

@@ -253,6 +253,17 @@ mod tests {
         Counters::new()
     }
 
+    /// One single-flit packet from core 5 to core 7, created at `cycle`.
+    fn one_packet(packets: &mut PacketTable, cycle: u64) -> PacketId {
+        packets.push(crate::flit::PacketMeta {
+            src: crate::topology::NodeId(5),
+            dest: crate::topology::NodeId(7),
+            len: 1,
+            created_cycle: cycle,
+            measured: false,
+        })
+    }
+
     #[test]
     fn flit_conservation_accepts_balanced_books() {
         let mut c = counters();
@@ -304,17 +315,11 @@ mod tests {
 
     #[test]
     fn skipped_router_check_rejects_a_router_with_work_to_do() {
-        use crate::flit::{word_for, FlitKey, PacketMeta};
+        use crate::flit::{word_for, FlitKey};
         use crate::topology::{NodeId, Port, Topology};
 
         let mut packets = PacketTable::new();
-        let id = packets.push(PacketMeta {
-            src: NodeId(5),
-            dest: NodeId(7),
-            len: 1,
-            created_cycle: 0,
-            measured: false,
-        });
+        let id = one_packet(&mut packets, 0);
         for arch in Arch::ALL {
             let mut r = Router::new(NodeId(5), arch, Topology::mesh(4, 4), 4);
             assert!(check_skipped_router(&r, &packets).is_ok(), "{arch}: idle");
@@ -340,17 +345,6 @@ mod tests {
         assert!(!r.settled());
         let err = check_skipped_router(&r, &packets).unwrap_err();
         assert!(err.contains("wasted_reservations: 1"), "{err}");
-    }
-
-    /// One single-flit packet from core 5 to core 7, created at `cycle`.
-    fn one_packet(packets: &mut PacketTable, cycle: u64) -> PacketId {
-        packets.push(crate::flit::PacketMeta {
-            src: crate::topology::NodeId(5),
-            dest: crate::topology::NodeId(7),
-            len: 1,
-            created_cycle: cycle,
-            measured: false,
-        })
     }
 
     #[test]
