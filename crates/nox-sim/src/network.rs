@@ -123,6 +123,27 @@ impl Network {
         let topo = cfg.topology();
         let clock_ns = cfg.clock_ns();
 
+        let mut packets = PacketTable::new();
+        let mut sources: Vec<Source> = (0..topo.cores()).map(|_| Source::new()).collect();
+        let mut injecting = ActiveSet::new(topo.cores());
+        let mut measured_total = 0;
+        for e in trace.events() {
+            assert!(
+                e.src.index() < topo.cores() && e.dest.index() < topo.cores(),
+                "trace event addresses a node outside the mesh"
+            );
+            let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
+            measured_total += u64::from(measured);
+            let id = packets.push(PacketMeta {
+                src: e.src,
+                dest: e.dest,
+                len: e.len,
+                created_cycle: (e.time_ns / clock_ns) as u64,
+                measured,
+            });
+            Self::schedule(&mut sources, &mut injecting, &packets, 0, id);
+        }
+
         let nox_options = nox_core::NoxOptions {
             scheduled_mode: cfg.nox_scheduled_mode,
         };
@@ -135,7 +156,7 @@ impl Network {
             .map(|c| Sink::new(NodeId(c), cfg.buffer_depth))
             .collect();
 
-        let mut net = Network {
+        Network {
             cfg,
             topo,
             wiring: Wiring::new(&topo),
@@ -143,10 +164,10 @@ impl Network {
             // engine in its reset state.
             awake: ActiveSet::new(routers.len()),
             routers,
-            sources: (0..topo.cores()).map(|_| Source::new()).collect(),
-            injecting: ActiveSet::new(topo.cores()),
+            sources,
+            injecting,
             next_static: 0,
-            static_packets: 0,
+            static_packets: packets.len(),
             sinks,
             draining: ActiveSet::new(topo.cores()),
             router_ticks: 0,
@@ -154,7 +175,7 @@ impl Network {
             sink_visits: 0,
             input_visits: 0,
             output_ticks: 0,
-            packets: PacketTable::new(),
+            packets,
             cycle: 0,
             counters: Counters::new(),
             in_flight: Vec::new(),
@@ -164,7 +185,7 @@ impl Network {
             latency_measured: LatencyStats::new(),
             latency_all: LatencyStats::new(),
             hist_measured: LogHistogram::default_latency(),
-            measured_total: 0,
+            measured_total,
             measured_ejected: 0,
             eject_log: None,
             sanitize: false,
@@ -172,37 +193,32 @@ impl Network {
             faults: None,
             phases: nox_telemetry::profiling()
                 .then(|| Box::new(nox_telemetry::PhaseClock::start())),
-        };
-        for e in trace.events() {
-            assert!(
-                e.src.index() < topo.cores() && e.dest.index() < topo.cores(),
-                "trace event addresses a node outside the mesh"
-            );
-            let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
-            net.measured_total += u64::from(measured);
-            let id = net.packets.push(PacketMeta {
-                src: e.src,
-                dest: e.dest,
-                len: e.len,
-                created_cycle: (e.time_ns / clock_ns) as u64,
-                measured,
-            });
-            net.schedule(id);
         }
-        net.static_packets = net.packets.len();
-        net
     }
 
-    /// Queues packet `id` at its source: the one way into
-    /// [`Source::schedule`]. A packet created by now, as every injection
-    /// and retransmission is, puts its source in the injecting set at
-    /// once; a later one is the trace's, and `admit_created` finds it.
-    fn schedule(&mut self, id: PacketId) {
-        let meta = self.packets.meta(id);
-        self.sources[meta.src.index()].schedule(id, meta.created_cycle);
-        if meta.created_cycle <= self.cycle {
-            self.injecting.insert(meta.src.index());
+    /// Queues packet `id` at its source at cycle `now`: the one way into
+    /// [`Source::schedule`] (associated, so [`new`](Self::new) can use
+    /// it). A packet created by now, as every injection and retransmission
+    /// is, puts its source in the injecting set at once; a later one is
+    /// the trace's, and `admit_created` finds it.
+    fn schedule(
+        sources: &mut [Source],
+        injecting: &mut ActiveSet,
+        packets: &PacketTable,
+        now: u64,
+        id: PacketId,
+    ) {
+        let meta = packets.meta(id);
+        sources[meta.src.index()].schedule(id, meta.created_cycle);
+        if meta.created_cycle <= now {
+            injecting.insert(meta.src.index());
         }
+    }
+
+    /// [`schedule`](Self::schedule) for a packet created now.
+    fn schedule_now(&mut self, id: PacketId) {
+        let (sources, injecting) = (&mut self.sources, &mut self.injecting);
+        Self::schedule(sources, injecting, &self.packets, self.cycle, id);
     }
 
     /// Moves the cursor past the trace's packets created by this cycle,
@@ -323,7 +339,7 @@ impl Network {
             measured,
         });
         self.measured_total += u64::from(measured);
-        self.schedule(id);
+        self.schedule_now(id);
         if let Some(f) = &mut self.faults {
             f.register(id, self.packets.meta(id));
         }
@@ -370,8 +386,7 @@ impl Network {
         self.sink_visits
     }
 
-    /// Router inputs presented so far: the occupied inputs of every
-    /// router tick.
+    /// Router inputs visited so far: the occupied ones of every tick.
     pub fn input_visits(&self) -> u64 {
         self.input_visits
     }
@@ -415,16 +430,15 @@ impl Network {
     /// `true` once every scheduled packet has been injected and the
     /// network, links, and sinks are empty.
     pub fn is_quiescent(&self) -> bool {
-        // Answered from the three sets. A source outside its set has no
-        // packet part-way in or created yet, so none at all once the
-        // cursor has passed the trace's last. A sleeping router's FIFOs
-        // are empty, as is a sink's outside its set; their decode
-        // registers are too once everything else here holds, because a
-        // register left mid-chain is owed the chain's final word, which
-        // is buffered upstream (that router is awake and not idle), on a
-        // link, or in the FIFO behind the register (then that is in its
-        // set). Under a fault campaign, which can orphan a register, the
-        // sets hold everything.
+        // Answered from the three sets (DESIGN.md §19). A source outside
+        // its set has no packet part-way in or created yet, so none at
+        // all once the cursor has passed the trace's last. Outside the
+        // other two sets FIFOs are empty, and so are decode registers
+        // once all else here holds: one left mid-chain is owed the
+        // chain's final word, which is buffered upstream (in an awake
+        // router), on a link, or behind the register (then that is in
+        // its set). A fault campaign can orphan a register, and under
+        // one the sets hold everything.
         let quiescent = self.in_flight.is_empty()
             && self.next_static == self.static_packets
             && self.injecting.iter().all(|i| self.sources[i].is_done())
@@ -524,8 +538,7 @@ impl Network {
         self.fault_credit_corruption();
         self.mark_phase(nox_telemetry::phase::SIM_CREDIT);
 
-        // 2. Sources inject, each into its core's local input port: the
-        // ones that can, in core order.
+        // 2. Sources that can inject do, into their local input ports.
         self.admit_created();
         self.injecting.retain(|i| {
             self.source_visits += 1;
@@ -625,8 +638,7 @@ impl Network {
             self.probe = ctx.probe;
         }
 
-        // 4. Sinks that hold a word drain one flit each and record
-        // latencies, in core order.
+        // 4. Sinks that hold a word drain one flit and record latencies.
         let clock_ns = self.cfg.clock_ns();
         let mut faults = self.faults.take();
         self.draining.retain(|i| {
@@ -856,7 +868,7 @@ impl Network {
                 created_cycle: self.cycle,
                 measured: false,
             });
-            self.schedule(id);
+            self.schedule_now(id);
             f.map_attempt(id, idx);
             let router = self.topo.router_of(rt.src);
             self.probe

@@ -425,21 +425,8 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 /// is behaviourally identical too. The network does that only while a
 /// phase clock is attached, to attribute each stage's wall time to a
 /// named phase with one clock read per stage per step (DESIGN.md §18).
-///
-/// Laid out as declared: a delivery to a sleeping router reads `inputs`
-/// and writes `occupied`, and declared first they share a cache line; the
-/// compiler's own order put the sets behind the scratch (DESIGN.md §19).
 #[derive(Clone, Debug)]
-#[repr(C)]
 pub struct Router {
-    inputs: Vec<InputPort>,
-    /// Inputs whose FIFO holds a word, the ones the present stage visits:
-    /// kept by [`receive`](Self::receive) and `InputPort::pop`.
-    occupied: PortSet,
-    /// Outputs whose engine is not settled and so is owed a tick with
-    /// nobody requesting it: re-read after every engine tick.
-    unsettled: PortSet,
-    outputs: Vec<OutputPort>,
     node: NodeId,
     arch: Arch,
     topo: Topology,
@@ -449,6 +436,14 @@ pub struct Router {
     /// paper's mesh up front costs about a third of building the network,
     /// and most runs never present most pairs.
     routes: Box<[PortId]>,
+    inputs: Vec<InputPort>,
+    outputs: Vec<OutputPort>,
+    /// Inputs whose FIFO holds a word, the ones the present stage visits:
+    /// kept by [`receive`](Self::receive) and `InputPort::pop`.
+    occupied: PortSet,
+    /// Outputs whose engine is not settled and so is owed a tick with
+    /// nobody requesting it: re-read after every engine tick.
+    unsettled: PortSet,
     scratch: TickScratch,
 }
 
@@ -1230,20 +1225,6 @@ mod tests {
                 Arch::Nox => assert!(c1.encoded_transfers > 50 && c1.aborts > 5, "{c1:?}"),
             }
         }
-    }
-
-    #[test]
-    fn a_delivery_and_the_sleep_decision_touch_one_cache_line() {
-        use std::mem::offset_of;
-        let end_of = |offset: usize, size: usize| offset + size;
-        assert!(
-            end_of(
-                offset_of!(Router, inputs),
-                std::mem::size_of::<Vec<InputPort>>()
-            ) <= 64
-        );
-        assert!(end_of(offset_of!(Router, occupied), 4) <= 64);
-        assert!(end_of(offset_of!(Router, unsettled), 4) <= 64);
     }
 
     #[test]
