@@ -12,9 +12,8 @@
 //! 3. ticks every router whose tick can change something (they emit link
 //!    transfers and credit returns), each start to finish; a router with
 //!    empty input FIFOs and settled engines sleeps until a word or an
-//!    injected flit reaches it (DESIGN.md §17). Only under an attached
-//!    phase clock is the tick staged across all routers, so that each
-//!    stage's time can be named for one clock read (DESIGN.md §18);
+//!    injected flit reaches it (DESIGN.md §17). A phase clock, if one is
+//!    attached, times the whole loop as one phase (DESIGN.md §18);
 //! 4. drains every sink that holds a word by at most one flit, recording
 //!    packet latencies.
 //!
@@ -104,8 +103,8 @@ pub struct Network {
     faults: Option<Box<FaultState>>,
     /// Phase-attribution clock, allocated when the process-wide profiling
     /// switch was on at construction. Cloning a network starts a fresh
-    /// clock (see [`nox_telemetry::PhaseClock`]) so history is never
-    /// double-counted.
+    /// clock (see [`nox_telemetry::PhaseClock`]) so timed history is never
+    /// double-counted; the work counters are copied (see the `Drop` impl).
     phases: Option<Box<nox_telemetry::PhaseClock>>,
 }
 
@@ -582,61 +581,25 @@ impl Network {
             );
             ctx.probe = std::mem::take(&mut self.probe);
             ctx.faults = self.faults.as_deref_mut();
-            ctx.phases = self.phases.as_deref_mut();
-            if ctx.phases.is_none() {
-                // Each router start to finish, while its ports are in
-                // cache. Then it sleeps if it has come to rest. Checked
-                // after the whole tick and not when a FIFO empties, so an
-                // engine that is owed one more tick (Spec-Fast's stale
-                // reservation, a grant-less Scheduled slot) gets it,
-                // wasted-reservation count included.
-                self.awake.retain(|i| {
-                    let r = &mut self.routers[i];
-                    self.router_ticks += 1;
-                    r.tick(&mut ctx);
-                    visit_all || !r.settled()
-                });
-            } else {
-                // The same ticks, staged so each of present → arbitrate →
-                // apply runs across *all* awake routers and its wall time
-                // goes to a named phase for one clock read (a read per
-                // router per stage would cost more than the step:
-                // DESIGN.md §18). Routers never interact within a cycle,
-                // so the order is behaviourally identical (see the
-                // `Router` docs). The sweeps cost about an eighth of a
-                // saturated step, so only a network that was built with
-                // profiling on, and so has a clock to feed, runs them.
-                //
-                // 3a. Present: decode steps, routing, request sets. The
-                // transient-freeze draw happens here, exactly once per
-                // router per cycle; a frozen router loses the whole cycle
-                // (no decode, no arbitration, no link drive).
-                for i in self.awake.iter() {
-                    let r = &mut self.routers[i];
-                    self.router_ticks += 1;
-                    let frozen = ctx.fault_frozen(r.node());
-                    r.tick_present(frozen, &mut ctx);
-                }
-                ctx.phase_mark(nox_telemetry::phase::SIM_ROUTE);
-                // 3b. Arbitrate: the engine of every demanded output
-                // with credit decides.
-                for i in self.awake.iter() {
-                    self.routers[i].tick_arbitrate();
-                }
-                ctx.phase_mark(nox_telemetry::phase::SIM_ARBITRATE);
-                // 3c. Apply: drive links, service inputs, return credits;
-                // then the sleep decision, as above.
-                self.awake.retain(|i| {
-                    let r = &mut self.routers[i];
-                    r.tick_apply(&mut ctx);
-                    visit_all || !r.settled()
-                });
-                ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
-            }
+            // Each router start to finish, while its ports are in cache.
+            // Then it sleeps if it has come to rest. Checked after the
+            // whole tick and not when a FIFO empties, so an engine that is
+            // owed one more tick (Spec-Fast's stale reservation, a
+            // grant-less Scheduled slot) gets it, wasted-reservation count
+            // included.
+            self.awake.retain(|i| {
+                let r = &mut self.routers[i];
+                self.router_ticks += 1;
+                r.tick(&mut ctx);
+                visit_all || !r.settled()
+            });
             self.input_visits += ctx.input_visits;
             self.output_ticks += ctx.output_ticks;
             self.probe = ctx.probe;
         }
+        // One clock read for the whole router loop: a read per router
+        // would cost more than the step (DESIGN.md §18).
+        self.mark_phase(nox_telemetry::phase::SIM_ROUTE);
 
         // 4. Sinks that hold a word drain one flit and record latencies.
         let clock_ns = self.cfg.clock_ns();
@@ -645,16 +608,10 @@ impl Network {
             self.sink_visits += 1;
             let core = NodeId(i as u16);
             let sink = &mut self.sinks[i];
-            let outcome = match &mut faults {
-                Some(f) => {
-                    let outcome = sink.drain_faulty(&self.packets, &mut self.counters, f);
-                    if let Some(label) = outcome.fault_event {
-                        self.probe.on_fault(core, self.topo.local_port(core), label);
-                    }
-                    outcome
-                }
-                None => sink.drain(&self.packets, &mut self.counters),
-            };
+            let outcome = sink.drain(&self.packets, &mut self.counters, faults.as_deref_mut());
+            if let Some(label) = outcome.fault_event {
+                self.probe.on_fault(core, self.topo.local_port(core), label);
+            }
             let stay = visit_all || sink.occupancy() != 0;
             if outcome.credit_freed {
                 // A freed ejection slot credits the owning router's local
@@ -1077,13 +1034,24 @@ impl Network {
 
 impl Drop for Network {
     /// Flushes the phase clock into the dropping thread's telemetry
-    /// accumulator. Inside an executor job this lands in the job's
-    /// capture delta, which `nox-exec` absorbs in submission order — the
-    /// reason merged sim phases are structurally identical at any thread
-    /// count.
+    /// accumulator, and with it the five work counters as named counters
+    /// (`sim.router_ticks`, ...): the work inside the router loop, which
+    /// the clock times only as a whole. Inside an executor job
+    /// this lands in the job's capture delta, which `nox-exec` absorbs in
+    /// submission order — the reason merged sim phases and counters are
+    /// structurally identical at any thread count. A clone carries its
+    /// parent's counts (the accessors do too), so a profiled clone would
+    /// report its parent's work twice; nothing profiled clones a network.
     fn drop(&mut self) {
         if let Some(clock) = &mut self.phases {
             clock.flush();
+            nox_telemetry::with_acc(|acc| {
+                acc.add_count("sim.router_ticks", self.router_ticks);
+                acc.add_count("sim.input_visits", self.input_visits);
+                acc.add_count("sim.output_ticks", self.output_ticks);
+                acc.add_count("sim.source_visits", self.source_visits);
+                acc.add_count("sim.sink_visits", self.sink_visits);
+            });
         }
     }
 }

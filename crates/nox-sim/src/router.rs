@@ -3,17 +3,17 @@
 //! A [`Router`] owns five input ports (SRAM FIFO plus, for NoX, the decode
 //! register of §2.4) and five output ports (credit counter plus the
 //! architecture's per-output control engine from `nox-core`). Each network
-//! cycle the router:
+//! cycle the router, in one [`tick`](Router::tick):
 //!
 //! 1. computes, per input that holds a word, the *presented* flit — for
 //!    NoX this runs the decode step, possibly consuming the cycle to latch
 //!    an encoded word — and files it in its output's request set,
 //!    qualified by downstream credit;
-//! 2. ticks the control engine of each output that is requested or not
-//!    settled;
-//! 3. applies the decisions: drives link words (possibly XOR-encoded,
-//!    possibly invalid on a collision/abort), consumes serviced flits,
-//!    returns credits upstream, and counts every energy-relevant event.
+//! 2. for each output that is requested or not settled, ticks its control
+//!    engine and applies the decision at once: drives a link word
+//!    (possibly XOR-encoded, possibly invalid on a collision/abort),
+//!    consumes serviced flits, returns credits upstream, and counts every
+//!    energy-relevant event.
 //!
 //! The two sets those loops run over (inputs whose FIFO holds a word,
 //! outputs whose engine is not settled) are kept exact as words come and
@@ -81,16 +81,13 @@ pub struct TickCtx<'a> {
     pub(crate) probe: ProbeSlot,
     /// Fault-injection state, if a campaign is attached to the network.
     pub(crate) faults: Option<&'a mut FaultState>,
-    /// Phase clock, if self-profiling is enabled on the network.
-    pub(crate) phases: Option<&'a mut nox_telemetry::PhaseClock>,
     /// Inputs visited and output engines ticked under this context.
     pub(crate) input_visits: u64,
     pub(crate) output_ticks: u64,
 }
 
 impl<'a> TickCtx<'a> {
-    /// Creates a context with no probe, fault campaign or phase clock
-    /// attached.
+    /// Creates a context with no probe or fault campaign attached.
     pub fn new(
         packets: &'a PacketTable,
         counters: &'a mut Counters,
@@ -104,17 +101,8 @@ impl<'a> TickCtx<'a> {
             credits,
             probe: ProbeSlot::default(),
             faults: None,
-            phases: None,
             input_visits: 0,
             output_ticks: 0,
-        }
-    }
-
-    /// Attributes time since the previous phase mark to `phase`: one
-    /// branch unless a phase clock is attached.
-    pub(crate) fn phase_mark(&mut self, phase: nox_telemetry::PhaseId) {
-        if let Some(clock) = &mut self.phases {
-            clock.mark(phase);
         }
     }
 
@@ -141,7 +129,7 @@ impl<'a> TickCtx<'a> {
     }
 
     /// Is this router frozen (transient fault) this cycle?
-    pub(crate) fn fault_frozen(&mut self, node: NodeId) -> bool {
+    fn fault_frozen(&mut self, node: NodeId) -> bool {
         match &mut self.faults {
             Some(f) => f.frozen_tick(node.0),
             None => false,
@@ -337,23 +325,14 @@ pub struct Presented {
     action: DecodeAction,
 }
 
-/// One output engine's decision for the cycle.
-#[derive(Clone, Copy, Debug)]
-enum Decision {
-    NonSpec(nox_core::NonSpecDecision),
-    Spec(nox_core::SpecDecision),
-    Nox(nox_core::NoxDecision),
-}
-
 /// Per-cycle working state, one slot per port: what each input presents
-/// (indexed by input), and each output's request set, Spec-Fast fresh set
-/// and decision (indexed by output). Fixed arrays of [`MAX_PORTS`], so it
-/// is plain data inside the router with no heap block of its own.
+/// (indexed by input), and each output's request set and Spec-Fast fresh
+/// set (indexed by output). Fixed arrays of [`MAX_PORTS`], so it is plain
+/// data inside the router with no heap block of its own.
 ///
-/// Meaningful only from the present stage of a router's tick to the end
-/// of its apply stage, and then only the slots the sets name: `presented`
-/// is blanked every tick, `reqs` and `fresh` are rewritten for the
-/// outputs in `requested`, `decisions` for those in `decided`.
+/// Meaningful only within one tick of a router, and then only the slots
+/// the sets name: `presented` is blanked every tick, `reqs` and `fresh`
+/// are rewritten for the outputs in `requested`.
 #[derive(Clone, Copy, Debug)]
 pub struct TickScratch {
     presented: [Option<Presented>; MAX_PORTS],
@@ -361,13 +340,6 @@ pub struct TickScratch {
     fresh: [PortSet; MAX_PORTS],
     /// Outputs that some input requests this cycle.
     requested: PortSet,
-    /// Where the staged sweeps park decisions between the arbitrate and
-    /// the apply sweep; [`Router::tick`] applies each as it is made.
-    decisions: [Decision; MAX_PORTS],
-    /// Outputs with a decision parked.
-    decided: PortSet,
-    /// Transient router freeze this cycle: the later stages are no-ops.
-    frozen: bool,
 }
 
 impl TickScratch {
@@ -380,9 +352,6 @@ impl TickScratch {
         }; MAX_PORTS],
         fresh: [PortSet::EMPTY; MAX_PORTS],
         requested: PortSet::EMPTY,
-        decisions: [Decision::NonSpec(nox_core::NonSpecDecision::IDLE); MAX_PORTS],
-        decided: PortSet::EMPTY,
-        frozen: false,
     };
 }
 
@@ -402,29 +371,16 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 /// A router of a given architecture: five ports on the paper's mesh,
 /// up to [`MAX_PORTS`] on a concentrated mesh.
 ///
-/// A cycle advances in three stages:
-///
-/// 1. [`tick_present`](Self::tick_present) — decode steps, routing, and
-///    request-set construction, over the occupied inputs (phase
-///    `sim.route`);
-/// 2. [`tick_arbitrate`](Self::tick_arbitrate) — the control engines of
-///    the demanded outputs decide (phase `sim.arbitrate`);
-/// 3. [`tick_apply`](Self::tick_apply) — decisions take effect: words
-///    drive links, inputs are serviced, credits return, counters count
-///    (phases `sim.drive` / `sim.encode`).
-///
-/// [`tick`](Self::tick) runs the first and then decides and applies one
-/// demanded output after another, and that is how the network ticks a
-/// router. An output's decision reads only what the present stage filed
-/// for it and its own engine and credit counter, and applying it touches
-/// only that counter and the inputs that requested it, so deciding every
-/// output before applying any comes to the same thing (DESIGN.md §19).
-/// Routers never interact within a cycle either (sends and credits
-/// emitted into the [`TickCtx`] are delivered by the network on *later*
-/// cycles), so running each stage across *all* routers before the next
-/// is behaviourally identical too. The network does that only while a
-/// phase clock is attached, to attribute each stage's wall time to a
-/// named phase with one clock read per stage per step (DESIGN.md §18).
+/// A cycle is one [`tick`](Self::tick): the occupied inputs present
+/// (decode steps, routing, request sets), then each demanded output's
+/// engine decides and its decision takes effect at once (words drive
+/// links, inputs are serviced, credits return, counters count). An
+/// output's decision reads only what the inputs filed for it and its own
+/// engine and credit counter, and applying it touches only that counter
+/// and the inputs that requested it, so no output waits for another
+/// (DESIGN.md §19). Routers never interact within a cycle either: sends
+/// and credits emitted into the [`TickCtx`] are delivered by the network
+/// on *later* cycles.
 #[derive(Clone, Debug)]
 pub struct Router {
     node: NodeId,
@@ -631,38 +587,28 @@ impl Router {
         flushed
     }
 
-    /// Advances the router by one cycle, including the per-cycle
-    /// transient-freeze draw: the present stage, then each demanded output
-    /// decided and applied in turn.
+    /// Advances the router by one cycle: the inputs present, then each
+    /// demanded output decides and applies in turn. A router frozen by a
+    /// transient fault (drawn here, once per router per cycle) loses the
+    /// whole cycle: no decode, no arbitration, no link drive.
     pub fn tick(&mut self, ctx: &mut TickCtx<'_>) {
-        let frozen = ctx.fault_frozen(self.node);
-        self.tick_present(frozen, ctx);
-        if frozen {
+        if ctx.fault_frozen(self.node) {
             return;
         }
+        self.present(ctx);
         for out in self.demanded() {
-            if let Some(d) = self.decide(out) {
-                self.apply(out, d, ctx);
-            }
+            self.decide_and_apply(out, ctx);
         }
     }
 
     // ------------------------------------------------------- tick stages
 
-    /// Stage 1: starts the cycle at every occupied input (freshness
-    /// promotion), computes what it presents — for NoX running the decode
-    /// step, possibly consuming the cycle to latch an encoded word — and
-    /// files it in the credit-qualified request set (and, for Spec-Fast,
-    /// the fresh set) of the output it asks for.
-    ///
-    /// `frozen` is this cycle's transient-fault freeze for this router
-    /// (drawn by the caller exactly once per router per cycle); a frozen
-    /// router loses the whole cycle, and the later stages no-op.
-    pub(crate) fn tick_present(&mut self, frozen: bool, ctx: &mut TickCtx<'_>) {
-        self.scratch.frozen = frozen;
-        if frozen {
-            return;
-        }
+    /// Starts the cycle at every occupied input (freshness promotion),
+    /// computes what it presents — for NoX running the decode step,
+    /// possibly consuming the cycle to latch an encoded word — and files
+    /// it in the credit-qualified request set (and, for Spec-Fast, the
+    /// fresh set) of the output it asks for.
+    fn present(&mut self, ctx: &mut TickCtx<'_>) {
         // Blanked every tick, so that an entry left by an earlier cycle
         // can never stand in for an input that presents nothing now.
         let ports = self.inputs.len();
@@ -757,70 +703,50 @@ impl Router {
         self.scratch.requested.union(self.unsettled)
     }
 
-    /// Ticks output `out`'s control engine against the request sets from
-    /// stage 1 and returns its decision; `None` when the output is out of
-    /// credit. Pure control logic — no counters, no link traffic, no
-    /// credit movement.
-    fn decide(&mut self, out: PortId) -> Option<Decision> {
+    /// Ticks output `out`'s control engine against the request sets the
+    /// inputs filed and applies its decision at once — drives a link word
+    /// (possibly XOR-encoded, possibly invalid on a collision/abort),
+    /// consumes serviced flits, returns credits upstream, and counts every
+    /// energy-relevant event. An output out of credit does nothing.
+    fn decide_and_apply(&mut self, out: PortId, ctx: &mut TickCtx<'_>) {
         let o = out.index();
         let port = &mut self.outputs[o];
         // Credit exhaustion freezes the whole output: nothing can
         // traverse, and ticking the controller would tear down a valid
         // schedule (DESIGN.md, clarification 4).
         if port.credits == 0 {
-            return None;
+            return;
         }
         let (reqs, fresh) = if self.scratch.requested.contains(out) {
             (self.scratch.reqs[o], self.scratch.fresh[o])
         } else {
             (RequestSet::default(), PortSet::EMPTY)
         };
-        let decision = match &mut port.engine {
-            Engine::NonSpec(e) => Decision::NonSpec(e.tick(reqs)),
-            Engine::Spec(e) => Decision::Spec(e.tick(reqs, fresh)),
-            Engine::Nox(e) => Decision::Nox(e.tick(reqs)),
+        ctx.output_ticks += 1;
+        let settled = match &mut port.engine {
+            Engine::NonSpec(e) => {
+                let d = e.tick(reqs);
+                let settled = e.settled();
+                self.apply_nonspec(out, d, ctx);
+                settled
+            }
+            Engine::Spec(e) => {
+                let d = e.tick(reqs, fresh);
+                let settled = e.settled();
+                self.apply_spec(out, d, ctx);
+                settled
+            }
+            Engine::Nox(e) => {
+                let d = e.tick(reqs);
+                let settled = e.settled();
+                self.apply_nox(out, d, ctx);
+                settled
+            }
         };
-        if port.engine.settled() {
+        if settled {
             self.unsettled.remove(out);
         } else {
             self.unsettled.insert(out);
-        }
-        Some(decision)
-    }
-
-    /// Applies one output's decision — drives a link word (possibly
-    /// XOR-encoded, possibly invalid on a collision/abort), consumes
-    /// serviced flits, returns credits upstream, and counts every
-    /// energy-relevant event.
-    fn apply(&mut self, out: PortId, decision: Decision, ctx: &mut TickCtx<'_>) {
-        ctx.output_ticks += 1;
-        match decision {
-            Decision::Nox(d) => self.apply_nox(out, d, ctx),
-            Decision::Spec(d) => self.apply_spec(out, d, ctx),
-            Decision::NonSpec(d) => self.apply_nonspec(out, d, ctx),
-        }
-    }
-
-    /// Stage 2 of a staged sweep: every demanded output with credit
-    /// decides, and the decisions wait in the scratch for stage 3.
-    pub(crate) fn tick_arbitrate(&mut self) {
-        self.scratch.decided = PortSet::EMPTY;
-        if self.scratch.frozen {
-            return;
-        }
-        for out in self.demanded() {
-            if let Some(d) = self.decide(out) {
-                self.scratch.decisions[out.index()] = d;
-                self.scratch.decided.insert(out);
-            }
-        }
-    }
-
-    /// Stage 3 of a staged sweep: applies stage 2's decisions, in output
-    /// order.
-    pub(crate) fn tick_apply(&mut self, ctx: &mut TickCtx<'_>) {
-        for out in self.scratch.decided {
-            self.apply(out, self.scratch.decisions[out.index()], ctx);
         }
     }
 
@@ -909,9 +835,7 @@ impl Router {
             _ => {
                 // A multi-input drive is an XOR encode, folded over the
                 // words where they sit; only the serviced winner's leaves
-                // its FIFO. Bracket the fold with phase marks so its cost
-                // lands in `sim.encode`, not `sim.drive`.
-                ctx.phase_mark(nox_telemetry::phase::SIM_DRIVE);
+                // its FIFO.
                 let mut word = Word::empty();
                 for i in drive.iter() {
                     word = if serviced.contains(i) {
@@ -924,7 +848,6 @@ impl Router {
                         word.xor(&self.inputs[i.index()].presented_word())
                     };
                 }
-                ctx.phase_mark(nox_telemetry::phase::SIM_ENCODE);
                 word
             }
         };
@@ -1145,23 +1068,15 @@ mod tests {
     }
 
     #[test]
-    fn tick_is_the_three_stages_in_turn() {
-        // The network ticks a router through `tick` when it has no phase
-        // clock and through the three stages when it has one. Drive two
-        // copies of one router, one each way, with the same words and
-        // credits, heavily enough for collisions, chains and stalls: they
-        // must emit the same and end every cycle in the same state. The
-        // state is what outlives a tick. The scratch does not, and the
-        // two orders fill it differently: only the staged one parks
-        // decisions there.
-        let lasting =
-            |r: &Router| format!("{:?}", (&r.inputs, &r.outputs, r.occupied, r.unsettled));
+    fn random_credit_traffic_keeps_the_port_sets_exact() {
+        // One router driven heavily enough for collisions, chains and
+        // stalls: the port sets it keeps must be the ones its FIFOs and
+        // engines say at the end of every tick, and every event its
+        // architecture can produce must have happened.
         for arch in Arch::ALL {
             let mesh = Topology::mesh(4, 4);
-            let (mut packets, mut c1, mut s1, mut r1) = ctx_parts();
-            let (_, mut c2, mut s2, mut r2) = ctx_parts();
-            let mut whole = Router::new(NodeId(5), arch, mesh, 2);
-            let mut staged = whole.clone();
+            let (mut packets, mut counters, mut sends, mut credits) = ctx_parts();
+            let mut r = Router::new(NodeId(5), arch, mesh, 2);
             // Downstream is not modelled: credits come back at random.
             let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
             let mut draw = |n: u64| {
@@ -1189,40 +1104,34 @@ mod tests {
                         let len = packets.meta(id).len;
                         link.extend((0..len).map(|seq| word_for(FlitKey { packet: id, seq })));
                     }
-                    if whole.input(port).has_space() {
+                    if r.input(port).has_space() {
                         if let Some(w) = link.pop_front() {
-                            whole.receive(port, w.clone());
-                            staged.receive(port, w);
+                            r.receive(port, w);
                         }
                     }
-                    if draw(2) == 0 && whole.output(port).credits() < 2 {
-                        whole.output_mut(port).return_credit(2);
-                        staged.output_mut(port).return_credit(2);
+                    if draw(2) == 0 && r.output(port).credits() < 2 {
+                        r.output_mut(port).return_credit(2);
                     }
                 }
-                whole.tick(&mut TickCtx::new(&packets, &mut c1, &mut s1, &mut r1));
-                let mut ctx = TickCtx::new(&packets, &mut c2, &mut s2, &mut r2);
-                staged.tick_present(false, &mut ctx);
-                staged.tick_arbitrate();
-                staged.tick_apply(&mut ctx);
-                assert_eq!(format!("{s1:?}"), format!("{s2:?}"), "{arch} cycle {cycle}");
-                assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "{arch} cycle {cycle}");
-                assert_eq!(c1, c2, "{arch} cycle {cycle}");
-                assert_eq!(lasting(&whole), lasting(&staged), "{arch} cycle {cycle}");
-                assert_eq!(whole.port_sets(), whole.scan_port_sets(), "{arch} {cycle}");
-                sent += s1.len();
-                s1.clear();
-                s2.clear();
-                r1.clear();
-                r2.clear();
+                r.tick(&mut TickCtx::new(
+                    &packets,
+                    &mut counters,
+                    &mut sends,
+                    &mut credits,
+                ));
+                assert_eq!(r.port_sets(), r.scan_port_sets(), "{arch} cycle {cycle}");
+                sent += sends.len();
+                sends.clear();
+                credits.clear();
             }
+            let c = counters;
             assert!(sent > 1_000, "{arch}: only {sent} words sent");
-            assert!(c1.arbitrations > 500, "{arch}: {c1:?}");
+            assert!(c.arbitrations > 500, "{arch}: {c:?}");
             match arch {
                 Arch::NonSpec => {}
-                Arch::SpecFast => assert!(c1.collisions > 50 && c1.wasted_reservations > 50),
-                Arch::SpecAccurate => assert!(c1.collisions > 50, "{c1:?}"),
-                Arch::Nox => assert!(c1.encoded_transfers > 50 && c1.aborts > 5, "{c1:?}"),
+                Arch::SpecFast => assert!(c.collisions > 50 && c.wasted_reservations > 50),
+                Arch::SpecAccurate => assert!(c.collisions > 50, "{c:?}"),
+                Arch::Nox => assert!(c.encoded_transfers > 50 && c.aborts > 5, "{c:?}"),
             }
         }
     }

@@ -230,7 +230,7 @@ pub fn check_trace_cursor(
 pub fn check_skipped_sink(core: usize, sink: &Sink, packets: &PacketTable) -> Result<(), String> {
     let mut s = sink.clone();
     let mut counters = Counters::new();
-    let outcome = s.drain(packets, &mut counters);
+    let outcome = s.drain(packets, &mut counters, None);
     if sink.occupancy() != 0
         || outcome != SinkOutcome::default()
         || counters != Counters::new()
@@ -400,7 +400,7 @@ mod tests {
         assert!(err.contains("holding 1 words"), "{err}");
         // Latched: a register mid-chain over an empty FIFO may sleep.
         let mut counters = Counters::new();
-        assert!(sink.drain(&packets, &mut counters).credit_freed);
+        assert!(sink.drain(&packets, &mut counters, None).credit_freed);
         assert!(!sink.is_idle());
         assert!(check_skipped_sink(7, &sink, &packets).is_ok(), "mid-chain");
         // The chain's last word arrives: the sink is owed a drain again.

@@ -8,12 +8,14 @@
 //!
 //! Every consumed flit is integrity-checked: the payload recovered through
 //! however many XOR encodes and decodes it took must equal the flit's
-//! original deterministic payload bits.
+//! original deterministic payload bits (under a fault campaign, a
+//! mismatch is classified and counted instead).
 
 use std::collections::VecDeque;
 
 use nox_core::{DecodeAction, DecodeStep, Decoder};
 
+use crate::fault::{DeliveryClass, FaultState};
 use crate::flit::{FlitInfo, FlitKey, PacketTable, Word};
 use crate::stats::Counters;
 use crate::topology::NodeId;
@@ -91,34 +93,83 @@ impl Sink {
 
     /// Drains at most one presented flit (or performs one decode latch).
     ///
+    /// With a fault campaign attached (`faults`), corruption is not a
+    /// bug but an outcome to count: a desynchronized decode chain is
+    /// truncated (chain kill), a CRC-detected corrupt payload is
+    /// discarded at the NIC, and an undetected one is delivered and
+    /// counted as a silent corruption. The wrong-node check stays an
+    /// assertion either way: headers (keys) are modeled as protected, so
+    /// misrouting still indicates a router bug.
+    ///
     /// # Panics
     ///
-    /// Panics if a consumed flit fails the payload integrity check or was
-    /// delivered to the wrong node — either indicates a router bug.
-    pub fn drain(&mut self, packets: &PacketTable, counters: &mut Counters) -> SinkOutcome {
-        match self.decoder.step(self.fifo.front()) {
-            DecodeStep::Idle => SinkOutcome::default(),
-            DecodeStep::Latch => self.latch(counters),
-            DecodeStep::Present(action) => {
-                let (key, payload) = self.presented();
-                let key = FlitKey::unpack(key.expect("undecodable word at sink"));
-                assert_eq!(
-                    payload,
-                    key.payload(),
-                    "payload corrupted through XOR encode/decode"
-                );
-                let info = packets.flit_info(key);
-                assert_eq!(info.dest, self.node, "flit ejected at wrong node");
-
+    /// Panics if a consumed flit was delivered to the wrong node, and,
+    /// without a campaign, if the presented word is undecodable or fails
+    /// the payload integrity check — each indicates a router bug.
+    pub fn drain(
+        &mut self,
+        packets: &PacketTable,
+        counters: &mut Counters,
+        faults: Option<&mut FaultState>,
+    ) -> SinkOutcome {
+        let action = match self.decoder.step(self.fifo.front()) {
+            DecodeStep::Idle => return SinkOutcome::default(),
+            DecodeStep::Latch => return self.latch(counters),
+            DecodeStep::Present(action) => action,
+        };
+        let (raw_key, actual) = self.presented();
+        // The fault-free arm is on its own: folding it into the branches
+        // below costs the saturated mesh about a fifth of its sink phase.
+        let Some(faults) = faults else {
+            let key = FlitKey::unpack(raw_key.expect("undecodable word at sink"));
+            assert_eq!(
+                actual,
+                key.payload(),
+                "payload corrupted through XOR encode/decode"
+            );
+            let info = packets.flit_info(key);
+            assert_eq!(info.dest, self.node, "flit ejected at wrong node");
+            counters.buffer_reads += 1;
+            counters.flits_ejected += 1;
+            let credit_freed = self.commit_action(action, counters);
+            return SinkOutcome {
+                credit_freed,
+                consumed: Some(info),
+                fault_event: None,
+            };
+        };
+        let Some(raw_key) = raw_key else {
+            // FSM desync at the ejection port: contain the chain.
+            let (lost, popped) = self.chain_kill();
+            faults.note_chain_kill(lost);
+            if popped {
                 counters.buffer_reads += 1;
-                counters.flits_ejected += 1;
-                let credit_freed = self.commit_action(action, counters);
-                SinkOutcome {
-                    credit_freed,
-                    consumed: Some(info),
-                    fault_event: None,
-                }
             }
+            return SinkOutcome {
+                credit_freed: popped,
+                fault_event: Some("detect desync"),
+                ..Default::default()
+            };
+        };
+        let key = FlitKey::unpack(raw_key);
+        let info = packets.flit_info(key);
+        assert_eq!(info.dest, self.node, "flit ejected at wrong node");
+        counters.buffer_reads += 1;
+        let credit_freed = self.commit_action(action, counters);
+        let (consumed, fault_event) = match faults.classify_delivery(key, actual) {
+            DeliveryClass::Clean => (Some(info), None),
+            // The CRC sideband caught the corruption: the flit is
+            // discarded at the NIC, not delivered.
+            DeliveryClass::DetectedCrc => (None, Some("detect crc")),
+            DeliveryClass::Silent => (Some(info), Some("silent corruption")),
+        };
+        if consumed.is_some() {
+            counters.flits_ejected += 1;
+        }
+        SinkOutcome {
+            credit_freed,
+            consumed,
+            fault_event,
         }
     }
 
@@ -164,74 +215,6 @@ impl Sink {
                 counters.decode_xors += 1;
                 counters.decode_reg_writes += 1;
                 true
-            }
-        }
-    }
-
-    /// Drains one presented flit under fault injection.
-    ///
-    /// Unlike [`Sink::drain`], nothing here panics on corruption — the
-    /// fault layer turns each integrity violation into a counted outcome:
-    /// a desynchronized decode chain is truncated (chain kill), a
-    /// CRC-detected corrupt payload is discarded at the NIC, and an
-    /// undetected one is delivered and counted as a silent corruption.
-    /// The wrong-node check stays an assertion: headers (keys) are
-    /// modeled as protected, so misrouting still indicates a router bug.
-    pub(crate) fn drain_faulty(
-        &mut self,
-        packets: &PacketTable,
-        counters: &mut Counters,
-        faults: &mut crate::fault::FaultState,
-    ) -> SinkOutcome {
-        use crate::fault::DeliveryClass;
-        match self.decoder.step(self.fifo.front()) {
-            DecodeStep::Idle => SinkOutcome::default(),
-            DecodeStep::Latch => self.latch(counters),
-            DecodeStep::Present(action) => {
-                let (raw_key, actual) = self.presented();
-                let Some(raw_key) = raw_key else {
-                    // FSM desync at the ejection port: contain the chain.
-                    let (lost, popped) = self.chain_kill();
-                    faults.note_chain_kill(lost);
-                    if popped {
-                        counters.buffer_reads += 1;
-                    }
-                    return SinkOutcome {
-                        credit_freed: popped,
-                        fault_event: Some("detect desync"),
-                        ..Default::default()
-                    };
-                };
-                let key = FlitKey::unpack(raw_key);
-                let info = packets.flit_info(key);
-                assert_eq!(info.dest, self.node, "flit ejected at wrong node");
-                counters.buffer_reads += 1;
-                let credit_freed = self.commit_action(action, counters);
-                match faults.classify_delivery(key, actual) {
-                    DeliveryClass::DetectedCrc => SinkOutcome {
-                        // The CRC sideband caught the corruption: the flit
-                        // is discarded at the NIC, not delivered.
-                        credit_freed,
-                        fault_event: Some("detect crc"),
-                        ..Default::default()
-                    },
-                    DeliveryClass::Silent => {
-                        counters.flits_ejected += 1;
-                        SinkOutcome {
-                            credit_freed,
-                            consumed: Some(info),
-                            fault_event: Some("silent corruption"),
-                        }
-                    }
-                    DeliveryClass::Clean => {
-                        counters.flits_ejected += 1;
-                        SinkOutcome {
-                            credit_freed,
-                            consumed: Some(info),
-                            ..Default::default()
-                        }
-                    }
-                }
             }
         }
     }
@@ -290,7 +273,7 @@ mod tests {
         }
         let mut consumed = 0;
         for _ in 0..3 {
-            if sink.drain(&t, &mut c).consumed.is_some() {
+            if sink.drain(&t, &mut c, None).consumed.is_some() {
                 consumed += 1;
             }
         }
@@ -312,14 +295,14 @@ mod tests {
         sink.receive(wb);
 
         // Cycle 1: latch, credit freed, nothing consumed.
-        let o = sink.drain(&t, &mut c);
+        let o = sink.drain(&t, &mut c, None);
         assert!(o.credit_freed && o.consumed.is_none());
         // Cycle 2: A recovered.
-        let o = sink.drain(&t, &mut c);
+        let o = sink.drain(&t, &mut c, None);
         assert_eq!(o.consumed.unwrap().packet, a);
         assert!(!o.credit_freed);
         // Cycle 3: B consumed.
-        let o = sink.drain(&t, &mut c);
+        let o = sink.drain(&t, &mut c, None);
         assert_eq!(o.consumed.unwrap().packet, b);
         assert!(o.credit_freed);
         assert!(sink.is_idle());
@@ -334,7 +317,7 @@ mod tests {
         let mut sink = Sink::new(NodeId(3), 4);
         let id = packet(&mut t, 7, 1);
         sink.receive(word_for(FlitKey { packet: id, seq: 0 }));
-        let _ = sink.drain(&t, &mut c);
+        let _ = sink.drain(&t, &mut c, None);
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn corrupted_payload_bits_are_caught() {
     let forged = Coded::plain(key.pack(), key.payload() ^ 0xDEAD);
     let mut sink = Sink::new(NodeId(3), 4);
     sink.receive(forged);
-    let _ = sink.drain(&table, &mut c);
+    let _ = sink.drain(&table, &mut c, None);
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn misrouted_flit_is_caught() {
     let key = one_packet(&mut table, 3);
     let mut sink = Sink::new(NodeId(2), 4); // not the destination
     sink.receive(word_for(key));
-    let _ = sink.drain(&table, &mut c);
+    let _ = sink.drain(&table, &mut c, None);
 }
 
 #[test]
@@ -82,8 +82,8 @@ fn dangling_encoded_word_is_caught() {
     // {a,b}^{x} — a three-key word, which must be rejected.
     sink.receive(word_for(a).xor(&word_for(b)));
     sink.receive(word_for(x));
-    let _ = sink.drain(&table, &mut c); // latch
-    let _ = sink.drain(&table, &mut c); // must panic
+    let _ = sink.drain(&table, &mut c, None); // latch
+    let _ = sink.drain(&table, &mut c, None); // must panic
 }
 
 #[test]
@@ -107,6 +107,6 @@ fn checks_do_not_fire_on_legal_traffic() {
     let key = one_packet(&mut table, 3);
     let mut sink = Sink::new(NodeId(3), 4);
     sink.receive(word_for(key));
-    let out = sink.drain(&table, &mut c);
+    let out = sink.drain(&table, &mut c, None);
     assert!(out.consumed.is_some());
 }

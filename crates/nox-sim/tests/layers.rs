@@ -4,15 +4,15 @@
 //! every architecture on the 4x4 mesh, the concentrated mesh and the
 //! paper's 8x8 mesh driven past saturation bare, then with every observer
 //! at once, then under a zero-rate fault plan, and compares everything a
-//! run reports.
+//! run reports, and the work it did to get there.
 //!
-//! The phase clock is more than an observer: a network that has one runs
-//! the router stages as three sweeps across all routers, a bare network
-//! ticks each router start to finish (DESIGN.md §18). So the bare run
-//! against the observed one is also the fused loop against the staged
-//! one, and the saturated case is there to compare them on routers that
-//! are busy on every port: collisions, encoded chains, aborts, Spec-Fast
-//! stale reservations, outputs out of credit.
+//! Every run steps the same loop; a phase clock times the router loop
+//! from outside (DESIGN.md §18). So an observer must not change how many
+//! routers, ports, sources or sinks are visited: the five work counters
+//! come out equal. A zero-rate campaign visits every router, source and
+//! sink every cycle, and still exactly the ports the bare run visits. The
+//! saturated case keeps routers busy on every port: collisions, encoded
+//! chains, aborts, Spec-Fast stale reservations, outputs out of credit.
 //!
 //! The probe is the one layer behind a cargo feature; under
 //! `--features probe` it joins the observers.
@@ -24,7 +24,7 @@ use nox_sim::network::Network;
 use nox_sim::topology::NodeId;
 use nox_sim::trace::{PacketEvent, Trace};
 use nox_sim::{Counters, LatencyStats};
-use nox_telemetry::phase::SIM_STEP;
+use nox_telemetry::phase::{SIM_ROUTE, SIM_STEP};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,7 +50,7 @@ fn mixed_trace(cfg: &NetConfig, per_cycle: f64, long_share: f64, cycles: u64) ->
     trace
 }
 
-/// Everything a run reports, apart from the work counter.
+/// Everything a run reports.
 #[derive(Debug, PartialEq)]
 struct Report {
     cycles: u64,
@@ -65,6 +65,26 @@ fn report(net: &Network) -> Report {
         counters: *net.counters(),
         latency: *net.latency_measured_ns(),
         ejections: net.eject_log().expect("eject log enabled").to_vec(),
+    }
+}
+
+/// The work a run did, in things visited.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Work {
+    router_ticks: u64,
+    source_visits: u64,
+    sink_visits: u64,
+    input_visits: u64,
+    output_ticks: u64,
+}
+
+fn work(net: &Network) -> Work {
+    Work {
+        router_ticks: net.router_ticks(),
+        source_visits: net.source_visits(),
+        sink_visits: net.sink_visits(),
+        input_visits: net.input_visits(),
+        output_ticks: net.output_ticks(),
     }
 }
 
@@ -90,11 +110,27 @@ fn observed(cfg: NetConfig, trace: &Trace) -> Network {
 }
 
 /// Drops `net` and returns how many steps its phase clock flushed into
-/// this thread's telemetry accumulator.
+/// this thread's telemetry accumulator. Whatever it flushed has the
+/// router loop timed once a step and the work counters beside it.
 fn profiled_steps(net: Network) -> u64 {
+    let w = work(&net);
     drop(nox_telemetry::take_acc());
     drop(net);
-    nox_telemetry::take_acc().map_or(0, |acc| acc.phase(SIM_STEP).count)
+    let Some(acc) = nox_telemetry::take_acc() else {
+        return 0;
+    };
+    let steps = acc.phase(SIM_STEP).count;
+    assert_eq!(acc.phase(SIM_ROUTE).count, steps, "one router loop a step");
+    let flushed = |key: &str| acc.counters().get(key).copied().unwrap_or(0);
+    let counted = Work {
+        router_ticks: flushed("sim.router_ticks"),
+        source_visits: flushed("sim.source_visits"),
+        sink_visits: flushed("sim.sink_visits"),
+        input_visits: flushed("sim.input_visits"),
+        output_ticks: flushed("sim.output_ticks"),
+    };
+    assert_eq!(counted, w, "the work counters did not go with the clock");
+    steps
 }
 
 // One test function: the profiling switch is process-wide, the bare runs
@@ -127,10 +163,12 @@ fn layers_attached_together_move_no_simulated_number() {
         for (name, cfg, per_cycle, long_share, cycles) in topologies {
             let trace = mixed_trace(&cfg, per_cycle, long_share, cycles);
             let routers = cfg.topology().routers() as u64;
+            let cores = cfg.topology().cores() as u64;
 
             let mut bare = network(cfg, &trace);
             assert!(bare.run_to_quiescence(200_000), "{arch} {name}: no drain");
             let expected = report(&bare);
+            let expected_work = work(&bare);
             assert_eq!(expected.counters.packets_ejected, trace.len() as u64);
             assert!(expected.latency.count() > 0, "{arch} {name}: none measured");
             assert!(
@@ -157,6 +195,11 @@ fn layers_attached_together_move_no_simulated_number() {
             let mut all = observed(cfg, &trace);
             assert!(all.run_to_quiescence(200_000));
             assert_eq!(report(&all), expected, "{arch} {name}: observers perturbed");
+            assert_eq!(
+                work(&all),
+                expected_work,
+                "{arch} {name}: observers moved work"
+            );
             #[cfg(feature = "probe")]
             {
                 let mut probe = all.take_probe().expect("probe attached");
@@ -169,8 +212,9 @@ fn layers_attached_together_move_no_simulated_number() {
                 "{arch} {name}: the phase clock missed steps"
             );
 
-            // The same, under a fault plan that never fires: every router
-            // ticks every cycle, and nothing else differs.
+            // The same, under a fault plan that never fires: every router,
+            // source and sink is visited every cycle, and nothing else
+            // differs.
             let mut campaign = observed(cfg, &trace);
             campaign.enable_faults(FaultConfig::default());
             assert!(campaign.run_to_settlement(200_000));
@@ -179,7 +223,16 @@ fn layers_attached_together_move_no_simulated_number() {
                 expected,
                 "{arch} {name}: a zero-rate campaign perturbed the run"
             );
-            assert_eq!(campaign.router_ticks(), expected.cycles * routers);
+            assert_eq!(
+                work(&campaign),
+                Work {
+                    router_ticks: expected.cycles * routers,
+                    source_visits: expected.cycles * cores,
+                    sink_visits: expected.cycles * cores,
+                    ..expected_work
+                },
+                "{arch} {name}: a zero-rate campaign visited the wrong ports"
+            );
             let stats = campaign.fault_state().expect("campaign attached").stats();
             assert_eq!(stats.injected_total(), 0);
             assert_eq!(profiled_steps(campaign), expected.cycles);

@@ -8,7 +8,8 @@
 //! the layout it rests on: the size of the word that FIFO slots, decode
 //! registers and link transfers are built from, that the per-input
 //! presented record carries no word, and that a router's tick scratch is
-//! plain inline data, which is why a router has at most eight ports.
+//! plain inline data, which is why a router has at most eight ports, and
+//! how big that scratch and the router around it are.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,6 +35,13 @@ const _: () = assert!(std::mem::size_of::<Presented>() <= 24);
 // `Copy`, so it owns no heap block: fixed arrays of `MAX_PORTS` slots.
 const fn holds_no_heap_pointer<T: Copy>() {}
 const _: () = holds_no_heap_pointer::<TickScratch>();
+
+// What a tick needs and nothing parked between stages: presented
+// records, request and fresh sets, the requested set. A decision is
+// applied as it is made, so the scratch holds no decision table and the
+// router no more than its ports, its two sets and this.
+const _: () = assert!(std::mem::size_of::<TickScratch>() <= 328);
+const _: () = assert!(std::mem::size_of::<Router>() <= 408);
 
 thread_local! {
     // Per-thread, so the harness's other test threads never count here;

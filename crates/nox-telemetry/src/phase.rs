@@ -3,6 +3,13 @@
 //! Phases are a closed, ordered set known at compile time, so profile
 //! artifacts list them in one canonical order at every thread count —
 //! the structural half of the determinism argument in DESIGN.md §14.
+//!
+//! `sim.route` times the simulator's whole router loop, one mark per
+//! step; the work inside it is counted, not timed (DESIGN.md §18). Three
+//! ids are retired and nothing marks them: `sim.arbitrate`, `sim.drive`
+//! and `sim.encode`. They stay registered, reading 0, only because the
+//! frozen repo benchmark names them; ROADMAP item 1 drops them with the
+//! benchmark's share rows and renames `sim.route` to `sim.router`.
 
 /// An index into the static phase registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

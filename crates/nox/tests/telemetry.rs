@@ -6,7 +6,8 @@
 //!   counts and counters included);
 //! - the per-step phase attribution telescopes exactly: the attributed
 //!   phases plus the `sim.other` residual sum to `sim.step` to the
-//!   nanosecond;
+//!   nanosecond, with the router loop one `sim.route` span per step and
+//!   the work inside it counted (`sim.router_ticks` and four more);
 //! - the `--stream` wire format frames every event as one complete JSON
 //!   line with a deterministic (event, stage, index) order at any
 //!   thread count; and
@@ -85,6 +86,19 @@ fn sim_phase_attribution_telescopes_exactly() {
     assert_eq!(attributed + other, step.nanos);
     let coverage = report.sim_coverage().expect("sim ran");
     assert!(coverage > 0.9, "named phases cover the step: {coverage}");
+    // The router loop is timed as a whole, once a step; what it did
+    // inside is counted, not timed.
+    assert_eq!(report.acc.phase(phase::SIM_ROUTE).count, step.count);
+    for key in [
+        "sim.router_ticks",
+        "sim.input_visits",
+        "sim.output_ticks",
+        "sim.source_visits",
+        "sim.sink_visits",
+    ] {
+        let n = report.acc.counters().get(key).copied();
+        assert!(n.is_some_and(|n| n > 0), "{key}: {n:?}");
+    }
 }
 
 /// A stream sink capturing emitted bytes for inspection.
