@@ -1,8 +1,8 @@
 //! Telemetry analysis and export for probed NoX simulations.
 //!
-//! The `nox-sim` crate's `probe` feature threads an observer — the
-//! [`Probe`] — through the simulator's hot loops; this crate turns what it
-//! collects into artifacts:
+//! `Network::enable_probe` attaches an observer — the [`Probe`] — to the
+//! simulator's step loop at run time, like the sanitizer, the fault layer
+//! and the phase clock; this crate turns what it collects into artifacts:
 //!
 //! * [`report::run_report`] — a machine-readable JSON run report with
 //!   per-router link utilization, NoX FSM occupancy, encoded-chain

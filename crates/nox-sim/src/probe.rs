@@ -1,11 +1,11 @@
 //! `nox-probe` telemetry hooks: per-router metrics, event traces, and
-//! latency decomposition — the simulator's one compile-time option.
+//! latency decomposition.
 //!
 //! The paper instruments its simulator "with necessary event counters to
 //! form an accurate power model" (§4), but [`Counters`](crate::stats::Counters)
 //! is network-global: it can reproduce Figure 12 yet cannot show *where*
-//! contention lives. With the `probe` feature a `Probe` collector closes
-//! that gap with three layers:
+//! contention lives. A [`Probe`] collector closes that gap with three
+//! layers:
 //!
 //! 1. **Per-router / per-link time-windowed metrics** — link utilization,
 //!    input-buffer occupancy, encoded-chain-length histograms, per-output
@@ -22,17 +22,12 @@
 //!
 //! # The seam
 //!
-//! The step loop, the router stages and the sinks never name the
-//! collector. They call the hooks of a [`ProbeSlot`] unconditionally, and
-//! this module is the only place in the crate that knows whether the
-//! feature is on. With it, the slot holds the attached collector, if any,
-//! and each hook is one `Option` test; without it, the slot is a
-//! zero-sized type whose hooks are empty inline bodies, so the default
-//! build carries neither state nor branches for telemetry. That is why
-//! the probe, unlike the sanitizer, the fault layer and the phase clock,
-//! is still a cargo feature: compiled in and left unattached it measured
-//! +3.1 % / +2.2 % host time per cycle on the benchmark's almost-empty
-//! and saturated meshes (DESIGN.md, "Build configurations").
+//! The step loop, the router tick and the sinks never name the
+//! collector. They call the hooks of a [`ProbeSlot`] unconditionally; the
+//! slot holds the collector `Network::enable_probe` attached, if any, and
+//! each hook is one `Option` test. Like the sanitizer, the fault layer
+//! and the phase clock, the probe is always compiled and switched at run
+//! time (DESIGN.md, "Build configurations").
 
 use nox_core::PortId;
 
@@ -41,9 +36,7 @@ use crate::router::{Router, Send};
 use crate::sink::Sink;
 use crate::topology::NodeId;
 
-#[cfg(feature = "probe")]
 mod collector;
-#[cfg(feature = "probe")]
 pub use collector::{
     EventKind, LatencyBreakdown, Probe, ProbeConfig, RouterMetrics, TraceEvent, WindowSummary,
     SATURATION_UTIL,
@@ -51,18 +44,9 @@ pub use collector::{
 
 /// Where a [`Network`](crate::network::Network) keeps its telemetry
 /// collector: the collector attached by `Network::enable_probe`, if any.
-#[cfg(feature = "probe")]
 #[derive(Clone, Debug, Default)]
 pub struct ProbeSlot(Option<Box<Probe>>);
 
-/// Where a [`Network`](crate::network::Network) would keep its telemetry
-/// collector; without the `probe` feature there is none, and every hook
-/// is an empty inline function.
-#[cfg(not(feature = "probe"))]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProbeSlot(());
-
-#[cfg(feature = "probe")]
 impl ProbeSlot {
     /// Marks the start of a network cycle; router-side hooks use this to
     /// timestamp events.
@@ -139,48 +123,7 @@ impl ProbeSlot {
     }
 }
 
-#[cfg(not(feature = "probe"))]
-impl ProbeSlot {
-    #[inline]
-    pub(crate) fn on_cycle_start(&mut self, _cycle: u64) {}
-
-    #[inline]
-    pub(crate) fn on_inject(&mut self, _cycle: u64, _core: NodeId, _key: FlitKey) {}
-
-    #[inline]
-    pub(crate) fn on_latch(&mut self, _node: NodeId, _input: PortId) {}
-
-    #[inline]
-    pub(crate) fn on_eject(
-        &mut self,
-        _cycle: u64,
-        _core: NodeId,
-        _packet: PacketId,
-        _created: u64,
-    ) {
-    }
-
-    #[inline]
-    pub(crate) fn on_encoded(&mut self, _node: NodeId, _out: PortId, _chain_len: u8) {}
-
-    #[inline]
-    pub(crate) fn on_wasted(&mut self, _node: NodeId, _out: PortId, _colliding: u8, _abort: bool) {}
-
-    #[inline]
-    pub(crate) fn on_fault(&mut self, _node: NodeId, _port: PortId, _label: &'static str) {}
-
-    #[inline]
-    pub(crate) fn on_cycle_end(
-        &mut self,
-        _cycle: u64,
-        _sends: &[Send],
-        _routers: &[Router],
-        _sinks: &[Sink],
-    ) {
-    }
-}
-
-#[cfg(all(test, feature = "probe"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Arch, NetConfig};

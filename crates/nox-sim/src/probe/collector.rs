@@ -1,6 +1,6 @@
-//! The telemetry collector the [probe slot](super::ProbeSlot) holds;
-//! compiled only with the `probe` feature. The crate's other modules
-//! reach it through the slot's hooks, never directly.
+//! The telemetry collector the [probe slot](super::ProbeSlot) holds. The
+//! crate's other modules reach it through the slot's hooks, never
+//! directly.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -369,6 +369,10 @@ impl Probe {
     }
 
     // ---------------------------------------------------------------- hooks
+    //
+    // Each entry point is `#[cold]`: a probe is attached to few runs, so
+    // its bodies stay out of the router tick and the step loop, which
+    // keep only the slot's `Option` test.
 
     fn push_event(&mut self, e: TraceEvent) {
         if self.events.len() == self.cfg.ring_capacity {
@@ -380,11 +384,13 @@ impl Probe {
 
     /// Marks the start of a network cycle; router-side hooks use this to
     /// timestamp events.
+    #[cold]
     pub(crate) fn on_cycle_start(&mut self, cycle: u64) {
         self.cur_cycle = cycle;
     }
 
     /// A flit entered the network at `core`'s source.
+    #[cold]
     pub(crate) fn on_inject(&mut self, cycle: u64, core: NodeId, key: FlitKey) {
         if key.seq != 0 {
             return;
@@ -399,6 +405,7 @@ impl Probe {
     }
 
     /// A packet's tail flit was consumed at its destination on `cycle`.
+    #[cold]
     pub(crate) fn on_eject(&mut self, cycle: u64, core: NodeId, packet: PacketId, created: u64) {
         self.push_event(TraceEvent {
             cycle,
@@ -420,6 +427,7 @@ impl Probe {
     }
 
     /// A NoX output drove a productive encoded word of `chain_len` flits.
+    #[cold]
     pub(crate) fn on_encoded(&mut self, node: NodeId, _out: PortId, chain_len: u8) {
         let m = &mut self.window[node.index()];
         m.encoded += 1;
@@ -429,6 +437,7 @@ impl Probe {
 
     /// An output drove an invalid word: a NoX abort or a speculative
     /// collision.
+    #[cold]
     pub(crate) fn on_wasted(&mut self, node: NodeId, out: PortId, colliding: u8, abort: bool) {
         let m = &mut self.window[node.index()];
         m.link_wasted[out.index()] += 1;
@@ -447,6 +456,7 @@ impl Probe {
 
     /// A router input (or sink) latched an encoded word into its decode
     /// register.
+    #[cold]
     pub(crate) fn on_latch(&mut self, node: NodeId, input: PortId) {
         self.push_event(TraceEvent {
             cycle: self.cur_cycle,
@@ -457,6 +467,7 @@ impl Probe {
     }
 
     /// A fault-campaign event: injection, detection, or recovery.
+    #[cold]
     pub(crate) fn on_fault(&mut self, node: NodeId, port: PortId, label: &'static str) {
         self.push_event(TraceEvent {
             cycle: self.cur_cycle,
@@ -469,6 +480,7 @@ impl Probe {
     /// End-of-cycle sampling: records this cycle's launched link words,
     /// buffer occupancies, and NoX FSM modes, then rolls the metrics
     /// window over if it filled.
+    #[cold]
     pub(crate) fn on_cycle_end(
         &mut self,
         cycle: u64,

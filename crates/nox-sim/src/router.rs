@@ -5,10 +5,10 @@
 //! architecture's per-output control engine from `nox-core`). Each network
 //! cycle the router, in one [`tick`](Router::tick):
 //!
-//! 1. computes, per input that holds a word, the *presented* flit — for
-//!    NoX this runs the decode step, possibly consuming the cycle to latch
-//!    an encoded word — and files it in its output's request set,
-//!    qualified by downstream credit;
+//! 1. computes, per input that holds a word, the *presented* flit — the
+//!    decode step, which for NoX may consume the cycle to latch an
+//!    encoded word — and files it in its output's request set, qualified
+//!    by downstream credit;
 //! 2. for each output that is requested or not settled, ticks its control
 //!    engine and applies the decision at once: drives a link word
 //!    (possibly XOR-encoded, possibly invalid on a collision/abort),
@@ -384,7 +384,6 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 #[derive(Clone, Debug)]
 pub struct Router {
     node: NodeId,
-    arch: Arch,
     topo: Topology,
     /// This router's row of the route table: [`Topology::route`] from
     /// here to each core, [`UNROUTED`] until first asked. Filled on
@@ -444,7 +443,6 @@ impl Router {
             .collect();
         Router {
             node,
-            arch,
             topo,
             routes: vec![UNROUTED; topo.cores()].into_boxed_slice(),
             inputs,
@@ -604,10 +602,11 @@ impl Router {
     // ------------------------------------------------------- tick stages
 
     /// Starts the cycle at every occupied input (freshness promotion),
-    /// computes what it presents — for NoX running the decode step,
-    /// possibly consuming the cycle to latch an encoded word — and files
-    /// it in the credit-qualified request set (and, for Spec-Fast, the
-    /// fresh set) of the output it asks for.
+    /// computes what it presents — the decode step, which for NoX may
+    /// consume the cycle to latch an encoded word and for a baseline,
+    /// whose words are always one key, presents the head as it stands —
+    /// and files it in the credit-qualified request set (and, for
+    /// Spec-Fast, the fresh set) of the output it asks for.
     fn present(&mut self, ctx: &mut TickCtx<'_>) {
         // Blanked every tick, so that an entry left by an earlier cycle
         // can never stand in for an input that presents nothing now.
@@ -621,13 +620,7 @@ impl Router {
             let idx = ip.index();
             let input = &mut self.inputs[idx];
             input.begin_cycle();
-            let step = match self.arch {
-                Arch::Nox => input.decoder.step(input.fifo.front()),
-                // The baselines have no decode register: a head is
-                // presented as it stands.
-                _ => DecodeStep::Present(DecodeAction::Pass),
-            };
-            let presented = match step {
+            let presented = match input.decoder.step(input.fifo.front()) {
                 DecodeStep::Idle => None,
                 DecodeStep::Latch => {
                     // Known early in the cycle (§2.4): pop the encoded

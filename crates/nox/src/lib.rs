@@ -13,6 +13,7 @@
 //! | [`traffic`] | synthetic patterns, self-similar Pareto sources, CMP coherence synthesizer |
 //! | [`power`] | channel, logical-effort timing (Table 2), event-energy (Fig 12), area (Fig 13) |
 //! | [`analysis`] | sweeps, saturation/crossover detection, application runs, tables, the figure harness table, the claims registry |
+//! | [`probe`] | probed runs and their export: JSON run reports, Chrome traces, waveforms, heatmaps |
 //! | [`exec`] | deterministic parallel executor: ordered reduction over a thread pool |
 //! | [`statics`] | static design analysis: channel-dependency deadlock proofs, credit sizing, determinism lint |
 //! | [`telemetry`] | span profiler, metrics registry, the line-delimited JSON event stream, and the workspace's JSON value type |
@@ -51,7 +52,6 @@ pub use nox_core as core;
 pub use nox_exec as exec;
 pub use nox_fault as fault;
 pub use nox_power as power;
-#[cfg(feature = "probe")]
 pub use nox_probe as probe;
 pub use nox_serve as serve;
 pub use nox_sim as sim;

@@ -4,7 +4,8 @@
 //!
 //! Only the cheap harnesses (closed-form tables, golden traces) are run
 //! here; the simulating ones go through the same table and are driven by
-//! CI's `claims` job.
+//! CI's `claims` job. The probe's exports (run reports, waveforms, Chrome
+//! traces, heatmaps) are checked on short low-rate runs.
 
 use std::process::{Command, Output};
 
@@ -115,6 +116,100 @@ fn help_is_printed_from_the_command_table() {
     for h in harness::HARNESSES {
         assert!(help.contains(h.name) && help.contains(h.what), "{}", h.name);
     }
+}
+
+/// A fresh scratch directory for one test's files.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("noxsim-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn read_json(path: &std::path::Path) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+    Json::parse(text.trim_end()).unwrap_or_else(|e| panic!("{path:?} is not JSON: {e}"))
+}
+
+#[test]
+fn replay_writes_the_probe_report_waveform_and_chrome_trace() {
+    let dir = scratch("replay");
+    let (trace, run, chrome) = (
+        dir.join("t.trace"),
+        dir.join("run.json"),
+        dir.join("ct.json"),
+    );
+    let path = |p: &std::path::PathBuf| p.to_str().unwrap().to_string();
+    let out = noxsim(&[
+        "gen",
+        "--out",
+        &path(&trace),
+        "--rate",
+        "100",
+        "--duration",
+        "1000",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    let out = noxsim(&[
+        "replay",
+        "--trace",
+        &path(&trace),
+        "--arch",
+        "nox",
+        "--probe-out",
+        &path(&run),
+        "--wave",
+        "27",
+        "--chrome",
+        &path(&chrome),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let doc = read_json(&run);
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("nox-probe/report-set/v1")
+    );
+    let reports = doc
+        .get("reports")
+        .and_then(Json::as_array)
+        .expect("reports");
+    assert!(!reports.is_empty(), "no probe reports");
+    assert!(
+        stdout(&out).contains("-- replay "),
+        "no waveform: {}",
+        stdout(&out)
+    );
+    read_json(&chrome);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_writes_a_chrome_span_trace() {
+    let dir = scratch("profile");
+    let chrome = dir.join("t.json");
+    let out = noxsim(&[
+        "profile",
+        "table1",
+        "--quick",
+        "--chrome",
+        chrome.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    read_json(&chrome);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn heatmap_renders_the_mesh_grids() {
+    let out = noxsim(&["heatmap", "--rate", "200"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.starts_with("== NoX @ 200 MB/s/node"), "{text}");
+    assert!(
+        text.contains("link utilization") && text.contains("y=7"),
+        "{text}"
+    );
 }
 
 #[test]
