@@ -9,8 +9,8 @@ use std::fmt::Write as _;
 use crate::harness::Tier;
 use crate::json::Json;
 use nox_core::{
-    Coded, DecodeAction, DecodePlan, Decoder, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet,
-    SpecCtl, SpecMode,
+    Coded, DecodePort, DecodeStep, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet, SpecCtl,
+    SpecMode,
 };
 
 /// Versioned schema of the `--json` document.
@@ -118,34 +118,23 @@ pub fn run(_tier: Tier) -> TimingResult {
     });
 
     // --------------------------------------------- Figure 3 (NoX receive)
-    let mut fifo: std::collections::VecDeque<Coded<u64>> = link.into();
-    let mut dec = Decoder::new();
+    let mut port = DecodePort::new(link.len());
+    link.into_iter().for_each(|w| port.receive(w));
     let mut presented = Vec::new();
     for _ in 0..6 {
-        match dec.plan(fifo.front()) {
-            DecodePlan::Idle => break,
-            DecodePlan::Latch => {
-                let w = fifo.pop_front().expect("latch plans only on a word");
-                dec.latch(w);
+        match port.step() {
+            DecodeStep::Idle => break,
+            DecodeStep::Latch => {
+                port.latch();
                 presented.push("latch".to_string());
             }
-            DecodePlan::Present { word, action } => {
+            DecodeStep::Present(action) => {
+                let (word, _) = port.take(action);
                 presented.push(
                     char::from_u32(word.sole_key().expect("decoded word has one key") as u32)
                         .expect("ascii key")
                         .to_string(),
                 );
-                let popped = match action {
-                    DecodeAction::Pass => {
-                        fifo.pop_front();
-                        None
-                    }
-                    DecodeAction::DecodeKeep => None,
-                    DecodeAction::DecodeShift => {
-                        Some(fifo.pop_front().expect("shift consumes a word"))
-                    }
-                };
-                dec.commit(action, popped);
             }
         }
     }

@@ -16,19 +16,21 @@
 //!   (Figure 3, cycle 4). When the head was encoded it shifts into the
 //!   register, continuing a longer chain.
 //!
-//! The [`Decoder`] here is the planning/commit core of that logic; the FIFO
-//! itself lives with the router model in `nox-sim`, so planning works from a
-//! borrowed FIFO head and the router commits the resulting [`DecodeAction`]
-//! only when the presented word actually wins the switch.
+//! [`DecodePort`] is that input port: the FIFO and a [`Decoder`], the
+//! register with its control logic. Each cycle the port decides a
+//! [`DecodeStep`] from the register and its head's encoded bit alone,
+//! copying no word, and [`DecodePort::presented`] yields the offered word
+//! where it sits (the head itself, borrowed, when nothing needs decoding).
+//! Its owner commits the step: a latch at once, a presentation only when
+//! the word wins the switch, through [`DecodePort::take`]. The simulator's
+//! router inputs and ejection sinks are `DecodePort`s.
 //!
-//! Planning comes in two grains. [`Decoder::step`] decides what the port
-//! does from the register and the head's encoded bit alone and copies no
-//! word; [`Decoder::presented`] then yields the offered word where it sits
-//! (the head itself, borrowed, when nothing needs decoding). A caller that
-//! moves many words per cycle takes the two separately; [`Decoder::plan`]
-//! bundles them into an owned [`DecodePlan`].
+//! A [`Decoder`] on its own is for a caller that keeps its own FIFO and
+//! commits by hand: the protocol model checker, whose mutations break the
+//! commit rules on purpose.
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use crate::coded::{Coded, Xor};
 
@@ -48,38 +50,18 @@ pub enum DecodeAction {
     DecodeShift,
 }
 
-/// What an input port does this cycle, as decided by [`Decoder::step`]:
-/// a [`DecodePlan`] without the presented word.
+/// What an input port does this cycle, as decided by [`Decoder::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DecodeStep {
     /// FIFO empty: nothing to do.
     Idle,
-    /// Encoded head, empty register: pop the head into the register now.
-    /// Commit with [`Decoder::latch`].
-    Latch,
-    /// [`Decoder::presented`] is offered to the switch. If it wins, commit
-    /// the action via [`Decoder::commit`].
-    Present(DecodeAction),
-}
-
-/// What an input port does this cycle, as computed by [`Decoder::plan`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DecodePlan<T> {
-    /// FIFO empty: nothing to do.
-    Idle,
-    /// Encoded head, empty register: pop the head into the register *now*
+    /// Encoded head, empty register: pop the head into the register now
     /// (this needs no grant and always proceeds); nothing reaches the
-    /// switch this cycle. Commit with [`Decoder::latch`].
+    /// switch this cycle. Commit with [`DecodePort::latch`].
     Latch,
-    /// A word is presented to the switch. If it wins, commit `action` via
-    /// [`Decoder::commit`].
-    Present {
-        /// The word offered to the switch fabric (always plain when the
-        /// upstream mask discipline is respected).
-        word: Coded<T>,
-        /// The commit action to apply if the word is serviced.
-        action: DecodeAction,
-    },
+    /// The presented word is offered to the switch. If it wins, commit the
+    /// action with [`DecodePort::take`].
+    Present(DecodeAction),
 }
 
 /// The NoX input-port decode register and its control logic.
@@ -90,7 +72,7 @@ pub enum DecodePlan<T> {
 /// then `C`, and must forward `A`, `B`, `C` in that order:
 ///
 /// ```
-/// use nox_core::{Coded, DecodeAction, DecodePlan, Decoder};
+/// use nox_core::{Coded, DecodeAction, DecodeStep, Decoder};
 ///
 /// let a = Coded::plain(1, 0xAu64);
 /// let bc = Coded::plain(2, 0xBu64).xor(&Coded::plain(3, 0xCu64));
@@ -98,30 +80,19 @@ pub enum DecodePlan<T> {
 ///
 /// let mut dec = Decoder::new();
 /// // Cycle 0: A is plain and passes through immediately.
-/// match dec.plan(Some(&a)) {
-///     DecodePlan::Present { word, action } => {
-///         assert_eq!(word.sole_key(), Some(1));
-///         dec.commit(action, None); // serviced; head popped by the caller
-///     }
-///     _ => unreachable!(),
-/// }
+/// assert_eq!(dec.step(Some(&a)), DecodeStep::Present(DecodeAction::Pass));
+/// assert_eq!(dec.presented(&a).sole_key(), Some(1));
+/// dec.commit(DecodeAction::Pass, None); // serviced; head popped by the caller
 /// // Cycle 2: B^C is encoded — latch it, no switch request.
-/// assert_eq!(dec.plan(Some(&bc)), DecodePlan::Latch);
+/// assert_eq!(dec.step(Some(&bc)), DecodeStep::Latch);
 /// dec.latch(bc);
 /// // Cycle 3: C arrives behind it; register ^ C presents B.
-/// match dec.plan(Some(&c)) {
-///     DecodePlan::Present { word, action } => {
-///         assert_eq!(word.sole_key(), Some(2)); // logically equivalent to B
-///         assert_eq!(action, DecodeAction::DecodeKeep);
-///         dec.commit(action, None);
-///     }
-///     _ => unreachable!(),
-/// }
+/// let step = dec.step(Some(&c));
+/// assert_eq!(step, DecodeStep::Present(DecodeAction::DecodeKeep));
+/// assert_eq!(dec.presented(&c).sole_key(), Some(2)); // logically equivalent to B
+/// dec.commit(DecodeAction::DecodeKeep, None);
 /// // Cycle 4: C itself is presented.
-/// match dec.plan(Some(&c)) {
-///     DecodePlan::Present { word, .. } => assert_eq!(word.sole_key(), Some(3)),
-///     _ => unreachable!(),
-/// }
+/// assert_eq!(dec.presented(&c).sole_key(), Some(3));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Decoder<T> {
@@ -172,28 +143,13 @@ impl<T: Xor> Decoder<T> {
         }
     }
 
-    /// Computes this cycle's plan from the FIFO head: [`step`](Self::step)
-    /// with an owned copy of the [`presented`](Self::presented) word.
-    pub fn plan(&self, head: Option<&Coded<T>>) -> DecodePlan<T> {
-        match self.step(head) {
-            DecodeStep::Idle => DecodePlan::Idle,
-            DecodeStep::Latch => DecodePlan::Latch,
-            DecodeStep::Present(action) => DecodePlan::Present {
-                word: self
-                    .presented(head.expect("only a head is presented"))
-                    .into_owned(),
-                action,
-            },
-        }
-    }
-
-    /// Commits a [`DecodePlan::Latch`]: stores the encoded head that the
+    /// Commits a [`DecodeStep::Latch`]: stores the encoded head that the
     /// caller has popped from the FIFO.
     ///
     /// # Panics
     ///
     /// Panics if the register is already occupied or `word` is not encoded
-    /// — either indicates the caller deviated from the planned action.
+    /// — either indicates the caller deviated from the decided step.
     pub fn latch(&mut self, word: Coded<T>) {
         assert!(self.reg.is_none(), "decode register already occupied");
         assert!(word.is_encoded(), "latched a word that needs no decoding");
@@ -239,6 +195,169 @@ impl<T: Xor> Decoder<T> {
     }
 }
 
+/// A NoX input port: a FIFO of at most `capacity` received words and the
+/// [`Decoder`] that unwinds the encoded ones, committed together so that
+/// no caller pops the FIFO by hand.
+///
+/// # Example
+///
+/// Figure 3 again, through the port: `A`, `B ^ C` and `C` arrive and
+/// `A`, `B`, `C` leave.
+///
+/// ```
+/// use nox_core::{Coded, DecodeAction, DecodePort, DecodeStep};
+///
+/// let c = Coded::plain(3, 0xCu64);
+/// let mut port = DecodePort::new(4);
+/// port.receive(Coded::plain(1, 0xAu64));
+/// port.receive(Coded::plain(2, 0xBu64).xor(&c));
+/// port.receive(c);
+/// // A passes: the word is the popped head, and its slot frees.
+/// assert_eq!(port.step(), DecodeStep::Present(DecodeAction::Pass));
+/// let (a, freed) = port.take(DecodeAction::Pass);
+/// assert_eq!((a.sole_key(), freed), (Some(1), true));
+/// // B^C latches into the register.
+/// assert_eq!(port.step(), DecodeStep::Latch);
+/// port.latch();
+/// // register ^ C is B; C stays, so no slot frees.
+/// assert_eq!(port.presented().sole_key(), Some(2));
+/// let (b, freed) = port.take(DecodeAction::DecodeKeep);
+/// assert_eq!((b.sole_key(), freed), (Some(2), false));
+/// // C itself.
+/// assert_eq!(port.take(DecodeAction::Pass).0.sole_key(), Some(3));
+/// assert!(port.is_idle());
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DecodePort<T> {
+    fifo: VecDeque<Coded<T>>,
+    capacity: usize,
+    decoder: Decoder<T>,
+}
+
+impl<T: Xor> DecodePort<T> {
+    /// Creates an empty port whose FIFO holds `capacity` words.
+    pub fn new(capacity: usize) -> Self {
+        DecodePort {
+            fifo: VecDeque::with_capacity(capacity),
+            capacity,
+            decoder: Decoder::new(),
+        }
+    }
+
+    /// Accepts an arriving word at the tail of the FIFO.
+    ///
+    /// # Panics
+    ///
+    /// Panics on overflow — the upstream credit discipline must make that
+    /// impossible.
+    #[inline]
+    pub fn receive(&mut self, word: Coded<T>) {
+        assert!(
+            self.has_space(),
+            "buffer overflow: credit protocol violated"
+        );
+        self.fifo.push_back(word);
+    }
+
+    /// `true` when the FIFO has room for another word.
+    pub fn has_space(&self) -> bool {
+        self.fifo.len() < self.capacity
+    }
+
+    /// Words in the FIFO.
+    pub fn len(&self) -> usize {
+        self.fifo.len()
+    }
+
+    /// `true` when the FIFO holds no word (the register may still hold a
+    /// chain waiting for its next one).
+    pub fn is_empty(&self) -> bool {
+        self.fifo.is_empty()
+    }
+
+    /// `true` when the port holds no words and no partial decode.
+    pub fn is_idle(&self) -> bool {
+        self.fifo.is_empty() && !self.decoder.is_mid_chain()
+    }
+
+    /// The buffered words, head first.
+    pub fn words(&self) -> impl Iterator<Item = &Coded<T>> {
+        self.fifo.iter()
+    }
+
+    /// The decode-register contents, if a chain is in progress.
+    pub fn register(&self) -> Option<&Coded<T>> {
+        self.decoder.register()
+    }
+
+    /// Decides this cycle's step from the register and the FIFO head; see
+    /// [`Decoder::step`].
+    #[inline]
+    pub fn step(&self) -> DecodeStep {
+        self.decoder.step(self.fifo.front())
+    }
+
+    /// The word this port offers the switch: its FIFO head as seen through
+    /// the decode register, borrowed when nothing needs decoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO is empty.
+    #[inline]
+    pub fn presented(&self) -> Cow<'_, Coded<T>> {
+        let head = self.fifo.front().expect("an empty port presents nothing");
+        self.decoder.presented(head)
+    }
+
+    /// Commits a [`DecodeStep::Latch`]: pops the encoded head into the
+    /// register. Its slot frees.
+    #[inline]
+    pub fn latch(&mut self) {
+        let head = self.fifo.pop_front().expect("latch on an empty port");
+        self.decoder.latch(head);
+    }
+
+    /// Commits a serviced [`DecodeStep::Present`] and returns the word that
+    /// was presented, with `true` when a FIFO slot freed (every action but
+    /// [`DecodeAction::DecodeKeep`]). For [`DecodeAction::Pass`] the word is
+    /// the popped head itself, moved, not copied.
+    #[inline]
+    pub fn take(&mut self, action: DecodeAction) -> (Coded<T>, bool) {
+        debug_assert_eq!(self.step(), DecodeStep::Present(action));
+        match action {
+            DecodeAction::Pass => (self.pop(), true),
+            DecodeAction::DecodeKeep => {
+                let word = self.presented().into_owned();
+                self.decoder.commit(action, None);
+                (word, false)
+            }
+            DecodeAction::DecodeShift => {
+                let word = self.presented().into_owned();
+                let head = self.pop();
+                self.decoder.commit(action, Some(head));
+                (word, true)
+            }
+        }
+    }
+
+    /// Chain-kill containment: abandons a poisoned decode chain. The
+    /// register is reset and, if the head is encoded (part of the same
+    /// broken chain), it is popped too. Returns the number of constituent
+    /// flit keys discarded and whether a FIFO slot freed.
+    pub fn chain_kill(&mut self) -> (usize, bool) {
+        let mut lost = self.decoder.reset().map_or(0, |reg| reg.arity());
+        let popped = self.fifo.front().is_some_and(Coded::is_encoded);
+        if popped {
+            lost += self.pop().arity();
+        }
+        (lost, popped)
+    }
+
+    fn pop(&mut self) -> Coded<T> {
+        self.fifo.pop_front().expect("pop from an empty port")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,35 +368,24 @@ mod tests {
         Coded::plain(k, v)
     }
 
-    /// Runs a full received stream through the decoder with an
-    /// always-granting switch, returning the keys of presented words in
-    /// order. Panics if a presented word is not plain.
+    /// Runs a full received stream through a port with an always-granting
+    /// switch, returning the keys of presented words in order. Panics if a
+    /// presented word is not plain.
     fn drain(stream: Vec<W>) -> Vec<u64> {
-        let mut fifo: std::collections::VecDeque<W> = stream.into();
-        let mut dec = Decoder::new();
+        let mut port = DecodePort::new(stream.len());
+        stream.into_iter().for_each(|w| port.receive(w));
         let mut out = Vec::new();
         let mut guard = 0;
-        while !fifo.is_empty() || dec.is_mid_chain() {
+        while !port.is_idle() {
             guard += 1;
             assert!(guard < 1000, "decoder failed to drain");
-            match dec.plan(fifo.front()) {
-                DecodePlan::Idle => break,
-                DecodePlan::Latch => {
-                    let h = fifo.pop_front().unwrap();
-                    dec.latch(h);
-                }
-                DecodePlan::Present { word, action } => {
+            match port.step() {
+                DecodeStep::Idle => break,
+                DecodeStep::Latch => port.latch(),
+                DecodeStep::Present(action) => {
+                    let (word, _) = port.take(action);
                     assert!(word.is_plain(), "presented word not decodable: {word:?}");
                     out.push(word.sole_key().unwrap());
-                    let popped = match action {
-                        DecodeAction::Pass => {
-                            fifo.pop_front();
-                            None
-                        }
-                        DecodeAction::DecodeKeep => None,
-                        DecodeAction::DecodeShift => Some(fifo.pop_front().unwrap()),
-                    };
-                    dec.commit(action, popped);
                 }
             }
         }
@@ -331,27 +439,27 @@ mod tests {
 
     #[test]
     fn stalled_presentation_is_stable() {
-        // plan() is pure: re-planning a stalled cycle presents the same word.
+        // step() and presented() are pure: a stalled cycle re-presents the
+        // same word.
         let b = plain(2, 0xB);
         let c = plain(3, 0xC);
         let mut dec = Decoder::new();
         dec.latch(b.xor(&c));
-        let p1 = dec.plan(Some(&c));
-        let p2 = dec.plan(Some(&c));
-        assert_eq!(p1, p2);
+        assert_eq!(dec.step(Some(&c)), dec.step(Some(&c)));
+        assert_eq!(dec.presented(&c), dec.presented(&c));
     }
 
     #[test]
     fn latch_consumes_a_cycle_without_presentation() {
         let enc = plain(1, 1).xor(&plain(2, 2));
         let dec: Decoder<u64> = Decoder::new();
-        assert_eq!(dec.plan(Some(&enc)), DecodePlan::Latch);
+        assert_eq!(dec.step(Some(&enc)), DecodeStep::Latch);
     }
 
     #[test]
     fn idle_on_empty_fifo() {
         let dec: Decoder<u64> = Decoder::new();
-        assert_eq!(dec.plan(None), DecodePlan::Idle);
+        assert_eq!(dec.step(None), DecodeStep::Idle);
     }
 
     #[test]
@@ -387,13 +495,12 @@ mod tests {
         assert!(!dec.is_mid_chain());
         assert_eq!(dec.reset(), None);
         // The decoder is fully reusable afterwards.
+        let head = plain(3, 3);
         assert_eq!(
-            dec.plan(Some(&plain(3, 3))),
-            DecodePlan::Present {
-                word: plain(3, 3),
-                action: DecodeAction::Pass,
-            }
+            dec.step(Some(&head)),
+            DecodeStep::Present(DecodeAction::Pass)
         );
+        assert_eq!(*dec.presented(&head), head);
     }
 
     #[test]

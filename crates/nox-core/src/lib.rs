@@ -25,7 +25,8 @@
 //! * [`OutputCtl`] — the NoX per-output arbitration and masking state
 //!   machine of §2.6 (Recovery / Scheduled modes, multi-flit aborts of
 //!   §2.7).
-//! * [`Decoder`] — the NoX input-port decode state machine of §2.4.
+//! * [`DecodePort`] — the NoX input port of §2.4: the receive FIFO and the
+//!   [`Decoder`], its decode-register state machine.
 //! * [`baseline`] — per-output control for the paper's comparison routers
 //!   (non-speculative, Spec-Fast, Spec-Accurate from §3.1).
 //!
@@ -72,6 +73,6 @@ pub mod port;
 pub use arbiter::{MatrixArbiter, RoundRobinArbiter};
 pub use baseline::{NonSpecCtl, NonSpecDecision, SpecCtl, SpecDecision, SpecMode};
 pub use coded::{Coded, Xor};
-pub use decode::{DecodeAction, DecodePlan, DecodeStep, Decoder};
+pub use decode::{DecodeAction, DecodePort, DecodeStep, Decoder};
 pub use output::{Mode, NoxDecision, NoxOptions, OutputCtl, RequestSet};
 pub use port::{PortId, PortSet};

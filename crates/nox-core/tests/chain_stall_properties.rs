@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 
-use nox_core::{Coded, DecodeAction, DecodePlan, Decoder, OutputCtl, PortId, RequestSet};
+use nox_core::{Coded, DecodePort, DecodeStep, OutputCtl, PortId, RequestSet};
 
 #[derive(Clone, Debug)]
 struct ModelFlit {
@@ -79,11 +79,10 @@ fn run_coupled(
 ) -> RunOutcome {
     let mut queues = build_queues(&scripts);
     let mut ctl = OutputCtl::new(n_inputs);
-    let mut dec: Decoder<u64> = Decoder::new();
+    let mut rx: DecodePort<u64> = DecodePort::new(depth);
 
     let mut credits = depth;
     let mut credit_returns: std::collections::VecDeque<u64> = Default::default();
-    let mut rx_fifo: std::collections::VecDeque<Coded<u64>> = Default::default();
 
     let mut outcome = RunOutcome {
         serviced: Vec::new(),
@@ -97,8 +96,7 @@ fn run_coupled(
     let mut cycle = 0u64;
     loop {
         let drained = queues.iter().all(|q| q.is_empty())
-            && rx_fifo.is_empty()
-            && !dec.is_mid_chain()
+            && rx.is_idle()
             && credits + credit_returns.len() == depth;
         if drained {
             break;
@@ -155,8 +153,8 @@ fn run_coupled(
                     .map(|p| queues[p.index()].front().unwrap().word.clone())
                     .collect();
                 credits -= 1;
-                assert!(rx_fifo.len() < depth, "credit protocol overflowed the FIFO");
-                rx_fifo.push_back(word);
+                assert!(rx.has_space(), "credit protocol overflowed the FIFO");
+                rx.receive(word);
             }
             for p in d.serviced.iter() {
                 let f = queues[p.index()].pop_front().unwrap();
@@ -166,34 +164,24 @@ fn run_coupled(
 
         // Receiver: one decode step, racing the sender.
         let stalled = stall_iter.next().unwrap();
-        match dec.plan(rx_fifo.front()) {
-            DecodePlan::Idle => {}
-            DecodePlan::Latch => {
+        match rx.step() {
+            DecodeStep::Idle => {}
+            DecodeStep::Latch => {
                 // Needs no grant, so it ignores the stall; the freed slot
                 // starts its credit return trip.
-                let h = rx_fifo.pop_front().unwrap();
-                dec.latch(h);
+                rx.latch();
                 credit_returns.push_back(cycle + credit_delay);
             }
-            DecodePlan::Present { word, action } => {
+            DecodeStep::Present(action) => {
                 if !stalled {
+                    let (word, slot_freed) = rx.take(action);
                     assert!(word.is_plain(), "undecodable word presented: {word:?}");
                     let k = word.sole_key().unwrap();
                     assert_eq!(*word.payload(), payload_for(k), "payload corrupted");
                     outcome.decoded.push(k);
-                    let popped = match action {
-                        DecodeAction::Pass => {
-                            rx_fifo.pop_front();
-                            credit_returns.push_back(cycle + credit_delay);
-                            None
-                        }
-                        DecodeAction::DecodeKeep => None,
-                        DecodeAction::DecodeShift => {
-                            credit_returns.push_back(cycle + credit_delay);
-                            Some(rx_fifo.pop_front().unwrap())
-                        }
-                    };
-                    dec.commit(action, popped);
+                    if slot_freed {
+                        credit_returns.push_back(cycle + credit_delay);
+                    }
                 }
             }
         }

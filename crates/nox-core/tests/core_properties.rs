@@ -2,12 +2,12 @@
 //!
 //! These tests close the loop the paper's §2.2 sketches: whatever request
 //! process hits an output port, the sequence of words the output drives
-//! must be decodable by the receiving input port's [`Decoder`], flit for
+//! must be decodable by the receiving input port's [`DecodePort`], flit for
 //! flit, bit for bit, in exactly the order the arbiter serviced them.
 
 use proptest::prelude::*;
 
-use nox_core::{Coded, DecodeAction, DecodePlan, Decoder, OutputCtl, PortId, RequestSet};
+use nox_core::{Coded, DecodePort, DecodeStep, OutputCtl, PortId, RequestSet};
 
 /// One flit waiting at a model input port.
 #[derive(Clone, Debug)]
@@ -120,20 +120,18 @@ fn prop_assert_decision(d: &nox_core::NoxDecision) {
 /// always-granting switch, returning presented flit keys in order and
 /// checking bit-exactness of every decode.
 fn decode_stream(stream: Vec<Coded<u64>>) -> Vec<u64> {
-    let mut fifo: std::collections::VecDeque<Coded<u64>> = stream.into();
-    let mut dec = Decoder::new();
+    let mut port = DecodePort::new(stream.len());
+    stream.into_iter().for_each(|w| port.receive(w));
     let mut keys = Vec::new();
     let mut guard = 0;
     loop {
         guard += 1;
         assert!(guard < 100_000, "decoder failed to drain");
-        match dec.plan(fifo.front()) {
-            DecodePlan::Idle => break,
-            DecodePlan::Latch => {
-                let h = fifo.pop_front().unwrap();
-                dec.latch(h);
-            }
-            DecodePlan::Present { word, action } => {
+        match port.step() {
+            DecodeStep::Idle => break,
+            DecodeStep::Latch => port.latch(),
+            DecodeStep::Present(action) => {
+                let (word, _) = port.take(action);
                 assert!(
                     word.is_plain(),
                     "receiver presented an undecodable word: {word:?}"
@@ -146,19 +144,10 @@ fn decode_stream(stream: Vec<Coded<u64>>) -> Vec<u64> {
                     "decode corrupted payload bits"
                 );
                 keys.push(k);
-                let popped = match action {
-                    DecodeAction::Pass => {
-                        fifo.pop_front();
-                        None
-                    }
-                    DecodeAction::DecodeKeep => None,
-                    DecodeAction::DecodeShift => Some(fifo.pop_front().unwrap()),
-                };
-                dec.commit(action, popped);
             }
         }
     }
-    assert!(!dec.is_mid_chain(), "decoder left with a dangling chain");
+    assert!(port.is_idle(), "decoder left with a dangling chain");
     keys
 }
 

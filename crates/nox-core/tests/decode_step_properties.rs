@@ -1,20 +1,22 @@
-//! The clone-free decode step is the decode plan, minus the copy.
+//! The clone-free decode step is the decode plan, minus the copy, and a
+//! [`DecodePort`] commits exactly what it presented.
 //!
-//! [`Decoder::plan`] used to be the one planning function: it cloned a
+//! `Decoder::plan` used to be the one planning function: it cloned a
 //! plain head (or XORed the register into it) and returned the word by
-//! value. The simulator's step loop now takes [`Decoder::step`] (what to
-//! do, no word) and [`Decoder::presented`] (the word, borrowed where it
-//! can be) separately, and `plan` is written on top of the two. This file
-//! keeps the old `plan` body as a reference and checks the pair against
-//! it: exhaustively over every (register, head) shape, and along random
-//! runs of 1- to 4-way chains with late arrivals and mid-chain stalls.
+//! value, and each caller popped its own FIFO to commit it. The simulator
+//! now takes the port's [`DecodeStep`] (what to do, no word) and its
+//! presented word (borrowed where it can be) separately, and the port
+//! commits. This file keeps the old `plan` body as a reference and checks
+//! the port against it: exhaustively over every (register, head) shape,
+//! and along random runs of 1- to 4-way chains with late arrivals and
+//! mid-chain stalls.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use nox_core::{Coded, DecodeAction, DecodePlan, DecodeStep, Decoder};
+use nox_core::{Coded, DecodeAction, DecodePort, DecodeStep};
 
 type W = Coded<u64>;
 
@@ -27,12 +29,21 @@ fn word(keys: std::ops::Range<u64>) -> W {
     keys.map(|k| Coded::plain(k, payload_for(k))).collect()
 }
 
+/// What an input port does this cycle, as the old `Decoder::plan`
+/// returned it: the step with an owned copy of the presented word.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum DecodePlan {
+    Idle,
+    Latch,
+    Present { word: W, action: DecodeAction },
+}
+
 /// `Decoder::plan` as it was before the decode step existed.
-fn reference_plan(dec: &Decoder<u64>, head: Option<&W>) -> DecodePlan<u64> {
-    let Some(head) = head else {
+fn reference_plan(port: &DecodePort<u64>) -> DecodePlan {
+    let Some(head) = port.words().next() else {
         return DecodePlan::Idle;
     };
-    match (dec.register(), head.is_encoded()) {
+    match (port.register(), head.is_encoded()) {
         (None, true) => DecodePlan::Latch,
         (None, false) => DecodePlan::Present {
             word: head.clone(),
@@ -52,13 +63,13 @@ fn reference_plan(dec: &Decoder<u64>, head: Option<&W>) -> DecodePlan<u64> {
 /// The step and the on-demand presented word, put together the way the
 /// old plan was, with the borrow checked on the way: the word is borrowed
 /// exactly when the head passes through undecoded.
-fn plan_from_step(dec: &Decoder<u64>, head: Option<&W>) -> DecodePlan<u64> {
-    match dec.step(head) {
+fn plan_from_step(port: &DecodePort<u64>) -> DecodePlan {
+    match port.step() {
         DecodeStep::Idle => DecodePlan::Idle,
         DecodeStep::Latch => DecodePlan::Latch,
         DecodeStep::Present(action) => {
-            let head = head.expect("a step presents only a head");
-            let word = dec.presented(head);
+            let head = port.words().next().expect("a step presents only a head");
+            let word = port.presented();
             match &word {
                 Cow::Borrowed(w) => {
                     assert_eq!(action, DecodeAction::Pass);
@@ -74,10 +85,9 @@ fn plan_from_step(dec: &Decoder<u64>, head: Option<&W>) -> DecodePlan<u64> {
     }
 }
 
-fn assert_all_agree(dec: &Decoder<u64>, head: Option<&W>) -> DecodePlan<u64> {
-    let reference = reference_plan(dec, head);
-    assert_eq!(plan_from_step(dec, head), reference, "{dec:?} / {head:?}");
-    assert_eq!(dec.plan(head), reference, "{dec:?} / {head:?}");
+fn assert_all_agree(port: &DecodePort<u64>) -> DecodePlan {
+    let reference = reference_plan(port);
+    assert_eq!(plan_from_step(port), reference, "{port:?}");
     reference
 }
 
@@ -96,14 +106,39 @@ fn every_register_and_head_shape_agrees_with_the_old_plan() {
         .collect();
     let mut presented = 0;
     for reg in &registers {
-        let mut dec = Decoder::new();
-        if let Some(reg) = reg {
-            dec.latch(reg.clone());
-        }
         for head in &heads {
-            if let DecodePlan::Present { .. } = assert_all_agree(&dec, head.as_ref()) {
-                presented += 1;
+            let mut port = DecodePort::new(2);
+            if let Some(reg) = reg {
+                port.receive(reg.clone());
+                port.latch();
             }
+            if let Some(head) = head {
+                port.receive(head.clone());
+            }
+            // Committing the step: a latch frees the head's slot into the
+            // register; a serviced presentation hands back exactly the
+            // presented word and frees a slot unless the head stays.
+            let mut after = port.clone();
+            match assert_all_agree(&port) {
+                DecodePlan::Idle => {}
+                DecodePlan::Latch => {
+                    after.latch();
+                    assert!(after.is_empty() && after.register() == head.as_ref());
+                }
+                DecodePlan::Present { word, action } => {
+                    presented += 1;
+                    let (taken, freed) = after.take(action);
+                    assert_eq!(taken, word, "{port:?}");
+                    assert_eq!(freed, action != DecodeAction::DecodeKeep, "{port:?}");
+                    assert_eq!(after.len() + usize::from(freed), port.len());
+                }
+            }
+            // A chain kill discards the register and an encoded head.
+            let encoded_head = head.as_ref().filter(|h| h.is_encoded());
+            let lost = reg.iter().chain(encoded_head).map(W::arity).sum();
+            let mut killed = port.clone();
+            assert_eq!(killed.chain_kill(), (lost, encoded_head.is_some()));
+            assert!(killed.register().is_none());
         }
     }
     // Every head over an occupied register, plus the plain ones over an
@@ -142,48 +177,39 @@ proptest! {
     ) {
         let (stream, order) = chains(&arities);
         let mut incoming: VecDeque<W> = stream.into();
-        let mut fifo: VecDeque<W> = VecDeque::new();
-        let mut dec = Decoder::new();
+        let mut port = DecodePort::new(incoming.len());
         let mut seen = Vec::new();
-        let mut stalled: Option<DecodePlan<u64>> = None;
+        let mut stalled: Option<DecodePlan> = None;
         for cycle in 0..10_000 {
-            if incoming.is_empty() && fifo.is_empty() {
+            if incoming.is_empty() && port.is_empty() {
                 break;
             }
             if arrive[cycle % arrive.len()] {
-                fifo.extend(incoming.pop_front());
+                if let Some(w) = incoming.pop_front() {
+                    port.receive(w);
+                }
             }
-            let plan = assert_all_agree(&dec, fifo.front());
+            let plan = assert_all_agree(&port);
             if let Some(before) = stalled.take() {
                 prop_assert_eq!(&plan, &before, "a stalled presentation changed");
             }
             match plan {
                 DecodePlan::Idle => {}
-                DecodePlan::Latch => {
-                    let head = fifo.pop_front().unwrap();
-                    dec.latch(head);
-                }
+                DecodePlan::Latch => port.latch(),
                 DecodePlan::Present { word, action } => {
                     if !grant[cycle % grant.len()] {
                         stalled = Some(DecodePlan::Present { word, action });
                         continue;
                     }
-                    let key = word.sole_key().expect("a chain decodes to plain flits");
-                    prop_assert_eq!(*word.payload(), payload_for(key));
+                    let (taken, _) = port.take(action);
+                    prop_assert_eq!(&taken, &word);
+                    let key = taken.sole_key().expect("a chain decodes to plain flits");
+                    prop_assert_eq!(*taken.payload(), payload_for(key));
                     seen.push(key);
-                    let popped = match action {
-                        DecodeAction::Pass => {
-                            fifo.pop_front();
-                            None
-                        }
-                        DecodeAction::DecodeKeep => None,
-                        DecodeAction::DecodeShift => fifo.pop_front(),
-                    };
-                    dec.commit(action, popped);
                 }
             }
         }
-        prop_assert!(!dec.is_mid_chain());
+        prop_assert!(port.is_idle());
         prop_assert_eq!(seen, order);
     }
 }

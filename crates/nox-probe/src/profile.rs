@@ -6,7 +6,6 @@
 //! drain) and the simulation rate in cycles per second, which is the
 //! simulator's own figure of merit independent of the modeled network.
 
-use std::fmt;
 use std::time::Duration;
 
 use crate::json::Json;
@@ -49,21 +48,6 @@ impl SelfProfile {
             .field("total_s", self.total().as_secs_f64())
             .field("cycles", self.cycles)
             .field("cycles_per_sec", self.cycles_per_sec())
-    }
-}
-
-impl fmt::Display for SelfProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} cycles in {:.3} s ({:.2} Mcycles/s; warmup {:.3} s, window {:.3} s, drain {:.3} s)",
-            self.cycles,
-            self.total().as_secs_f64(),
-            self.cycles_per_sec() / 1e6,
-            self.warmup.as_secs_f64(),
-            self.measure.as_secs_f64(),
-            self.drain.as_secs_f64(),
-        )
     }
 }
 

@@ -442,13 +442,13 @@ impl Network {
             && self.next_static == self.static_packets
             && self.injecting.iter().all(|i| self.sources[i].is_done())
             && self.awake.iter().all(|i| self.routers[i].is_idle())
-            && self.draining.iter().all(|i| self.sinks[i].is_idle());
+            && self.draining.iter().all(|i| self.sinks[i].port.is_idle());
         debug_assert_eq!(
             quiescent,
             self.in_flight.is_empty()
                 && self.sources.iter().all(Source::is_done)
                 && self.routers.iter().all(Router::is_idle)
-                && self.sinks.iter().all(Sink::is_idle)
+                && self.sinks.iter().all(|s| s.port.is_idle())
         );
         quiescent
     }
@@ -612,7 +612,7 @@ impl Network {
             if let Some(label) = outcome.fault_event {
                 self.probe.on_fault(core, self.topo.local_port(core), label);
             }
-            let stay = visit_all || sink.occupancy() != 0;
+            let stay = visit_all || !sink.port.is_empty();
             if outcome.credit_freed {
                 // A freed ejection slot credits the owning router's local
                 // output port for this core.
@@ -759,7 +759,7 @@ impl Network {
         self.counters.buffer_writes += 1;
         if self.topo.is_local(s.out) {
             let core = self.topo.core_at(s.node, s.out);
-            self.sinks[core.index()].receive(s.word);
+            self.sinks[core.index()].port.receive(s.word);
             self.draining.insert(core.index());
         } else {
             let (dest, inp) = self
@@ -777,7 +777,7 @@ impl Network {
     fn fault_space_for(&self, s: &Send) -> bool {
         if self.topo.is_local(s.out) {
             let core = self.topo.core_at(s.node, s.out);
-            self.sinks[core.index()].has_space()
+            self.sinks[core.index()].port.has_space()
         } else {
             let (dest, inp) = self
                 .wiring
@@ -858,41 +858,47 @@ impl Network {
         }
         for i in 0..self.routers.len() {
             let node = self.routers[i].node();
-            for (port, lost, popped) in self.routers[i].watchdog_flush() {
-                if lost > 0 || popped {
-                    f.note_chain_kill(lost);
-                }
-                if popped {
-                    self.counters.buffer_reads += 1;
-                    if !self.topo.is_local(port) {
-                        let (owner, p) = self.credit_owner(&CreditReturn { node, input: port });
-                        self.credits_in_flight.push_back((
-                            self.cycle + self.cfg.credit_delay,
-                            owner,
-                            p.0,
-                        ));
-                    }
-                }
+            for (input, lost, popped) in self.routers[i].watchdog_flush() {
+                // A router's local input has no credit loop: its source
+                // checks for space itself.
+                let slot = (!self.topo.is_local(input)).then_some(CreditReturn { node, input });
+                self.watchdog_chain_kill(&mut f, lost, popped, slot);
             }
         }
         for i in 0..self.sinks.len() {
-            let (lost, popped) = self.sinks[i].watchdog_flush();
-            if lost > 0 || popped {
-                f.note_chain_kill(lost);
-            }
-            if popped {
-                self.counters.buffer_reads += 1;
-                let core = NodeId(i as u16);
-                self.credits_in_flight.push_back((
-                    self.cycle + self.cfg.credit_delay,
-                    self.topo.router_of(core),
-                    self.topo.local_port(core).0,
-                ));
+            let port = &mut self.sinks[i].port;
+            if port.register().is_some() {
+                let (lost, popped) = port.chain_kill();
+                let (node, input) = self.wiring.attach(NodeId(i as u16));
+                let slot = Some(CreditReturn { node, input });
+                self.watchdog_chain_kill(&mut f, lost, popped, slot);
             }
         }
         self.faults = Some(f);
         self.probe
             .on_fault(NodeId(0), nox_core::PortId(0), "watchdog reset");
+    }
+
+    /// Books one decode chain the watchdog truncated: `lost` flits
+    /// discarded and, when a head was `popped`, a FIFO read and the freed
+    /// slot's credit, if `slot` has a credit loop.
+    fn watchdog_chain_kill(
+        &mut self,
+        f: &mut FaultState,
+        lost: usize,
+        popped: bool,
+        slot: Option<CreditReturn>,
+    ) {
+        f.note_chain_kill(lost);
+        if !popped {
+            return;
+        }
+        self.counters.buffer_reads += 1;
+        if let Some(slot) = slot {
+            let (owner, port) = self.credit_owner(&slot);
+            self.credits_in_flight
+                .push_back((self.cycle + self.cfg.credit_delay, owner, port.0));
+        }
     }
 
     /// Runs the global conservation audits over the current state. See
@@ -911,23 +917,13 @@ impl Network {
         // Flit conservation: every word anywhere in the network
         // contributes its constituent flit keys.
         let mut live: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for r in &self.routers {
-            for p in 0..r.ports() {
-                let ip = r.input(PortId(p));
-                for w in ip.buffered_words() {
-                    live.extend(w.keys());
-                }
-                if let Some(reg) = ip.decode_register() {
-                    live.extend(reg.keys());
-                }
-            }
-        }
-        for sink in &self.sinks {
-            for w in sink.buffered_words() {
+        let router_inputs = self
+            .routers
+            .iter()
+            .flat_map(|r| (0..r.ports()).map(|p| r.input(PortId(p))));
+        for port in router_inputs.chain(self.sinks.iter().map(|s| &s.port)) {
+            for w in port.words().chain(port.register()) {
                 live.extend(w.keys());
-            }
-            if let Some(reg) = sink.decode_register() {
-                live.extend(reg.keys());
             }
         }
         for s in &self.in_flight {
@@ -943,9 +939,9 @@ impl Network {
                 let out = PortId(p);
                 let downstream_occupancy = if self.topo.is_local(out) {
                     let core = self.topo.core_at(r.node(), out);
-                    self.sinks[core.index()].occupancy()
+                    self.sinks[core.index()].port.len()
                 } else if let Some((dest, inp)) = self.topo.link_dest(r.node(), out) {
-                    self.routers[dest.index()].input(inp).occupancy()
+                    self.routers[dest.index()].input(inp).len()
                 } else {
                     continue; // mesh-edge port: no link, no credit loop
                 };

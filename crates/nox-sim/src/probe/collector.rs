@@ -517,7 +517,7 @@ impl Probe {
             }
         }
         for s in sinks {
-            self.sink_occupancy_sum += s.occupancy() as u64;
+            self.sink_occupancy_sum += s.port.len() as u64;
         }
         self.cycles_observed += 1;
         self.window_cycles += 1;

@@ -1,9 +1,12 @@
 //! Cycle-accurate router models for all four architectures.
 //!
-//! A [`Router`] owns five input ports (SRAM FIFO plus, for NoX, the decode
-//! register of §2.4) and five output ports (credit counter plus the
-//! architecture's per-output control engine from `nox-core`). Each network
-//! cycle the router, in one [`tick`](Router::tick):
+//! A [`Router`] owns one input and one output per port, five on the
+//! paper's mesh and up to [`MAX_PORTS`]. An input is a `nox-core`
+//! [`DecodePort`] (SRAM FIFO and decode register, §2.4), and every
+//! architecture runs its decode step: a baseline's words are always plain,
+//! so they pass. An output is a credit counter plus the architecture's
+//! per-output control engine from `nox-core`. Each network cycle the
+//! router, in one [`tick`](Router::tick):
 //!
 //! 1. computes, per input that holds a word, the *presented* flit — the
 //!    decode step, which for NoX may consume the cycle to latch an
@@ -31,11 +34,8 @@
 //! the surrounding [`Network`](crate::network::Network) owns the wiring
 //! and delivers them on the next cycle.
 
-use std::borrow::Cow;
-use std::collections::VecDeque;
-
 use nox_core::{
-    DecodeAction, DecodeStep, Decoder, NonSpecCtl, NoxOptions, OutputCtl, PortId, PortSet,
+    DecodeAction, DecodePort, DecodeStep, NonSpecCtl, NoxOptions, OutputCtl, PortId, PortSet,
     RequestSet, SpecCtl, SpecMode,
 };
 
@@ -144,109 +144,14 @@ impl<'a> TickCtx<'a> {
     }
 }
 
-/// One input port: wormhole FIFO, NoX decode register, and the Spec-Fast
-/// freshness flag.
+/// One input port: its FIFO and decode register, and the Spec-Fast
+/// freshness flag. The flag is set when a `Pass` pops a tail and the FIFO
+/// still holds a word, the newly exposed head of the next packet, and is
+/// read and cleared when the next cycle's present stage visits the port.
 #[derive(Clone, Debug)]
-pub struct InputPort {
-    fifo: VecDeque<Word>,
-    capacity: usize,
-    decoder: Decoder<u64>,
-    fresh: bool,
+struct InputPort {
+    port: DecodePort<u64>,
     fresh_next: bool,
-}
-
-impl InputPort {
-    fn new(capacity: usize) -> Self {
-        InputPort {
-            fifo: VecDeque::with_capacity(capacity),
-            capacity,
-            decoder: Decoder::new(),
-            fresh: false,
-            fresh_next: false,
-        }
-    }
-
-    /// Current FIFO occupancy in flits.
-    pub fn occupancy(&self) -> usize {
-        self.fifo.len()
-    }
-
-    /// `true` when the FIFO has room for another flit.
-    pub fn has_space(&self) -> bool {
-        self.fifo.len() < self.capacity
-    }
-
-    /// Accepts an arriving flit; [`Router::receive`] is the way in.
-    fn receive(&mut self, word: Word) {
-        assert!(
-            self.has_space(),
-            "input buffer overflow: credit protocol violated"
-        );
-        self.fifo.push_back(word);
-    }
-
-    /// `true` when the port holds no flits and no partial decode.
-    pub fn is_idle(&self) -> bool {
-        self.fifo.is_empty() && !self.decoder.is_mid_chain()
-    }
-
-    /// Words currently buffered, head first (sanitizer support).
-    pub(crate) fn buffered_words(&self) -> impl Iterator<Item = &Word> {
-        self.fifo.iter()
-    }
-
-    /// The decode register contents, if a chain is in progress
-    /// (sanitizer support).
-    pub(crate) fn decode_register(&self) -> Option<&Word> {
-        self.decoder.register()
-    }
-
-    /// The word this port offers the switch: its FIFO head as seen through
-    /// the decode register, borrowed when nothing needs decoding.
-    fn presented_word(&self) -> Cow<'_, Word> {
-        let head = self.fifo.front().expect("an empty port presents nothing");
-        self.decoder.presented(head)
-    }
-
-    /// Starts a new cycle: promotes the freshness flag.
-    fn begin_cycle(&mut self) {
-        self.fresh = self.fresh_next;
-        self.fresh_next = false;
-    }
-
-    /// Chain-kill containment: abandons a poisoned decode chain. The
-    /// decode register is reset and, if the head-of-line word is encoded
-    /// (part of the same broken chain), it is popped too. Returns the
-    /// number of constituent flit keys discarded and whether a FIFO slot
-    /// was freed (whose credit the caller must return). This port is
-    /// input `ip` of a router whose occupied set is `occupied`.
-    fn chain_kill(&mut self, ip: PortId, occupied: &mut PortSet) -> (usize, bool) {
-        let mut lost = 0;
-        if let Some(reg) = self.decoder.reset() {
-            lost += reg.arity();
-        }
-        let mut popped = false;
-        if self.fifo.front().is_some_and(Word::is_encoded) {
-            let head = self.pop(false, ip, occupied);
-            lost += head.arity();
-            popped = true;
-        }
-        (lost, popped)
-    }
-
-    /// Pops the head flit, maintaining the freshness flag for Spec-Fast
-    /// and, this port being input `ip`, the router's occupied set. The one
-    /// place a word leaves a FIFO.
-    fn pop(&mut self, popped_is_tail: bool, ip: PortId, occupied: &mut PortSet) -> Word {
-        let w = self.fifo.pop_front().expect("pop from empty FIFO");
-        if self.fifo.is_empty() {
-            occupied.remove(ip);
-        } else if popped_is_tail {
-            // The next packet is newly exposed at the head of line.
-            self.fresh_next = true;
-        }
-        w
-    }
 }
 
 /// The per-architecture output control engine.
@@ -394,7 +299,8 @@ pub struct Router {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
     /// Inputs whose FIFO holds a word, the ones the present stage visits:
-    /// kept by [`receive`](Self::receive) and `InputPort::pop`.
+    /// kept by [`receive`](Self::receive) and by checking the FIFO after
+    /// each pop.
     occupied: PortSet,
     /// Outputs whose engine is not settled and so is owed a tick with
     /// nobody requesting it: re-read after every engine tick.
@@ -424,7 +330,12 @@ impl Router {
             usize::from(ports) <= MAX_PORTS,
             "a router has at most {MAX_PORTS} ports, this topology asks for {ports}"
         );
-        let inputs = (0..ports).map(|_| InputPort::new(buffer_depth)).collect();
+        let inputs = (0..ports)
+            .map(|_| InputPort {
+                port: DecodePort::new(buffer_depth),
+                fresh_next: false,
+            })
+            .collect();
         let outputs = (0..ports)
             .map(|p| {
                 let engine = match arch {
@@ -470,9 +381,10 @@ impl Router {
         route_via(&mut self.routes, &self.topo, self.node, dest_core)
     }
 
-    /// Immutable access to an input port (for assertions and tracing).
-    pub fn input(&self, p: PortId) -> &InputPort {
-        &self.inputs[p.index()]
+    /// The FIFO and decode register of input `p` (for assertions and
+    /// tracing).
+    pub fn input(&self, p: PortId) -> &DecodePort<u64> {
+        &self.inputs[p.index()].port
     }
 
     /// Accepts a word arriving at input `p`: a link word the network
@@ -483,7 +395,7 @@ impl Router {
     /// Panics on buffer overflow — the upstream credit discipline must
     /// make that impossible.
     pub fn receive(&mut self, p: PortId, word: Word) {
-        self.inputs[p.index()].receive(word);
+        self.inputs[p.index()].port.receive(word);
         self.occupied.insert(p);
     }
 
@@ -499,7 +411,7 @@ impl Router {
 
     /// `true` when every input port is empty (used to detect drain).
     pub fn is_idle(&self) -> bool {
-        self.inputs.iter().all(InputPort::is_idle)
+        self.inputs.iter().all(|i| i.port.is_idle())
     }
 
     /// `true` when a tick would be the identity: every input FIFO is
@@ -524,7 +436,7 @@ impl Router {
     pub(crate) fn scan_port_sets(&self) -> (PortSet, PortSet) {
         let mut sets = (PortSet::EMPTY, PortSet::EMPTY);
         for p in (0..self.ports()).map(PortId) {
-            if !self.inputs[p.index()].fifo.is_empty() {
+            if !self.inputs[p.index()].port.is_empty() {
                 sets.0.insert(p);
             }
             if !self.outputs[p.index()].engine.settled() {
@@ -537,13 +449,13 @@ impl Router {
     /// Test helper: pops input `p`'s head behind the router's back — no
     /// control logic runs, and the occupied set is not told.
     #[cfg(test)]
-    pub(crate) fn pop_unaccounted(&mut self, p: PortId) -> Option<Word> {
-        self.inputs[p.index()].fifo.pop_front()
+    pub(crate) fn pop_unaccounted(&mut self, p: PortId) -> Word {
+        self.inputs[p.index()].port.take(DecodeAction::Pass).0
     }
 
     /// Total flits buffered across all input ports.
     pub fn buffered_flits(&self) -> usize {
-        self.inputs.iter().map(|i| i.fifo.len()).sum()
+        self.inputs.iter().map(|i| i.port.len()).sum()
     }
 
     /// The NoX FSM mode of one output's control engine, for telemetry
@@ -576,9 +488,12 @@ impl Router {
         self.unsettled = PortSet::EMPTY;
         let mut flushed = Vec::new();
         for (idx, input) in self.inputs.iter_mut().enumerate() {
-            if input.decoder.is_mid_chain() {
+            if input.port.register().is_some() {
                 let port = PortId(idx as u8);
-                let (lost, popped) = input.chain_kill(port, &mut self.occupied);
+                let (lost, popped) = input.port.chain_kill();
+                if input.port.is_empty() {
+                    self.occupied.remove(port);
+                }
                 flushed.push((port, lost, popped));
             }
         }
@@ -601,12 +516,11 @@ impl Router {
 
     // ------------------------------------------------------- tick stages
 
-    /// Starts the cycle at every occupied input (freshness promotion),
-    /// computes what it presents — the decode step, which for NoX may
-    /// consume the cycle to latch an encoded word and for a baseline,
-    /// whose words are always one key, presents the head as it stands —
-    /// and files it in the credit-qualified request set (and, for
-    /// Spec-Fast, the fresh set) of the output it asks for.
+    /// Computes what every occupied input presents — the decode step,
+    /// which for NoX may consume the cycle to latch an encoded word and
+    /// for a baseline, whose words are always one key, presents the head
+    /// as it stands — and files it in the credit-qualified request set
+    /// (and, for Spec-Fast, the fresh set) of the output it asks for.
     fn present(&mut self, ctx: &mut TickCtx<'_>) {
         // Blanked every tick, so that an entry left by an earlier cycle
         // can never stand in for an input that presents nothing now.
@@ -619,27 +533,21 @@ impl Router {
         for ip in self.occupied {
             let idx = ip.index();
             let input = &mut self.inputs[idx];
-            input.begin_cycle();
-            let presented = match input.decoder.step(input.fifo.front()) {
+            // A head exposed last cycle is fresh in this one.
+            let exposed = std::mem::take(&mut input.fresh_next);
+            let presented = match input.port.step() {
                 DecodeStep::Idle => None,
                 DecodeStep::Latch => {
                     // Known early in the cycle (§2.4): pop the encoded
                     // word into the register; the slot frees now.
-                    let w = input.pop(false, ip, &mut self.occupied);
-                    input.decoder.latch(w);
-                    ctx.counters.buffer_reads += 1;
-                    ctx.counters.decode_reg_writes += 1;
+                    input.port.latch();
+                    ctx.counters.count_decode(DecodeStep::Latch);
                     ctx.probe.on_latch(self.node, ip);
-                    if !self.topo.is_local(ip) {
-                        ctx.credits.push(CreditReturn {
-                            node: self.node,
-                            input: ip,
-                        });
-                    }
+                    self.slot_freed(ip, ctx);
                     None
                 }
                 DecodeStep::Present(action) => {
-                    let word = input.presented_word();
+                    let word = input.port.presented();
                     if !ctx.fault_desync(&word) {
                         let info = ctx.packets.word_info(&word);
                         let preferred =
@@ -650,8 +558,7 @@ impl Router {
                         // The decode register lost sync with its chain
                         // (an injected drop or duplication upstream):
                         // contain by truncating the poisoned chain.
-                        let occupied = &mut self.occupied;
-                        Self::chain_kill_input(input, occupied, self.node, ip, &self.topo, ctx);
+                        self.chain_kill_input(ip, ctx);
                         None
                     }
                 }
@@ -682,7 +589,7 @@ impl Router {
             if p.info.tail {
                 reqs[o].tail.insert(ip);
             }
-            if input.fresh && p.info.seq == 0 {
+            if exposed && p.info.seq == 0 {
                 fresh[o].insert(ip);
             }
         }
@@ -745,65 +652,51 @@ impl Router {
 
     // ------------------------------------------------------------ helpers
 
-    /// Truncates a poisoned decode chain at `input`, accounting for the
-    /// discarded flits and returning the credit of any freed FIFO slot.
-    fn chain_kill_input(
-        input: &mut InputPort,
-        occupied: &mut PortSet,
-        node: NodeId,
-        port: PortId,
-        topo: &Topology,
-        ctx: &mut TickCtx<'_>,
-    ) {
-        let (lost, popped) = input.chain_kill(port, occupied);
-        ctx.fault_chain_kill(node, port, lost);
+    /// Books a FIFO slot freed at input `ip` during a tick: the input
+    /// leaves the occupied set if its FIFO emptied, and the slot's credit
+    /// goes upstream unless `ip` is the local port, whose source checks
+    /// for space itself.
+    fn slot_freed(&mut self, ip: PortId, ctx: &mut TickCtx<'_>) {
+        if self.inputs[ip.index()].port.is_empty() {
+            self.occupied.remove(ip);
+        }
+        if !self.topo.is_local(ip) {
+            ctx.credits.push(CreditReturn {
+                node: self.node,
+                input: ip,
+            });
+        }
+    }
+
+    /// Truncates a poisoned decode chain at input `ip`, accounting for the
+    /// discarded flits and freeing the slot of a discarded head.
+    fn chain_kill_input(&mut self, ip: PortId, ctx: &mut TickCtx<'_>) {
+        let (lost, popped) = self.inputs[ip.index()].port.chain_kill();
+        ctx.fault_chain_kill(self.node, ip, lost);
         if popped {
             ctx.counters.buffer_reads += 1;
-            if !topo.is_local(port) {
-                ctx.credits.push(CreditReturn { node, input: port });
-            }
+            self.slot_freed(ip, ctx);
         }
     }
 
     /// Consumes the serviced flit at input `i` — commits its decode
-    /// action, pops the FIFO as required, returns the freed slot's credit
-    /// — and hands back the word it presented. For a plain head over an
-    /// empty register, which is nearly every flit, that is the popped
-    /// head itself: the word's one move of the hop, FIFO slot to link.
+    /// action, which pops the FIFO unless the head is a chain's final
+    /// packet, and frees the slot — and hands back the word it presented.
+    /// For a plain head over an empty register, which is nearly every
+    /// flit, that is the popped head itself: the word's one move of the
+    /// hop, FIFO slot to link.
     fn take_presented(&mut self, i: PortId, ctx: &mut TickCtx<'_>) -> Word {
         let p = self.scratch.presented[i.index()]
             .expect("engine serviced an input that presented nothing");
         let input = &mut self.inputs[i.index()];
-        let occupied = &mut self.occupied;
-        ctx.counters.buffer_reads += 1;
-        let (word, slot_freed) = match p.action {
-            DecodeAction::Pass => {
-                let head = input.pop(p.info.tail, i, occupied);
-                input.decoder.commit(DecodeAction::Pass, None);
-                (head, true)
+        let (word, slot_freed) = input.port.take(p.action);
+        ctx.counters.count_decode(DecodeStep::Present(p.action));
+        if slot_freed {
+            if p.action == DecodeAction::Pass && p.info.tail && !input.port.is_empty() {
+                // The next packet is newly exposed at the head of line.
+                input.fresh_next = true;
             }
-            DecodeAction::DecodeKeep => {
-                // The head stays (it is the chain's final packet); only the
-                // decode register clears. No slot frees.
-                let word = input.presented_word().into_owned();
-                input.decoder.commit(DecodeAction::DecodeKeep, None);
-                ctx.counters.decode_xors += 1;
-                (word, false)
-            }
-            DecodeAction::DecodeShift => {
-                let word = input.presented_word().into_owned();
-                let head = input.pop(false, i, occupied);
-                input.decoder.commit(DecodeAction::DecodeShift, Some(head));
-                ctx.counters.decode_xors += 1;
-                ctx.counters.decode_reg_writes += 1;
-                (word, true)
-            }
-        };
-        if slot_freed && !self.topo.is_local(i) {
-            ctx.credits.push(CreditReturn {
-                node: self.node,
-                input: i,
-            });
+            self.slot_freed(i, ctx);
         }
         word
     }
@@ -838,7 +731,7 @@ impl Router {
                             self.scratch.presented[i.index()].is_some(),
                             "engine drove an input that presented nothing"
                         );
-                        word.xor(&self.inputs[i.index()].presented_word())
+                        word.xor(&self.inputs[i.index()].port.presented())
                     };
                 }
                 word
@@ -922,6 +815,8 @@ impl Router {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::flit::{word_for, FlitKey, PacketMeta};
     use crate::topology::Port;
@@ -979,7 +874,7 @@ mod tests {
                 r.tick(&mut ctx);
             }
             assert!(sends.is_empty(), "{arch}: sent without credit");
-            assert_eq!(r.input(Port::West.id()).occupancy(), 1);
+            assert_eq!(r.input(Port::West.id()).len(), 1);
         }
     }
 
@@ -1004,7 +899,7 @@ mod tests {
         assert_eq!(counters.link_wasted, 0, "NoX collisions are productive");
         // Exactly one input freed (the winner), one remains.
         assert_eq!(
-            r.input(Port::West.id()).occupancy() + r.input(Port::North.id()).occupancy(),
+            r.input(Port::West.id()).len() + r.input(Port::North.id()).len(),
             1
         );
 
@@ -1035,7 +930,7 @@ mod tests {
 
             // Both flits still buffered.
             assert_eq!(
-                r.input(Port::West.id()).occupancy() + r.input(Port::North.id()).occupancy(),
+                r.input(Port::West.id()).len() + r.input(Port::North.id()).len(),
                 2
             );
         }

@@ -145,7 +145,7 @@ mod tests {
                 &mut counters,
             );
         }
-        assert_eq!(router.input(Port::Local.id()).occupancy(), 3);
+        assert_eq!(router.input(Port::Local.id()).len(), 3);
         assert!(src.is_done());
         assert_eq!(counters.flits_injected, 3);
         assert_eq!(counters.packets_injected, 1);
@@ -164,9 +164,9 @@ mod tests {
         });
         src.schedule(id, packets.meta(id).created_cycle);
         src.inject(4, &mut router, Port::Local.id(), &packets, &mut counters);
-        assert_eq!(router.input(Port::Local.id()).occupancy(), 0);
+        assert_eq!(router.input(Port::Local.id()).len(), 0);
         src.inject(5, &mut router, Port::Local.id(), &packets, &mut counters);
-        assert_eq!(router.input(Port::Local.id()).occupancy(), 1);
+        assert_eq!(router.input(Port::Local.id()).len(), 1);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
             );
         }
         // Buffer depth is 4: two packets remain queued at the source.
-        assert_eq!(router.input(Port::Local.id()).occupancy(), 4);
+        assert_eq!(router.input(Port::Local.id()).len(), 4);
         assert_eq!(src.backlog(), 2);
     }
 
@@ -228,7 +228,7 @@ mod tests {
         }
         let fifo_keys: Vec<FlitKey> = router
             .input(Port::Local.id())
-            .buffered_words()
+            .words()
             .map(|w| FlitKey::unpack(w.sole_key().unwrap()))
             .collect();
         assert_eq!(fifo_keys[0].packet, a);

@@ -6,6 +6,8 @@
 //! them to energy. [`LatencyStats`] is a streaming accumulator for packet
 //! latencies so multi-million-packet runs need no per-packet storage.
 
+use nox_core::{DecodeAction, DecodeStep};
+
 /// Dynamic-activity event counters for one network.
 ///
 /// Counter semantics (one increment per event):
@@ -58,6 +60,22 @@ impl Counters {
     /// energy model charges for.
     pub fn link_transitions(&self) -> u64 {
         self.link_flits + self.link_wasted
+    }
+
+    /// Counts a decode step committed at a router input or a sink: one
+    /// FIFO read, plus the XOR of a presented `register ^ head` and the
+    /// register write of a latch or a shift.
+    pub(crate) fn count_decode(&mut self, step: DecodeStep) {
+        let (xors, reg_writes) = match step {
+            DecodeStep::Idle => return,
+            DecodeStep::Latch => (0, 1),
+            DecodeStep::Present(DecodeAction::Pass) => (0, 0),
+            DecodeStep::Present(DecodeAction::DecodeKeep) => (1, 0),
+            DecodeStep::Present(DecodeAction::DecodeShift) => (1, 1),
+        };
+        self.buffer_reads += 1;
+        self.decode_xors += xors;
+        self.decode_reg_writes += reg_writes;
     }
 
     /// Adds another counter set into this one.

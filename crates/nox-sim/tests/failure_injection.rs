@@ -52,7 +52,7 @@ fn corrupted_payload_bits_are_caught() {
     // of corruption a broken XOR datapath would produce.
     let forged = Coded::plain(key.pack(), key.payload() ^ 0xDEAD);
     let mut sink = Sink::new(NodeId(3), 4);
-    sink.receive(forged);
+    sink.port.receive(forged);
     let _ = sink.drain(&table, &mut c, None);
 }
 
@@ -63,7 +63,7 @@ fn misrouted_flit_is_caught() {
     let mut c = Counters::new();
     let key = one_packet(&mut table, 3);
     let mut sink = Sink::new(NodeId(2), 4); // not the destination
-    sink.receive(word_for(key));
+    sink.port.receive(word_for(key));
     let _ = sink.drain(&table, &mut c, None);
 }
 
@@ -80,8 +80,8 @@ fn dangling_encoded_word_is_caught() {
     let mut sink = Sink::new(NodeId(3), 4);
     // enc{a,b} followed by an unrelated plain word x: decode presents
     // {a,b}^{x} — a three-key word, which must be rejected.
-    sink.receive(word_for(a).xor(&word_for(b)));
-    sink.receive(word_for(x));
+    sink.port.receive(word_for(a).xor(&word_for(b)));
+    sink.port.receive(word_for(x));
     let _ = sink.drain(&table, &mut c, None); // latch
     let _ = sink.drain(&table, &mut c, None); // must panic
 }
@@ -106,7 +106,7 @@ fn checks_do_not_fire_on_legal_traffic() {
     let mut c = Counters::new();
     let key = one_packet(&mut table, 3);
     let mut sink = Sink::new(NodeId(3), 4);
-    sink.receive(word_for(key));
+    sink.port.receive(word_for(key));
     let out = sink.drain(&table, &mut c, None);
     assert!(out.consumed.is_some());
 }

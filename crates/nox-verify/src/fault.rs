@@ -29,7 +29,7 @@
 //! representative payload assignments (hashed, all-zero, all-ones) and
 //! leans on `nox-fault`'s linearity unit proofs for the rest.
 
-use nox_core::{Coded, DecodeAction, DecodePlan, Decoder, Xor};
+use nox_core::{Coded, DecodePort, DecodeStep, Xor};
 use nox_exec::Executor;
 use nox_fault::crc8;
 
@@ -181,31 +181,17 @@ fn chain_stream(flits: &[Coded<Word>]) -> Vec<Coded<Word>> {
 /// control flow is identical to the fault-free run and is guaranteed to
 /// terminate within the guard bound.
 fn drain(stream: Vec<Coded<Word>>) -> Vec<Coded<Word>> {
-    let mut fifo: std::collections::VecDeque<Coded<Word>> = stream.into();
-    let mut dec: Decoder<Word> = Decoder::new();
+    let mut port: DecodePort<Word> = DecodePort::new(stream.len());
+    stream.into_iter().for_each(|w| port.receive(w));
     let mut out = Vec::new();
     let mut guard = 0;
-    while !fifo.is_empty() || dec.is_mid_chain() {
+    while !port.is_idle() {
         guard += 1;
         assert!(guard < 1000, "fault sweep: decoder failed to drain");
-        match dec.plan(fifo.front()) {
-            DecodePlan::Idle => break,
-            DecodePlan::Latch => {
-                let head = fifo.pop_front().unwrap();
-                dec.latch(head);
-            }
-            DecodePlan::Present { word, action } => {
-                out.push(word);
-                let popped = match action {
-                    DecodeAction::Pass => {
-                        fifo.pop_front();
-                        None
-                    }
-                    DecodeAction::DecodeKeep => None,
-                    DecodeAction::DecodeShift => Some(fifo.pop_front().unwrap()),
-                };
-                dec.commit(action, popped);
-            }
+        match port.step() {
+            DecodeStep::Idle => break,
+            DecodeStep::Latch => port.latch(),
+            DecodeStep::Present(action) => out.push(port.take(action).0),
         }
     }
     out

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use nox_core::{
-    Coded, DecodeAction, DecodePlan, Decoder, Mode, NoxDecision, OutputCtl, PortId, PortSet,
+    Coded, DecodeAction, DecodeStep, Decoder, Mode, NoxDecision, OutputCtl, PortId, PortSet,
     RequestSet,
 };
 
@@ -475,30 +475,28 @@ impl Model {
         rx_stall: bool,
         mutation: Option<Mutation>,
     ) -> Result<(), Violation> {
-        let mut plan = self.decoder.plan(self.rx_fifo.front());
-        if mutation == Some(Mutation::SkipEncodedLatch) {
-            if let DecodePlan::Latch = plan {
-                // Mutated rule: the encoded marker is ignored — the head is
-                // presented as if it were a plain flit.
-                plan = DecodePlan::Present {
-                    word: self.rx_fifo.front().unwrap().clone(),
-                    action: DecodeAction::Pass,
-                };
-            }
+        let mut step = self.decoder.step(self.rx_fifo.front());
+        if mutation == Some(Mutation::SkipEncodedLatch) && step == DecodeStep::Latch {
+            // Mutated rule: the encoded marker is ignored — the head is
+            // presented as if it were a plain flit (over the empty
+            // register a latch implies, that is the head itself).
+            step = DecodeStep::Present(DecodeAction::Pass);
         }
-        match plan {
-            DecodePlan::Idle => {}
-            DecodePlan::Latch => {
+        match step {
+            DecodeStep::Idle => {}
+            DecodeStep::Latch => {
                 // Latching needs no switch grant: it always proceeds, and
                 // the freed FIFO slot's credit starts its return trip.
                 let w = self.rx_fifo.pop_front().unwrap();
                 self.decoder.latch(w);
                 self.pending += 1;
             }
-            DecodePlan::Present { word, action } => {
+            DecodeStep::Present(action) => {
                 if rx_stall {
                     return Ok(()); // presentation lost switch allocation
                 }
+                let head = self.rx_fifo.front().expect("only a head is presented");
+                let word = self.decoder.presented(head);
                 if !word.is_plain() {
                     return Err(self.violation(
                         sc,

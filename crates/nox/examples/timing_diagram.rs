@@ -12,8 +12,8 @@
 //! ```
 
 use nox::core::{
-    Coded, DecodeAction, DecodePlan, Decoder, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet,
-    SpecCtl, SpecMode,
+    Coded, DecodePort, DecodeStep, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet, SpecCtl,
+    SpecMode,
 };
 
 /// One input port of the scripted router: a queue of named packets.
@@ -117,34 +117,19 @@ fn main() {
 
     // ----------------------------------------------------------- Figure 3
     println!("\nFigure 3 — NoX receive timing (decoding the words above)");
-    let mut fifo: std::collections::VecDeque<Coded<u64>> = link.into();
-    let mut dec = Decoder::new();
+    let mut port = DecodePort::new(link.len());
+    link.into_iter().for_each(|w| port.receive(w));
     for cycle in 0..6u64 {
-        let line = match dec.plan(fifo.front()) {
-            DecodePlan::Idle => "-".to_string(),
-            DecodePlan::Latch => {
-                let w = fifo
-                    .pop_front()
-                    .expect("decoder planned a latch on an empty FIFO");
-                let s = format!("latch {} into decode register", names(w.keys()));
-                dec.latch(w);
-                s
+        let line = match port.step() {
+            DecodeStep::Idle => "-".to_string(),
+            DecodeStep::Latch => {
+                port.latch();
+                let reg = port.register().expect("a latch fills the register");
+                format!("latch {} into decode register", names(reg.keys()))
             }
-            DecodePlan::Present { word, action } => {
-                let s = format!("present {} to switch", names(word.keys()));
-                let popped = match action {
-                    DecodeAction::Pass => {
-                        fifo.pop_front();
-                        None
-                    }
-                    DecodeAction::DecodeKeep => None,
-                    DecodeAction::DecodeShift => Some(
-                        fifo.pop_front()
-                            .expect("DecodeShift needs a FIFO head to shift in"),
-                    ),
-                };
-                dec.commit(action, popped);
-                s
+            DecodeStep::Present(action) => {
+                let (word, _) = port.take(action);
+                format!("present {} to switch", names(word.keys()))
             }
         };
         println!("  cycle {cycle}: {line}");
