@@ -193,154 +193,3 @@ mod tests {
         let _ = RoundRobinArbiter::new(0);
     }
 }
-
-/// A matrix (least-recently-served) arbiter over up to 32 requesters.
-///
-/// Maintains a priority matrix `prio[i][j]` meaning "i beats j"; the
-/// winner is the requester that beats every other requester, and after a
-/// grant the winner drops below everyone else. Matrix arbiters give exact
-/// least-recently-served fairness at quadratic state cost, and are the
-/// classic alternative to the rotating-priority arbiter in NoC output
-/// allocators — provided here for design-space studies.
-///
-/// # Example
-///
-/// ```
-/// use nox_core::arbiter::MatrixArbiter;
-/// use nox_core::{PortId, PortSet};
-///
-/// let mut arb = MatrixArbiter::new(3);
-/// let all = PortSet::all(3);
-/// assert_eq!(arb.grant(all), Some(PortId(0)));
-/// // Port 0 is now least-prioritized; 1 and 2 go first.
-/// assert_eq!(arb.grant(all), Some(PortId(1)));
-/// assert_eq!(arb.grant(all), Some(PortId(2)));
-/// assert_eq!(arb.grant(all), Some(PortId(0)));
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct MatrixArbiter {
-    n: u8,
-    /// Bit j of `beats[i]` set means i has priority over j.
-    beats: [u32; 32],
-}
-
-impl MatrixArbiter {
-    /// Creates an arbiter over `n` ports; initially lower indices beat
-    /// higher ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `n > 32`.
-    pub fn new(n: u8) -> Self {
-        assert!(n > 0 && n <= 32, "arbiter needs 1..=32 ports, got {n}");
-        let mut beats = [0u32; 32];
-        for (i, b) in beats.iter_mut().enumerate().take(n as usize) {
-            // i beats all j > i initially.
-            *b = (PortSet::all(n).bits() >> (i + 1)) << (i + 1);
-        }
-        MatrixArbiter { n, beats }
-    }
-
-    /// Number of ports this arbiter serves.
-    pub fn ports(&self) -> u8 {
-        self.n
-    }
-
-    /// Grants the least-recently-served requester, or `None` if `req` is
-    /// empty, then demotes the winner below all other ports.
-    pub fn grant(&mut self, req: PortSet) -> Option<PortId> {
-        let winner = self.peek(req)?;
-        let w = winner.index();
-        // Winner now loses to everyone; everyone now beats the winner.
-        self.beats[w] = 0;
-        for i in 0..self.n as usize {
-            if i != w {
-                self.beats[i] |= 1 << w;
-            }
-        }
-        Some(winner)
-    }
-
-    /// Returns the port that would win, without updating priorities.
-    pub fn peek(&self, req: PortSet) -> Option<PortId> {
-        let req = req.intersect(PortSet::all(self.n));
-        if req.is_empty() {
-            return None;
-        }
-        // The winner beats every *other requester*.
-        req.iter()
-            .find(|p| req.without(*p).bits() & !self.beats[p.index()] == 0)
-    }
-}
-
-#[cfg(test)]
-mod matrix_tests {
-    use super::*;
-
-    fn set(ports: &[u8]) -> PortSet {
-        ports.iter().map(|&p| PortId(p)).collect()
-    }
-
-    #[test]
-    fn initial_priority_is_index_order() {
-        let mut arb = MatrixArbiter::new(4);
-        assert_eq!(arb.grant(set(&[1, 3])), Some(PortId(1)));
-    }
-
-    #[test]
-    fn winner_drops_to_lowest_priority() {
-        let mut arb = MatrixArbiter::new(3);
-        assert_eq!(arb.grant(set(&[0, 2])), Some(PortId(0)));
-        assert_eq!(arb.grant(set(&[0, 2])), Some(PortId(2)));
-        assert_eq!(arb.grant(set(&[0, 2])), Some(PortId(0)));
-    }
-
-    #[test]
-    fn least_recently_served_wins() {
-        let mut arb = MatrixArbiter::new(3);
-        // Serve 0 and 1 a few times while 2 stays silent...
-        for _ in 0..3 {
-            arb.grant(set(&[0, 1]));
-        }
-        // ...then 2 shows up and must win immediately.
-        assert_eq!(arb.grant(set(&[0, 1, 2])), Some(PortId(2)));
-    }
-
-    #[test]
-    fn exactly_one_winner_always() {
-        // Exhaustively: any priority history, any request set, yields
-        // exactly one winner among requesters.
-        let mut arb = MatrixArbiter::new(4);
-        for step in 0..200u32 {
-            let req = PortSet::from_bits((step.wrapping_mul(2654435761) >> 12) & 0xF);
-            if let Some(w) = arb.grant(req) {
-                assert!(req.contains(w), "winner must be a requester");
-            } else {
-                assert!(req.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn long_run_fairness_matches_round_robin() {
-        let mut m = MatrixArbiter::new(5);
-        let mut counts = [0u32; 5];
-        let req = PortSet::all(5);
-        for _ in 0..1000 {
-            counts[m.grant(req).unwrap().index()] += 1;
-        }
-        assert!(counts.iter().all(|&c| c == 200), "{counts:?}");
-    }
-
-    #[test]
-    fn empty_request_yields_none() {
-        let mut arb = MatrixArbiter::new(2);
-        assert_eq!(arb.grant(PortSet::EMPTY), None);
-    }
-
-    #[test]
-    fn peek_is_pure() {
-        let arb = MatrixArbiter::new(3);
-        assert_eq!(arb.peek(set(&[1, 2])), arb.peek(set(&[1, 2])));
-    }
-}

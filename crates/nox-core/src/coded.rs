@@ -215,11 +215,6 @@ impl<T: Xor> Coded<T> {
         }
     }
 
-    /// Consumes the word, returning its payload.
-    pub fn into_payload(self) -> T {
-        self.payload
-    }
-
     /// XORs an error mask into the payload, leaving the constituent keys
     /// untouched.
     ///

@@ -70,7 +70,7 @@ pub mod decode;
 pub mod output;
 pub mod port;
 
-pub use arbiter::{MatrixArbiter, RoundRobinArbiter};
+pub use arbiter::RoundRobinArbiter;
 pub use baseline::{NonSpecCtl, NonSpecDecision, SpecCtl, SpecDecision, SpecMode};
 pub use coded::{Coded, Xor};
 pub use decode::{DecodeAction, DecodePort, DecodeStep, Decoder};

@@ -1,11 +1,11 @@
 //! Property-based tests of the algebraic foundations: the XOR coding
 //! group laws that make NoX decoding possible, the port-set lattice, and
-//! the fairness bounds of both arbiters.
+//! the fairness bound of the round-robin arbiter.
 
 use proptest::prelude::*;
 
 use nox_core::coded::INLINE_KEYS;
-use nox_core::{Coded, MatrixArbiter, PortId, PortSet, RoundRobinArbiter};
+use nox_core::{Coded, PortId, PortSet, RoundRobinArbiter};
 
 fn coded() -> impl Strategy<Value = Coded<u64>> {
     prop::collection::vec((0u64..64, any::<u64>()), 1..5)
@@ -171,40 +171,16 @@ proptest! {
         }
     }
 
-    /// Matrix arbiter: same bound (least-recently-served implies it).
-    #[test]
-    fn matrix_bounded_waiting(
-        others in prop::collection::vec(portset(), 40),
-        lucky in 0u8..5,
-    ) {
-        let n = 5u8;
-        let mut arb = MatrixArbiter::new(n);
-        let mut since_served = 0u32;
-        for o in others {
-            let req = o.intersect(PortSet::all(n)).with(PortId(lucky));
-            let w = arb.grant(req).unwrap();
-            if w == PortId(lucky) {
-                since_served = 0;
-            } else {
-                since_served += 1;
-                prop_assert!(since_served < n as u32, "starved beyond bound");
-            }
-        }
-    }
-
-    /// Both arbiters always grant a requester when one exists.
+    /// The arbiter always grants a requester when one exists.
     #[test]
     fn arbiters_always_grant_requesters(reqs in prop::collection::vec(portset(), 20)) {
         let n = 8u8;
         let mut rr = RoundRobinArbiter::new(n);
-        let mut mx = MatrixArbiter::new(n);
         for r in reqs {
             let r = r.intersect(PortSet::all(n));
-            for w in [rr.grant(r), mx.grant(r)] {
-                match w {
-                    Some(p) => prop_assert!(r.contains(p)),
-                    None => prop_assert!(r.is_empty()),
-                }
+            match rr.grant(r) {
+                Some(p) => prop_assert!(r.contains(p)),
+                None => prop_assert!(r.is_empty()),
             }
         }
     }

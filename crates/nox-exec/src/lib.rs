@@ -487,6 +487,7 @@ mod tests {
 
     #[test]
     fn results_are_in_submission_order() {
+        let _g = telemetry_lock();
         let exec = Executor::new(8);
         // Stagger completion so late submissions finish first.
         let out = exec.map(0..64u64, |i, n| {
@@ -500,6 +501,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bit_for_bit() {
+        let _g = telemetry_lock();
         let work: Vec<u64> = (0..100).collect();
         let f = |i: usize, n: u64| format!("{i}:{}", n.wrapping_mul(0x9E37_79B9));
         let serial = Executor::sequential().map(work.clone(), f);
@@ -510,6 +512,7 @@ mod tests {
 
     #[test]
     fn all_items_run_exactly_once() {
+        let _g = telemetry_lock();
         let count = AtomicUsize::new(0);
         let out = Executor::new(4).run(57, |i| {
             count.fetch_add(1, Ordering::SeqCst);
@@ -526,6 +529,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_work_lists() {
+        let _g = telemetry_lock();
         let exec = Executor::new(4);
         assert_eq!(exec.map(Vec::<u32>::new(), |_, x| x), Vec::<u32>::new());
         assert_eq!(exec.map(vec![42], |i, x| (i, x)), vec![(0, 42)]);
@@ -533,6 +537,7 @@ mod tests {
 
     #[test]
     fn borrows_non_static_inputs() {
+        let _g = telemetry_lock();
         let data = [1u32, 2, 3];
         let slice = &data[..];
         let out = Executor::new(2).run(slice.len(), |i| slice[i] * 10);
@@ -542,6 +547,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
+        let _g = telemetry_lock();
         Executor::new(4).run(8, |i| {
             if i == 5 {
                 panic!("boom");
@@ -552,6 +558,7 @@ mod tests {
 
     #[test]
     fn try_map_contains_panics_in_their_own_slots() {
+        let _g = telemetry_lock();
         for threads in [1usize, 4] {
             let out = Executor::new(threads).try_map(0..16u32, |i, n| {
                 if i % 5 == 3 {
@@ -574,6 +581,7 @@ mod tests {
 
     #[test]
     fn try_map_with_string_payload_and_all_ok() {
+        let _g = telemetry_lock();
         let out = Executor::new(2).try_map(0..3u32, |i, n| {
             if i == 1 {
                 std::panic::panic_any(format!("typed {n}"));
@@ -594,6 +602,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "boom")]
     fn map_still_reraises_panics() {
+        let _g = telemetry_lock();
         // try_map's containment must not change map's all-or-nothing
         // contract.
         Executor::new(2).map(0..4u32, |i, n| {
@@ -616,7 +625,10 @@ mod tests {
 
     // -------------------------------------------------------- telemetry
 
-    /// Serializes tests that toggle the process-global telemetry state.
+    /// Serializes every test that runs an executor. A running executor
+    /// writes to process-global telemetry state (the stream sink, the
+    /// profiling switch), which the telemetry tests set and capture;
+    /// a job of a concurrent test would land in their capture.
     static TELEMETRY: Mutex<()> = Mutex::new(());
 
     fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {

@@ -7,7 +7,8 @@
 //! * [`report::run_report`] — a machine-readable JSON run report with
 //!   per-router link utilization, NoX FSM occupancy, encoded-chain
 //!   histograms, windowed saturation telemetry, per-packet latency
-//!   decomposition percentiles, and simulator self-profiling;
+//!   decomposition percentiles — simulated time only, so two runs of
+//!   one configuration write the same bytes;
 //! * [`chrome::chrome_trace`] — the event ring buffer as Chrome
 //!   trace-event JSON (load it in `chrome://tracing` or Perfetto);
 //! * [`waveform::waveform`] — the same events as the textual waveform
@@ -16,7 +17,8 @@
 //! * [`heatmap::render`] — per-router utilization/occupancy grids.
 //!
 //! The entry point is [`probed_run`], a drop-in variant of
-//! [`nox_sim::sim::run`] that attaches a probe and times each phase:
+//! [`nox_sim::sim::run`] that attaches a probe. (The wall time of a run
+//! is the span profiler's, `nox-telemetry`; `noxsim profile HARNESS`.)
 //!
 //! ```
 //! use nox_probe::probed_run;
@@ -51,7 +53,6 @@
 
 pub mod chrome;
 pub mod heatmap;
-pub mod profile;
 pub mod report;
 pub mod waveform;
 
@@ -60,8 +61,6 @@ pub mod waveform;
 /// and the claims report.
 pub use nox_telemetry::json;
 
-use std::time::Instant;
-
 use nox_sim::config::NetConfig;
 use nox_sim::network::Network;
 use nox_sim::probe::{Probe, ProbeConfig};
@@ -69,25 +68,21 @@ use nox_sim::sim::{run_phases, RunSpec, SimResult};
 use nox_sim::trace::Trace;
 
 pub use json::Json;
-pub use profile::SelfProfile;
 
 /// The outcome of one probed simulation run: the ordinary measurement
-/// result, the telemetry collector (windows already flushed), and the
-/// wall-clock profile.
+/// result and the telemetry collector (windows already flushed).
 #[derive(Clone, Debug)]
 pub struct ProbedRun {
     /// The standard measurement-harness result.
     pub result: SimResult,
     /// The probe, with [`Probe::finish`] already called.
     pub probe: Probe,
-    /// Wall-clock timing of the run's phases.
-    pub profile: SelfProfile,
 }
 
 /// Runs `trace` through a probed network: [`nox_sim::sim::run`]'s own
 /// warmup / measurement window / drain loop
 /// ([`nox_sim::sim::run_phases`]), with a [`Probe`] attached from cycle
-/// zero and the wall clock read at each phase boundary.
+/// zero.
 pub fn probed_run(
     cfg: NetConfig,
     trace: &Trace,
@@ -96,28 +91,11 @@ pub fn probed_run(
 ) -> ProbedRun {
     let mut net = Network::new(cfg, trace, spec.window());
     net.enable_probe(probe_cfg);
-
-    // Self-profiling of the *harness* (host wall time per phase), reported
-    // alongside — never inside — the simulation results; the simulated
-    // artifact bytes do not depend on these readings.
-    let mut marks = vec![Instant::now()]; // detlint: allow(wall_clock)
-    let result = run_phases(&mut net, spec, || {
-        marks.push(Instant::now()); // detlint: allow(wall_clock)
-    });
-    let profile = SelfProfile {
-        warmup: marks[1] - marks[0],
-        measure: marks[2] - marks[1],
-        drain: marks[3] - marks[2],
-        cycles: result.cycles,
-    };
+    let result = run_phases(&mut net, spec);
     let mut probe = net.take_probe().expect("probe was attached above");
     probe.finish();
 
-    ProbedRun {
-        result,
-        probe,
-        profile,
-    }
+    ProbedRun { result, probe }
 }
 
 #[cfg(test)]
@@ -168,15 +146,29 @@ mod tests {
     }
 
     #[test]
-    fn profile_covers_all_cycles() {
+    fn probe_observes_every_cycle() {
         let run = probed_run(
             NetConfig::small(Arch::Nox),
             &light_trace(),
             &RunSpec::quick(),
             ProbeConfig::default(),
         );
-        assert_eq!(run.profile.cycles, run.result.cycles);
         assert_eq!(run.probe.cycles_observed(), run.result.cycles);
-        assert!(run.profile.cycles_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn run_report_repeats_byte_for_byte() {
+        // A run report holds only simulated time, so two runs of one
+        // configuration serialise to the same bytes.
+        let report = || {
+            let run = probed_run(
+                NetConfig::small(Arch::Nox),
+                &light_trace(),
+                &RunSpec::quick(),
+                ProbeConfig::default(),
+            );
+            report::run_report(&run).to_string()
+        };
+        assert_eq!(report(), report());
     }
 }

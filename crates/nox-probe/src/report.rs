@@ -3,8 +3,10 @@
 //! One [`run_report`] call turns a [`ProbedRun`] into a self-describing
 //! JSON document: configuration, measurement results, the three probe
 //! layers (per-router metrics, windowed saturation telemetry, latency
-//! decomposition), and the simulator's own wall-clock profile. The schema
-//! is versioned via the `schema` field so downstream tooling can evolve.
+//! decomposition). Every number in it comes from the simulated run, so
+//! the report of one configuration is the same bytes on every run. The
+//! schema is versioned via the `schema` field so downstream tooling can
+//! evolve.
 
 use nox_core::PortId;
 use nox_sim::histogram::LogHistogram;
@@ -16,7 +18,7 @@ use crate::json::Json;
 use crate::ProbedRun;
 
 /// Schema identifier embedded in every report.
-pub const SCHEMA: &str = "nox-probe/run-report/v1";
+pub const SCHEMA: &str = "nox-probe/run-report/v2";
 
 fn latency_block(stats: &LatencyStats, hist: &LogHistogram) -> Json {
     let mut b = Json::obj()
@@ -162,7 +164,6 @@ pub fn run_report(run: &ProbedRun) -> Json {
         .field("avg_sink_occupancy", probe.avg_sink_occupancy())
         .field("events_buffered", probe.events().count())
         .field("events_dropped", probe.events_dropped())
-        .field("profile", run.profile.to_json())
 }
 
 #[cfg(test)]
@@ -199,7 +200,7 @@ mod tests {
         );
         let doc = super::run_report(&run).to_string();
         for key in [
-            "\"schema\":\"nox-probe/run-report/v1\"",
+            "\"schema\":\"nox-probe/run-report/v2\"",
             "\"routers\"",
             "\"fsm_occupancy\"",
             "\"recovery\"",
@@ -209,11 +210,11 @@ mod tests {
             "\"p99_ns\"",
             "\"windows\"",
             "\"max_link_utilization\"",
-            "\"profile\"",
-            "\"cycles_per_sec\"",
         ] {
             assert!(doc.contains(key), "report missing {key}: {doc}");
         }
+        // No wall-clock reading: the run's wall time is the span profiler's.
+        assert!(!doc.contains("\"profile\""), "{doc}");
         // 4x4 mesh: 16 router blocks.
         assert_eq!(doc.matches("\"node\":").count(), 16);
     }

@@ -128,16 +128,14 @@ impl SimResult {
 /// ```
 pub fn run(cfg: NetConfig, trace: &Trace, spec: &RunSpec) -> SimResult {
     let mut net = Network::new(cfg, trace, spec.window());
-    run_phases(&mut net, spec, || {})
+    run_phases(&mut net, spec)
 }
 
 /// Drives a freshly built network (its window set by
 /// [`RunSpec::window`]) through `spec`'s three phases and assembles
-/// the result. `phase_done` is called at each phase boundary — after
-/// warmup, after the measurement window, after the drain — which is how
-/// an observer attached to `net` (the probe's self-profile) times the
-/// phases without a second copy of this loop.
-pub fn run_phases(net: &mut Network, spec: &RunSpec, mut phase_done: impl FnMut()) -> SimResult {
+/// the result. [`run`] and `nox_probe::probed_run` (a network with a
+/// probe attached) share this one loop.
+pub fn run_phases(net: &mut Network, spec: &RunSpec) -> SimResult {
     let cfg = *net.config();
     let clock = cfg.clock_ns();
 
@@ -146,10 +144,8 @@ pub fn run_phases(net: &mut Network, spec: &RunSpec, mut phase_done: impl FnMut(
     let drain_cycles = (spec.drain_ns / clock).ceil() as u64;
 
     net.run(warmup_cycles);
-    phase_done();
     let at_open = *net.counters();
     net.run(window_cycles);
-    phase_done();
     let at_close = *net.counters();
 
     // Drain: keep running (injection continues from the trace) until all
@@ -159,7 +155,6 @@ pub fn run_phases(net: &mut Network, spec: &RunSpec, mut phase_done: impl FnMut(
         net.step();
         remaining -= 1;
     }
-    phase_done();
 
     SimResult {
         cfg,

@@ -15,8 +15,8 @@
 //!   iteration without revisiting the declaration; ordered `BTreeMap` /
 //!   `BTreeSet` cost nothing at these sizes.
 //! - `wall_clock` — `Instant::now()` / `SystemTime::now()`: real-time
-//!   reads must never feed simulated results, only clearly-labelled
-//!   self-profiling.
+//!   reads must never feed simulated results, only the span profiler
+//!   (`nox-telemetry`).
 //! - `thread_count` — `available_parallelism`: worker-pool width must
 //!   size fan-out, never change output.
 //!
@@ -49,13 +49,13 @@ pub const ARTIFACT_CRATES: &[&str] = &[
 ];
 
 /// Crates (by `crates/<dir>` name) whose sources may carry
-/// `allow(wall_clock)` directives: the self-profiling layers whose whole
-/// job is reading the wall clock. The allowlist audit ([`audit_path`])
+/// `allow(wall_clock)` directives: the span profiler, the one crate
+/// whose job is reading the wall clock. The allowlist audit ([`audit_path`])
 /// flags a wall-clock allow anywhere else — the directive suppresses the
 /// lint, so the audit is what keeps real-time reads from quietly
 /// spreading into the simulation and analysis crates under cover of an
 /// `allow`.
-pub const WALL_CLOCK_ALLOW_CRATES: &[&str] = &["nox-probe", "nox-telemetry"];
+pub const WALL_CLOCK_ALLOW_CRATES: &[&str] = &["nox-telemetry"];
 
 /// The lint rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -695,7 +695,10 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].line, f[0].rule), (2, Rule::WallClock));
         assert!(f[0].to_string().contains("allow(wall_clock)"));
-        // The profiling layers may.
+        // Nor may the probe: its reports hold simulated time only.
+        let f = audit_source("crates/nox-probe/src/lib.rs", src, Some("nox-probe"));
+        assert_eq!(f.len(), 1);
+        // The span profiler may.
         for ok in WALL_CLOCK_ALLOW_CRATES {
             assert!(audit_source("x.rs", src, Some(ok)).is_empty(), "{ok}");
         }

@@ -53,11 +53,6 @@ impl Json {
         self
     }
 
-    /// Serializes the document to a string (single line).
-    pub fn to_string_compact(&self) -> String {
-        self.to_string()
-    }
-
     /// Looks a key up in an object (`None` for other variants).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -5,7 +5,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use crate::model::{Model, Violation, ViolationKind};
+use crate::model::{Model, Violation};
 use crate::mutation::Mutation;
 use crate::scenario::{scenarios, Bounds, Scenario};
 use nox_exec::Executor;
@@ -180,9 +180,4 @@ pub fn mutation_smoke_with(bounds: &Bounds, exec: &Executor) -> Vec<MutationRepo
     exec.map(Mutation::ALL.iter().copied(), |_, m| {
         check_mutation(bounds, m)
     })
-}
-
-/// Sanity marker: the kinds a liveness probe may legitimately report.
-pub fn is_liveness_kind(kind: ViolationKind) -> bool {
-    kind == ViolationKind::Livelock
 }

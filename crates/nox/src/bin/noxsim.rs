@@ -1030,8 +1030,8 @@ fn cmd_statics(opts: &Opts) -> Result<(), String> {
 /// `fixtures/` directories; naming a fixture file explicitly scans it
 /// anyway, which is how CI proves the lint still fires on a seeded
 /// violation. `--audit` additionally checks the allow directives
-/// themselves: `allow(wall_clock)` is policy-restricted to the
-/// self-profiling crates (`nox-telemetry`, `nox-probe`).
+/// themselves: `allow(wall_clock)` is policy-restricted to the span
+/// profiler's crate (`nox-telemetry`).
 fn cmd_lint(positional: &[String], opts: &Opts) -> Result<(), String> {
     let roots: Vec<&str> = if positional.is_empty() {
         vec!["crates"]

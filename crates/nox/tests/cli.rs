@@ -185,6 +185,34 @@ fn replay_writes_the_probe_report_waveform_and_chrome_trace() {
 }
 
 #[test]
+fn probe_reports_repeat_byte_for_byte() {
+    // A run report holds simulated time only, so a rerun writes the same
+    // file; the run's wall time is `noxsim profile`'s.
+    let dir = scratch("probe-repeat");
+    let write = |name: &str| {
+        let path = dir.join(name);
+        let out = noxsim(&[
+            "sweep",
+            "--arch",
+            "nox",
+            "--rates",
+            "900",
+            "--probe-out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        std::fs::read(&path).unwrap()
+    };
+    let first = write("a.json");
+    assert!(!first.is_empty());
+    assert!(
+        first == write("b.json"),
+        "probe reports differ between runs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn profile_writes_a_chrome_span_trace() {
     let dir = scratch("profile");
     let chrome = dir.join("t.json");
