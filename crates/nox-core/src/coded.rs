@@ -95,6 +95,7 @@ impl Keys {
         keys: [0; INLINE_KEYS],
     };
 
+    #[inline]
     fn as_slice(&self) -> &[u64] {
         match self {
             Keys::Inline { len, keys } => &keys[..*len as usize],
@@ -174,6 +175,7 @@ impl<T: Xor> Coded<T> {
     }
 
     /// Number of constituent symbols still superposed in this word.
+    #[inline]
     pub fn arity(&self) -> usize {
         self.keys().len()
     }
@@ -181,11 +183,13 @@ impl<T: Xor> Coded<T> {
     /// `true` when exactly one constituent remains — the word is directly
     /// usable without decoding. Mirrors the *encoded* marker bit the NoX
     /// router sends alongside each link word (inverted).
+    #[inline]
     pub fn is_plain(&self) -> bool {
         self.arity() == 1
     }
 
     /// `true` when more than one constituent is superposed.
+    #[inline]
     pub fn is_encoded(&self) -> bool {
         self.arity() > 1
     }
@@ -201,6 +205,7 @@ impl<T: Xor> Coded<T> {
     }
 
     /// The sorted constituent keys.
+    #[inline]
     pub fn keys(&self) -> &[u64] {
         self.keys.as_slice()
     }
@@ -208,6 +213,7 @@ impl<T: Xor> Coded<T> {
     /// The sole constituent key of a plain word.
     ///
     /// Returns `None` if the word is encoded or empty.
+    #[inline]
     pub fn sole_key(&self) -> Option<u64> {
         match self.keys() {
             [key] => Some(*key),

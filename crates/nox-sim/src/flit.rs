@@ -123,6 +123,13 @@ impl PacketTable {
         Self::default()
     }
 
+    /// Creates an empty table with room for `packets` packets.
+    pub(crate) fn with_capacity(packets: usize) -> Self {
+        PacketTable {
+            metas: Vec::with_capacity(packets),
+        }
+    }
+
     /// Registers a packet, returning its id.
     ///
     /// # Panics

@@ -122,25 +122,32 @@ impl Network {
         let topo = cfg.topology();
         let clock_ns = cfg.clock_ns();
 
-        let mut packets = PacketTable::new();
-        let mut sources: Vec<Source> = (0..topo.cores()).map(|_| Source::new()).collect();
-        let mut injecting = ActiveSet::new(topo.cores());
-        let mut measured_total = 0;
+        // One pass to check every event and count each source's share,
+        // so the packet table and every source queue are allocated once,
+        // at their final size.
+        let mut per_source = vec![0; topo.cores()];
         for e in trace.events() {
             assert!(
                 e.src.index() < topo.cores() && e.dest.index() < topo.cores(),
                 "trace event addresses a node outside the mesh"
             );
+            per_source[e.src.index()] += 1;
+        }
+        let mut packets = PacketTable::with_capacity(trace.len());
+        let mut sources: Vec<Source> = per_source.into_iter().map(Source::with_capacity).collect();
+        let mut measured_total = 0;
+        for e in trace.events() {
             let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
             measured_total += u64::from(measured);
+            let created_cycle = (e.time_ns / clock_ns) as u64;
             let id = packets.push(PacketMeta {
                 src: e.src,
                 dest: e.dest,
                 len: e.len,
-                created_cycle: (e.time_ns / clock_ns) as u64,
+                created_cycle,
                 measured,
             });
-            Self::schedule(&mut sources, &mut injecting, &packets, 0, id);
+            sources[e.src.index()].schedule(id, created_cycle);
         }
 
         let nox_options = nox_core::NoxOptions {
@@ -164,7 +171,7 @@ impl Network {
             awake: ActiveSet::new(routers.len()),
             routers,
             sources,
-            injecting,
+            injecting: ActiveSet::new(topo.cores()),
             next_static: 0,
             static_packets: packets.len(),
             sinks,
@@ -195,29 +202,14 @@ impl Network {
         }
     }
 
-    /// Queues packet `id` at its source at cycle `now`: the one way into
-    /// [`Source::schedule`] (associated, so [`new`](Self::new) can use
-    /// it). A packet created by now, as every injection and retransmission
-    /// is, puts its source in the injecting set at once; a later one is
-    /// the trace's, and `admit_created` finds it.
-    fn schedule(
-        sources: &mut [Source],
-        injecting: &mut ActiveSet,
-        packets: &PacketTable,
-        now: u64,
-        id: PacketId,
-    ) {
-        let meta = packets.meta(id);
-        sources[meta.src.index()].schedule(id, meta.created_cycle);
-        if meta.created_cycle <= now {
-            injecting.insert(meta.src.index());
-        }
-    }
-
-    /// [`schedule`](Self::schedule) for a packet created now.
-    fn schedule_now(&mut self, id: PacketId) {
-        let (sources, injecting) = (&mut self.sources, &mut self.injecting);
-        Self::schedule(sources, injecting, &self.packets, self.cycle, id);
+    /// Queues packet `id`, created this cycle at `src`, and puts the
+    /// source in the injecting set: how every injection and
+    /// retransmission enters a source. The trace's packets are queued by
+    /// [`new`](Self::new), and `admit_created` finds them when they fall
+    /// due.
+    fn schedule_now(&mut self, id: PacketId, src: NodeId) {
+        self.sources[src.index()].schedule(id, self.cycle);
+        self.injecting.insert(src.index());
     }
 
     /// Moves the cursor past the trace's packets created by this cycle,
@@ -338,7 +330,7 @@ impl Network {
             measured,
         });
         self.measured_total += u64::from(measured);
-        self.schedule_now(id);
+        self.schedule_now(id, src);
         if let Some(f) = &mut self.faults {
             f.register(id, self.packets.meta(id));
         }
@@ -825,7 +817,7 @@ impl Network {
                 created_cycle: self.cycle,
                 measured: false,
             });
-            self.schedule_now(id);
+            self.schedule_now(id, rt.src);
             f.map_attempt(id, idx);
             let router = self.topo.router_of(rt.src);
             self.probe

@@ -37,8 +37,13 @@ impl Default for Source {
 impl Source {
     /// Creates an empty source.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty source with room for `packets` queued packets.
+    pub(crate) fn with_capacity(packets: usize) -> Self {
         Source {
-            pending: VecDeque::new(),
+            pending: VecDeque::with_capacity(packets),
             head_due: u64::MAX,
             current: None,
         }

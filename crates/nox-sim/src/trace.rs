@@ -56,28 +56,33 @@ impl Trace {
     /// Panics if the event is not in time order, has a negative time, or a
     /// zero-length packet.
     pub fn push(&mut self, e: PacketEvent) {
-        assert!(e.time_ns >= 0.0, "event time must be nonnegative");
-        assert!(e.len >= 1, "packets need at least one flit");
-        if let Some(last) = self.events.last() {
-            assert!(
-                e.time_ns >= last.time_ns,
-                "trace events must be time-sorted ({} < {})",
-                e.time_ns,
-                last.time_ns
-            );
-        }
+        check(self.events.last(), &e);
         self.events.push(e);
     }
 
     /// Builds a trace from possibly-unsorted events, sorting by time
-    /// (stable, so same-time events keep their relative order).
+    /// (stable, so same-time events keep their relative order). The
+    /// events are sorted and checked where they are: the trace keeps the
+    /// caller's vector and allocates nothing when it is already in time
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// As [`push`](Self::push), for the first offending event in time
+    /// order.
     pub fn from_events(mut events: Vec<PacketEvent>) -> Self {
-        events.sort_by(|a, b| a.time_ns.total_cmp(&b.time_ns));
-        let mut t = Trace::new();
-        for e in events {
-            t.push(e);
+        let by_time = |a: &PacketEvent, b: &PacketEvent| a.time_ns.total_cmp(&b.time_ns);
+        // The stable sort allocates its scratch buffer even for sorted
+        // input; one scan decides whether it is needed at all.
+        if !events.is_sorted_by(|a, b| by_time(a, b).is_le()) {
+            events.sort_by(by_time);
         }
-        t
+        let mut last = None;
+        for e in &events {
+            check(last, e);
+            last = Some(e);
+        }
+        Trace { events }
     }
 
     /// The events, in time order.
@@ -111,6 +116,20 @@ impl Trace {
             return 0.0;
         }
         self.total_flits() as f64 / self.horizon_ns() / nodes as f64
+    }
+}
+
+/// The checks an event must pass to follow `last` in a trace.
+fn check(last: Option<&PacketEvent>, e: &PacketEvent) {
+    assert!(e.time_ns >= 0.0, "event time must be nonnegative");
+    assert!(e.len >= 1, "packets need at least one flit");
+    if let Some(last) = last {
+        assert!(
+            e.time_ns >= last.time_ns,
+            "trace events must be time-sorted ({} < {})",
+            e.time_ns,
+            last.time_ns
+        );
     }
 }
 
@@ -163,6 +182,44 @@ mod tests {
         let t = Trace::from_events(vec![ev(3.0), ev(1.0), ev(2.0)]);
         let times: Vec<f64> = t.events().iter().map(|e| e.time_ns).collect();
         assert_eq!(times, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn from_events_keeps_same_time_events_in_input_order() {
+        let at = |t, src| PacketEvent {
+            src: NodeId(src),
+            ..ev(t)
+        };
+        let t = Trace::from_events(vec![at(2.0, 0), at(1.0, 1), at(2.0, 2), at(1.0, 3)]);
+        let srcs: Vec<u16> = t.events().iter().map(|e| e.src.0).collect();
+        assert_eq!(srcs, vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be nonnegative")]
+    fn from_events_rejects_a_negative_time() {
+        Trace::from_events(vec![ev(1.0), ev(-1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "packets need at least one flit")]
+    fn from_events_rejects_a_zero_length_packet() {
+        Trace::from_events(vec![ev(1.0), PacketEvent { len: 0, ..ev(0.5) }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be nonnegative")]
+    fn from_events_rejects_a_nan_time() {
+        // Sorting puts NaN last; no NaN is nonnegative.
+        Trace::from_events(vec![ev(f64::NAN), ev(1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace events must be time-sorted (1 < 2)")]
+    fn extend_rejects_out_of_order_events() {
+        // `from_events` sorts before it checks, so its time-order check
+        // never fires; `extend` and `push` run the same check unsorted.
+        Trace::from_events(vec![ev(2.0)]).extend([ev(1.0)]);
     }
 
     #[test]

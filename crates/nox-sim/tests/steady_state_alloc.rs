@@ -10,6 +10,11 @@
 //! presented record carries no word, and that a router's tick scratch is
 //! plain inline data, which is why a router has at most eight ports, and
 //! how big that scratch and the router around it are.
+//!
+//! Set-up allocates once per structure, whatever the trace's length:
+//! generated events are reserved up front, a trace keeps the vector it
+//! was built from, and a network sizes its packet table and source queues
+//! from the trace.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,8 +23,9 @@ use nox_sim::config::{Arch, NetConfig};
 use nox_sim::flit::Word;
 use nox_sim::network::Network;
 use nox_sim::router::{Presented, Router, TickScratch};
-use nox_sim::topology::{NodeId, Topology, MAX_PORTS};
+use nox_sim::topology::{Mesh, NodeId, Topology, MAX_PORTS};
 use nox_sim::trace::{PacketEvent, Trace};
+use nox_traffic::synthetic::{generate, SyntheticConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -153,4 +159,50 @@ fn saturated_step_loop_does_not_allocate() {
             "{arch}: {allocs} heap allocations in {MEASURED_CYCLES} steady-state cycles"
         );
     }
+}
+
+#[test]
+fn a_trace_keeps_the_vector_it_is_built_from() {
+    let events = saturating_trace(&NetConfig::paper(Arch::Nox))
+        .events()
+        .to_vec();
+    let (len, at) = (events.len(), events.as_ptr());
+    let mut trace = None;
+    let allocs = allocations(|| trace = Some(Trace::from_events(events)));
+    let trace = trace.expect("built");
+    assert_eq!(allocs, 0, "from_events allocated {allocs} times");
+    assert_eq!((trace.len(), trace.events().as_ptr()), (len, at));
+}
+
+#[test]
+fn network_set_up_allocates_the_same_for_any_trace_length() {
+    let cfg = NetConfig::paper(Arch::Nox);
+    let full = saturating_trace(&cfg);
+    let n = full.len() / 4;
+    let allocs_for = |events: &[PacketEvent]| {
+        let trace = Trace::from_events(events.to_vec());
+        let mut net = None;
+        let allocs = allocations(|| net = Some(Network::new(cfg, &trace, (0.0, f64::MAX))));
+        assert_eq!(net.expect("built").packets().len(), events.len());
+        allocs
+    };
+    assert_eq!(
+        allocs_for(&full.events()[..n]),
+        allocs_for(&full.events()[..4 * n])
+    );
+}
+
+#[test]
+fn generating_allocates_the_same_for_any_duration() {
+    let allocs_for = |duration_ns| {
+        let cfg = SyntheticConfig {
+            seed: 1,
+            ..SyntheticConfig::uniform(2_000.0, duration_ns)
+        };
+        let mut trace = None;
+        let allocs = allocations(|| trace = Some(generate(Mesh::new(8, 8), &cfg)));
+        assert!(trace.expect("generated").len() > 10_000);
+        allocs
+    };
+    assert_eq!(allocs_for(10_000.0), allocs_for(40_000.0));
 }

@@ -210,7 +210,6 @@ impl CmpTraces {
 /// Panics if the duration is non-positive.
 pub fn synthesize(mesh: Mesh, w: &Workload, duration_ns: f64, seed: u64) -> CmpTraces {
     assert!(duration_ns > 0.0, "duration must be positive");
-    let n = mesh.nodes();
     let mut req_events = Vec::new();
     let mut rep_events = Vec::new();
 
@@ -252,7 +251,6 @@ pub fn synthesize(mesh: Mesh, w: &Workload, duration_ns: f64, seed: u64) -> CmpT
             }
             t += exp.sample(&mut rng);
         }
-        let _ = n;
     }
 
     CmpTraces {

@@ -357,6 +357,38 @@ fn f64_opt(opts: &Opts, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+fn u64_opt(opts: &Opts, key: &str, default: u64) -> Result<u64, String> {
+    match opts.get(key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer {v:?}")),
+    }
+}
+
+/// An injection rate given as `--KEY`: finite MB/s/node, 0 or more.
+fn checked_rate(key: &str, rate: f64) -> Result<f64, String> {
+    if rate.is_finite() && rate >= 0.0 {
+        Ok(rate)
+    } else {
+        Err(format!(
+            "--{key}: {rate} is not a rate in MB/s/node (finite, 0 or more)"
+        ))
+    }
+}
+
+/// `--rate`, checked as [`checked_rate`].
+fn rate_opt(opts: &Opts, default: f64) -> Result<f64, String> {
+    checked_rate("rate", f64_opt(opts, "rate", default)?)
+}
+
+/// `--len`: a packet length in flits, an integer in `1..=65535`.
+fn len_opt(opts: &Opts) -> Result<u16, String> {
+    let len = u64_opt(opts, "len", 1)?;
+    u16::try_from(len)
+        .ok()
+        .filter(|&len| len >= 1)
+        .ok_or_else(|| format!("--len: {len} is not a flit count in 1..=65535"))
+}
+
 /// The worker pool selected by `--threads` (default: all available
 /// cores). Every fan-out it drives reduces in submission order, so the
 /// thread count never changes any output.
@@ -513,14 +545,17 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         None => (1..=10).map(|i| i as f64 * 300.0).collect(),
         Some(s) => s
             .split(',')
-            .map(|r| r.trim().parse().map_err(|_| format!("bad rate {r:?}")))
+            .map(|r| {
+                let rate = r.trim().parse().map_err(|_| format!("bad rate {r:?}"))?;
+                checked_rate("rates", rate)
+            })
             .collect::<Result<_, _>>()?,
     };
     let process = match opts.get("process") {
         None => Process::Poisson,
         Some(name) => Process::parse(name).ok_or_else(|| format!("unknown --process {name:?}"))?,
     };
-    let len: u16 = f64_opt(opts, "len", 1.0)? as u16;
+    let len = len_opt(opts)?;
     let pat = pattern(opts)?;
     let archs = archs(opts)?;
     let cores = Mesh::new(8, 8);
@@ -555,7 +590,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
                     len,
                     flit_bytes: 8,
                     duration_ns: 40_000.0,
-                    seed: f64_opt(opts, "seed", 7.0)? as u64,
+                    seed: u64_opt(opts, "seed", 7)?,
                 },
             );
             let r = probe.run_or_plain(opts, net_config(opts, arch), &trace, &spec, || {
@@ -581,7 +616,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
 
 fn cmd_app(opts: &Opts) -> Result<(), String> {
     let which = opts.get("workload").map(String::as_str).unwrap_or("all");
-    let seed = f64_opt(opts, "seed", 13.0)? as u64;
+    let seed = u64_opt(opts, "seed", 13)?;
     let workloads: Vec<_> = if which == "all" {
         WORKLOADS.iter().collect()
     } else {
@@ -629,7 +664,7 @@ fn cmd_app(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_power(opts: &Opts) -> Result<(), String> {
-    let rate = f64_opt(opts, "rate", 2_000.0)?;
+    let rate = rate_opt(opts, 2_000.0)?;
     let cores = Mesh::new(8, 8);
     let trace = generate(cores, &SyntheticConfig::uniform(rate, 40_000.0));
     let spec = RunSpec {
@@ -664,16 +699,22 @@ fn cmd_power(opts: &Opts) -> Result<(), String> {
 
 fn cmd_gen(opts: &Opts) -> Result<(), String> {
     let out = opts.get("out").ok_or("gen needs --out FILE")?;
+    let duration_ns = f64_opt(opts, "duration", 10_000.0)?;
+    if !(duration_ns.is_finite() && duration_ns > 0.0) {
+        return Err(format!(
+            "--duration: {duration_ns} is not a duration in ns (finite, above 0)"
+        ));
+    }
     let trace = generate(
         Mesh::new(8, 8),
         &SyntheticConfig {
             pattern: pattern(opts)?,
             process: Process::Poisson,
-            rate_mbps_per_node: f64_opt(opts, "rate", 1_000.0)?,
-            len: f64_opt(opts, "len", 1.0)? as u16,
+            rate_mbps_per_node: rate_opt(opts, 1_000.0)?,
+            len: len_opt(opts)?,
             flit_bytes: 8,
-            duration_ns: f64_opt(opts, "duration", 10_000.0)?,
-            seed: f64_opt(opts, "seed", 7.0)? as u64,
+            duration_ns,
+            seed: u64_opt(opts, "seed", 7)?,
         },
     );
     let mut file = std::fs::File::create(out).map_err(|e| e.to_string())?;
@@ -729,8 +770,8 @@ fn cmd_replay(opts: &Opts) -> Result<(), String> {
 fn cmd_heatmap(opts: &Opts) -> Result<(), String> {
     use nox::sim::probe::ProbeConfig;
 
-    let rate = f64_opt(opts, "rate", 2_000.0)?;
-    let len: u16 = f64_opt(opts, "len", 1.0)? as u16;
+    let rate = rate_opt(opts, 2_000.0)?;
+    let len = len_opt(opts)?;
     let pat = pattern(opts)?;
     let archs = if opts.contains_key("arch") {
         archs(opts)?
@@ -753,7 +794,7 @@ fn cmd_heatmap(opts: &Opts) -> Result<(), String> {
                 len,
                 flit_bytes: 8,
                 duration_ns: 40_000.0,
-                seed: f64_opt(opts, "seed", 7.0)? as u64,
+                seed: u64_opt(opts, "seed", 7)?,
             },
         );
         let run = nox::probe::probed_run(
@@ -1148,14 +1189,6 @@ fn cmd_serve(_opts: &Opts) -> Result<(), String> {
 #[cfg(not(unix))]
 fn cmd_client(_positional: &[String], _opts: &Opts) -> Result<(), String> {
     Err("client needs Unix domain sockets; this build targets a non-Unix platform".into())
-}
-
-#[cfg(unix)]
-fn u64_opt(opts: &Opts, key: &str, default: u64) -> Result<u64, String> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer {v:?}")),
-    }
 }
 
 /// Runs the crash-safe simulation daemon in the foreground until

@@ -132,6 +132,64 @@ fn read_json(path: &std::path::Path) -> Json {
 }
 
 #[test]
+fn numeric_flags_are_checked_where_they_enter() {
+    // Refused with a message naming the flag: none may reach the
+    // generator and panic there, and none may be rounded quietly.
+    let dir = scratch("numeric-flags");
+    let out_file = dir.join("t.txt");
+    let out_file = out_file.to_str().unwrap();
+    for (args, flag) in [
+        (&["gen", "--len", "0"][..], "--len"),
+        (&["sweep", "--len", "0", "--rates", "100"], "--len"),
+        (&["gen", "--len", "2.9"], "--len"),
+        (&["gen", "--len", "65536"], "--len"),
+        (&["gen", "--rate", "-5"], "--rate"),
+        (&["gen", "--rate", "inf"], "--rate"),
+        (&["sweep", "--rates", "100,NaN"], "--rates"),
+        (&["gen", "--duration", "0"], "--duration"),
+        (&["gen", "--duration", "inf"], "--duration"),
+        (&["gen", "--seed", "7.5"], "--seed"),
+    ] {
+        let mut args = args.to_vec();
+        if args[0] == "gen" {
+            args.extend(["--out", out_file]);
+        }
+        let out = noxsim(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains(&format!("error: {flag}")), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran anyway");
+    }
+    assert!(!std::path::Path::new(out_file).exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn seeds_differ_in_their_last_bit() {
+    // 2^53 and 2^53 + 1 are one number as an f64; as seeds they differ.
+    let dir = scratch("seed-bits");
+    let trace = |seed: &str| {
+        let path = dir.join(seed);
+        let out = noxsim(&[
+            "gen",
+            "--seed",
+            seed,
+            "--duration",
+            "1000",
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        std::fs::read(&path).unwrap()
+    };
+    assert!(
+        trace("9007199254740992") != trace("9007199254740993"),
+        "seeds 2^53 and 2^53 + 1 wrote the same trace"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn replay_writes_the_probe_report_waveform_and_chrome_trace() {
     let dir = scratch("replay");
     let (trace, run, chrome) = (
