@@ -4,12 +4,17 @@
 //! run through two independent physical networks of the same router
 //! architecture (§5.2's dual-network CMP). Latency is averaged over
 //! packets of both networks; energy is summed.
+//!
+//! This module decides which traces a workload runs on:
+//! [`workload_traces`] synthesizes them over the paper's 64 cores, and
+//! [`measure_workload`] synthesizes them once and runs every
+//! architecture's two networks on that one synthesis.
 
 use nox_power::energy::EnergyModel;
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::sim::{run, RunSpec};
 use nox_sim::topology::Mesh;
-use nox_traffic::cmp::{synthesize, Workload};
+use nox_traffic::cmp::{synthesize, CmpTraces, Workload};
 
 /// The outcome of one workload on one architecture.
 #[derive(Clone, Debug)]
@@ -44,47 +49,61 @@ pub fn app_run_spec() -> RunSpec {
 /// Trace duration that comfortably covers [`app_run_spec`].
 pub const APP_TRACE_NS: f64 = 40_000.0;
 
-/// Runs `workload` on both physical networks of `arch` with the default
-/// trace length ([`APP_TRACE_NS`]).
-pub fn run_workload(arch: Arch, w: &Workload, seed: u64, spec: &RunSpec) -> AppResult {
-    run_workload_sized(arch, w, seed, spec, APP_TRACE_NS)
+/// The request and reply traces of `w`: `trace_ns` of traffic from the
+/// paper's 64 cores (one per router of the 8x8 mesh), drawn from `seed`.
+pub fn workload_traces(w: &Workload, trace_ns: f64, seed: u64) -> CmpTraces {
+    synthesize(Mesh::new(8, 8), w, trace_ns, seed)
 }
 
-/// Runs `workload` on both physical networks of `arch`, synthesizing
-/// `trace_ns` of traffic (shortened by the smoke tier; `spec` must fit
-/// inside it).
-pub fn run_workload_sized(
-    arch: Arch,
+/// Runs `workload` on both physical networks of `arch` with the default
+/// trace length ([`APP_TRACE_NS`]): [`measure_workload`] with one
+/// architecture.
+pub fn run_workload(arch: Arch, w: &Workload, seed: u64, spec: &RunSpec) -> AppResult {
+    measure_workload(&[arch], w, seed, spec, APP_TRACE_NS)
+        .pop()
+        .expect("one architecture, one result")
+}
+
+/// Runs `workload` on both physical networks of every architecture in
+/// `archs`, in that order: its traffic is synthesized once
+/// ([`workload_traces`], `trace_ns` long; `spec`'s warm-up and window
+/// must fit inside it) and every architecture runs on that synthesis.
+pub fn measure_workload(
+    archs: &[Arch],
     w: &Workload,
     seed: u64,
     spec: &RunSpec,
     trace_ns: f64,
-) -> AppResult {
-    let net = NetConfig::paper(arch);
-    let mesh = Mesh::new(net.width, net.height);
-    let traces = synthesize(mesh, w, trace_ns, seed);
-    let model = EnergyModel::for_arch(arch);
+) -> Vec<AppResult> {
+    let traces = workload_traces(w, trace_ns, seed);
+    archs
+        .iter()
+        .map(|&arch| {
+            let net = NetConfig::paper(arch);
+            let model = EnergyModel::for_arch(arch);
+            let rq = run(net, &traces.request, spec);
+            let rp = run(net, &traces.reply, spec);
 
-    let rq = run(net, &traces.request, spec);
-    let rp = run(net, &traces.reply, spec);
+            let packets = (rq.latency_ns.count() + rp.latency_ns.count()).max(1) as f64;
+            let latency_ns = (rq.latency_ns.sum() + rp.latency_ns.sum()) / packets;
+            let energy_pj =
+                model.total_pj(&rq.window_counters) + model.total_pj(&rp.window_counters);
+            let ejected = (rq.window_counters.packets_ejected + rp.window_counters.packets_ejected)
+                .max(1) as f64;
+            let energy_per_packet_pj = energy_pj / ejected;
 
-    let packets = (rq.latency_ns.count() + rp.latency_ns.count()).max(1) as f64;
-    let latency_ns = (rq.latency_ns.sum() + rp.latency_ns.sum()) / packets;
-    let energy_pj = model.total_pj(&rq.window_counters) + model.total_pj(&rp.window_counters);
-    let ejected =
-        (rq.window_counters.packets_ejected + rp.window_counters.packets_ejected).max(1) as f64;
-    let energy_per_packet_pj = energy_pj / ejected;
-
-    AppResult {
-        arch,
-        workload: w.name,
-        latency_ns,
-        request_latency_ns: rq.avg_latency_ns(),
-        reply_latency_ns: rp.avg_latency_ns(),
-        energy_per_packet_pj,
-        ed2: energy_per_packet_pj * latency_ns * latency_ns,
-        drained: rq.drained && rp.drained,
-    }
+            AppResult {
+                arch,
+                workload: w.name,
+                latency_ns,
+                request_latency_ns: rq.avg_latency_ns(),
+                reply_latency_ns: rp.avg_latency_ns(),
+                energy_per_packet_pj,
+                ed2: energy_per_packet_pj * latency_ns * latency_ns,
+                drained: rq.drained && rp.drained,
+            }
+        })
+        .collect()
 }
 
 /// Geometric-mean improvement of `a` over `b` in ED^2 across paired
@@ -121,8 +140,12 @@ mod tests {
     #[test]
     fn light_workload_runs_on_all_architectures() {
         let w = workload("water").unwrap();
-        for arch in Arch::ALL {
+        let shared = measure_workload(&Arch::ALL, w, 3, &quick_spec(), APP_TRACE_NS);
+        assert_eq!(shared.len(), Arch::ALL.len());
+        for (arch, one_synthesis) in Arch::ALL.into_iter().zip(&shared) {
             let r = run_workload(arch, w, 3, &quick_spec());
+            // One synthesis for all four measures what one per architecture does.
+            assert_eq!(format!("{r:?}"), format!("{one_synthesis:?}"), "{arch}");
             assert!(r.drained, "{arch} failed to drain water");
             assert!(r.latency_ns > 0.0);
             assert!(r.energy_per_packet_pj > 0.0);

@@ -11,14 +11,14 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::Tier;
+use crate::apps::workload_traces;
+use crate::harness::{appstudy::APP_SEED, uniform_config, Tier};
 use crate::json::Json;
+use crate::sweep::measure_rate;
 use crate::Table;
 use nox_sim::config::{Arch, NetConfig};
-use nox_sim::sim::{run as sim_run, RunSpec};
-use nox_sim::topology::Mesh;
-use nox_traffic::cmp::{synthesize, workload};
-use nox_traffic::synthetic::{generate, SyntheticConfig};
+use nox_sim::sim::run as sim_run;
+use nox_traffic::cmp::workload;
 
 /// Versioned schema of the `--json` document.
 pub const SCHEMA: &str = "nox-bench/ablation/v1";
@@ -55,25 +55,11 @@ pub struct AblationResult {
 
 /// Runs the ablation at `tier`.
 pub fn run(tier: Tier) -> AblationResult {
-    let mesh = Mesh::new(8, 8);
-    let (duration_ns, spec) = match tier {
-        Tier::Full | Tier::Quick => (
-            40_000.0,
-            RunSpec {
-                warmup_ns: 1_500.0,
-                measure_ns: 6_000.0,
-                drain_ns: 30_000.0,
-            },
-        ),
-        Tier::Smoke => (
-            15_000.0,
-            RunSpec {
-                warmup_ns: 1_000.0,
-                measure_ns: 3_000.0,
-                drain_ns: 15_000.0,
-            },
-        ),
+    let rates = match tier {
+        Tier::Smoke => vec![500.0, 2_500.0, 3_000.0],
+        _ => vec![500.0, 1_500.0, 2_500.0, 3_000.0],
     };
+    let cfg = uniform_config(tier, rates, 6_000.0);
 
     let full = NetConfig::paper(Arch::Nox);
     let ablated = NetConfig {
@@ -81,20 +67,15 @@ pub fn run(tier: Tier) -> AblationResult {
         ..full
     };
 
-    let rates: &[f64] = match tier {
-        Tier::Smoke => &[500.0, 2_500.0, 3_000.0],
-        _ => &[500.0, 1_500.0, 2_500.0, 3_000.0],
-    };
-    let synthetic = rates
+    let synthetic = cfg
+        .rates_mbps
         .iter()
         .map(|&rate| {
-            let trace = generate(mesh, &SyntheticConfig::uniform(rate, duration_ns));
-            let a = sim_run(full, &trace, &spec);
-            let b = sim_run(ablated, &trace, &spec);
+            let points = measure_rate(&cfg, rate, &[full, ablated]);
             AblationRow {
                 label: format!("{rate:.0}"),
-                full_ns: a.avg_latency_ns(),
-                ablated_ns: b.avg_latency_ns(),
+                full_ns: points[0].latency_ns,
+                ablated_ns: points[1].latency_ns,
             }
         })
         .collect();
@@ -103,9 +84,9 @@ pub fn run(tier: Tier) -> AblationResult {
         .into_iter()
         .map(|name| {
             let w = workload(name).expect("known workload");
-            let traces = synthesize(mesh, w, duration_ns, 13);
-            let a = sim_run(full, &traces.reply, &spec);
-            let b = sim_run(ablated, &traces.reply, &spec);
+            let traces = workload_traces(w, cfg.duration_ns, APP_SEED);
+            let a = sim_run(full, &traces.reply, &cfg.run);
+            let b = sim_run(ablated, &traces.reply, &cfg.run);
             AblationRow {
                 label: name.to_string(),
                 full_ns: a.avg_latency_ns(),

@@ -1,12 +1,13 @@
 //! The application-workload study shared by Figures 10 and 11.
 //!
 //! Runs all nine synthesized CMP workloads on every architecture's dual
-//! physical networks once; Figure 10 renders the latency view and
+//! physical networks once, each workload's traffic synthesized once for
+//! all four architectures; Figure 10 renders the latency view and
 //! Figure 11 the ED² view, and the claims registry evaluates both
 //! figures' claims from the same study.
 
 use crate::apps::{
-    app_run_spec, mean_ed2_improvement_pct, run_workload_sized, AppResult, APP_TRACE_NS,
+    app_run_spec, mean_ed2_improvement_pct, measure_workload, AppResult, APP_TRACE_NS,
 };
 use crate::harness::Tier;
 use nox_exec::Executor;
@@ -44,29 +45,16 @@ pub fn app_tier_spec(tier: Tier) -> (RunSpec, f64) {
     }
 }
 
-/// Runs the study at `tier`, fanning every (workload, architecture) run
-/// out over `exec`. Each run is independent (same seed, same spec), and
-/// the ordered reduction rebuilds the rows in `WORKLOADS` × `Arch::ALL`
-/// order, so the study is bit-identical at any thread count.
+/// Runs the study at `tier`, fanning the workloads out over `exec`. Each
+/// workload's traffic is synthesized once and drives all four
+/// architectures ([`measure_workload`]; same seed, same spec), and the
+/// ordered reduction keeps the rows in `WORKLOADS` order, so the study is
+/// bit-identical at any thread count.
 pub fn study_with(tier: Tier, exec: &Executor) -> AppStudy {
     let (spec, trace_ns) = app_tier_spec(tier);
-    let jobs: Vec<_> = WORKLOADS
-        .iter()
-        .flat_map(|w| Arch::ALL.iter().map(move |&a| (w, a)))
-        .collect();
-    let results = exec.map_stage("apps.workloads", jobs, |_, (w, a)| {
-        run_workload_sized(a, w, APP_SEED, &spec, trace_ns)
+    let rows = exec.map_stage("apps.workloads", WORKLOADS.iter(), |_, w| {
+        measure_workload(&Arch::ALL, w, APP_SEED, &spec, trace_ns)
     });
-    let mut it = results.into_iter();
-    let rows = WORKLOADS
-        .iter()
-        .map(|_| {
-            Arch::ALL
-                .iter()
-                .map(|_| it.next().expect("one result per submitted job"))
-                .collect()
-        })
-        .collect();
     AppStudy { tier, rows }
 }
 

@@ -10,14 +10,12 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::Tier;
+use crate::harness::{uniform_config, Tier};
 use crate::json::Json;
+use crate::sweep::measure_rate;
 use crate::Table;
 use nox_power::timing::CriticalPath;
 use nox_sim::config::{cmesh_clock_ps, Arch, NetConfig};
-use nox_sim::sim::{run as sim_run, RunSpec};
-use nox_sim::topology::Mesh;
-use nox_traffic::synthetic::{generate, SyntheticConfig};
 
 /// Versioned schema of the `--json` document.
 pub const SCHEMA: &str = "nox-bench/cmesh/v1";
@@ -67,58 +65,40 @@ pub fn run(tier: Tier) -> CmeshResult {
         })
         .collect();
 
-    let (duration_ns, spec) = match tier {
-        Tier::Full | Tier::Quick => (
-            40_000.0,
-            RunSpec {
-                warmup_ns: 1_500.0,
-                measure_ns: 6_000.0,
-                drain_ns: 30_000.0,
-            },
-        ),
-        Tier::Smoke => (
-            15_000.0,
-            RunSpec {
-                warmup_ns: 1_000.0,
-                measure_ns: 3_000.0,
-                drain_ns: 15_000.0,
-            },
-        ),
+    let rates = match tier {
+        Tier::Smoke => vec![500.0, 1_000.0, 2_000.0],
+        _ => vec![500.0, 1_000.0, 1_500.0, 2_000.0, 2_500.0],
     };
-    let rates: &[f64] = match tier {
-        Tier::Smoke => &[500.0, 1_000.0, 2_000.0],
-        _ => &[500.0, 1_000.0, 1_500.0, 2_000.0, 2_500.0],
-    };
-    // Same 64-core uniform traffic drives both topologies.
-    let cores = Mesh::new(8, 8);
-
-    type ConfigFn = fn(Arch) -> NetConfig;
-    let variants: [(&str, ConfigFn); 2] = [
-        ("8x8 mesh (radix 5)", NetConfig::paper),
-        ("4x4 cmesh (radix 8)", NetConfig::cmesh_paper),
-    ];
-    let sweeps = variants
+    let cfg = uniform_config(tier, rates, 6_000.0);
+    // One 64-core uniform trace per rate drives all eight networks: the
+    // four architectures on the mesh, then the same four on the cmesh.
+    let nets: Vec<NetConfig> = Arch::ALL
+        .map(NetConfig::paper)
         .into_iter()
-        .map(|(label, cfg_of)| {
-            let points = rates
+        .chain(Arch::ALL.map(NetConfig::cmesh_paper))
+        .collect();
+    let measured: Vec<_> = cfg
+        .rates_mbps
+        .iter()
+        .map(|&rate| measure_rate(&cfg, rate, &nets))
+        .collect();
+    let sweeps = ["8x8 mesh (radix 5)", "4x4 cmesh (radix 8)"]
+        .into_iter()
+        .zip([0, Arch::ALL.len()])
+        .map(|(label, first)| TopoSweep {
+            label,
+            points: measured
                 .iter()
-                .map(|&rate| {
-                    let trace = generate(cores, &SyntheticConfig::uniform(rate, duration_ns));
-                    let mut latency_ns = [0.0; 4];
-                    let mut drained = [false; 4];
-                    for (i, &a) in Arch::ALL.iter().enumerate() {
-                        let r = sim_run(cfg_of(a), &trace, &spec);
-                        latency_ns[i] = r.avg_latency_ns();
-                        drained[i] = r.drained;
-                    }
+                .zip(&cfg.rates_mbps)
+                .map(|(points, &rate_mbps)| {
+                    let topo = &points[first..first + Arch::ALL.len()];
                     TopoPoint {
-                        rate_mbps: rate,
-                        latency_ns,
-                        drained,
+                        rate_mbps,
+                        latency_ns: std::array::from_fn(|i| topo[i].latency_ns),
+                        drained: std::array::from_fn(|i| topo[i].drained),
                     }
                 })
-                .collect();
-            TopoSweep { label, points }
+                .collect(),
         })
         .collect();
 

@@ -5,15 +5,13 @@
 
 use std::fmt::Write as _;
 
-use crate::harness::Tier;
+use crate::harness::{uniform_config, Tier};
 use crate::json::Json;
+use crate::sweep::{measure_rate, SweepConfig, SweepPoint};
 use crate::Table;
 use nox_power::energy::EnergyModel;
 use nox_power::EnergyBreakdown;
 use nox_sim::config::{Arch, NetConfig};
-use nox_sim::sim::{run as sim_run, RunSpec};
-use nox_sim::topology::Mesh;
-use nox_traffic::synthetic::{generate, SyntheticConfig};
 
 /// Versioned schema of the `--json` document.
 pub const SCHEMA: &str = "nox-bench/fig12/v1";
@@ -41,40 +39,49 @@ pub struct PowerResult {
     pub rows: Vec<PowerRow>,
 }
 
-/// Runs the power study at `tier`.
+/// The study's configuration at `tier`: uniform random at [`RATE_MBPS`]
+/// with an 8 µs measurement window (4 µs at smoke).
+pub fn sweep_config(tier: Tier) -> SweepConfig {
+    uniform_config(tier, vec![RATE_MBPS], 8_000.0)
+}
+
+/// Runs the power study at `tier`: one trace drives all three networks.
 pub fn run(tier: Tier) -> PowerResult {
-    let mesh = Mesh::new(8, 8);
-    let (duration_ns, spec) = match tier {
-        Tier::Full | Tier::Quick => (
-            40_000.0,
-            RunSpec {
-                warmup_ns: 1_500.0,
-                measure_ns: 8_000.0,
-                drain_ns: 30_000.0,
-            },
-        ),
-        Tier::Smoke => (
-            15_000.0,
-            RunSpec {
-                warmup_ns: 1_000.0,
-                measure_ns: 4_000.0,
-                drain_ns: 15_000.0,
-            },
-        ),
-    };
-    let trace = generate(mesh, &SyntheticConfig::uniform(RATE_MBPS, duration_ns));
-    let rows = [Arch::NonSpec, Arch::SpecAccurate, Arch::Nox]
-        .into_iter()
-        .map(|arch| {
-            let r = sim_run(NetConfig::paper(arch), &trace, &spec);
-            PowerRow {
-                arch,
-                breakdown: EnergyModel::for_arch(arch).breakdown(&r.window_counters),
-                window_ns: r.window_ns,
-            }
-        })
+    let archs = [Arch::NonSpec, Arch::SpecAccurate, Arch::Nox];
+    let rows = measure_rate(&sweep_config(tier), RATE_MBPS, &archs.map(NetConfig::paper))
+        .iter()
+        .map(PowerRow::of)
         .collect();
     PowerResult { tier, rows }
+}
+
+impl PowerRow {
+    /// The breakdown of one measured point, under its architecture's
+    /// energy model.
+    pub fn of(point: &SweepPoint) -> PowerRow {
+        let arch = point.result.cfg.arch;
+        PowerRow {
+            arch,
+            breakdown: EnergyModel::for_arch(arch).breakdown(&point.result.window_counters),
+            window_ns: point.result.window_ns,
+        }
+    }
+
+    /// The table row: architecture, the five components, the total (mW)
+    /// and the link share (%).
+    pub fn cells(&self) -> [String; 8] {
+        let (b, w) = (&self.breakdown, self.window_ns);
+        [
+            self.arch.name().to_string(),
+            format!("{:.1}", b.link_pj / w),
+            format!("{:.1}", b.buffer_pj / w),
+            format!("{:.1}", b.xbar_pj / w),
+            format!("{:.1}", b.arb_pj / w),
+            format!("{:.1}", b.decode_pj / w),
+            format!("{:.1}", b.power_mw(w)),
+            format!("{:.1}", b.link_share() * 100.0),
+        ]
+    }
 }
 
 impl PowerResult {
@@ -118,17 +125,7 @@ impl PowerResult {
             ],
         );
         for r in &self.rows {
-            let (b, w) = (&r.breakdown, r.window_ns);
-            t.row([
-                r.arch.name().to_string(),
-                format!("{:.1}", b.link_pj / w),
-                format!("{:.1}", b.buffer_pj / w),
-                format!("{:.1}", b.xbar_pj / w),
-                format!("{:.1}", b.arb_pj / w),
-                format!("{:.1}", b.decode_pj / w),
-                format!("{:.1}", b.power_mw(w)),
-                format!("{:.1}", b.link_share() * 100.0),
-            ]);
+            t.row(r.cells());
         }
         let _ = writeln!(out, "{t}");
 

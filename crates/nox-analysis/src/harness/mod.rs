@@ -25,7 +25,10 @@
 //! expensive sweeps exactly once.
 
 use crate::json::Json;
+use crate::sweep::SweepConfig;
 use nox_exec::Executor;
+use nox_sim::sim::RunSpec;
+use nox_traffic::synthetic::UNIFORM_SEED;
 
 pub mod ablation;
 pub mod appstudy;
@@ -77,6 +80,40 @@ impl Tier {
             "smoke" => Some(Tier::Smoke),
             _ => None,
         }
+    }
+}
+
+/// The single-flit uniform-random configuration of the harnesses that
+/// run every network of a rate on one trace (Figure 12, the ablation,
+/// the concentrated-mesh study): the generator's [`UNIFORM_SEED`],
+/// Figure 8's trace and warm-up at full and quick with a `measure_ns`
+/// window, and at smoke a 15 µs trace, a 1 µs warm-up and half the window.
+pub(crate) fn uniform_config(tier: Tier, rates_mbps: Vec<f64>, measure_ns: f64) -> SweepConfig {
+    let base = SweepConfig {
+        seed: UNIFORM_SEED,
+        ..SweepConfig::uniform(rates_mbps)
+    };
+    let (duration_ns, run) = match tier {
+        Tier::Full | Tier::Quick => (
+            base.duration_ns,
+            RunSpec {
+                measure_ns,
+                ..base.run
+            },
+        ),
+        Tier::Smoke => (
+            15_000.0,
+            RunSpec {
+                warmup_ns: 1_000.0,
+                measure_ns: measure_ns / 2.0,
+                drain_ns: 15_000.0,
+            },
+        ),
+    };
+    SweepConfig {
+        duration_ns,
+        run,
+        ..base
     }
 }
 

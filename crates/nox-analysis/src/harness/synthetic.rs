@@ -9,9 +9,9 @@
 
 use crate::harness::Tier;
 use crate::json::Json;
-use crate::sweep::{crossover_mbps, measure_point, ArchSeries, SweepConfig};
+use crate::sweep::{crossover_mbps, measure_rate, ArchSeries, SweepConfig};
 use nox_exec::Executor;
-use nox_sim::config::Arch;
+use nox_sim::config::{Arch, NetConfig};
 use nox_sim::sim::RunSpec;
 use nox_traffic::synthetic::Process;
 use nox_traffic::Pattern;
@@ -110,12 +110,13 @@ pub fn sweep_config(tier: Tier, rates: Vec<f64>) -> SweepConfig {
 }
 
 /// Runs the full four-scenario study at `tier`, fanning every
-/// (scenario, architecture, rate) operating point out over `exec`.
+/// (scenario, rate) operating point out over `exec`.
 ///
-/// Each point is measured by [`measure_point`] from nothing but its own
-/// configuration, and the ordered reduction reassembles the panel /
-/// series / point nesting in definition order — so the study is
-/// bit-identical at any thread count.
+/// Each point is measured by [`measure_rate`]: its one trace, generated
+/// from the scenario's configuration and the rate alone, drives all four
+/// architectures. The ordered reduction reassembles the panel / series /
+/// point nesting in definition order — so the study is bit-identical at
+/// any thread count.
 pub fn study_with(tier: Tier, exec: &Executor) -> SyntheticStudy {
     let rates = rates(tier);
     let defs = scenario_defs();
@@ -127,36 +128,38 @@ pub fn study_with(tier: Tier, exec: &Executor) -> SyntheticStudy {
             ..sweep_config(tier, rates.clone())
         })
         .collect();
-    let mut jobs: Vec<(usize, Arch, f64)> = Vec::new();
-    for si in 0..defs.len() {
-        for &arch in Arch::ALL.iter() {
-            for &rate in &rates {
-                jobs.push((si, arch, rate));
-            }
-        }
-    }
-    let points = exec.map_stage("synthetic.sweeps", jobs, |_, (si, arch, rate)| {
-        measure_point(arch, &cfgs[si], rate)
+    let nets = Arch::ALL.map(NetConfig::paper);
+    let jobs: Vec<(usize, f64)> = (0..defs.len())
+        .flat_map(|si| rates.iter().map(move |&rate| (si, rate)))
+        .collect();
+    let points = exec.map_stage("synthetic.sweeps", jobs, |_, (si, rate)| {
+        measure_rate(&cfgs[si], rate, &nets)
     });
 
     let mut it = points.into_iter();
     let scenarios = defs
         .into_iter()
-        .map(|(key, label, pattern, process)| Scenario {
-            key,
-            label,
-            pattern,
-            process,
-            series: Arch::ALL
+        .map(|(key, label, pattern, process)| {
+            let mut series: Vec<ArchSeries> = Arch::ALL
                 .iter()
                 .map(|&arch| ArchSeries {
                     arch,
                     pattern,
-                    points: (0..rates.len())
-                        .map(|_| it.next().expect("one result per submitted job"))
-                        .collect(),
+                    points: Vec::with_capacity(rates.len()),
                 })
-                .collect(),
+                .collect();
+            for point in it.by_ref().take(rates.len()) {
+                for (s, p) in series.iter_mut().zip(point) {
+                    s.points.push(p);
+                }
+            }
+            Scenario {
+                key,
+                label,
+                pattern,
+                process,
+                series,
+            }
         })
         .collect();
     SyntheticStudy {

@@ -4,12 +4,19 @@
 //! with a fixed traffic pattern, collecting latency, accepted throughput,
 //! and energy at every point, and locates the saturation point and the
 //! crossovers between architectures that the paper reports in §5.1.
+//!
+//! This module also decides which trace an operating point runs on:
+//! [`SweepConfig::trace`] is the one place a synthetic trace is generated
+//! for a study, a harness or the daemon, and [`measure_rate`] generates it
+//! once and runs every network of the point on it — the paper's method of
+//! one offered-traffic trace driving all the routers it compares.
 
 use nox_exec::Executor;
 use nox_power::energy::{energy_delay2, energy_per_packet_pj, EnergyModel};
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::sim::{run, RunSpec, SimResult};
 use nox_sim::topology::Mesh;
+use nox_sim::trace::Trace;
 use nox_traffic::synthetic::{generate, Process, SyntheticConfig};
 use nox_traffic::Pattern;
 
@@ -56,7 +63,10 @@ pub struct SweepConfig {
     pub rates_mbps: Vec<f64>,
     /// Packet length in flits.
     pub len: u16,
-    /// Trace duration in nanoseconds (must cover warmup+measure+drain).
+    /// Trace duration in nanoseconds. It must cover the warm-up and the
+    /// measurement window, so the window sees the configured load; the
+    /// drain (at most `run.drain_ns`) runs on whatever traffic the trace
+    /// still holds after the window, and on none once it ends.
     pub duration_ns: f64,
     /// Measurement phases.
     pub run: RunSpec,
@@ -81,32 +91,51 @@ impl SweepConfig {
             seed: 0xF168,
         }
     }
+
+    /// The offered traffic of the operating point at `rate`: the paper's
+    /// 64 cores in 8-byte flits, whichever network carries them (the 4x4
+    /// concentrated mesh puts four cores on a router). It depends on the
+    /// configuration and the rate alone.
+    pub fn trace(&self, rate: f64) -> Trace {
+        generate(
+            Mesh::new(8, 8),
+            &SyntheticConfig {
+                pattern: self.pattern,
+                process: self.process,
+                rate_mbps_per_node: rate,
+                len: self.len,
+                flit_bytes: 8,
+                duration_ns: self.duration_ns,
+                seed: self.seed,
+            },
+        )
+    }
 }
 
-/// Measures one operating point of `arch` under `cfg` at `rate`: trace
-/// generation, the full measured run, and the derived metrics. Every
-/// point is self-contained (its trace depends only on the configuration
-/// and the rate), which is what lets sweeps fan points out across
-/// threads without changing a single output bit.
-pub fn measure_point(arch: Arch, cfg: &SweepConfig, rate: f64) -> SweepPoint {
+/// Measures the operating point of `cfg` at `rate` on every network of
+/// `nets`: generates the point's trace once ([`SweepConfig::trace`]),
+/// runs each network on it, and derives each one's metrics with its own
+/// architecture's energy model. The results come back in `nets` order.
+/// A point depends on its configuration, rate and networks alone, which
+/// is what lets a study fan points out across threads without changing
+/// a single output bit.
+pub fn measure_rate(cfg: &SweepConfig, rate: f64, nets: &[NetConfig]) -> Vec<SweepPoint> {
     let _span = nox_telemetry::SpanGuard::begin(nox_telemetry::phase::HARNESS_POINT);
-    let net = NetConfig::paper(arch);
-    let mesh = Mesh::new(net.width, net.height);
-    let model = EnergyModel::for_arch(arch);
-    let trace = generate(
-        mesh,
-        &SyntheticConfig {
-            pattern: cfg.pattern,
-            process: cfg.process,
-            rate_mbps_per_node: rate,
-            len: cfg.len,
-            flit_bytes: net.flit_bytes,
-            duration_ns: cfg.duration_ns,
-            seed: cfg.seed,
-        },
-    );
-    let result = run(net, &trace, &cfg.run);
-    point_from_result(rate, result, &model)
+    let trace = cfg.trace(rate);
+    nets.iter()
+        .map(|&net| {
+            let result = run(net, &trace, &cfg.run);
+            point_from_result(rate, result, &EnergyModel::for_arch(net.arch))
+        })
+        .collect()
+}
+
+/// Measures one operating point of `arch` under `cfg` at `rate` on the
+/// paper's mesh: [`measure_rate`] with one network.
+pub fn measure_point(arch: Arch, cfg: &SweepConfig, rate: f64) -> SweepPoint {
+    measure_rate(cfg, rate, &[NetConfig::paper(arch)])
+        .pop()
+        .expect("one network, one point")
 }
 
 /// Runs a sweep of `arch` under `cfg`, serially.
@@ -231,6 +260,31 @@ mod tests {
         let p = &s.points[0];
         assert!(p.drained);
         assert!((p.accepted_mbps - 600.0).abs() / 600.0 < 0.1);
+    }
+
+    #[test]
+    fn one_network_point_is_that_network_of_the_shared_point() {
+        let cfg = SweepConfig {
+            duration_ns: 2_500.0,
+            run: RunSpec {
+                warmup_ns: 300.0,
+                measure_ns: 1_000.0,
+                drain_ns: 8_000.0,
+            },
+            ..SweepConfig::uniform(vec![400.0, 1_600.0])
+        };
+        let nets = Arch::ALL.map(NetConfig::paper);
+        for &rate in &cfg.rates_mbps {
+            let shared = measure_rate(&cfg, rate, &nets);
+            assert_eq!(shared.len(), nets.len());
+            for (arch, point) in Arch::ALL.into_iter().zip(&shared) {
+                assert_eq!(
+                    format!("{:?}", measure_point(arch, &cfg, rate)),
+                    format!("{point:?}"),
+                    "{arch} @ {rate} MB/s/node"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,13 +15,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
 use nox_analysis::profile;
-use nox_analysis::sweep::{point_from_result, SweepPoint};
+use nox_analysis::sweep::{measure_rate, SweepConfig, SweepPoint};
 use nox_exec::Executor;
-use nox_power::energy::EnergyModel;
 use nox_sim::config::NetConfig;
-use nox_sim::sim::{run, RunSpec};
-use nox_sim::topology::Mesh;
-use nox_traffic::synthetic::{generate, SyntheticConfig};
+use nox_sim::sim::RunSpec;
 use nox_verify::{check_with, Bounds};
 
 use crate::proto::{Body, DebugOp, SweepReq};
@@ -189,35 +186,39 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The simulation windows for a sweep tier. Smoke is sized for CI and
-/// chaos tests; quick and full use the Figure 8 windows.
-fn sweep_spec(tier: Tier) -> (RunSpec, f64) {
-    match tier {
-        Tier::Smoke => (
-            RunSpec {
+/// The sweep configuration of a request: its traffic, and the
+/// simulation windows of its tier. Smoke is sized for CI and chaos
+/// tests; quick and full use the Figure 8 windows.
+fn sweep_spec(req: &SweepReq) -> SweepConfig {
+    let base = SweepConfig {
+        pattern: req.pattern,
+        process: req.process,
+        len: req.len,
+        seed: req.seed,
+        ..SweepConfig::uniform(req.rates.clone())
+    };
+    match req.tier {
+        Tier::Smoke => SweepConfig {
+            duration_ns: 6_000.0,
+            run: RunSpec {
                 warmup_ns: 500.0,
                 measure_ns: 1_500.0,
                 drain_ns: 8_000.0,
             },
-            6_000.0,
-        ),
-        Tier::Quick | Tier::Full => (
-            RunSpec {
-                warmup_ns: 1_500.0,
-                measure_ns: 6_000.0,
-                drain_ns: 30_000.0,
-            },
-            40_000.0,
-        ),
+            ..base
+        },
+        Tier::Quick | Tier::Full => base,
     }
 }
 
 /// Runs a sweep request: every `(arch, rate)` point fans out over the
 /// executor with per-point panic containment and a per-point deadline
 /// check, reducing to the `nox-serve/sweep/v1` artifact in submission
-/// order (byte-identical at any thread count).
+/// order (byte-identical at any thread count). A request has few rates,
+/// so the architectures are its parallelism: each point runs its one
+/// network on the rate's trace.
 fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Result<Json, JobError> {
-    let (spec, duration_ns) = sweep_spec(req.tier);
+    let cfg = sweep_spec(req);
     let points: Vec<_> = req
         .archs
         .iter()
@@ -232,24 +233,7 @@ fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Resul
         } else {
             NetConfig::paper(arch)
         };
-        let trace = generate(
-            Mesh::new(net.width, net.height),
-            &SyntheticConfig {
-                pattern: req.pattern,
-                process: req.process,
-                rate_mbps_per_node: rate,
-                len: req.len,
-                flit_bytes: net.flit_bytes,
-                duration_ns,
-                seed: req.seed,
-            },
-        );
-        let result = run(net, &trace, &spec);
-        Some(point_from_result(
-            rate,
-            result,
-            &EnergyModel::for_arch(arch),
-        ))
+        Some(measure_rate(&cfg, rate, &[net]).remove(0))
     });
     let mut measured = Vec::with_capacity(slots.len());
     for slot in slots {
@@ -325,6 +309,26 @@ mod tests {
         assert_eq!(
             execute(&r.body, &exec(), &token, false),
             Err(JobError::Deadline)
+        );
+    }
+
+    #[test]
+    fn cmesh_sweep_accepts_what_all_64_cores_offer() {
+        let r = Request::parse(
+            r#"{"req":"sweep","arch":"nox","rates":[500],"tier":"smoke","cmesh":true}"#,
+        )
+        .unwrap();
+        let doc = execute(&r.body, &exec(), &CancelToken::unbounded(), false).unwrap();
+        let accepted = doc
+            .get("points")
+            .and_then(Json::as_array)
+            .and_then(|points| points.first())
+            .and_then(|point| point.get("accepted_mbps"))
+            .and_then(Json::as_f64)
+            .expect("accepted_mbps");
+        assert!(
+            (accepted - 500.0).abs() / 500.0 < 0.1,
+            "a cmesh sweep offered 500 MB/s/node and accepted {accepted}"
         );
     }
 

@@ -52,4 +52,4 @@ pub mod signal;
 /// The code-version component of every cache key: bump the suffix when
 /// a change alters any artifact's bytes, and every stale cache entry
 /// becomes unreachable (a miss) instead of silently wrong.
-pub const CODE_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+serve-proto/v1");
+pub const CODE_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+serve-proto/v2");

@@ -82,6 +82,11 @@ pub struct SyntheticConfig {
     pub seed: u64,
 }
 
+/// The seed of [`SyntheticConfig::uniform`], which the single-trace
+/// harnesses (Figure 12, the ablation, the concentrated-mesh study) and
+/// `noxsim power` run on.
+pub const UNIFORM_SEED: u64 = 0x0A0C5;
+
 impl SyntheticConfig {
     /// Single-flit uniform-random Poisson traffic — the most common
     /// configuration in the paper's Figure 8.
@@ -93,7 +98,7 @@ impl SyntheticConfig {
             len: 1,
             flit_bytes: 8,
             duration_ns,
-            seed: 0x0A0C5,
+            seed: UNIFORM_SEED,
         }
     }
 

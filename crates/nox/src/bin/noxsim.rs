@@ -23,9 +23,9 @@ use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
-use nox::analysis::apps::{app_run_spec, run_workload};
-use nox::analysis::harness::{self, Harness};
-use nox::analysis::sweep::point_from_result;
+use nox::analysis::apps::{app_run_spec, measure_workload, workload_traces, APP_TRACE_NS};
+use nox::analysis::harness::{self, fig12, Harness};
+use nox::analysis::sweep::{measure_rate, point_from_result, SweepConfig};
 use nox::analysis::{Json, Table, Tier};
 use nox::power::energy::EnergyModel;
 use nox::power::timing::CriticalPath;
@@ -555,18 +555,17 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         None => Process::Poisson,
         Some(name) => Process::parse(name).ok_or_else(|| format!("unknown --process {name:?}"))?,
     };
-    let len = len_opt(opts)?;
-    let pat = pattern(opts)?;
-    let archs = archs(opts)?;
-    let cores = Mesh::new(8, 8);
-    let spec = RunSpec {
-        warmup_ns: 1_500.0,
-        measure_ns: 6_000.0,
-        drain_ns: 30_000.0,
+    let cfg = SweepConfig {
+        len: len_opt(opts)?,
+        pattern: pattern(opts)?,
+        process,
+        seed: u64_opt(opts, "seed", 7)?,
+        ..SweepConfig::uniform(rates)
     };
+    let archs = archs(opts)?;
 
     let mut t = Table::new(
-        format!("{pat} ({process:?}), {len}-flit packets"),
+        format!("{} ({process:?}), {}-flit packets", cfg.pattern, cfg.len),
         &[
             "arch",
             "MB/s/node",
@@ -578,22 +577,13 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         ],
     );
     let mut probe = probe_cli::Collector::new(opts);
+    // Architecture-major, so the table and the probe's report set keep
+    // their order; every architecture's point at a rate sees one trace.
     for &arch in &archs {
         let model = EnergyModel::for_arch(arch);
-        for &rate in &rates {
-            let trace = generate(
-                cores,
-                &SyntheticConfig {
-                    pattern: pat,
-                    process,
-                    rate_mbps_per_node: rate,
-                    len,
-                    flit_bytes: 8,
-                    duration_ns: 40_000.0,
-                    seed: u64_opt(opts, "seed", 7)?,
-                },
-            );
-            let r = probe.run_or_plain(opts, net_config(opts, arch), &trace, &spec, || {
+        for &rate in &cfg.rates_mbps {
+            let trace = cfg.trace(rate);
+            let r = probe.run_or_plain(opts, net_config(opts, arch), &trace, &cfg.run, || {
                 format!("{} @ {rate:.0} MB/s/node", arch.name())
             })?;
             let p99 = r.latency_percentile_ns(99.0);
@@ -627,12 +617,12 @@ fn cmd_app(opts: &Opts) -> Result<(), String> {
         "application workloads (request + reply networks)",
         &["workload", "arch", "latency ns", "ED^2", "drained"],
     );
+    let archs = archs(opts)?;
     for w in &workloads {
-        for arch in archs(opts)? {
-            let r = run_workload(arch, w, seed, &spec);
+        for r in measure_workload(&archs, w, seed, &spec, APP_TRACE_NS) {
             t.row([
                 w.name.to_string(),
-                arch.name().to_string(),
+                r.arch.name().to_string(),
                 format!("{:.2}", r.latency_ns),
                 format!("{:.3e}", r.ed2),
                 r.drained.to_string(),
@@ -641,16 +631,15 @@ fn cmd_app(opts: &Opts) -> Result<(), String> {
     }
     emit(opts, &t);
     // With the probe on, re-run each (workload, arch) pair's two physical
-    // networks under telemetry. `synthesize` is deterministic in the seed,
-    // so the probed runs see exactly the traffic the table was built from.
+    // networks under telemetry. The synthesis is deterministic in the
+    // seed, so the probed runs see exactly the traffic the table was built
+    // from; it is made once per workload for all the architectures.
     let mut probe = probe_cli::Collector::new(opts);
     if probe.active() {
-        use nox::analysis::apps::APP_TRACE_NS;
-        use nox::traffic::cmp::synthesize;
         for w in &workloads {
-            for arch in archs(opts)? {
+            let traces = workload_traces(w, APP_TRACE_NS, seed);
+            for &arch in &archs {
                 let net = NetConfig::paper(arch);
-                let traces = synthesize(Mesh::new(net.width, net.height), w, APP_TRACE_NS, seed);
                 for (trace, side) in [(&traces.request, "request"), (&traces.reply, "reply")] {
                     probe.run_or_plain(opts, net, trace, &spec, || {
                         format!("{} {} {side}", w.name, arch.name())
@@ -664,34 +653,20 @@ fn cmd_app(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_power(opts: &Opts) -> Result<(), String> {
-    let rate = rate_opt(opts, 2_000.0)?;
-    let cores = Mesh::new(8, 8);
-    let trace = generate(cores, &SyntheticConfig::uniform(rate, 40_000.0));
-    let spec = RunSpec {
-        warmup_ns: 1_500.0,
-        measure_ns: 8_000.0,
-        drain_ns: 30_000.0,
-    };
+    let rate = rate_opt(opts, fig12::RATE_MBPS)?;
+    let nets: Vec<NetConfig> = archs(opts)?
+        .into_iter()
+        .map(|arch| net_config(opts, arch))
+        .collect();
     let mut t = Table::new(
         format!("dynamic power (mW) @ {rate:.0} MB/s/node uniform"),
         &[
             "arch", "link", "buffer", "switch", "arb", "decode", "total", "link %",
         ],
     );
-    for arch in archs(opts)? {
-        let r = nox::sim::run(net_config(opts, arch), &trace, &spec);
-        let b = EnergyModel::for_arch(arch).breakdown(&r.window_counters);
-        let w = r.window_ns;
-        t.row([
-            arch.name().to_string(),
-            format!("{:.1}", b.link_pj / w),
-            format!("{:.1}", b.buffer_pj / w),
-            format!("{:.1}", b.xbar_pj / w),
-            format!("{:.1}", b.arb_pj / w),
-            format!("{:.1}", b.decode_pj / w),
-            format!("{:.1}", b.power_mw(w)),
-            format!("{:.1}", b.link_share() * 100.0),
-        ]);
+    // Figure 12's configuration at the quick tier, at `--rate`.
+    for p in measure_rate(&fig12::sweep_config(Tier::Quick), rate, &nets) {
+        t.row(fig12::PowerRow::of(&p).cells());
     }
     emit(opts, &t);
     Ok(())
@@ -771,41 +746,29 @@ fn cmd_heatmap(opts: &Opts) -> Result<(), String> {
     use nox::sim::probe::ProbeConfig;
 
     let rate = rate_opt(opts, 2_000.0)?;
-    let len = len_opt(opts)?;
-    let pat = pattern(opts)?;
+    let cfg = SweepConfig {
+        len: len_opt(opts)?,
+        pattern: pattern(opts)?,
+        seed: u64_opt(opts, "seed", 7)?,
+        ..SweepConfig::uniform(vec![rate])
+    };
     let archs = if opts.contains_key("arch") {
         archs(opts)?
     } else {
         vec![Arch::Nox]
     };
-    let cores = Mesh::new(8, 8);
-    let spec = RunSpec {
-        warmup_ns: 1_500.0,
-        measure_ns: 6_000.0,
-        drain_ns: 30_000.0,
-    };
+    let trace = cfg.trace(rate);
     for arch in archs {
-        let trace = generate(
-            cores,
-            &SyntheticConfig {
-                pattern: pat,
-                process: Process::Poisson,
-                rate_mbps_per_node: rate,
-                len,
-                flit_bytes: 8,
-                duration_ns: 40_000.0,
-                seed: u64_opt(opts, "seed", 7)?,
-            },
-        );
         let run = nox::probe::probed_run(
             net_config(opts, arch),
             &trace,
-            &spec,
+            &cfg.run,
             ProbeConfig::default(),
         );
         println!(
-            "== {} @ {rate:.0} MB/s/node {pat}, {} cycles ==",
+            "== {} @ {rate:.0} MB/s/node {}, {} cycles ==",
             arch.name(),
+            cfg.pattern,
             run.result.cycles
         );
         println!("{}", nox::probe::heatmap::render(&run.probe));
