@@ -9,8 +9,8 @@ use std::fmt::Write as _;
 use crate::harness::Tier;
 use crate::json::Json;
 use nox_core::{
-    Coded, DecodePort, DecodeStep, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet, SpecCtl,
-    SpecMode,
+    Coded, Decision, DecodePort, DecodeStep, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet,
+    SpecCtl, SpecMode,
 };
 
 /// Versioned schema of the `--json` document.
@@ -65,8 +65,8 @@ impl Stim {
         }
         RequestSet::single_flit(r)
     }
-    fn pop(&mut self, p: PortId) -> char {
-        self.queues[p.index()].remove(0).1
+    fn pop(&mut self, p: PortId) {
+        self.queues[p.index()].remove(0);
     }
 }
 
@@ -77,6 +77,32 @@ fn events(seq: &[(u64, String)]) -> String {
         .join(" ")
 }
 
+/// Ticks one output engine for `cycles` cycles against the shared
+/// stimulus, popping each serviced packet. Returns each productive link
+/// word as the names of the packets it superposes (`"BC"` for the encoded
+/// `B^C`) with its cycle, and the cycles that drove an invalid word.
+fn replay(
+    cycles: u64,
+    mut tick: impl FnMut(RequestSet) -> Decision,
+) -> (Vec<(u64, String)>, Vec<u64>) {
+    let mut stim = Stim::new();
+    let (mut sent, mut wasted) = (Vec::new(), Vec::new());
+    for cycle in 0..cycles {
+        let d = tick(stim.req(cycle));
+        if !d.wasted.is_empty() {
+            wasted.push(cycle);
+        }
+        if !d.drive.is_empty() {
+            let names = d.drive.iter().map(|i| stim.queues[i.index()][0].1);
+            sent.push((cycle, names.collect()));
+        }
+        for i in d.serviced.iter() {
+            stim.pop(i);
+        }
+    }
+    (sent, wasted)
+}
+
 /// Replays all five golden traces. The tier is accepted for interface
 /// uniformity; the traces are a few cycles long and always run in full.
 pub fn run(_tier: Tier) -> TimingResult {
@@ -84,32 +110,7 @@ pub fn run(_tier: Tier) -> TimingResult {
 
     // ------------------------------------------------ Figure 2 (NoX send)
     let mut out = OutputCtl::new(3);
-    let mut stim = Stim::new();
-    let mut sent: Vec<(u64, String)> = Vec::new();
-    let mut link: Vec<Coded<u64>> = Vec::new();
-    for cycle in 0..5 {
-        let d = out.tick(stim.req(cycle));
-        if !d.drive.is_empty() && !d.aborted {
-            let word: Coded<u64> = d
-                .drive
-                .iter()
-                .map(|i| {
-                    let name = stim.queues[i.index()][0].1;
-                    Coded::plain(name as u64, name as u64)
-                })
-                .collect();
-            let label: String = word
-                .keys()
-                .iter()
-                .map(|&k| char::from_u32(k as u32).expect("ascii key"))
-                .collect();
-            sent.push((cycle, label));
-            link.push(word);
-        }
-        for i in d.serviced.iter() {
-            stim.pop(i);
-        }
-    }
+    let (sent, _) = replay(5, |r| out.tick(r));
     checks.push(TraceCheck {
         key: "fig2",
         label: "Figure 2  (NoX transmit):  A@0, (B^C)@2 encoded, C@3",
@@ -118,8 +119,16 @@ pub fn run(_tier: Tier) -> TimingResult {
     });
 
     // --------------------------------------------- Figure 3 (NoX receive)
-    let mut port = DecodePort::new(link.len());
-    link.into_iter().for_each(|w| port.receive(w));
+    // The link words of Figure 2, each the XOR of the packets it names.
+    let mut port = DecodePort::new(sent.len());
+    for (_, names) in &sent {
+        port.receive(
+            names
+                .chars()
+                .map(|c| Coded::plain(c as u64, c as u64))
+                .collect(),
+        );
+    }
     let mut presented = Vec::new();
     for _ in 0..6 {
         match port.step() {
@@ -147,14 +156,7 @@ pub fn run(_tier: Tier) -> TimingResult {
 
     // --------------------------------------------- Figure 7a (sequential)
     let mut out = NonSpecCtl::new(3);
-    let mut stim = Stim::new();
-    let mut sent: Vec<(u64, String)> = Vec::new();
-    for cycle in 0..5 {
-        let d = out.tick(stim.req(cycle));
-        if let Some(i) = d.drive {
-            sent.push((cycle, stim.pop(i).to_string()));
-        }
-    }
+    let (sent, _) = replay(5, |r| out.tick(r));
     checks.push(TraceCheck {
         key: "fig7a",
         label: "Figure 7a (sequential):    A@0, B@2, C@3",
@@ -178,18 +180,7 @@ pub fn run(_tier: Tier) -> TimingResult {
         ),
     ] {
         let mut out = SpecCtl::new(3, mode);
-        let mut stim = Stim::new();
-        let mut sent: Vec<(u64, String)> = Vec::new();
-        let mut collided_cycles = Vec::new();
-        for cycle in 0..7 {
-            let d = out.tick(stim.req(cycle), PortSet::EMPTY);
-            if !d.collided.is_empty() {
-                collided_cycles.push(cycle);
-            }
-            if let Some(i) = d.drive {
-                sent.push((cycle, stim.pop(i).to_string()));
-            }
-        }
+        let (sent, wasted) = replay(7, |r| out.tick(r, PortSet::EMPTY));
         let expected: Vec<(u64, String)> = expect
             .into_iter()
             .map(|(c, l)| (c, l.to_string()))
@@ -198,7 +189,7 @@ pub fn run(_tier: Tier) -> TimingResult {
             key,
             label,
             expected: format!("{} collide@{:?}", events(&expected), vec![2u64]),
-            actual: format!("{} collide@{:?}", events(&sent), collided_cycles),
+            actual: format!("{} collide@{:?}", events(&sent), wasted),
         });
     }
 

@@ -26,7 +26,7 @@
 //!     streams — trading a slightly longer clock for better scheduling.
 
 use crate::arbiter::RoundRobinArbiter;
-use crate::output::RequestSet;
+use crate::output::{Decision, RequestSet};
 use crate::port::{PortId, PortSet};
 
 /// Which speculative variant a [`SpecCtl`] implements.
@@ -36,38 +36,6 @@ pub enum SpecMode {
     Fast,
     /// Slightly longer clock; accurate next-cycle scheduling.
     Accurate,
-}
-
-/// What one speculative output port does in one cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpecDecision {
-    /// The input that successfully traversed the switch, if any.
-    pub drive: Option<PortId>,
-    /// Colliding inputs when speculation failed. Non-empty means the cycle
-    /// was wasted and the link was driven with an invalid value.
-    pub collided: PortSet,
-    /// Inputs whose flit is consumed (equals `drive` as a set).
-    pub serviced: PortSet,
-    /// Reservation made for the next cycle by the parallel allocator.
-    pub granted: Option<PortId>,
-    /// The output held a reservation for an input that had nothing to
-    /// send — an idle cycle caused by sloppy scheduling (Spec-Fast's
-    /// signature inefficiency).
-    pub wasted_reservation: bool,
-}
-
-impl SpecDecision {
-    /// The decision of a cycle in which nothing traverses, nothing
-    /// collides and nothing is reserved — what a
-    /// [settled](SpecCtl::settled) controller returns for an empty
-    /// request set.
-    pub const IDLE: SpecDecision = SpecDecision {
-        drive: None,
-        collided: PortSet::EMPTY,
-        serviced: PortSet::EMPTY,
-        granted: None,
-        wasted_reservation: false,
-    };
 }
 
 /// Per-output controller for the speculative routers.
@@ -81,15 +49,16 @@ impl SpecDecision {
 ///
 /// let mut out = SpecCtl::new(3, SpecMode::Accurate);
 /// // One requester: speculation succeeds, single-cycle traversal.
-/// let d = out.tick(RequestSet::single_flit(PortSet::single(PortId(0))), PortSet::EMPTY);
-/// assert_eq!(d.drive, Some(PortId(0)));
+/// let one = PortSet::single(PortId(0));
+/// let d = out.tick(RequestSet::single_flit(one), PortSet::EMPTY);
+/// assert_eq!(d.drive, one);
 ///
 /// // Two requesters: speculation fails, the cycle is wasted, and one
 /// // input is reserved for the next cycle.
 /// let two = PortSet::from_iter([PortId(1), PortId(2)]);
 /// let d = out.tick(RequestSet::single_flit(two), PortSet::EMPTY);
-/// assert_eq!(d.drive, None);
-/// assert_eq!(d.collided, two);
+/// assert!(d.drive.is_empty());
+/// assert_eq!(d.wasted, two);
 /// assert!(d.granted.is_some());
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -141,7 +110,7 @@ impl SpecCtl {
     }
 
     /// `true` when a tick with an empty request set is the identity: it
-    /// returns [`SpecDecision::IDLE`] and leaves the controller unchanged,
+    /// returns [`Decision::IDLE`] and leaves the controller unchanged,
     /// so a caller with nothing to request may skip the tick. That is
     /// exactly when no reservation is outstanding. A reservation needs its
     /// cycle: with nobody to use it the tick consumes it and reports a
@@ -167,11 +136,8 @@ impl SpecCtl {
     /// # Panics
     ///
     /// Panics if `r` is malformed (`multiflit`/`tail` not subsets of `req`).
-    pub fn tick(&mut self, r: RequestSet, fresh: PortSet) -> SpecDecision {
-        assert!(
-            r.multiflit.is_subset(r.req) && r.tail.is_subset(r.req),
-            "multiflit/tail must be subsets of req: {r:?}"
-        );
+    pub fn tick(&mut self, r: RequestSet, fresh: PortSet) -> Decision {
+        r.check();
         let r = match self.mode {
             SpecMode::Fast => RequestSet {
                 req: r.req.difference(fresh),
@@ -187,24 +153,20 @@ impl SpecCtl {
             Some(i) => r.req.intersect(PortSet::single(i)),
             None => r.req,
         };
-        let mut wasted_reservation = false;
-        let (drive, collided) = match s.len() {
-            0 => {
-                if self.reserved.is_some() && self.hold.is_none() {
-                    // Reservation held for an input with nothing to send.
-                    wasted_reservation = true;
-                }
-                (None, PortSet::EMPTY)
-            }
-            1 => (s.sole(), PortSet::EMPTY),
-            _ => (None, s),
+        // Several requesters collide; an empty `s` under a reservation
+        // (and no stream) is a reservation held for nothing to send.
+        let (drive, wasted) = if s.len() > 1 {
+            (PortSet::EMPTY, s)
+        } else {
+            (s, PortSet::EMPTY)
         };
+        let wasted_reservation = s.is_empty() && self.reserved.is_some() && self.hold.is_none();
 
         // Consume the reservation (a new one may be allocated below).
         self.reserved = None;
 
         // Wormhole stream bookkeeping.
-        if let Some(i) = drive {
+        if let Some(i) = drive.sole() {
             if r.multiflit.contains(i) && !r.tail.contains(i) {
                 self.hold = Some(i);
             } else if r.tail.contains(i) {
@@ -213,7 +175,6 @@ impl SpecCtl {
         }
 
         // --- Switch Next: allocate the next cycle --------------------------
-        let serviced = drive.map(PortSet::single).unwrap_or(PortSet::EMPTY);
         let granted = match (self.mode, self.hold) {
             // Accurate overrides arbitration while a multi-flit packet
             // streams: the streaming input keeps the output.
@@ -228,14 +189,14 @@ impl SpecCtl {
                 // speculation and may re-collide. This is what makes
                 // Spec-Accurate a compromise (§3.2's efficiency ordering
                 // puts it strictly below NoX).
-                self.arbiter.grant(s.difference(serviced))
+                self.arbiter.grant(s.difference(drive))
             }
             (SpecMode::Fast, _) => {
                 // All requests not masked by Switch Fast. During any
                 // transmission all other requests are masked (multi-flit
                 // contiguity), so the current transmitter may be re-granted
                 // — the unnecessary reservation of §3.1.2.
-                let base = match self.hold.or(drive) {
+                let base = match self.hold.or(drive.sole()) {
                     Some(i) => r.req.intersect(PortSet::single(i)),
                     None => r.req,
                 };
@@ -244,36 +205,15 @@ impl SpecCtl {
         };
         self.reserved = granted;
 
-        SpecDecision {
+        Decision {
             drive,
-            collided,
-            serviced,
+            serviced: drive,
+            wasted,
             granted,
             wasted_reservation,
+            ..Decision::IDLE
         }
     }
-}
-
-/// What one non-speculative output port does in one cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NonSpecDecision {
-    /// The input that traverses the switch this cycle (the arbitration
-    /// winner — arbitration and traversal share the cycle).
-    pub drive: Option<PortId>,
-    /// Inputs whose flit is consumed (equals `drive` as a set).
-    pub serviced: PortSet,
-    /// `true` when a grant was produced this cycle.
-    pub granted: bool,
-}
-
-impl NonSpecDecision {
-    /// The decision of a cycle without a winner — what the controller
-    /// returns for an empty request set.
-    pub const IDLE: NonSpecDecision = NonSpecDecision {
-        drive: None,
-        serviced: PortSet::EMPTY,
-        granted: false,
-    };
 }
 
 /// Per-output controller for the sequential (non-speculative) router of
@@ -296,8 +236,8 @@ impl NonSpecDecision {
 /// let both = RequestSet::single_flit(PortSet::from_iter([PortId(1), PortId(2)]));
 ///
 /// // Contention never wastes a cycle: one winner per cycle, back to back.
-/// assert_eq!(out.tick(both).drive, Some(PortId(1)));
-/// assert_eq!(out.tick(both).drive, Some(PortId(2)));
+/// assert_eq!(out.tick(both).drive, PortSet::single(PortId(1)));
+/// assert_eq!(out.tick(both).drive, PortSet::single(PortId(2)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NonSpecCtl {
@@ -332,7 +272,7 @@ impl NonSpecCtl {
     }
 
     /// `true` when a tick with an empty request set is the identity: it
-    /// returns [`NonSpecDecision::IDLE`] and leaves the controller
+    /// returns [`Decision::IDLE`] and leaves the controller
     /// unchanged, so a caller with nothing to request may skip the tick.
     /// Always: arbitration and traversal share the cycle, so nothing is
     /// carried into the next one except the wormhole hold, which an empty
@@ -348,11 +288,8 @@ impl NonSpecCtl {
     /// # Panics
     ///
     /// Panics if `r` is malformed (`multiflit`/`tail` not subsets of `req`).
-    pub fn tick(&mut self, r: RequestSet) -> NonSpecDecision {
-        assert!(
-            r.multiflit.is_subset(r.req) && r.tail.is_subset(r.req),
-            "multiflit/tail must be subsets of req: {r:?}"
-        );
+    pub fn tick(&mut self, r: RequestSet) -> Decision {
+        r.check();
         let candidates = match self.hold {
             Some(h) => r.req.intersect(PortSet::single(h)),
             None => r.req,
@@ -365,10 +302,12 @@ impl NonSpecCtl {
                 self.hold = None;
             }
         }
-        NonSpecDecision {
-            drive: winner,
-            serviced: winner.map(PortSet::single).unwrap_or(PortSet::EMPTY),
-            granted: winner.is_some(),
+        let drive = winner.map_or(PortSet::EMPTY, PortSet::single);
+        Decision {
+            drive,
+            serviced: drive,
+            granted: winner,
+            ..Decision::IDLE
         }
     }
 }
@@ -394,20 +333,20 @@ mod tests {
         let mut out = SpecCtl::new(3, SpecMode::Accurate);
 
         let d = out.tick(sf(&[0]), PortSet::EMPTY); // cycle 0
-        assert_eq!(d.drive, Some(PortId(0)));
-        assert!(d.collided.is_empty());
+        assert_eq!(d.drive, set(&[0]));
+        assert!(d.wasted.is_empty());
 
         let d = out.tick(sf(&[]), PortSet::EMPTY); // cycle 1
-        assert_eq!(d.drive, None);
+        assert!(d.drive.is_empty());
         assert!(!d.wasted_reservation, "accurate makes no stale reservation");
 
         let d = out.tick(sf(&[1, 2]), PortSet::EMPTY); // cycle 2: collision
-        assert_eq!(d.drive, None);
-        assert_eq!(d.collided, set(&[1, 2]));
+        assert!(d.drive.is_empty());
+        assert_eq!(d.wasted, set(&[1, 2]));
         assert_eq!(d.granted, Some(PortId(1)));
 
         let d = out.tick(sf(&[1, 2]), PortSet::EMPTY); // cycle 3: B reserved
-        assert_eq!(d.drive, Some(PortId(1)));
+        assert_eq!(d.drive, set(&[1]));
         // During the reserved traversal every other request is masked from
         // the switch, so nothing reaches the allocator (§3.1.2).
         assert_eq!(d.granted, None);
@@ -415,7 +354,7 @@ mod tests {
         // Cycle 4: C is alone now, so its renewed speculation succeeds —
         // the final packet lands one cycle after B, matching Figure 7c.
         let d = out.tick(sf(&[2]), PortSet::EMPTY);
-        assert_eq!(d.drive, Some(PortId(2)));
+        assert_eq!(d.drive, set(&[2]));
     }
 
     /// Figure 7 stimulus against Spec-Fast: the final packet C pays one
@@ -425,7 +364,7 @@ mod tests {
         let mut out = SpecCtl::new(3, SpecMode::Fast);
 
         let d = out.tick(sf(&[0]), PortSet::EMPTY); // cycle 0
-        assert_eq!(d.drive, Some(PortId(0)));
+        assert_eq!(d.drive, set(&[0]));
         // Fast re-reserves the transmitter: a stale reservation for cycle 1.
         assert_eq!(d.granted, Some(PortId(0)));
 
@@ -433,22 +372,22 @@ mod tests {
         assert!(d.wasted_reservation);
 
         let d = out.tick(sf(&[1, 2]), PortSet::EMPTY); // cycle 2: collision
-        assert_eq!(d.collided, set(&[1, 2]));
+        assert_eq!(d.wasted, set(&[1, 2]));
         assert_eq!(d.granted, Some(PortId(1)));
 
         let d = out.tick(sf(&[1, 2]), PortSet::EMPTY); // cycle 3: B reserved
-        assert_eq!(d.drive, Some(PortId(1)));
+        assert_eq!(d.drive, set(&[1]));
         // All other requests are masked during the transmission, so the
         // transmitter is re-granted: another stale reservation.
         assert_eq!(d.granted, Some(PortId(1)));
 
         let d = out.tick(sf(&[2]), PortSet::EMPTY); // cycle 4: idle, wasted
-        assert_eq!(d.drive, None);
+        assert!(d.drive.is_empty());
         assert!(d.wasted_reservation);
         assert_eq!(d.granted, Some(PortId(2)));
 
         let d = out.tick(sf(&[2]), PortSet::EMPTY); // cycle 5: C at last
-        assert_eq!(d.drive, Some(PortId(2)));
+        assert_eq!(d.drive, set(&[2]));
     }
 
     #[test]
@@ -461,15 +400,15 @@ mod tests {
         let mut out = SpecCtl::new(2, SpecMode::Accurate);
         let req = sf(&[0, 1]);
         let first = out.tick(req, PortSet::EMPTY);
-        assert_eq!(first.collided, set(&[0, 1]));
+        assert_eq!(first.wasted, set(&[0, 1]));
         let mut delivered = 0;
         let mut collided = 0;
         for _ in 0..10 {
             let d = out.tick(req, PortSet::EMPTY);
-            if d.drive.is_some() {
+            if !d.drive.is_empty() {
                 delivered += 1;
             }
-            if !d.collided.is_empty() {
+            if !d.wasted.is_empty() {
                 collided += 1;
             }
         }
@@ -495,11 +434,11 @@ mod tests {
             // cycle (infinite backlog), which may not request.
             let fresh = last_serviced.map(PortSet::single).unwrap_or(PortSet::EMPTY);
             let d = out.tick(sf(&[0, 1]), fresh);
-            last_serviced = d.drive;
-            if d.drive.is_some() {
+            last_serviced = d.drive.sole();
+            if !d.drive.is_empty() {
                 delivered += 1;
             }
-            if !d.collided.is_empty() || d.wasted_reservation {
+            if !d.wasted.is_empty() || d.wasted_reservation {
                 unproductive += 1;
             }
         }
@@ -514,7 +453,7 @@ mod tests {
         let mut delivered = 0;
         for _ in 0..10 {
             let d = out.tick(sf(&[0]), PortSet::EMPTY);
-            if d.drive.is_some() {
+            if !d.drive.is_empty() {
                 delivered += 1;
             }
         }
@@ -532,8 +471,8 @@ mod tests {
         for _ in 0..10 {
             let fresh = last.map(PortSet::single).unwrap_or(PortSet::EMPTY);
             let d = out.tick(sf(&[0]), fresh);
-            last = d.drive;
-            if d.drive.is_some() {
+            last = d.drive.sole();
+            if !d.drive.is_empty() {
                 delivered += 1;
             }
         }
@@ -546,7 +485,7 @@ mod tests {
         // immediately: Spec-Fast keeps its single-cycle zero-load latency.
         let mut out = SpecCtl::new(3, SpecMode::Fast);
         let d = out.tick(sf(&[2]), PortSet::EMPTY);
-        assert_eq!(d.drive, Some(PortId(2)));
+        assert_eq!(d.drive, set(&[2]));
     }
 
     #[test]
@@ -561,7 +500,7 @@ mod tests {
             };
             let d = out.tick(head, PortSet::EMPTY);
             // Both collide first (speculation fails with two requesters).
-            assert_eq!(d.collided, set(&[0, 1]));
+            assert_eq!(d.wasted, set(&[0, 1]));
             let winner = d.granted.unwrap();
             if winner == PortId(0) {
                 // The multi-flit packet must now stream without preemption.
@@ -571,16 +510,16 @@ mod tests {
                     tail: PortSet::EMPTY,
                 };
                 let d = out.tick(body, PortSet::EMPTY);
-                assert_eq!(d.drive, Some(PortId(0)));
+                assert_eq!(d.drive, set(&[0]));
                 let d = out.tick(body, PortSet::EMPTY);
-                assert_eq!(d.drive, Some(PortId(0)), "{mode:?} broke a stream");
+                assert_eq!(d.drive, set(&[0]), "{mode:?} broke a stream");
                 let tail = RequestSet {
                     req: set(&[0, 1]),
                     multiflit: set(&[0]),
                     tail: set(&[0, 1]),
                 };
                 let d = out.tick(tail, PortSet::EMPTY);
-                assert_eq!(d.drive, Some(PortId(0)));
+                assert_eq!(d.drive, set(&[0]));
                 assert_eq!(out.hold(), None, "tail releases the stream");
             }
         }
@@ -598,16 +537,16 @@ mod tests {
         let mut out = NonSpecCtl::new(3);
 
         let d = out.tick(sf(&[0])); // cycle 0: A traverses immediately
-        assert_eq!(d.drive, Some(PortId(0)));
+        assert_eq!(d.drive, set(&[0]));
 
         let d = out.tick(sf(&[])); // cycle 1: idle
-        assert_eq!(d.drive, None);
+        assert!(d.drive.is_empty());
 
         let d = out.tick(sf(&[1, 2])); // cycle 2: B wins, no wasted cycle
-        assert_eq!(d.drive, Some(PortId(1)));
+        assert_eq!(d.drive, set(&[1]));
 
         let d = out.tick(sf(&[2])); // cycle 3: C
-        assert_eq!(d.drive, Some(PortId(2)));
+        assert_eq!(d.drive, set(&[2]));
     }
 
     #[test]
@@ -616,7 +555,7 @@ mod tests {
         let req = sf(&[0, 1]);
         let mut delivered = 0;
         for _ in 0..10 {
-            if out.tick(req).drive.is_some() {
+            if !out.tick(req).drive.is_empty() {
                 delivered += 1;
             }
         }
@@ -627,7 +566,9 @@ mod tests {
     fn nonspec_alternates_fairly() {
         let mut out = NonSpecCtl::new(2);
         let req = sf(&[0, 1]);
-        let wins: Vec<_> = (0..6).map(|_| out.tick(req).drive.unwrap().0).collect();
+        let wins: Vec<_> = (0..6)
+            .map(|_| out.tick(req).drive.sole().unwrap().0)
+            .collect();
         assert_eq!(wins, vec![0, 1, 0, 1, 0, 1]);
     }
 
@@ -640,12 +581,12 @@ mod tests {
             tail: set(&[1]),
         };
         let d = out.tick(head);
-        assert_eq!(d.drive, Some(PortId(0)));
+        assert_eq!(d.drive, set(&[0]));
         assert_eq!(out.hold(), Some(PortId(0)));
         // The competitor may not preempt the stream even when the body
         // flit has not arrived yet.
         let d = out.tick(sf(&[1]));
-        assert_eq!(d.drive, None, "arbitration overridden mid-packet");
+        assert!(d.drive.is_empty(), "arbitration overridden mid-packet");
         // Tail releases the output.
         let tail = RequestSet {
             req: set(&[0, 1]),
@@ -653,9 +594,9 @@ mod tests {
             tail: set(&[0, 1]),
         };
         let d = out.tick(tail);
-        assert_eq!(d.drive, Some(PortId(0)));
+        assert_eq!(d.drive, set(&[0]));
         assert_eq!(out.hold(), None);
         let d = out.tick(sf(&[1]));
-        assert_eq!(d.drive, Some(PortId(1)));
+        assert_eq!(d.drive, set(&[1]));
     }
 }

@@ -25,10 +25,14 @@
 //! * [`OutputCtl`] — the NoX per-output arbitration and masking state
 //!   machine of §2.6 (Recovery / Scheduled modes, multi-flit aborts of
 //!   §2.7).
-//! * [`DecodePort`] — the NoX input port of §2.4: the receive FIFO and the
-//!   [`Decoder`], its decode-register state machine.
 //! * [`baseline`] — per-output control for the paper's comparison routers
 //!   (non-speculative, Spec-Fast, Spec-Accurate from §3.1).
+//! * [`Decision`] — what one output does in one cycle, the one answer of
+//!   all three control engines: a productive word (possibly XOR-encoded),
+//!   an invalid word (a NoX abort or a speculative collision), or
+//!   [`Decision::IDLE`].
+//! * [`DecodePort`] — the NoX input port of §2.4: the receive FIFO and the
+//!   [`Decoder`], its decode-register state machine.
 //!
 //! # Example
 //!
@@ -71,8 +75,8 @@ pub mod output;
 pub mod port;
 
 pub use arbiter::RoundRobinArbiter;
-pub use baseline::{NonSpecCtl, NonSpecDecision, SpecCtl, SpecDecision, SpecMode};
+pub use baseline::{NonSpecCtl, SpecCtl, SpecMode};
 pub use coded::{Coded, Xor};
 pub use decode::{DecodeAction, DecodePort, DecodeStep, Decoder};
-pub use output::{Mode, NoxDecision, NoxOptions, OutputCtl, RequestSet};
+pub use output::{Decision, Mode, NoxOptions, OutputCtl, RequestSet};
 pub use port::{PortId, PortSet};

@@ -72,8 +72,8 @@ impl RequestSet {
         }
     }
 
-    /// Validates the subset relations; used by `OutputCtl::tick`.
-    fn check(&self) {
+    /// Validates the subset relations; every engine's `tick` calls it.
+    pub(crate) fn check(&self) {
         assert!(
             self.multiflit.is_subset(self.req) && self.tail.is_subset(self.req),
             "multiflit/tail must be subsets of req: {self:?}"
@@ -81,46 +81,55 @@ impl RequestSet {
     }
 }
 
-/// What one output port does in one cycle.
+/// What one output port does in one cycle, whichever engine decides it.
+///
+/// A cycle drives a productive word (`drive` non-empty: the word is the
+/// XOR of those inputs' flits, `encoded` when there are several), drives
+/// an invalid word (`wasted` non-empty: a NoX abort or a speculative
+/// collision), or idles. The two never share a cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NoxDecision {
-    /// Inputs whose flits drive the XOR switch this cycle. Unless
-    /// `aborted`, the link word is the XOR of exactly these flits.
+pub struct Decision {
+    /// Inputs whose flits form this cycle's productive link word.
     pub drive: PortSet,
+    /// Inputs whose presented flit is consumed this cycle, a subset of
+    /// `drive`. Under an encoded transfer this is exactly the arbitration
+    /// winner; its buffer frees immediately even though the receiver
+    /// decodes it later.
+    pub serviced: PortSet,
     /// `true` when `drive` superposes more than one flit (the link word is
     /// marked encoded for the receiver).
     pub encoded: bool,
-    /// `true` when a collision involved a multi-flit packet: the inputs in
-    /// `drive` collided into an *invalid* word this cycle (wasted link
-    /// energy, nothing delivered, no credit consumed) and the survivors
-    /// are serialized via the stream lock.
+    /// Colliding inputs that drove an *invalid* word this cycle: full link
+    /// energy, nothing delivered, no credit consumed.
+    pub wasted: PortSet,
+    /// `true` when the invalid word is a NoX abort (a collision involving
+    /// a multi-flit packet, §2.7), `false` when it is a speculative
+    /// collision (§3.1.2). Meaningful only with a non-empty `wasted`.
     pub aborted: bool,
-    /// Inputs whose presented flit is consumed this cycle. Under an
-    /// encoded transfer this is exactly the arbitration winner; its buffer
-    /// frees immediately even though the receiver decodes it later.
-    pub serviced: PortSet,
-    /// The grant produced by the parallel arbiter, if any (for fairness
-    /// accounting; under no contention the grant is unnecessary).
+    /// The grant the output arbiter produced this cycle, if any: the
+    /// pre-scheduled or winning input for NoX, the next cycle's
+    /// reservation for the speculative routers, the traversing winner for
+    /// the sequential one.
     pub granted: Option<PortId>,
-    /// The controller mode in effect during this cycle.
-    pub mode: Mode,
+    /// The output held a reservation for an input that had nothing to
+    /// send — an idle cycle caused by sloppy scheduling (Spec-Fast's
+    /// signature inefficiency).
+    pub wasted_reservation: bool,
 }
 
-impl NoxDecision {
+impl Decision {
     /// The decision of a cycle in which nothing drives, nothing is
-    /// serviced and nothing is granted — what a
-    /// [settled](OutputCtl::settled) controller returns for an empty
-    /// request set.
-    pub fn idle(mode: Mode) -> Self {
-        NoxDecision {
-            drive: PortSet::EMPTY,
-            encoded: false,
-            aborted: false,
-            serviced: PortSet::EMPTY,
-            granted: None,
-            mode,
-        }
-    }
+    /// serviced and nothing is granted — what a settled engine returns for
+    /// an empty request set.
+    pub const IDLE: Decision = Decision {
+        drive: PortSet::EMPTY,
+        serviced: PortSet::EMPTY,
+        encoded: false,
+        wasted: PortSet::EMPTY,
+        aborted: false,
+        granted: None,
+        wasted_reservation: false,
+    };
 }
 
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -153,7 +162,7 @@ impl Default for NoxOptions {
 /// The NoX output arbitration and masking controller for one output port.
 ///
 /// Drive it with one [`RequestSet`] per cycle via [`tick`](Self::tick) and
-/// apply the returned [`NoxDecision`]: XOR the `drive` flits onto the link,
+/// apply the returned [`Decision`]: XOR the `drive` flits onto the link,
 /// consume the `serviced` flits. See the [crate-level example](crate) for
 /// the paper's Figure 2 replayed against this type.
 ///
@@ -247,22 +256,23 @@ impl OutputCtl {
     }
 
     /// `true` when a tick with an empty request set is the identity: it
-    /// returns [`NoxDecision::idle`] for the current mode and leaves the
-    /// controller unchanged, so a caller with nothing to request may skip
-    /// the tick. Every state is settled except a non-chain Scheduled slot,
-    /// which needs one grant-less tick to fall back to Recovery (§2.6).
-    /// Recovery holds its chain, a chain loser's Scheduled slot holds its
-    /// lock, and Stream holds the wormhole across empty ticks.
+    /// returns [`Decision::IDLE`] and leaves the controller unchanged, so
+    /// a caller with nothing to request may skip the tick. Every state is
+    /// settled except a non-chain Scheduled slot, which needs one
+    /// grant-less tick to fall back to Recovery (§2.6). Recovery holds its
+    /// chain, a chain loser's Scheduled slot holds its lock, and Stream
+    /// holds the wormhole across empty ticks.
     pub fn settled(&self) -> bool {
         !matches!(self.state, State::Scheduled { chain: false, .. })
     }
 
-    /// Advances the controller by one cycle.
+    /// Advances the controller by one cycle. The cycle runs in the
+    /// [`mode`](Self::mode) the controller had before the call.
     ///
     /// # Panics
     ///
     /// Panics if `r.multiflit` or `r.tail` is not a subset of `r.req`.
-    pub fn tick(&mut self, r: RequestSet) -> NoxDecision {
+    pub fn tick(&mut self, r: RequestSet) -> Decision {
         r.check();
         match self.state.clone() {
             State::Recovery { chain } => self.tick_recovery(r, chain),
@@ -271,7 +281,7 @@ impl OutputCtl {
         }
     }
 
-    fn tick_recovery(&mut self, r: RequestSet, chain: PortSet) -> NoxDecision {
+    fn tick_recovery(&mut self, r: RequestSet, chain: PortSet) -> Decision {
         let sm = if chain.is_empty() {
             PortSet::all(self.n)
         } else {
@@ -283,7 +293,7 @@ impl OutputCtl {
             // No eligible requests: masks stay as they are. With an empty
             // chain they are already all-enabled (the paper's reset rule);
             // with a pending chain we hold it (divergence note above).
-            return NoxDecision::idle(Mode::Recovery);
+            return Decision::IDLE;
         }
 
         // Chain members stall and resume in lockstep (credit is per
@@ -304,13 +314,11 @@ impl OutputCtl {
                     chain: PortSet::EMPTY,
                 }
             };
-            return NoxDecision {
+            return Decision {
                 drive: s,
-                encoded: false,
-                aborted: false,
                 serviced: s,
                 granted,
-                mode: Mode::Recovery,
+                ..Decision::IDLE
             };
         }
 
@@ -327,13 +335,11 @@ impl OutputCtl {
             // starting next cycle, with no other arbitration winners until
             // its tail passes.
             self.state = State::Stream { input: g };
-            return NoxDecision {
-                drive: s,
-                encoded: false,
+            return Decision {
+                wasted: s,
                 aborted: true,
-                serviced: PortSet::EMPTY,
                 granted: Some(g),
-                mode: Mode::Recovery,
+                ..Decision::IDLE
             };
         }
 
@@ -348,17 +354,16 @@ impl OutputCtl {
             },
             _ => State::Recovery { chain: losers },
         };
-        NoxDecision {
+        Decision {
             drive: s,
-            encoded: true,
-            aborted: false,
             serviced: PortSet::single(g),
+            encoded: true,
             granted: Some(g),
-            mode: Mode::Recovery,
+            ..Decision::IDLE
         }
     }
 
-    fn tick_scheduled(&mut self, r: RequestSet, x: PortId, chain: bool) -> NoxDecision {
+    fn tick_scheduled(&mut self, r: RequestSet, x: PortId, chain: bool) -> Decision {
         let am = PortSet::single(x).complement(self.n);
         let a = r.req.intersect(am);
         let g = self.arbiter.grant(a);
@@ -381,13 +386,11 @@ impl OutputCtl {
                     },
                 }
             };
-            return NoxDecision {
+            return Decision {
                 drive,
-                encoded: false,
-                aborted: false,
                 serviced: drive,
                 granted: g,
-                mode: Mode::Scheduled,
+                ..Decision::IDLE
             };
         }
 
@@ -397,7 +400,7 @@ impl OutputCtl {
             // the lock. Per-output credit means nobody else requested
             // either, so no real grant is being dropped.
             debug_assert!(g.is_none(), "chain stall implies an output-wide stall");
-            return NoxDecision::idle(Mode::Scheduled);
+            return Decision::IDLE;
         }
         self.state = match g {
             Some(next) => State::Scheduled {
@@ -408,20 +411,16 @@ impl OutputCtl {
                 chain: PortSet::EMPTY,
             },
         };
-        NoxDecision {
-            drive: PortSet::EMPTY,
-            encoded: false,
-            aborted: false,
-            serviced: PortSet::EMPTY,
+        Decision {
             granted: g,
-            mode: Mode::Scheduled,
+            ..Decision::IDLE
         }
     }
 
-    fn tick_stream(&mut self, r: RequestSet, x: PortId) -> NoxDecision {
+    fn tick_stream(&mut self, r: RequestSet, x: PortId) -> Decision {
         if !r.req.contains(x) {
             // Body flit not yet available (or output stalled): hold the lock.
-            return NoxDecision::idle(Mode::Stream);
+            return Decision::IDLE;
         }
         let drive = PortSet::single(x);
         let mut granted = None;
@@ -444,13 +443,11 @@ impl OutputCtl {
                 },
             };
         }
-        NoxDecision {
+        Decision {
             drive,
-            encoded: false,
-            aborted: false,
             serviced: drive,
             granted,
-            mode: Mode::Stream,
+            ..Decision::IDLE
         }
     }
 }
@@ -473,12 +470,13 @@ mod tests {
     fn figure2_transmission_timing() {
         let mut out = OutputCtl::new(3);
 
-        // Cycle 0: A passes unmodified; arbitration happens but is unneeded.
+        // Cycle 0: A passes unmodified in Recovery; arbitration happens but
+        // is unneeded.
+        assert_eq!(out.mode(), Mode::Recovery);
         let d = out.tick(sf(&[0]));
         assert_eq!(d.drive, set(&[0]));
-        assert!(!d.encoded && !d.aborted);
+        assert!(!d.encoded && d.wasted.is_empty());
         assert_eq!(d.serviced, set(&[0]));
-        assert_eq!(d.mode, Mode::Recovery);
 
         // Cycle 1: idle.
         let d = out.tick(sf(&[]));
@@ -496,12 +494,13 @@ mod tests {
         assert_eq!(out.switch_mask(), set(&[2]));
         assert_eq!(out.arb_mask(), set(&[0, 1]));
 
-        // Cycle 3: C is the only input allowed switch progression.
+        // Cycle 3: C is the only input allowed switch progression, and the
+        // cycle runs in Scheduled mode.
+        assert_eq!(out.mode(), Mode::Scheduled);
         let d = out.tick(sf(&[2]));
         assert_eq!(d.drive, set(&[2]));
         assert!(!d.encoded);
         assert_eq!(d.serviced, set(&[2]));
-        assert_eq!(d.mode, Mode::Scheduled);
 
         // Cycle 4: no requests were presented to the arbiter on cycle 3, so
         // the logic transitions back to optimistic Recovery (paper §2.6).
@@ -665,15 +664,15 @@ mod tests {
         };
         let d = out.tick(r);
         assert!(d.aborted);
-        assert_eq!(d.drive, set(&[0, 1]), "colliding inputs drove the switch");
-        assert!(d.serviced.is_empty());
+        assert_eq!(d.wasted, set(&[0, 1]), "colliding inputs drove the switch");
+        assert!(d.drive.is_empty() && d.serviced.is_empty());
         let winner = d.granted.unwrap();
         assert_eq!(out.mode(), Mode::Stream);
         assert_eq!(out.switch_mask(), PortSet::single(winner));
         // The winner retransmits exclusively on the next cycle.
         let d = out.tick(r);
         assert_eq!(d.drive, PortSet::single(winner));
-        assert!(!d.aborted);
+        assert!(d.wasted.is_empty());
     }
 
     #[test]

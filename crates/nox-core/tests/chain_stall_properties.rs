@@ -133,7 +133,7 @@ fn run_coupled(
             // Clarification 1: the loser chain only ever shrinks, and a
             // fresh chain is born only from this cycle's colliders.
             let bound = if chain_before.is_empty() {
-                d.drive
+                d.drive.union(d.wasted)
             } else {
                 chain_before
             };

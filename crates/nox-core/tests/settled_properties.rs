@@ -20,47 +20,38 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use nox_core::{
-    NonSpecCtl, NonSpecDecision, NoxDecision, OutputCtl, PortId, PortSet, RequestSet, SpecCtl,
-    SpecDecision, SpecMode,
-};
+use nox_core::{Decision, NonSpecCtl, OutputCtl, PortId, PortSet, RequestSet, SpecCtl, SpecMode};
+
+mod common;
 
 /// One engine behind the interface the request process needs.
 trait Engine: Clone + PartialEq + std::fmt::Debug {
-    /// Ticks and returns the serviced inputs.
-    fn step(&mut self, r: RequestSet, fresh: PortSet) -> PortSet;
+    /// `true` for the NoX controller (see [`common::assert_decision`]).
+    const NOX: bool = false;
+    fn step(&mut self, r: RequestSet, fresh: PortSet) -> Decision;
     fn settled(&self) -> bool;
-    /// `true` when `tick(empty)` returned the idle decision.
-    fn empty_tick_is_idle(&mut self) -> bool;
     /// An unsettled engine that an empty tick need not settle.
-    fn holds_stream(&self) -> bool;
-}
-
-impl Engine for OutputCtl {
-    fn step(&mut self, r: RequestSet, _fresh: PortSet) -> PortSet {
-        self.tick(r).serviced
-    }
-    fn settled(&self) -> bool {
-        OutputCtl::settled(self)
-    }
-    fn empty_tick_is_idle(&mut self) -> bool {
-        let mode = self.mode();
-        self.tick(RequestSet::default()) == NoxDecision::idle(mode)
-    }
     fn holds_stream(&self) -> bool {
         false
     }
 }
 
+impl Engine for OutputCtl {
+    const NOX: bool = true;
+    fn step(&mut self, r: RequestSet, _fresh: PortSet) -> Decision {
+        self.tick(r)
+    }
+    fn settled(&self) -> bool {
+        OutputCtl::settled(self)
+    }
+}
+
 impl Engine for SpecCtl {
-    fn step(&mut self, r: RequestSet, fresh: PortSet) -> PortSet {
-        self.tick(r, fresh).serviced
+    fn step(&mut self, r: RequestSet, fresh: PortSet) -> Decision {
+        self.tick(r, fresh)
     }
     fn settled(&self) -> bool {
         SpecCtl::settled(self)
-    }
-    fn empty_tick_is_idle(&mut self) -> bool {
-        self.tick(RequestSet::default(), PortSet::EMPTY) == SpecDecision::IDLE
     }
     fn holds_stream(&self) -> bool {
         self.spec_mode() == SpecMode::Accurate && self.hold().is_some()
@@ -68,17 +59,11 @@ impl Engine for SpecCtl {
 }
 
 impl Engine for NonSpecCtl {
-    fn step(&mut self, r: RequestSet, _fresh: PortSet) -> PortSet {
-        self.tick(r).serviced
+    fn step(&mut self, r: RequestSet, _fresh: PortSet) -> Decision {
+        self.tick(r)
     }
     fn settled(&self) -> bool {
         NonSpecCtl::settled(self)
-    }
-    fn empty_tick_is_idle(&mut self) -> bool {
-        self.tick(RequestSet::default()) == NonSpecDecision::IDLE
-    }
-    fn holds_stream(&self) -> bool {
-        false
     }
 }
 
@@ -93,7 +78,7 @@ struct Seen {
 /// Checks the contract on a clone of `e`, leaving `e` untouched.
 fn check_contract<E: Engine>(e: &E, seen: &mut Seen) {
     let mut probe = e.clone();
-    let idle = probe.empty_tick_is_idle();
+    let idle = probe.step(RequestSet::default(), PortSet::EMPTY) == Decision::IDLE;
     if e.settled() {
         seen.settled += 1;
         assert!(idle, "settled engine decided something: {e:?}");
@@ -136,8 +121,9 @@ fn build_queue(script: &Script) -> VecDeque<Flit> {
     q
 }
 
-/// Drives `engine` until every queue drains, checking the contract on
-/// the state before every tick and on the final state.
+/// Drives `engine` until every queue drains, checking the settled
+/// contract on the state before every tick and on the final state, and
+/// the decision contract on every tick.
 fn run<E: Engine>(mut engine: E, scripts: &[Script], stalls: &[bool]) -> Seen {
     let mut queues: Vec<VecDeque<Flit>> = scripts.iter().map(build_queue).collect();
     // Cycles until each input's head flit has arrived.
@@ -175,7 +161,9 @@ fn run<E: Engine>(mut engine: E, scripts: &[Script], stalls: &[bool]) -> Seen {
                     r.tail.insert(p);
                 }
             }
-            engine.step(r, fresh.intersect(r.req))
+            let d = engine.step(r, fresh.intersect(r.req));
+            common::assert_decision(&d, E::NOX);
+            d.serviced
         };
 
         // A packet is fresh on the cycle after the tail before it left,

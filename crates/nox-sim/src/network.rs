@@ -610,8 +610,9 @@ impl Network {
                 // output port for this core.
                 let (node, input) = self.wiring.attach(core);
                 credit_returns.push(CreditReturn { node, input });
-                if outcome.consumed.is_none() {
-                    // A decode-register latch at the sink (§2.4 at ejection).
+                if outcome.consumed.is_none() && outcome.fault_event.is_none() {
+                    // A decode-register latch at the sink (§2.4 at ejection),
+                    // not a flit the fault layer discarded.
                     self.probe.on_latch(core, input);
                 }
             }
@@ -1198,6 +1199,7 @@ mod fault_tests {
     use super::*;
     use crate::config::Arch;
     use crate::fault::{DeadLink, RetxConfig, RouterFreeze};
+    use crate::probe::{EventKind, ProbeConfig};
     use crate::trace::PacketEvent;
 
     /// Deterministic all-to-all-ish traffic: enough collisions to form
@@ -1241,6 +1243,38 @@ mod fault_tests {
             assert_eq!(f.stats().injected_total(), 0);
             assert_eq!(f.delivered_logicals(), f.total_logicals());
         }
+    }
+
+    #[test]
+    fn a_discarded_flit_is_not_a_latch() {
+        // The sequential router's words are always plain, so none of its
+        // sinks ever latches: every slot a sink frees without consuming a
+        // flit is a CRC discard, and the probe must not report it as one.
+        let mut net = faulty_net(
+            Arch::NonSpec,
+            &uniform_trace(20, 2),
+            FaultConfig::protected_bit_flips(7, 0.02),
+        );
+        net.enable_probe(ProbeConfig {
+            window_cycles: 64,
+            ring_capacity: 1 << 16,
+        });
+        assert!(net.run_to_settlement(200_000), "did not settle");
+        let probe = net.probe().expect("probe attached");
+        assert_eq!(probe.events_dropped(), 0);
+        let kinds = || probe.events().map(|e| &e.kind);
+        let crc = kinds()
+            .filter(|k| {
+                matches!(
+                    k,
+                    EventKind::Fault {
+                        label: "detect crc"
+                    }
+                )
+            })
+            .count();
+        assert!(crc > 0, "CRC never fired");
+        assert!(!kinds().any(|k| matches!(k, EventKind::Latch)));
     }
 
     #[test]

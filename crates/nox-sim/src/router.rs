@@ -13,9 +13,10 @@
 //!    encoded word — and files it in its output's request set, qualified
 //!    by downstream credit;
 //! 2. for each output that is requested or not settled, ticks its control
-//!    engine and applies the decision at once: drives a link word
-//!    (possibly XOR-encoded, possibly invalid on a collision/abort),
-//!    consumes serviced flits, returns credits upstream, and counts every
+//!    engine and applies the [`Decision`] it answers with, whatever the
+//!    architecture, in one place: drives a link word (possibly
+//!    XOR-encoded, possibly invalid on a collision/abort), consumes
+//!    serviced flits, returns credits upstream, and counts every
 //!    energy-relevant event.
 //!
 //! The two sets those loops run over (inputs whose FIFO holds a word,
@@ -35,8 +36,8 @@
 //! and delivers them on the next cycle.
 
 use nox_core::{
-    DecodeAction, DecodePort, DecodeStep, NonSpecCtl, NoxOptions, OutputCtl, PortId, PortSet,
-    RequestSet, SpecCtl, SpecMode,
+    Decision, DecodeAction, DecodePort, DecodeStep, NonSpecCtl, NoxOptions, OutputCtl, PortId,
+    PortSet, RequestSet, SpecCtl, SpecMode,
 };
 
 use crate::config::Arch;
@@ -163,8 +164,19 @@ enum Engine {
 }
 
 impl Engine {
+    /// Advances the engine by one cycle (`fresh` is read by Spec-Fast
+    /// only) and tells whether it is [settled](Self::settled) afterwards,
+    /// one match for both.
+    fn tick(&mut self, reqs: RequestSet, fresh: PortSet) -> (Decision, bool) {
+        match self {
+            Engine::NonSpec(e) => (e.tick(reqs), e.settled()),
+            Engine::Spec(e) => (e.tick(reqs, fresh), e.settled()),
+            Engine::Nox(e) => (e.tick(reqs), e.settled()),
+        }
+    }
+
     /// `true` when ticking this engine with an empty request set would
-    /// return its idle decision and leave it unchanged (the `settled`
+    /// return [`Decision::IDLE`] and leave it unchanged (the `settled`
     /// contract of `nox-core`), so the tick can be skipped.
     fn settled(&self) -> bool {
         match self {
@@ -604,10 +616,8 @@ impl Router {
     }
 
     /// Ticks output `out`'s control engine against the request sets the
-    /// inputs filed and applies its decision at once — drives a link word
-    /// (possibly XOR-encoded, possibly invalid on a collision/abort),
-    /// consumes serviced flits, returns credits upstream, and counts every
-    /// energy-relevant event. An output out of credit does nothing.
+    /// inputs filed and [applies](Self::apply) its decision at once. An
+    /// output out of credit does nothing.
     fn decide_and_apply(&mut self, out: PortId, ctx: &mut TickCtx<'_>) {
         let o = out.index();
         let port = &mut self.outputs[o];
@@ -623,26 +633,8 @@ impl Router {
             (RequestSet::default(), PortSet::EMPTY)
         };
         ctx.output_ticks += 1;
-        let settled = match &mut port.engine {
-            Engine::NonSpec(e) => {
-                let d = e.tick(reqs);
-                let settled = e.settled();
-                self.apply_nonspec(out, d, ctx);
-                settled
-            }
-            Engine::Spec(e) => {
-                let d = e.tick(reqs, fresh);
-                let settled = e.settled();
-                self.apply_spec(out, d, ctx);
-                settled
-            }
-            Engine::Nox(e) => {
-                let d = e.tick(reqs);
-                let settled = e.settled();
-                self.apply_nox(out, d, ctx);
-                settled
-            }
-        };
+        let (d, settled) = port.engine.tick(reqs, fresh);
+        self.apply(out, d, ctx);
         if settled {
             self.unsettled.remove(out);
         } else {
@@ -751,22 +743,30 @@ impl Router {
         });
     }
 
-    // ---------------------------------------------------------------- NoX
-
-    fn apply_nox(&mut self, out: PortId, d: nox_core::NoxDecision, ctx: &mut TickCtx<'_>) {
+    /// Applies output `out`'s decision, whichever engine made it: counts
+    /// the grant, drives the invalid word of an abort or a collision (full
+    /// channel energy, nothing delivered, no credit consumed), counts a
+    /// wasted reservation, and drives the productive word (possibly
+    /// XOR-encoded), which consumes the serviced flits and returns their
+    /// credits upstream.
+    fn apply(&mut self, out: PortId, d: Decision, ctx: &mut TickCtx<'_>) {
         if d.granted.is_some() {
             ctx.counters.arbitrations += 1;
         }
-        if d.aborted {
-            // Invalid word on the link: full channel energy, nothing
-            // delivered, no credit consumed.
-            ctx.counters.aborts += 1;
+        if !d.wasted.is_empty() {
+            if d.aborted {
+                ctx.counters.aborts += 1;
+            } else {
+                ctx.counters.collisions += 1;
+            }
             ctx.counters.link_wasted += 1;
             ctx.counters.xbar_traversals += 1;
-            ctx.counters.xbar_inputs_active += d.drive.len() as u64;
+            ctx.counters.xbar_inputs_active += d.wasted.len() as u64;
             ctx.probe
-                .on_wasted(self.node, out, d.drive.len() as u8, true);
-            return;
+                .on_wasted(self.node, out, d.wasted.len() as u8, d.aborted);
+        }
+        if d.wasted_reservation {
+            ctx.counters.wasted_reservations += 1;
         }
         if !d.drive.is_empty() {
             if d.encoded {
@@ -774,41 +774,6 @@ impl Router {
                 ctx.probe.on_encoded(self.node, out, d.drive.len() as u8);
             }
             self.drive_link(out, d.drive, d.serviced, ctx);
-        }
-    }
-
-    // --------------------------------------------------------------- spec
-
-    fn apply_spec(&mut self, out: PortId, d: nox_core::SpecDecision, ctx: &mut TickCtx<'_>) {
-        if d.granted.is_some() {
-            ctx.counters.arbitrations += 1;
-        }
-        if !d.collided.is_empty() {
-            // Speculation failed: an indeterminate value crosses the
-            // link (§3.2) — wasted channel energy plus switch activity.
-            ctx.counters.collisions += 1;
-            ctx.counters.link_wasted += 1;
-            ctx.counters.xbar_traversals += 1;
-            ctx.counters.xbar_inputs_active += d.collided.len() as u64;
-            ctx.probe
-                .on_wasted(self.node, out, d.collided.len() as u8, false);
-        }
-        if d.wasted_reservation {
-            ctx.counters.wasted_reservations += 1;
-        }
-        if let Some(i) = d.drive {
-            self.drive_link(out, PortSet::single(i), PortSet::single(i), ctx);
-        }
-    }
-
-    // ------------------------------------------------------------ nonspec
-
-    fn apply_nonspec(&mut self, out: PortId, d: nox_core::NonSpecDecision, ctx: &mut TickCtx<'_>) {
-        if d.granted {
-            ctx.counters.arbitrations += 1;
-        }
-        if let Some(i) = d.drive {
-            self.drive_link(out, PortSet::single(i), PortSet::single(i), ctx);
         }
     }
 }

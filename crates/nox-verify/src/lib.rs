@@ -23,8 +23,10 @@
 //!   [`ViolationKind::PayloadCorruption`]);
 //! * **I2 exactly-once, in order** — the receiver reproduces the service
 //!   order with no loss or duplication ([`ViolationKind::OrderViolation`]);
-//! * **I3 decision structure** — every [`nox_core::NoxDecision`] honours
-//!   its structural contract ([`ViolationKind::Structural`]);
+//! * **I3 decision structure** — every [`nox_core::Decision`] of the NoX
+//!   controller honours its structural contract: a productive word, an
+//!   abort or an idle cycle, never a collision or a wasted reservation
+//!   ([`ViolationKind::Structural`]);
 //! * **I4 chain monotonicity** — loser sets only shrink
 //!   ([`ViolationKind::ChainGrowth`]);
 //! * **I5 credit conservation** — buffer slots are never lost or

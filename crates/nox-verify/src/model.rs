@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use nox_core::{
-    Coded, DecodeAction, DecodeStep, Decoder, Mode, NoxDecision, OutputCtl, PortId, PortSet,
+    Coded, Decision, DecodeAction, DecodeStep, Decoder, Mode, OutputCtl, PortId, PortSet,
     RequestSet,
 };
 
@@ -77,7 +77,7 @@ pub enum ViolationKind {
     CreditAccounting,
     /// A word arrived at a full receiver FIFO.
     FifoOverflow,
-    /// A [`NoxDecision`] violated its own structural contract.
+    /// A [`Decision`] violated its own structural contract.
     Structural,
     /// The system failed to drain within the liveness bound under
     /// maximally fair scheduling.
@@ -239,23 +239,25 @@ impl Model {
         }
     }
 
-    /// Structural contract of a [`NoxDecision`] (the per-cycle checks the
+    /// Structural contract of a NoX [`Decision`] (the per-cycle checks the
     /// proptests sample, asserted here at every reachable state).
     fn check_decision(
         &self,
         sc: &Scenario,
-        d: &NoxDecision,
+        d: &Decision,
         req: &RequestSet,
     ) -> Result<(), Violation> {
         let fail = |msg: String| Err(self.violation(sc, ViolationKind::Structural, msg));
-        if !d.drive.is_subset(req.req) {
-            return fail(format!(
-                "drive {:?} outside requests {:?}",
-                d.drive, req.req
-            ));
+        let switched = d.drive.union(d.wasted);
+        if !switched.is_subset(req.req) {
+            return fail(format!("drive {switched:?} outside requests {:?}", req.req));
+        }
+        // NoX wastes a cycle only by an abort, and an abort always does.
+        if d.wasted_reservation || d.aborted == d.wasted.is_empty() {
+            return fail(format!("NoX wasted a cycle other than by an abort: {d:?}"));
         }
         if d.aborted {
-            if d.drive.len() < 2 || !d.serviced.is_empty() {
+            if d.wasted.len() < 2 || !d.drive.is_empty() || !d.serviced.is_empty() {
                 return fail(format!("malformed abort: {d:?}"));
             }
             return Ok(());
@@ -381,6 +383,7 @@ impl Model {
             }
         }
 
+        let mode = self.ctl.mode();
         let d = self.ctl.tick(req);
         self.check_decision(sc, &d, &req)?;
 
@@ -388,7 +391,7 @@ impl Model {
         // a fresh chain can only be born from this cycle's colliders.
         let chain_after = self.ctl.chain();
         let bound = if chain_before.is_empty() {
-            d.drive
+            d.drive.union(d.wasted)
         } else {
             chain_before
         };
@@ -406,7 +409,7 @@ impl Model {
             if mutation == Some(Mutation::DeliverAbortedWord) {
                 // …unless mutated to ship the invalid superposition.
                 let word: Word = d
-                    .drive
+                    .wasted
                     .iter()
                     .map(|i| word_of(self.head(scripts, i.index()).unwrap()))
                     .collect();
@@ -429,7 +432,7 @@ impl Model {
                     format!("encoded flag {} disagrees with word {word:?}", d.encoded),
                 ));
             }
-            if mutation == Some(Mutation::NoStreamLock) && d.mode == Mode::Stream {
+            if mutation == Some(Mutation::NoStreamLock) && mode == Mode::Stream {
                 // Mutated rule: the stream lock stops excluding other
                 // inputs from the switch.
                 for j in 0..n {

@@ -103,7 +103,7 @@ fn settled_contract_holds_on_every_reachable_output_state() {
     // every controller state the checker can reach, a settled controller
     // must answer an empty request set with the idle decision and not
     // change, and an unsettled one must settle within one empty tick.
-    use nox_core::{NoxDecision, RequestSet};
+    use nox_core::{Decision, RequestSet};
     use nox_verify::{scenarios, Model};
     use std::collections::{HashSet, VecDeque};
 
@@ -120,7 +120,7 @@ fn settled_contract_holds_on_every_reachable_output_state() {
             let d = probe.tick(RequestSet::default());
             if ctl.settled() {
                 settled += 1;
-                assert_eq!(d, NoxDecision::idle(ctl.mode()), "{}: {ctl:?}", sc.label());
+                assert_eq!(d, Decision::IDLE, "{}: {ctl:?}", sc.label());
                 assert_eq!(&probe, ctl, "{}: settled state moved", sc.label());
             } else {
                 unsettled += 1;

@@ -92,6 +92,8 @@ fn main() {
     let mut link: Vec<Coded<u64>> = Vec::new();
     for cycle in 0..6u64 {
         ps.iter_mut().for_each(|p| p.begin(cycle));
+        // The cycle runs in the mode the controller is in before its tick.
+        let mode = out.mode();
         let d = out.tick(requests(&ps));
         let driven: Vec<Coded<u64>> = d
             .drive
@@ -106,13 +108,13 @@ fn main() {
         } else {
             names(out_word.keys())
         };
-        if !d.drive.is_empty() && !d.aborted {
+        if !d.drive.is_empty() {
             link.push(out_word);
         }
         for i in d.serviced.iter() {
             ps[i.index()].pop();
         }
-        println!("  cycle {cycle}: output = {label:<16} mode = {:?}", d.mode);
+        println!("  cycle {cycle}: output = {label:<16} mode = {mode:?}");
     }
 
     // ----------------------------------------------------------- Figure 3
@@ -142,7 +144,7 @@ fn main() {
     for cycle in 0..6u64 {
         ps.iter_mut().for_each(|p| p.begin(cycle));
         let d = out.tick(requests(&ps));
-        let label = match d.drive {
+        let label = match d.drive.sole() {
             Some(i) => ps[i.index()].pop().to_string(),
             None => "-".to_string(),
         };
@@ -158,12 +160,12 @@ fn main() {
             ps.iter_mut().for_each(|p| p.begin(cycle));
             let d = out.tick(requests(&ps), fresh);
             fresh = PortSet::EMPTY;
-            let label = if !d.collided.is_empty() {
+            let label = if !d.wasted.is_empty() {
                 "XX (collision: invalid value driven)".to_string()
             } else if d.wasted_reservation {
                 "-- (wasted reservation)".to_string()
             } else {
-                match d.drive {
+                match d.drive.sole() {
                     Some(i) => {
                         let port = &mut ps[i.index()];
                         let name = port.pop();
