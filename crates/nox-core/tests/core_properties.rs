@@ -214,7 +214,7 @@ proptest! {
     ) {
         // Record which keys belong to which input before running.
         let mut key = 0u64;
-        let mut owner: std::collections::HashMap<u64, usize> = Default::default();
+        let mut owner: std::collections::BTreeMap<u64, usize> = Default::default();
         for (i, pkts) in scripts.iter().enumerate() {
             for p in pkts {
                 for _ in 0..p.len {

@@ -198,9 +198,9 @@ impl Executor {
     /// ([`std::thread::available_parallelism`]), falling back to one
     /// worker when the parallelism cannot be determined.
     pub fn available() -> Self {
-        // Thread count only sizes the pool; `map`'s ordered reduction
-        // keeps results identical at any width.
-        Executor::new(available_parallelism()) // detlint: allow(thread_count)
+        #[expect(clippy::disallowed_methods, reason = "sizes the pool only")]
+        let threads = available_parallelism();
+        Executor::new(threads)
     }
 
     /// Number of workers this executor fans out over.
@@ -447,13 +447,10 @@ impl Default for Executor {
 }
 
 /// The machine's available parallelism, or 1 when it cannot be queried.
-// The one sanctioned query point: it decides only how wide Executor
-// pools fan out, never what they emit.
-// detlint: allow(thread_count)
 pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism() // detlint: allow(thread_count)
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    #[expect(clippy::disallowed_methods, reason = "the one query point")]
+    let threads = std::thread::available_parallelism();
+    threads.map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Parses a `--threads` CLI value: a positive integer, or the word
@@ -468,7 +465,8 @@ pub fn available_parallelism() -> usize {
 /// ```
 pub fn parse_threads(s: &str) -> Result<usize, String> {
     if s == "auto" {
-        return Ok(available_parallelism()); // detlint: allow(thread_count)
+        #[expect(clippy::disallowed_methods, reason = "`--threads auto` asks for it")]
+        return Ok(available_parallelism());
     }
     match s.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),

@@ -87,7 +87,8 @@ pub struct Network {
     /// kept on the network only to recycle its allocation across cycles.
     credit_scratch: Vec<CreditReturn>,
     /// Next expected flit sequence per partially-received packet.
-    /// Ordered so any future iteration is deterministic (detlint policy).
+    /// Ordered so any future iteration is deterministic (the workspace
+    /// `clippy.toml` bans hash containers).
     expected_seq: BTreeMap<PacketId, u16>,
     latency_measured: LatencyStats,
     latency_all: LatencyStats,

@@ -127,8 +127,9 @@ impl LogHist {
     }
 
     /// Upper bound of the bucket containing the `p`-th percentile
-    /// (`0 < p <= 100`), or 0 when empty. Bucket resolution is a factor
-    /// of two — enough to expose load imbalance, not for fine tails.
+    /// (`0 < p <= 100`), capped at the largest sample, or 0 when empty.
+    /// Bucket resolution is a factor of two — enough to expose load
+    /// imbalance, not for fine tails.
     pub fn percentile_ns(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -138,7 +139,7 @@ impl LogHist {
         for (b, n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return if b == 0 { 0 } else { 1u64 << b };
+                return if b == 0 { 0 } else { (1u64 << b).min(self.max) };
             }
         }
         self.max
@@ -277,8 +278,8 @@ mod tests {
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 1_000_000);
         assert_eq!(h.sum_ns(), 1_001_006);
-        // The p100 bucket bound covers the max sample.
-        assert!(h.percentile_ns(100.0) >= 1_000_000);
+        // The p100 bucket bound is capped at the max sample.
+        assert_eq!(h.percentile_ns(100.0), h.max_ns());
         // Half the samples are <= 3ns.
         assert!(h.percentile_ns(50.0) <= 4);
     }

@@ -1,9 +1,10 @@
 //! Phase-attributed self-profiling for the NoX workspace.
 //!
 //! This crate is the one sanctioned home of wall-clock time. Artifact
-//! crates (`nox-sim`, `nox-analysis`, …) are forbidden by `detlint` from
-//! reading clocks — their outputs must be bit-deterministic — so every
-//! duration in the workspace flows through the primitives here:
+//! crates (`nox-sim`, `nox-analysis`, …) are forbidden by the workspace
+//! `clippy.toml` from reading clocks — their outputs must be
+//! bit-deterministic — so every duration in the workspace flows through
+//! the primitives here:
 //!
 //! - a **static phase registry** ([`phase::PHASES`]) naming the simulator
 //!   step phases, executor stages, and harness stages;
@@ -119,8 +120,9 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Monotonic; shared by every thread, so span events from different
 /// workers land on one comparable timeline.
 pub fn epoch_ns() -> u64 {
-    let epoch = *EPOCH.get_or_init(Instant::now); // detlint: allow(wall_clock)
-    epoch.elapsed().as_nanos() as u64 // detlint: allow(wall_clock)
+    #[expect(clippy::disallowed_methods, reason = "span timestamps are wall time")]
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    epoch.elapsed().as_nanos() as u64
 }
 
 /// A monotonic wall-clock stopwatch — the only sanctioned way for other
@@ -132,12 +134,14 @@ pub struct Stopwatch(Instant);
 impl Stopwatch {
     /// Starts the stopwatch now.
     pub fn start() -> Self {
-        Stopwatch(Instant::now()) // detlint: allow(wall_clock)
+        #[expect(clippy::disallowed_methods, reason = "the sanctioned stopwatch")]
+        let now = Instant::now();
+        Stopwatch(now)
     }
 
     /// Nanoseconds elapsed since [`start`](Self::start).
     pub fn elapsed_ns(&self) -> u64 {
-        self.0.elapsed().as_nanos() as u64 // detlint: allow(wall_clock)
+        self.0.elapsed().as_nanos() as u64
     }
 
     /// Seconds elapsed since [`start`](Self::start).

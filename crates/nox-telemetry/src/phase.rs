@@ -104,7 +104,8 @@ impl Default for PhaseClock {
 impl PhaseClock {
     /// Creates an idle clock.
     pub fn start() -> Self {
-        let now = Instant::now(); // detlint: allow(wall_clock)
+        #[expect(clippy::disallowed_methods, reason = "the phase clock")]
+        let now = Instant::now();
         PhaseClock {
             last: now,
             step_start: now,
@@ -116,7 +117,8 @@ impl PhaseClock {
     /// ended (that time belongs to the caller, not the simulator).
     #[inline]
     pub fn begin_step(&mut self) {
-        let now = Instant::now(); // detlint: allow(wall_clock)
+        #[expect(clippy::disallowed_methods, reason = "the phase clock")]
+        let now = Instant::now();
         self.last = now;
         self.step_start = now;
     }
@@ -124,7 +126,8 @@ impl PhaseClock {
     /// Attributes everything since the previous mark to `phase`.
     #[inline]
     pub fn mark(&mut self, phase: PhaseId) {
-        let now = Instant::now(); // detlint: allow(wall_clock)
+        #[expect(clippy::disallowed_methods, reason = "the phase clock")]
+        let now = Instant::now();
         self.acc
             .add_span(phase, now.duration_since(self.last).as_nanos() as u64);
         self.last = now;

@@ -3,7 +3,7 @@
 //! checked at every transition and bounded liveness probed from every
 //! reachable state.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::model::{Model, Violation};
 use crate::mutation::Mutation;
@@ -73,7 +73,8 @@ pub fn check_scenario(
     let k = bounds.liveness_k(sc);
     let init = Model::init(sc);
 
-    let mut visited: HashSet<Model> = HashSet::new();
+    #[expect(clippy::disallowed_types, reason = "membership only, never iterated")]
+    let mut visited: std::collections::HashSet<Model> = Default::default();
     let mut queue: VecDeque<Model> = VecDeque::new();
     visited.insert(init.clone());
     queue.push_back(init);

@@ -105,14 +105,15 @@ fn settled_contract_holds_on_every_reachable_output_state() {
     // change, and an unsettled one must settle within one empty tick.
     use nox_core::{Decision, RequestSet};
     use nox_verify::{scenarios, Model};
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::VecDeque;
 
     let bounds = Bounds::quick();
     let (mut settled, mut unsettled) = (0u64, 0u64);
     for sc in scenarios(&bounds) {
         let scripts = sc.scripts();
         let init = Model::init(&sc);
-        let mut visited: HashSet<Model> = HashSet::from([init.clone()]);
+        #[expect(clippy::disallowed_types, reason = "membership only, never iterated")]
+        let mut visited: std::collections::HashSet<Model> = [init.clone()].into();
         let mut queue = VecDeque::from([init]);
         while let Some(state) = queue.pop_front() {
             let ctl = state.ctl();

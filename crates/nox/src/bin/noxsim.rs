@@ -20,7 +20,6 @@
 //! runs — the wire format `noxsim serve` speaks.
 
 use std::collections::BTreeMap;
-use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
 use nox::analysis::apps::{app_run_spec, measure_workload, workload_traces, APP_TRACE_NS};
@@ -39,9 +38,9 @@ type Opts = BTreeMap<String, String>;
 /// dispatcher know about it.
 struct Command {
     name: &'static str,
-    /// How `--help` writes the positional arguments (`""` for none) and
-    /// how many the command takes.
-    positional: (&'static str, RangeInclusive<usize>),
+    /// How `--help` writes the command's one positional argument, or
+    /// `""` when it takes none.
+    positional: &'static str,
     /// Flags that take a value, with the placeholder `--help` shows.
     values: &'static [(&'static str, &'static str)],
     /// Flags that take none.
@@ -50,8 +49,8 @@ struct Command {
     run: fn(&[String], &Opts) -> Result<(), String>,
 }
 
-const NONE: (&str, RangeInclusive<usize>) = ("", 0..=0);
-const HARNESS: (&str, RangeInclusive<usize>) = ("HARNESS", 1..=1);
+const NONE: &str = "";
+const HARNESS: &str = "HARNESS";
 const ARCH: (&str, &str) = ("arch", "all|nonspec|fast|acc|nox");
 const PATTERN: (&str, &str) = ("pattern", "uniform|transpose|...");
 const RATE: (&str, &str) = ("rate", "MBPS");
@@ -141,14 +140,6 @@ const COMMANDS: &[Command] = &[
         run: |_, o| cmd_statics(o),
     },
     Command {
-        name: "lint",
-        positional: ("[PATH ...]", 0..=usize::MAX),
-        values: &[],
-        switches: &["audit"],
-        help: "determinism lint over .rs sources (default root: crates/; --audit checks the allow directives against policy)",
-        run: cmd_lint,
-    },
-    Command {
         name: "claims",
         positional: NONE,
         values: &[OUT, ("baseline", "FILE"), THREADS, STREAM],
@@ -197,7 +188,7 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "client",
-        positional: ("REQUEST_JSON", 1..=1),
+        positional: "REQUEST_JSON",
         values: &[SOCKET, ("attempts", "N"), ("rounds", "N")],
         switches: &["quiet"],
         help: "send one request line to a serve daemon and stream its events",
@@ -218,9 +209,9 @@ impl Command {
     /// unknown-flag error print it.
     fn synopsis(&self) -> String {
         let mut s = self.name.to_string();
-        if !self.positional.0.is_empty() {
+        if !self.positional.is_empty() {
             s.push(' ');
-            s.push_str(self.positional.0);
+            s.push_str(self.positional);
         }
         for (flag, value) in self.values {
             s.push_str(&format!(" [--{flag} {value}]"));
@@ -255,7 +246,7 @@ impl Command {
                 ));
             }
         }
-        if !self.positional.1.contains(&positional.len()) {
+        if positional.len() != usize::from(!self.positional.is_empty()) {
             return Err(format!(
                 "`{}` got {} positional argument(s) {positional:?}; usage: noxsim {}",
                 self.name,
@@ -1025,52 +1016,6 @@ fn cmd_statics(opts: &Opts) -> Result<(), String> {
         Ok(())
     } else {
         Err("statics verdict FAIL: an analysis missed its expectation".into())
-    }
-}
-
-/// Runs the determinism lint over the given roots (default `crates/`).
-/// Nonzero exit on any finding that survives the
-/// `// detlint: allow(...)` escape hatch. Directory walks skip
-/// `fixtures/` directories; naming a fixture file explicitly scans it
-/// anyway, which is how CI proves the lint still fires on a seeded
-/// violation. `--audit` additionally checks the allow directives
-/// themselves: `allow(wall_clock)` is policy-restricted to the span
-/// profiler's crate (`nox-telemetry`).
-fn cmd_lint(positional: &[String], opts: &Opts) -> Result<(), String> {
-    let roots: Vec<&str> = if positional.is_empty() {
-        vec!["crates"]
-    } else {
-        positional.iter().map(String::as_str).collect()
-    };
-    let audit = opts.contains_key("audit");
-    let mut findings = Vec::new();
-    let mut audit_findings = Vec::new();
-    for root in &roots {
-        let path = std::path::Path::new(root);
-        findings.extend(nox::statics::lint::scan_path(path).map_err(|e| format!("{root}: {e}"))?);
-        if audit {
-            audit_findings
-                .extend(nox::statics::lint::audit_path(path).map_err(|e| format!("{root}: {e}"))?);
-        }
-    }
-    findings.sort();
-    audit_findings.sort();
-    for f in &findings {
-        println!("{f}");
-    }
-    for f in &audit_findings {
-        println!("{f}");
-    }
-    let total = findings.len() + audit_findings.len();
-    if total == 0 {
-        println!(
-            "lint: clean ({} root(s) scanned{})",
-            roots.len(),
-            if audit { ", allowlist audited" } else { "" }
-        );
-        Ok(())
-    } else {
-        Err(format!("lint: {total} determinism finding(s)"))
     }
 }
 

@@ -15,7 +15,7 @@
 //! | [`analysis`] | sweeps, saturation/crossover detection, application runs, tables, the figure harness table, the claims registry |
 //! | [`probe`] | probed runs and their export: JSON run reports, Chrome traces, waveforms, heatmaps |
 //! | [`exec`] | deterministic parallel executor: ordered reduction over a thread pool |
-//! | [`statics`] | static design analysis: channel-dependency deadlock proofs, credit sizing, determinism lint |
+//! | [`statics`] | static design analysis: channel-dependency deadlock proofs, credit sizing |
 //! | [`telemetry`] | span profiler, metrics registry, the line-delimited JSON event stream, and the workspace's JSON value type |
 //! | [`verify`] | bounded model checker for the protocol invariants + mutation smoke |
 //! | [`serve`] | crash-safe simulation daemon: Unix-socket service with backpressure, deadlines, a watchdog, and a content-addressed result cache |

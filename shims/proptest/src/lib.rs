@@ -510,7 +510,7 @@ mod tests {
     fn oneof_picks_only_listed_options() {
         let strat = prop_oneof![Just(1u16), Just(2), Just(9)];
         let mut rng = crate::test_runner::TestRng::for_case("o", 0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             seen.insert(strat.generate(&mut rng));
         }
