@@ -319,9 +319,9 @@ mod tests {
                 a.add_span(phase::SIM_ROUTE, 600);
                 a.add_span(phase::SIM_ARBITRATE, 350);
                 a.add_count("exec.stage.demo.jobs", 4);
-                a.set_gauge("exec.worker.0.jobs", 3);
-                a.set_gauge("exec.worker.0.busy_ns", 900);
-                a.set_gauge("exec.worker.0.wait_ns", 100);
+                a.add_gauge("exec.worker.0.jobs", 3);
+                a.add_gauge("exec.worker.0.busy_ns", 900);
+                a.add_gauge("exec.worker.0.wait_ns", 100);
                 a.sample_ns("exec.job_ns", 250);
             });
         });

@@ -172,9 +172,9 @@ struct WorkerStats {
 
 impl WorkerStats {
     fn publish(&self, acc: &mut ProfileAcc, worker: usize) {
-        acc.set_gauge(&format!("exec.worker.{worker}.jobs"), self.jobs);
-        acc.set_gauge(&format!("exec.worker.{worker}.busy_ns"), self.busy_ns);
-        acc.set_gauge(&format!("exec.worker.{worker}.wait_ns"), self.wait_ns);
+        acc.add_gauge(&format!("exec.worker.{worker}.jobs"), self.jobs);
+        acc.add_gauge(&format!("exec.worker.{worker}.busy_ns"), self.busy_ns);
+        acc.add_gauge(&format!("exec.worker.{worker}.wait_ns"), self.wait_ns);
     }
 }
 
@@ -698,6 +698,31 @@ mod tests {
         assert_eq!(acc.samples()["exec.job_ns"].count(), 16);
         // Worker gauges exist for at least worker 0.
         assert!(acc.gauges().keys().any(|k| k.starts_with("exec.worker.0.")));
+    }
+
+    #[test]
+    fn worker_gauges_add_up_across_maps() {
+        let _g = telemetry_lock();
+        nox_telemetry::stream::clear();
+        for threads in [1usize, 2] {
+            nox_telemetry::set_profiling(true);
+            let _ = nox_telemetry::take_acc();
+            let exec = Executor::new(threads);
+            exec.run(3, |i| i);
+            exec.run(5, |i| i);
+            let acc = nox_telemetry::take_acc().expect("profiling allocates the acc");
+            nox_telemetry::set_profiling(false);
+            let jobs: u64 = acc
+                .gauges()
+                .iter()
+                .filter(|(k, _)| k.starts_with("exec.worker.") && k.ends_with(".jobs"))
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(
+                jobs, 8,
+                "{threads} thread(s): the table must cover both maps"
+            );
+        }
     }
 
     #[test]

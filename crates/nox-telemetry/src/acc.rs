@@ -154,8 +154,9 @@ pub struct ProfileAcc {
     /// Deterministic event counts (job totals, stage sizes). These are
     /// the values the determinism tests compare byte-for-byte.
     counters: BTreeMap<String, u64>,
-    /// Last-write-wins observations whose values are scheduling-dependent
-    /// (per-worker busy time). Excluded from deterministic views.
+    /// Running totals whose values are scheduling-dependent (per-worker
+    /// jobs and busy time, summed over every fan-out). Excluded from
+    /// deterministic views.
     gauges: BTreeMap<String, u64>,
     /// Duration histograms (job latency, queue wait). Excluded from
     /// deterministic views.
@@ -182,9 +183,9 @@ impl ProfileAcc {
         *self.counters.entry(key.to_string()).or_insert(0) += n;
     }
 
-    /// Sets a named gauge (last write wins on merge).
-    pub fn set_gauge(&mut self, key: &str, value: u64) {
-        self.gauges.insert(key.to_string(), value);
+    /// Adds to a named gauge (gauges add on merge too).
+    pub fn add_gauge(&mut self, key: &str, n: u64) {
+        *self.gauges.entry(key.to_string()).or_insert(0) += n;
     }
 
     /// Records one duration sample into a named histogram.
@@ -202,7 +203,7 @@ impl ProfileAcc {
     }
 
     /// Merges `other` into `self`: phase totals and counters add,
-    /// gauges overwrite, histograms merge, events append (bounded).
+    /// gauges add, histograms merge, events append (bounded).
     pub fn absorb(&mut self, other: ProfileAcc) {
         for (slot, o) in self.phases.iter_mut().zip(other.phases.iter()) {
             slot.count += o.count;
@@ -212,7 +213,7 @@ impl ProfileAcc {
             *self.counters.entry(k).or_insert(0) += v;
         }
         for (k, v) in other.gauges {
-            self.gauges.insert(k, v);
+            *self.gauges.entry(k).or_insert(0) += v;
         }
         for (k, h) in other.samples {
             self.samples.entry(k).or_default().merge(&h);

@@ -40,7 +40,8 @@
 //! ```
 //!
 //! See the `examples/` directory for runnable scenarios: `quickstart`,
-//! `timing_diagram` (the paper's Figures 2/3/7 replayed cycle by cycle),
+//! `timing_diagram` (the paper's Figures 2/3/7 replayed cycle by cycle
+//! through a real router),
 //! `saturation_sweep` (a miniature Figure 8), and `cmp_workload` (a
 //! miniature Figure 10/11).
 
