@@ -179,20 +179,15 @@ fn campaign(arch: Arch, trace: &Trace, cfg: FaultConfig) -> FaultPoint {
     }
 }
 
-/// Runs the full study at `tier`, serially. Seeds are fixed per grid
-/// index and shared by every architecture at a given rate, so the
-/// per-cycle fault draws are as comparable as the shared trace is.
-pub fn run(tier: Tier) -> FaultStudy {
-    run_with(tier, &Executor::sequential())
-}
-
 /// Runs the full study at `tier`, fanning every
 /// (protection mode, architecture, rate) campaign out over `exec`.
 ///
-/// Each campaign owns its fault RNG (seeded from the grid index) and
-/// shares only the immutable trace, and the ordered reduction rebuilds
-/// the two series sets in mode → `Arch::ALL` → grid order, so the study
-/// is bit-identical to the serial [`run`] at any thread count.
+/// Seeds are fixed per grid index and shared by every architecture at a
+/// given rate, so the per-cycle fault draws are as comparable as the
+/// shared trace is. Each campaign owns its fault RNG and shares only the
+/// immutable trace, and the ordered reduction rebuilds the two series
+/// sets in mode → `Arch::ALL` → grid order, so the study is
+/// bit-identical at any thread count.
 pub fn run_with(tier: Tier, exec: &Executor) -> FaultStudy {
     let rates = rates(tier);
     let rounds = rounds(tier);
@@ -530,7 +525,7 @@ mod tests {
 
     #[test]
     fn smoke_study_demonstrates_fragility_and_recovery() {
-        let s = run(Tier::Smoke);
+        let s = run_with(Tier::Smoke, &Executor::sequential());
         assert!(
             s.nox_fragility_holds(),
             "fragility claim lost:\n{}",
@@ -548,7 +543,7 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed() {
-        let s = run(Tier::Smoke);
+        let s = run_with(Tier::Smoke, &Executor::sequential());
         let doc = Json::parse(&s.to_json().to_string()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let summary = doc.get("summary").unwrap();

@@ -15,7 +15,7 @@
 //!   `noxsim run`, `noxsim profile` and the serve daemon reach them;
 //! * [`claims`] — the machine-checkable conformance registry binding
 //!   every EXPERIMENTS.md claim to a harness measurement;
-//! * [`mod@profile`] — the `nox-bench/profile/v1` phase-attribution
+//! * [`mod@profile`] — the `nox-bench/profile/v2` phase-attribution
 //!   artifact collected by `noxsim profile`;
 //! * [`mod@json`] — the workspace's one JSON value, serializer, and
 //!   parser (it lives in the leaf crate `nox-telemetry`; this is a plain
@@ -26,11 +26,12 @@
 //! # Example
 //!
 //! ```no_run
-//! use nox_analysis::sweep::{sweep, SweepConfig};
+//! use nox_analysis::sweep::{sweep_with, SweepConfig};
+//! use nox_exec::Executor;
 //! use nox_sim::config::Arch;
 //!
 //! let cfg = SweepConfig::uniform(vec![500.0, 1500.0, 2500.0]);
-//! let series = sweep(Arch::Nox, &cfg);
+//! let series = sweep_with(Arch::Nox, &cfg, &Executor::default());
 //! println!("saturation: {:.0} MB/s/node", series.saturation_mbps(15.0));
 //! ```
 
@@ -47,5 +48,5 @@ pub mod table;
 pub use apps::{mean_ed2_improvement_pct, run_workload, AppResult};
 pub use harness::Tier;
 pub use nox_telemetry::json::{self, Json};
-pub use sweep::{crossover_mbps, sweep, ArchSeries, SweepConfig, SweepPoint};
+pub use sweep::{crossover_mbps, sweep_with, ArchSeries, SweepConfig, SweepPoint};
 pub use table::Table;

@@ -1,9 +1,9 @@
-//! Phase-attribution profiles: the `nox-bench/profile/v1` artifact.
+//! Phase-attribution profiles: the `nox-bench/profile/v2` artifact.
 //!
 //! [`collect`] runs a harness under the global profiling switch and
 //! gathers everything the workspace's instrumentation recorded — the
 //! simulator's mark-based phase totals, the executor's job/queue
-//! histograms and worker gauges, and harness span counts — into one
+//! histograms and `exec.job` span events, and harness span counts — into one
 //! [`ProfileReport`] with the usual three views: a human-readable
 //! breakdown ([`render`](ProfileReport::render)), the versioned JSON
 //! artifact ([`to_json`](ProfileReport::to_json)), and a
@@ -15,9 +15,10 @@
 //! Durations in a profile are wall-clock and therefore vary run to run;
 //! they never feed a claims artifact. The *structure* is deterministic
 //! because phases are a closed registry, counters are sums folded in
-//! submission order, and everything scheduling-dependent (gauges,
-//! histograms, span events) is excluded from the deterministic view.
+//! submission order, and everything scheduling-dependent (histograms,
+//! span events) is excluded from the deterministic view.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::harness::Tier;
@@ -27,7 +28,7 @@ use nox_telemetry::phase::{self, SIM_ATTRIBUTED};
 use nox_telemetry::{LogHist, ProfileAcc, Stopwatch};
 
 /// Versioned schema of the profile artifact.
-pub const SCHEMA: &str = "nox-bench/profile/v1";
+pub const SCHEMA: &str = "nox-bench/profile/v2";
 
 /// One collected profile: a harness run's accumulated telemetry plus the
 /// run parameters that contextualize it.
@@ -94,26 +95,24 @@ impl ProfileReport {
         Some(attributed as f64 / step as f64)
     }
 
-    /// Per-worker `(jobs, busy_ns, wait_ns)` rows recovered from the
-    /// executor's gauges, in worker order.
-    pub fn workers(&self) -> Vec<(usize, u64, u64, u64)> {
-        let mut rows = Vec::new();
-        for w in 0.. {
-            let get = |k: &str| {
-                self.acc
-                    .gauges()
-                    .get(&format!("exec.worker.{w}.{k}"))
-                    .copied()
-            };
-            let Some(jobs) = get("jobs") else { break };
-            rows.push((
-                w,
-                jobs,
-                get("busy_ns").unwrap_or(0),
-                get("wait_ns").unwrap_or(0),
-            ));
+    /// Per-worker `(worker, jobs, busy_ns)` rows, in worker order, summed
+    /// from the retained `exec.job` span events by lane (a span's lane is
+    /// the executor worker index that ran it).
+    pub fn workers(&self) -> Vec<(u32, u64, u64)> {
+        let mut rows: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+        for e in self
+            .acc
+            .events()
+            .iter()
+            .filter(|e| e.phase == phase::EXEC_JOB)
+        {
+            let row = rows.entry(e.lane).or_default();
+            row.0 += 1;
+            row.1 += e.dur_ns;
         }
-        rows
+        rows.into_iter()
+            .map(|(w, (jobs, busy))| (w, jobs, busy))
+            .collect()
     }
 
     /// The human-readable breakdown: phase attribution, executor load
@@ -167,21 +166,20 @@ impl ProfileReport {
         );
         out.push('\n');
 
-        let workers = self.workers();
-        if !workers.is_empty() {
-            let mut t = Table::new(
-                "Executor workers",
-                &["worker", "jobs", "busy ms", "wait ms", "util %"],
-            );
-            for (w, jobs, busy, wait) in &workers {
-                let util = *busy as f64 / (*busy + *wait).max(1) as f64 * 100.0;
-                t.row([
-                    w.to_string(),
-                    jobs.to_string(),
-                    ms(*busy),
-                    ms(*wait),
-                    format!("{util:.1}"),
-                ]);
+        let jobs = self.acc.phase(phase::EXEC_JOB).count;
+        if jobs > 0 {
+            // Util is busy over the run's wall time; jobs whose span
+            // events were dropped past the event cap are missing here.
+            let workers = self.workers();
+            let kept: u64 = workers.iter().map(|&(_, n, _)| n).sum();
+            let title = if kept < jobs {
+                format!("Executor workers (partial: {kept} of {jobs} exec.job spans kept)")
+            } else {
+                "Executor workers".to_string()
+            };
+            let mut t = Table::new(title, &["worker", "jobs", "busy ms", "util %"]);
+            for (w, n, busy) in workers {
+                t.row([w.to_string(), n.to_string(), ms(busy), pct(busy)]);
             }
             let _ = writeln!(out, "{t}");
         }
@@ -270,10 +268,6 @@ impl ProfileReport {
                 Self::map_json(self.acc.counters().iter().map(|(k, v)| (k.clone(), *v))),
             )
             .field(
-                "gauges",
-                Self::map_json(self.acc.gauges().iter().map(|(k, v)| (k.clone(), *v))),
-            )
-            .field(
                 "samples",
                 Self::map_json(
                     self.acc
@@ -306,6 +300,7 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nox_telemetry::SpanEvent;
     use std::sync::Mutex;
 
     /// Serializes tests that toggle the global profiling switch.
@@ -319,9 +314,16 @@ mod tests {
                 a.add_span(phase::SIM_ROUTE, 600);
                 a.add_span(phase::SIM_ARBITRATE, 350);
                 a.add_count("exec.stage.demo.jobs", 4);
-                a.add_gauge("exec.worker.0.jobs", 3);
-                a.add_gauge("exec.worker.0.busy_ns", 900);
-                a.add_gauge("exec.worker.0.wait_ns", 100);
+                for (index, lane) in [(0, 0), (1, 1), (2, 0)] {
+                    a.add_span(phase::EXEC_JOB, 300);
+                    a.push_event(SpanEvent {
+                        phase: phase::EXEC_JOB,
+                        index,
+                        lane,
+                        start_ns: 0,
+                        dur_ns: 300,
+                    });
+                }
                 a.sample_ns("exec.job_ns", 250);
             });
         });
@@ -341,6 +343,7 @@ mod tests {
         let r = build_report();
         let doc = r.to_json();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert_eq!(doc.get("gauges"), None);
         let phases = doc.get("phases").and_then(Json::as_array).unwrap();
         assert_eq!(phases.len(), phase::PHASE_COUNT);
         assert_eq!(
@@ -359,7 +362,6 @@ mod tests {
         let r = build_report();
         let det = r.deterministic_view().to_string();
         assert!(!det.contains("\"ns\""), "durations leaked: {det}");
-        assert!(!det.contains("gauges"), "gauges leaked: {det}");
         assert!(!det.contains("samples"), "histograms leaked: {det}");
         assert!(!det.contains("threads"), "executor width leaked: {det}");
         assert!(det.contains("exec.stage.demo.jobs"));
@@ -371,8 +373,18 @@ mod tests {
         let s = r.render();
         assert!(s.contains("sim.route"));
         assert!(s.contains("sim phase coverage: 95.0%"));
-        assert!(s.contains("Executor workers"));
+        assert!(s.contains("Executor workers\n"));
         assert!(s.contains("exec.job_ns"));
+        assert_eq!(r.workers(), vec![(0, 2, 600), (1, 1, 300)]);
+    }
+
+    #[test]
+    fn worker_table_says_when_job_spans_were_dropped() {
+        let mut r = build_report();
+        r.acc.add_span(phase::EXEC_JOB, 300);
+        assert!(r
+            .render()
+            .contains("Executor workers (partial: 3 of 4 exec.job spans kept)"));
     }
 
     #[test]

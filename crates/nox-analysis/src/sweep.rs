@@ -138,14 +138,9 @@ pub fn measure_point(arch: Arch, cfg: &SweepConfig, rate: f64) -> SweepPoint {
         .expect("one network, one point")
 }
 
-/// Runs a sweep of `arch` under `cfg`, serially.
-pub fn sweep(arch: Arch, cfg: &SweepConfig) -> ArchSeries {
-    sweep_with(arch, cfg, &Executor::sequential())
-}
-
 /// Runs a sweep of `arch` under `cfg`, fanning the load points out over
 /// `exec`. Points are reduced in rate order, so the series is
-/// bit-identical to [`sweep`] at any thread count.
+/// bit-identical at any thread count.
 pub fn sweep_with(arch: Arch, cfg: &SweepConfig, exec: &Executor) -> ArchSeries {
     let stage = format!("sweep.{}", arch.name());
     let points = exec.map_stage(&stage, cfg.rates_mbps.clone(), |_, rate| {
@@ -243,7 +238,11 @@ mod tests {
 
     #[test]
     fn sweep_produces_monotone_nonneg_latencies() {
-        let s = sweep(Arch::Nox, &quick_cfg(vec![300.0, 900.0, 1500.0]));
+        let s = sweep_with(
+            Arch::Nox,
+            &quick_cfg(vec![300.0, 900.0, 1500.0]),
+            &Executor::sequential(),
+        );
         assert_eq!(s.points.len(), 3);
         for p in &s.points {
             assert!(p.latency_ns > 0.0);
@@ -256,7 +255,11 @@ mod tests {
 
     #[test]
     fn accepted_tracks_offered_below_saturation() {
-        let s = sweep(Arch::SpecAccurate, &quick_cfg(vec![600.0]));
+        let s = sweep_with(
+            Arch::SpecAccurate,
+            &quick_cfg(vec![600.0]),
+            &Executor::sequential(),
+        );
         let p = &s.points[0];
         assert!(p.drained);
         assert!((p.accepted_mbps - 600.0).abs() / 600.0 < 0.1);

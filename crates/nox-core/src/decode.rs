@@ -16,18 +16,15 @@
 //!   (Figure 3, cycle 4). When the head was encoded it shifts into the
 //!   register, continuing a longer chain.
 //!
-//! [`DecodePort`] is that input port: the FIFO and a [`Decoder`], the
-//! register with its control logic. Each cycle the port decides a
+//! [`DecodePort`] is that input port: the FIFO and the decode register
+//! with its control logic. Each cycle the port decides a
 //! [`DecodeStep`] from the register and its head's encoded bit alone,
 //! copying no word, and [`DecodePort::presented`] yields the offered word
 //! where it sits (the head itself, borrowed, when nothing needs decoding).
 //! Its owner commits the step: a latch at once, a presentation only when
 //! the word wins the switch, through [`DecodePort::take`]. The simulator's
-//! router inputs and ejection sinks are `DecodePort`s.
-//!
-//! A [`Decoder`] on its own is for a caller that keeps its own FIFO and
-//! commits by hand: the protocol model checker, whose mutations break the
-//! commit rules on purpose.
+//! router inputs and ejection sinks, the figure replays and the protocol
+//! model checker all decode through a `DecodePort`.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -50,7 +47,7 @@ pub enum DecodeAction {
     DecodeShift,
 }
 
-/// What an input port does this cycle, as decided by [`Decoder::step`].
+/// What an input port does this cycle, as decided by [`DecodePort::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DecodeStep {
     /// FIFO empty: nothing to do.
@@ -64,64 +61,32 @@ pub enum DecodeStep {
     Present(DecodeAction),
 }
 
-/// The NoX input-port decode register and its control logic.
-///
-/// # Example
-///
-/// Replaying the paper's Figure 3: the port receives `A`, then `B ^ C`,
-/// then `C`, and must forward `A`, `B`, `C` in that order:
-///
-/// ```
-/// use nox_core::{Coded, DecodeAction, DecodeStep, Decoder};
-///
-/// let a = Coded::plain(1, 0xAu64);
-/// let bc = Coded::plain(2, 0xBu64).xor(&Coded::plain(3, 0xCu64));
-/// let c = Coded::plain(3, 0xCu64);
-///
-/// let mut dec = Decoder::new();
-/// // Cycle 0: A is plain and passes through immediately.
-/// assert_eq!(dec.step(Some(&a)), DecodeStep::Present(DecodeAction::Pass));
-/// assert_eq!(dec.presented(&a).sole_key(), Some(1));
-/// dec.commit(DecodeAction::Pass, None); // serviced; head popped by the caller
-/// // Cycle 2: B^C is encoded — latch it, no switch request.
-/// assert_eq!(dec.step(Some(&bc)), DecodeStep::Latch);
-/// dec.latch(bc);
-/// // Cycle 3: C arrives behind it; register ^ C presents B.
-/// let step = dec.step(Some(&c));
-/// assert_eq!(step, DecodeStep::Present(DecodeAction::DecodeKeep));
-/// assert_eq!(dec.presented(&c).sole_key(), Some(2)); // logically equivalent to B
-/// dec.commit(DecodeAction::DecodeKeep, None);
-/// // Cycle 4: C itself is presented.
-/// assert_eq!(dec.presented(&c).sole_key(), Some(3));
-/// ```
+/// The NoX input-port decode register and its control logic, committed
+/// only through the [`DecodePort`] that owns it.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Decoder<T> {
+pub(crate) struct Decoder<T> {
     reg: Option<Coded<T>>,
 }
 
 impl<T: Xor> Decoder<T> {
     /// Creates a decoder with an empty register.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Decoder { reg: None }
     }
 
     /// The current decode-register contents, if any.
-    pub fn register(&self) -> Option<&Coded<T>> {
+    pub(crate) fn register(&self) -> Option<&Coded<T>> {
         self.reg.as_ref()
     }
 
     /// `true` when the register holds a partially-decoded chain.
-    pub fn is_mid_chain(&self) -> bool {
+    pub(crate) fn is_mid_chain(&self) -> bool {
         self.reg.is_some()
     }
 
-    /// Decides this cycle's step from the FIFO head, copying nothing.
-    ///
-    /// This is a pure function of `(register occupied, head encoded)`;
-    /// calling it repeatedly on a stalled cycle (presented word not
-    /// serviced) yields the same step, which models the input port simply
-    /// re-requesting.
-    pub fn step(&self, head: Option<&Coded<T>>) -> DecodeStep {
+    /// Decides this cycle's step from the FIFO head, copying nothing (see
+    /// [`DecodePort::step`]).
+    pub(crate) fn step(&self, head: Option<&Coded<T>>) -> DecodeStep {
         let Some(head) = head else {
             return DecodeStep::Idle;
         };
@@ -136,7 +101,7 @@ impl<T: Xor> Decoder<T> {
     /// The word offered to the switch when [`step`](Self::step) says
     /// [`Present`](DecodeStep::Present) for `head`: the head itself,
     /// borrowed, over an empty register, `register ^ head` otherwise.
-    pub fn presented<'a>(&self, head: &'a Coded<T>) -> Cow<'a, Coded<T>> {
+    pub(crate) fn presented<'a>(&self, head: &'a Coded<T>) -> Cow<'a, Coded<T>> {
         match &self.reg {
             None => Cow::Borrowed(head),
             Some(reg) => Cow::Owned(reg.xor(head)),
@@ -150,7 +115,7 @@ impl<T: Xor> Decoder<T> {
     ///
     /// Panics if the register is already occupied or `word` is not encoded
     /// — either indicates the caller deviated from the decided step.
-    pub fn latch(&mut self, word: Coded<T>) {
+    pub(crate) fn latch(&mut self, word: Coded<T>) {
         assert!(self.reg.is_none(), "decode register already occupied");
         assert!(word.is_encoded(), "latched a word that needs no decoding");
         self.reg = Some(word);
@@ -164,7 +129,7 @@ impl<T: Xor> Decoder<T> {
     /// chain — a presented word that is not one plain flit — the port
     /// truncates the poisoned chain and restarts from scratch rather than
     /// propagating garbage downstream.
-    pub fn reset(&mut self) -> Option<Coded<T>> {
+    pub(crate) fn reset(&mut self) -> Option<Coded<T>> {
         self.reg.take()
     }
 
@@ -177,7 +142,7 @@ impl<T: Xor> Decoder<T> {
     /// # Panics
     ///
     /// Panics if `popped` disagrees with what `action` requires.
-    pub fn commit(&mut self, action: DecodeAction, popped: Option<Coded<T>>) {
+    pub(crate) fn commit(&mut self, action: DecodeAction, popped: Option<Coded<T>>) {
         match action {
             DecodeAction::Pass => {
                 assert!(popped.is_none(), "Pass pops outside the decoder");
@@ -196,8 +161,11 @@ impl<T: Xor> Decoder<T> {
 }
 
 /// A NoX input port: a FIFO of at most `capacity` received words and the
-/// [`Decoder`] that unwinds the encoded ones, committed together so that
-/// no caller pops the FIFO by hand.
+/// decode register that unwinds the encoded ones, committed together so
+/// that no caller pops the FIFO by hand.
+///
+/// `Eq` and `Hash` cover the whole port, FIFO and register, so a model
+/// checker can deduplicate states that hold one.
 ///
 /// # Example
 ///
@@ -227,7 +195,7 @@ impl<T: Xor> Decoder<T> {
 /// assert_eq!(port.take(DecodeAction::Pass).0.sole_key(), Some(3));
 /// assert!(port.is_idle());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DecodePort<T> {
     fifo: VecDeque<Coded<T>>,
     capacity: usize,
@@ -290,8 +258,12 @@ impl<T: Xor> DecodePort<T> {
         self.decoder.register()
     }
 
-    /// Decides this cycle's step from the register and the FIFO head; see
-    /// [`Decoder::step`].
+    /// Decides this cycle's step from the register and the FIFO head.
+    ///
+    /// This is a pure function of `(register occupied, head encoded)`;
+    /// calling it repeatedly on a stalled cycle (presented word not
+    /// serviced) yields the same step, which models the input port simply
+    /// re-requesting.
     #[inline]
     pub fn step(&self) -> DecodeStep {
         self.decoder.step(self.fifo.front())

@@ -31,8 +31,8 @@
 //!   all three control engines: a productive word (possibly XOR-encoded),
 //!   an invalid word (a NoX abort or a speculative collision), or
 //!   [`Decision::IDLE`].
-//! * [`DecodePort`] — the NoX input port of §2.4: the receive FIFO and the
-//!   [`Decoder`], its decode-register state machine.
+//! * [`DecodePort`] — the NoX input port of §2.4: the receive FIFO and its
+//!   decode-register state machine.
 //!
 //! # Example
 //!
@@ -77,6 +77,6 @@ pub mod port;
 pub use arbiter::RoundRobinArbiter;
 pub use baseline::{NonSpecCtl, SpecCtl, SpecMode};
 pub use coded::{Coded, Xor};
-pub use decode::{DecodeAction, DecodePort, DecodeStep, Decoder};
+pub use decode::{DecodeAction, DecodePort, DecodeStep};
 pub use output::{Decision, Mode, NoxOptions, OutputCtl, RequestSet};
 pub use port::{PortId, PortSet};

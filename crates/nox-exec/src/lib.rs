@@ -29,10 +29,11 @@
 //! use nox_exec::Executor;
 //!
 //! let exec = Executor::new(4);
-//! let squares = exec.map(0..10u64, |_, n| n * n);
+//! let squares = exec.map_stage("squares", 0..10u64, |_, n| n * n);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
 //! // Same bits at any thread count:
-//! assert_eq!(squares, Executor::sequential().map(0..10u64, |_, n| n * n));
+//! let serial = Executor::sequential().map_stage("squares", 0..10u64, |_, n| n * n);
+//! assert_eq!(squares, serial);
 //! ```
 
 use std::fmt;
@@ -96,6 +97,8 @@ impl Progress<'_> {
 /// Runs one job, measuring it when `observe` is set: the job's telemetry
 /// lands in a private capture delta (later absorbed in submission
 /// order), annotated with its own `exec.job` span and queue-wait sample.
+/// The span event, on the worker's lane, is the one record of the job:
+/// the profile's per-worker table is built from these events.
 fn run_job<T, R>(
     f: &(impl Fn(usize, T) -> R + Sync),
     i: usize,
@@ -121,7 +124,7 @@ fn run_job<T, R>(
         d.push_event(SpanEvent {
             phase: phase::EXEC_JOB,
             index: i as u32,
-            tid: nox_telemetry::thread_tag(),
+            lane: nox_telemetry::lane(),
             start_ns,
             dur_ns,
         });
@@ -131,7 +134,7 @@ fn run_job<T, R>(
     (result, JobRecord { delta, dur_ns })
 }
 
-/// One job's panic, caught by [`Executor::try_map`]: the submission
+/// One job's panic, caught by [`Executor::try_map_stage`]: the submission
 /// index that panicked plus the stringified panic payload.
 ///
 /// The payload keeps only its message (`&str` / `String` payloads are
@@ -162,22 +165,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Per-worker tallies for the utilization gauges.
-#[derive(Clone, Copy, Default)]
-struct WorkerStats {
-    jobs: u64,
-    busy_ns: u64,
-    wait_ns: u64,
-}
-
-impl WorkerStats {
-    fn publish(&self, acc: &mut ProfileAcc, worker: usize) {
-        acc.add_gauge(&format!("exec.worker.{worker}.jobs"), self.jobs);
-        acc.add_gauge(&format!("exec.worker.{worker}.busy_ns"), self.busy_ns);
-        acc.add_gauge(&format!("exec.worker.{worker}.wait_ns"), self.wait_ns);
-    }
-}
-
 impl Executor {
     /// An executor that fans out over `threads` workers. A width of zero
     /// is clamped to one.
@@ -194,39 +181,22 @@ impl Executor {
         Executor { threads: 1 }
     }
 
-    /// An executor as wide as the machine
-    /// ([`std::thread::available_parallelism`]), falling back to one
-    /// worker when the parallelism cannot be determined.
-    pub fn available() -> Self {
-        #[expect(clippy::disallowed_methods, reason = "sizes the pool only")]
-        let threads = available_parallelism();
-        Executor::new(threads)
-    }
-
     /// Number of workers this executor fans out over.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Maps `f` over `items`, returning results **in submission order**.
+    /// Maps `f` over `items` as the fan-out named `stage`, returning
+    /// results **in submission order**.
     ///
     /// `f` receives the submission index alongside the item. With more
     /// than one worker, closures run concurrently on scoped threads; the
     /// result vector is still indexed by submission slot, so folds over
     /// it are independent of scheduling. A panic in any closure
     /// propagates to the caller once the pool joins.
-    pub fn map<T, R, F>(&self, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.map_stage("exec.map", items, f)
-    }
-
-    /// [`map`](Self::map) with a stage label: the label names this fan-out
-    /// in profile counters (`exec.stage.<label>.jobs`) and on streamed
-    /// progress events. Harnesses use it to attribute their sweeps.
+    ///
+    /// The label names this fan-out in profile counters
+    /// (`exec.stage.<label>.jobs`) and on streamed progress events.
     pub fn map_stage<T, R, F>(
         &self,
         stage: &str,
@@ -260,15 +230,13 @@ impl Executor {
         };
 
         if self.threads == 1 || n <= 1 {
-            // The historical serial path: inline, on the calling thread.
-            let mut worker = WorkerStats::default();
-            let out = items
+            // The historical serial path: inline, on the calling thread
+            // (and its lane).
+            return items
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| {
                     let (r, rec) = run_job(&f, i, t, observe, 0);
-                    worker.jobs += 1;
-                    worker.busy_ns += rec.dur_ns;
                     if let Some(delta) = rec.delta {
                         nox_telemetry::absorb(delta);
                     }
@@ -278,10 +246,6 @@ impl Executor {
                     r
                 })
                 .collect();
-            if profiling {
-                nox_telemetry::with_acc(|a| worker.publish(a, 0));
-            }
-            return out;
         }
 
         let workers = self.threads.min(n);
@@ -293,55 +257,37 @@ impl Executor {
         let slots: Vec<Mutex<Option<(R, JobRecord)>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let progress = Mutex::new(progress);
 
-        let stats = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut worker = WorkerStats::default();
+                .map(|w| {
+                    let (queue, slots, progress, f) = (&queue, &slots, &progress, &f);
+                    scope.spawn(move || {
+                        nox_telemetry::set_lane(w as u32);
                         loop {
                             let idle = observe.then(Stopwatch::start);
                             let next = queue.lock().expect("work queue poisoned").next();
                             let wait_ns = idle.map_or(0, |sw| sw.elapsed_ns());
-                            match next {
-                                Some((i, item)) => {
-                                    let (r, rec) = run_job(&f, i, item, observe, wait_ns);
-                                    worker.jobs += 1;
-                                    worker.busy_ns += rec.dur_ns;
-                                    worker.wait_ns += wait_ns;
-                                    let dur_ns = rec.dur_ns;
-                                    *slots[i].lock().expect("result slot poisoned") =
-                                        Some((r, rec));
-                                    if streaming {
-                                        progress
-                                            .lock()
-                                            .expect("progress cursor poisoned")
-                                            .complete(i, dur_ns);
-                                    }
-                                }
-                                None => break worker,
+                            let Some((i, item)) = next else { break };
+                            let (r, rec) = run_job(f, i, item, observe, wait_ns);
+                            let dur_ns = rec.dur_ns;
+                            *slots[i].lock().expect("result slot poisoned") = Some((r, rec));
+                            if streaming {
+                                progress
+                                    .lock()
+                                    .expect("progress cursor poisoned")
+                                    .complete(i, dur_ns);
                             }
                         }
                     })
                 })
                 .collect();
-            let mut stats = Vec::with_capacity(workers);
             for h in handles {
                 // Re-raise a worker's panic with its original payload.
-                match h.join() {
-                    Ok(s) => stats.push(s),
-                    Err(payload) => std::panic::resume_unwind(payload),
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
-            stats
         });
-
-        if profiling {
-            nox_telemetry::with_acc(|a| {
-                for (w, s) in stats.iter().enumerate() {
-                    s.publish(a, w);
-                }
-            });
-        }
 
         // Drain the slots — and absorb each job's telemetry delta — in
         // submission order, so the merged accumulator's structure is
@@ -361,12 +307,13 @@ impl Executor {
             .collect()
     }
 
-    /// [`map`](Self::map) with per-job panic containment: every slot is
-    /// `Ok(result)` or `Err(JobPanic)`, still in submission order.
+    /// [`map_stage`](Self::map_stage) with per-job panic containment:
+    /// every slot is `Ok(result)` or `Err(JobPanic)`, still in submission
+    /// order.
     ///
-    /// Where [`map`](Self::map) re-raises the first worker panic to the
-    /// caller (all-or-nothing, the right default for sweeps whose points
-    /// are expected to succeed), `try_map` catches each job's panic at
+    /// Where [`map_stage`](Self::map_stage) re-raises the first worker
+    /// panic to the caller (all-or-nothing, the right default for sweeps
+    /// whose points are expected to succeed), this catches each job's panic at
     /// the job boundary: one poisoned item costs exactly its own slot,
     /// every other job still runs, and the caller decides what a
     /// per-item failure means. This is the isolation primitive the
@@ -374,15 +321,15 @@ impl Executor {
     /// structured error instead of taking the process down.
     ///
     /// Ordering, telemetry capture, and stream-event semantics are
-    /// identical to [`map`](Self::map); `threads = 1` runs inline on the
-    /// calling thread.
+    /// identical to [`map_stage`](Self::map_stage); `threads = 1` runs
+    /// inline on the calling thread.
     ///
     /// # Example
     ///
     /// ```
     /// use nox_exec::Executor;
     ///
-    /// let out = Executor::new(4).try_map(0..4u32, |_, n| {
+    /// let out = Executor::new(4).try_map_stage("demo", 0..4u32, |_, n| {
     ///     if n == 2 { panic!("poisoned item") }
     ///     n * 10
     /// });
@@ -390,21 +337,6 @@ impl Executor {
     /// assert_eq!(out[3], Ok(30));
     /// assert_eq!(out[2].as_ref().unwrap_err().message, "poisoned item");
     /// ```
-    pub fn try_map<T, R, F>(
-        &self,
-        items: impl IntoIterator<Item = T>,
-        f: F,
-    ) -> Vec<Result<R, JobPanic>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.try_map_stage("exec.try_map", items, f)
-    }
-
-    /// [`try_map`](Self::try_map) with a stage label (see
-    /// [`map_stage`](Self::map_stage)).
     pub fn try_map_stage<T, R, F>(
         &self,
         stage: &str,
@@ -427,22 +359,14 @@ impl Executor {
             })
         })
     }
-
-    /// Maps `f` over the index range `0..n` — convenience for work lists
-    /// that are naturally "the i-th point of a grid".
-    pub fn run<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.map(0..n, |_, i| f(i))
-    }
 }
 
 impl Default for Executor {
-    /// Defaults to the machine's available parallelism, like the CLI.
+    /// As wide as the machine ([`available_parallelism`]), like the CLI.
     fn default() -> Self {
-        Executor::available()
+        #[expect(clippy::disallowed_methods, reason = "sizes the pool only")]
+        let threads = available_parallelism();
+        Executor::new(threads)
     }
 }
 
@@ -488,7 +412,7 @@ mod tests {
         let _g = telemetry_lock();
         let exec = Executor::new(8);
         // Stagger completion so late submissions finish first.
-        let out = exec.map(0..64u64, |i, n| {
+        let out = exec.map_stage("demo", 0..64u64, |i, n| {
             if i % 7 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -502,9 +426,12 @@ mod tests {
         let _g = telemetry_lock();
         let work: Vec<u64> = (0..100).collect();
         let f = |i: usize, n: u64| format!("{i}:{}", n.wrapping_mul(0x9E37_79B9));
-        let serial = Executor::sequential().map(work.clone(), f);
+        let serial = Executor::sequential().map_stage("demo", work.clone(), f);
         for threads in [2, 3, 8] {
-            assert_eq!(Executor::new(threads).map(work.clone(), f), serial);
+            assert_eq!(
+                Executor::new(threads).map_stage("demo", work.clone(), f),
+                serial
+            );
         }
     }
 
@@ -512,7 +439,7 @@ mod tests {
     fn all_items_run_exactly_once() {
         let _g = telemetry_lock();
         let count = AtomicUsize::new(0);
-        let out = Executor::new(4).run(57, |i| {
+        let out = Executor::new(4).map_stage("demo", 0..57, |i, _| {
             count.fetch_add(1, Ordering::SeqCst);
             i
         });
@@ -529,8 +456,14 @@ mod tests {
     fn empty_and_singleton_work_lists() {
         let _g = telemetry_lock();
         let exec = Executor::new(4);
-        assert_eq!(exec.map(Vec::<u32>::new(), |_, x| x), Vec::<u32>::new());
-        assert_eq!(exec.map(vec![42], |i, x| (i, x)), vec![(0, 42)]);
+        assert_eq!(
+            exec.map_stage("demo", Vec::<u32>::new(), |_, x| x),
+            Vec::<u32>::new()
+        );
+        assert_eq!(
+            exec.map_stage("demo", vec![42], |i, x| (i, x)),
+            vec![(0, 42)]
+        );
     }
 
     #[test]
@@ -538,7 +471,7 @@ mod tests {
         let _g = telemetry_lock();
         let data = [1u32, 2, 3];
         let slice = &data[..];
-        let out = Executor::new(2).run(slice.len(), |i| slice[i] * 10);
+        let out = Executor::new(2).map_stage("demo", slice, |_, x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
     }
 
@@ -546,7 +479,7 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         let _g = telemetry_lock();
-        Executor::new(4).run(8, |i| {
+        Executor::new(4).map_stage("demo", 0..8, |i, _| {
             if i == 5 {
                 panic!("boom");
             }
@@ -558,7 +491,7 @@ mod tests {
     fn try_map_contains_panics_in_their_own_slots() {
         let _g = telemetry_lock();
         for threads in [1usize, 4] {
-            let out = Executor::new(threads).try_map(0..16u32, |i, n| {
+            let out = Executor::new(threads).try_map_stage("demo", 0..16u32, |i, n| {
                 if i % 5 == 3 {
                     panic!("boom at {i}");
                 }
@@ -580,7 +513,7 @@ mod tests {
     #[test]
     fn try_map_with_string_payload_and_all_ok() {
         let _g = telemetry_lock();
-        let out = Executor::new(2).try_map(0..3u32, |i, n| {
+        let out = Executor::new(2).try_map_stage("demo", 0..3u32, |i, n| {
             if i == 1 {
                 std::panic::panic_any(format!("typed {n}"));
             }
@@ -589,11 +522,11 @@ mod tests {
         assert_eq!(out[0], Ok(0));
         assert_eq!(out[1].as_ref().unwrap_err().message, "typed 1");
         assert_eq!(out[2], Ok(2));
-        // And a fully healthy run matches map exactly.
-        let healthy = Executor::new(3).try_map(0..8u64, |_, n| n + 1);
+        // And a fully healthy run matches map_stage exactly.
+        let healthy = Executor::new(3).try_map_stage("demo", 0..8u64, |_, n| n + 1);
         assert_eq!(
             healthy.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
-            Executor::new(3).map(0..8u64, |_, n| n + 1)
+            Executor::new(3).map_stage("demo", 0..8u64, |_, n| n + 1)
         );
     }
 
@@ -601,9 +534,9 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn map_still_reraises_panics() {
         let _g = telemetry_lock();
-        // try_map's containment must not change map's all-or-nothing
-        // contract.
-        Executor::new(2).map(0..4u32, |i, n| {
+        // try_map_stage's containment must not change map_stage's
+        // all-or-nothing contract.
+        Executor::new(2).map_stage("demo", 0..4u32, |i, n| {
             if i == 2 {
                 panic!("boom");
             }
@@ -662,7 +595,7 @@ mod tests {
         nox_telemetry::set_profiling(false);
         nox_telemetry::stream::clear();
         let _ = nox_telemetry::take_acc();
-        Executor::new(4).run(16, |i| i * 2);
+        Executor::new(4).map_stage("demo", 0..16, |_, i| i * 2);
         assert!(
             !nox_telemetry::acc_allocated(),
             "map must not touch telemetry when profiling and streaming are off"
@@ -677,7 +610,7 @@ mod tests {
         let _ = nox_telemetry::take_acc();
         // Jobs record one span event each and finish intentionally out of
         // order; merged event order must still be submission order.
-        Executor::new(4).map(0..16u32, |i, n| {
+        Executor::new(4).map_stage("demo", 0..16u32, |i, n| {
             if i % 3 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -694,35 +627,21 @@ mod tests {
             .collect();
         assert_eq!(point_events, (0..16).collect::<Vec<_>>());
         assert_eq!(acc.phase(phase::EXEC_JOB).count, 16);
-        assert_eq!(acc.counters().get("exec.stage.exec.map.jobs"), Some(&16));
+        assert_eq!(acc.counters().get("exec.stage.demo.jobs"), Some(&16));
         assert_eq!(acc.samples()["exec.job_ns"].count(), 16);
-        // Worker gauges exist for at least worker 0.
-        assert!(acc.gauges().keys().any(|k| k.starts_with("exec.worker.0.")));
-    }
-
-    #[test]
-    fn worker_gauges_add_up_across_maps() {
-        let _g = telemetry_lock();
-        nox_telemetry::stream::clear();
-        for threads in [1usize, 2] {
-            nox_telemetry::set_profiling(true);
-            let _ = nox_telemetry::take_acc();
-            let exec = Executor::new(threads);
-            exec.run(3, |i| i);
-            exec.run(5, |i| i);
-            let acc = nox_telemetry::take_acc().expect("profiling allocates the acc");
-            nox_telemetry::set_profiling(false);
-            let jobs: u64 = acc
-                .gauges()
+        // Each job and the spans inside it sit on its worker's lane.
+        let lanes = |phase| {
+            let mut lanes: Vec<u32> = acc
+                .events()
                 .iter()
-                .filter(|(k, _)| k.starts_with("exec.worker.") && k.ends_with(".jobs"))
-                .map(|(_, v)| v)
-                .sum();
-            assert_eq!(
-                jobs, 8,
-                "{threads} thread(s): the table must cover both maps"
-            );
-        }
+                .filter(|e| e.phase == phase)
+                .map(|e| e.lane)
+                .collect();
+            lanes.sort_unstable();
+            lanes
+        };
+        assert_eq!(lanes(phase::EXEC_JOB), lanes(phase::HARNESS_POINT));
+        assert!(lanes(phase::EXEC_JOB).iter().all(|&l| l < 4));
     }
 
     #[test]

@@ -72,8 +72,8 @@ fn event_json(e: &TraceEvent, clock_ns: f64) -> Json {
 
 /// Renders profiler span events (from `nox-telemetry`) as a Chrome
 /// trace-event JSON document: one complete (`"X"`) event per recorded
-/// span, with the phase name as the event name, the worker thread tag as
-/// both process and thread id (so each worker gets a lane), and
+/// span, with the span's lane (its executor worker index) as both
+/// process and thread id (so each worker gets one lane), and
 /// wall-clock microseconds since the process epoch as the timestamp.
 /// This is the span-profile counterpart of [`chrome_trace`], which
 /// exports *simulated*-time probe events.
@@ -87,8 +87,8 @@ pub fn chrome_spans(events: &[nox_telemetry::SpanEvent]) -> String {
                 .field("ph", "X")
                 .field("ts", e.start_ns as f64 / 1_000.0)
                 .field("dur", e.dur_ns as f64 / 1_000.0)
-                .field("pid", u64::from(e.tid))
-                .field("tid", u64::from(e.tid))
+                .field("pid", u64::from(e.lane))
+                .field("tid", u64::from(e.lane))
                 .field("args", Json::obj().field("index", u64::from(e.index)))
         })
         .collect();
@@ -127,27 +127,25 @@ mod tests {
     #[test]
     fn span_export_emits_one_lane_per_worker() {
         use nox_telemetry::{phase, SpanEvent};
+        let span = |phase, index, lane, start_ns, dur_ns| SpanEvent {
+            phase,
+            index,
+            lane,
+            start_ns,
+            dur_ns,
+        };
+        // Worker 1 runs job 3 with a point inside it; worker 0 runs job 4.
         let events = [
-            SpanEvent {
-                phase: phase::EXEC_JOB,
-                index: 3,
-                tid: 1,
-                start_ns: 2_000,
-                dur_ns: 500,
-            },
-            SpanEvent {
-                phase: phase::HARNESS_POINT,
-                index: 0,
-                tid: 2,
-                start_ns: 2_100,
-                dur_ns: 250,
-            },
+            span(phase::HARNESS_POINT, 0, 1, 2_100, 250),
+            span(phase::EXEC_JOB, 3, 1, 2_000, 500),
+            span(phase::EXEC_JOB, 4, 0, 2_000, 800),
         ];
         let doc = super::chrome_spans(&events);
-        assert!(doc.contains("\"name\":\"exec.job\""));
-        assert!(doc.contains("\"name\":\"harness.point\""));
-        assert!(doc.contains("\"ts\":2,\"dur\":0.5,\"pid\":1,\"tid\":1"));
-        assert!(doc.contains("\"index\":3"));
+        assert!(doc.contains(
+            "\"name\":\"harness.point\",\"cat\":\"profile\",\"ph\":\"X\",\"ts\":2.1,\"dur\":0.25,\"pid\":1,\"tid\":1"
+        ));
+        assert!(doc.contains("\"ts\":2,\"dur\":0.5,\"pid\":1,\"tid\":1,\"args\":{\"index\":3}"));
+        assert!(doc.contains("\"ts\":2,\"dur\":0.8,\"pid\":0,\"tid\":0,\"args\":{\"index\":4}"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! internally over the shared [`nox_exec::Executor`]. A job is bounded
 //! by a [`CancelToken`] — an absolute deadline on the telemetry clock —
 //! checked cooperatively at stage boundaries (and per sweep point via
-//! [`nox_exec::Executor::try_map`], which also contains per-point
+//! [`nox_exec::Executor::try_map_stage`], which also contains per-point
 //! panics). The whole dispatch runs under `catch_unwind`, so a
 //! poisoned request becomes a structured [`JobError::Panic`] rather
 //! than a dead daemon.
@@ -94,7 +94,7 @@ pub fn error_kind(e: &JobError) -> &'static str {
 /// Executes one request body to its JSON artifact.
 ///
 /// Every path is panic-contained: a panic anywhere in the harness
-/// stack (or in any individual sweep point, via `try_map`) returns
+/// stack (or in any individual sweep point, via `try_map_stage`) returns
 /// [`JobError::Panic`]. Deadlines are honored at entry, at stage
 /// boundaries, and per sweep point / sleep slice.
 pub fn execute(

@@ -70,7 +70,7 @@ pub struct CycleWitness {
 pub fn extract(topo: &Topology, exec: &Executor) -> Cdg {
     let routers = topo.routers();
     let hop_cap = 2 * routers as u32 + 2;
-    let per_src = exec.run(routers, |src| {
+    let per_src = exec.map_stage("statics.cdg", 0..routers, |_, src| {
         let src = NodeId(src as u16);
         let mut channels: Vec<Channel> = Vec::new();
         let mut edges: Vec<(Channel, Channel)> = Vec::new();

@@ -1,5 +1,5 @@
 //! The per-thread metrics accumulator: phase totals, named counters,
-//! gauges, log-bucketed duration histograms, and a bounded span trace.
+//! log-bucketed duration histograms, and a bounded span trace.
 //!
 //! Everything in an accumulator is a sum, a map keyed by name, or an
 //! append-only list — so merging accumulators is associative, and folding
@@ -31,8 +31,9 @@ pub struct SpanEvent {
     pub phase: PhaseId,
     /// Caller-chosen index (e.g. executor job submission index).
     pub index: u32,
-    /// Thread tag of the recording thread (a Chrome trace lane).
-    pub tid: u32,
+    /// The recording thread's lane: its executor worker index, 0 off the
+    /// pool (see [`crate::set_lane`]).
+    pub lane: u32,
     /// Start, nanoseconds since the process epoch.
     pub start_ns: u64,
     /// Duration in nanoseconds.
@@ -154,10 +155,6 @@ pub struct ProfileAcc {
     /// Deterministic event counts (job totals, stage sizes). These are
     /// the values the determinism tests compare byte-for-byte.
     counters: BTreeMap<String, u64>,
-    /// Running totals whose values are scheduling-dependent (per-worker
-    /// jobs and busy time, summed over every fan-out). Excluded from
-    /// deterministic views.
-    gauges: BTreeMap<String, u64>,
     /// Duration histograms (job latency, queue wait). Excluded from
     /// deterministic views.
     samples: BTreeMap<String, LogHist>,
@@ -183,11 +180,6 @@ impl ProfileAcc {
         *self.counters.entry(key.to_string()).or_insert(0) += n;
     }
 
-    /// Adds to a named gauge (gauges add on merge too).
-    pub fn add_gauge(&mut self, key: &str, n: u64) {
-        *self.gauges.entry(key.to_string()).or_insert(0) += n;
-    }
-
     /// Records one duration sample into a named histogram.
     pub fn sample_ns(&mut self, key: &str, ns: u64) {
         self.samples.entry(key.to_string()).or_default().record(ns);
@@ -203,7 +195,7 @@ impl ProfileAcc {
     }
 
     /// Merges `other` into `self`: phase totals and counters add,
-    /// gauges add, histograms merge, events append (bounded).
+    /// histograms merge, events append (bounded).
     pub fn absorb(&mut self, other: ProfileAcc) {
         for (slot, o) in self.phases.iter_mut().zip(other.phases.iter()) {
             slot.count += o.count;
@@ -211,9 +203,6 @@ impl ProfileAcc {
         }
         for (k, v) in other.counters {
             *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.gauges {
-            *self.gauges.entry(k).or_insert(0) += v;
         }
         for (k, h) in other.samples {
             self.samples.entry(k).or_default().merge(&h);
@@ -240,11 +229,6 @@ impl ProfileAcc {
     /// The named counters (deterministic values).
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters
-    }
-
-    /// The named gauges (scheduling-dependent values).
-    pub fn gauges(&self) -> &BTreeMap<String, u64> {
-        &self.gauges
     }
 
     /// The named duration histograms.
@@ -307,7 +291,7 @@ mod tests {
         let ev = SpanEvent {
             phase: phase::EXEC_JOB,
             index: 0,
-            tid: 0,
+            lane: 0,
             start_ns: 0,
             dur_ns: 1,
         };

@@ -12,7 +12,7 @@
 //!   [`phase::PhaseClock`] for the simulator hot loop (one clock read per
 //!   phase boundary, not two per span);
 //! - a per-thread **[`ProfileAcc`]** holding phase totals, named counters,
-//!   gauges, and log-bucketed duration histograms;
+//!   log-bucketed duration histograms, and span events;
 //! - a per-job **capture/absorb** protocol ([`capture`], [`absorb`]) that
 //!   lets `nox-exec` merge worker-thread measurements *in submission
 //!   order*, so the merged structure (phase set, ordering, counter
@@ -28,8 +28,8 @@
 //! global switch on, no accumulator is allocated and every hook is a
 //! single relaxed atomic load.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -150,17 +150,21 @@ impl Stopwatch {
     }
 }
 
-static NEXT_THREAD_TAG: AtomicU32 = AtomicU32::new(0);
-
 thread_local! {
-    static THREAD_TAG: u32 = NEXT_THREAD_TAG.fetch_add(1, Ordering::Relaxed);
+    static LANE: Cell<u32> = const { Cell::new(0) };
 }
 
-/// A small integer identifying the calling thread on span events (Chrome
-/// trace lanes). Assignment order is scheduling-dependent; the tag never
+/// Puts the calling thread's span events on `lane` (a Chrome trace lane)
+/// for the rest of its life. An executor worker sets its worker index
+/// once, as it starts; every other thread records on lane 0.
+pub fn set_lane(lane: u32) {
+    LANE.with(|l| l.set(lane));
+}
+
+/// The calling thread's span-event lane (see [`set_lane`]). It never
 /// appears in deterministic views.
-pub fn thread_tag() -> u32 {
-    THREAD_TAG.with(|t| *t)
+pub fn lane() -> u32 {
+    LANE.with(Cell::get)
 }
 
 /// A scoped phase timer: records one span (duration plus a bounded trace
@@ -203,7 +207,7 @@ impl Drop for SpanGuard {
             a.push_event(SpanEvent {
                 phase,
                 index,
-                tid: thread_tag(),
+                lane: lane(),
                 start_ns,
                 dur_ns,
             });

@@ -118,19 +118,16 @@ pub fn check_scenario(
 }
 
 /// Runs the checker over every scenario within `bounds` on the real,
-/// unmutated FSMs. A clean report is a bounded proof of the protocol
-/// invariants.
-pub fn check(bounds: &Bounds) -> CheckReport {
-    check_with(bounds, &Executor::sequential())
-}
-
-/// Runs the scenario sweep of [`check`] with each scenario's exploration
-/// fanned out over `exec`. Every scenario explores an independent state
-/// space, and the serial sweep never stops early across scenarios, so
-/// the ordered reduction makes this report bit-identical to the serial
-/// one at any thread count.
+/// unmutated FSMs, each scenario's exploration one job on `exec`. A clean
+/// report is a bounded proof of the protocol invariants.
+///
+/// Every scenario explores an independent state space, and the sweep
+/// never stops early across scenarios, so the ordered reduction makes
+/// the report bit-identical at any thread count.
 pub fn check_with(bounds: &Bounds, exec: &Executor) -> CheckReport {
-    let reports = exec.map(scenarios(bounds), |_, sc| check_scenario(&sc, bounds, None));
+    let reports = exec.map_stage("verify.scenarios", scenarios(bounds), |_, sc| {
+        check_scenario(&sc, bounds, None)
+    });
     let mut report = CheckReport {
         exhausted: true,
         ..CheckReport::default()
@@ -166,19 +163,16 @@ pub fn check_mutation(bounds: &Bounds, mutation: Mutation) -> MutationReport {
     }
 }
 
-/// Runs every documented mutation through the checker. Each must be
-/// caught; a surviving mutation means an invariant has lost its teeth.
-pub fn mutation_smoke(bounds: &Bounds) -> Vec<MutationReport> {
-    mutation_smoke_with(bounds, &Executor::sequential())
-}
-
-/// Runs the mutation smoke sweep with one job per mutation over `exec`.
+/// Runs every documented mutation through the checker, one job per
+/// mutation on `exec`. Each must be caught; a surviving mutation means an
+/// invariant has lost its teeth.
+///
 /// Each mutation's *inner* scenario sweep stays serial — it stops at the
 /// first catching scenario, and that early exit is part of the reported
-/// state count — so every `MutationReport` is bit-identical to the
-/// serial [`mutation_smoke`] at any thread count.
+/// state count — so every `MutationReport` is bit-identical at any
+/// thread count.
 pub fn mutation_smoke_with(bounds: &Bounds, exec: &Executor) -> Vec<MutationReport> {
-    exec.map(Mutation::ALL.iter().copied(), |_, m| {
+    exec.map_stage("verify.mutations", Mutation::ALL.iter().copied(), |_, m| {
         check_mutation(bounds, m)
     })
 }

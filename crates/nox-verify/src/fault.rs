@@ -5,8 +5,8 @@
 //! link within the flit budget, every received word a single link fault
 //! can strike, and every single-bit payload mask plus every single-bit
 //! sideband mask. Each faulted stream is driven through the real
-//! [`nox_core::Decoder`]; every word it presents is checked exactly as the
-//! receiver hardware would — CRC-8 recomputed over the presented payload
+//! [`nox_core::DecodePort`]; every word it presents is checked exactly as
+//! the receiver hardware would — CRC-8 recomputed over the presented payload
 //! against the XOR-accumulated sideband — and classified against the
 //! ground-truth payload for the presented key.
 //!
@@ -214,16 +214,11 @@ fn base_payload(base: usize, k: u64) -> u64 {
 
 /// Exhaustively checks that the decoder plus CRC sideband never delivers
 /// a silently-wrong flit, over every chain shape, strike position, and
-/// single-bit mask within `bounds`.
-pub fn check_decoder_crc(bounds: &FaultBounds) -> FaultCheckReport {
-    check_decoder_crc_with(bounds, &Executor::sequential())
-}
-
-/// Runs the exhaustive sweep of [`check_decoder_crc`] sharded by chain
-/// shape over `exec`. Each shard enumerates one shape's full (payload
-/// base, strike, mask) space independently; the shards merge additively
-/// in shape order (the serial iteration order), so counters, fan-out
-/// maximum, and the violation list are bit-identical to the serial sweep
+/// single-bit mask within `bounds`, sharded by chain shape over `exec`.
+///
+/// Each shard enumerates one shape's full (payload base, strike, mask)
+/// space independently; the shards merge additively in shape order, so
+/// counters, fan-out maximum, and the violation list are bit-identical
 /// at any thread count.
 pub fn check_decoder_crc_with(bounds: &FaultBounds, exec: &Executor) -> FaultCheckReport {
     let shapes = chain_shapes(bounds.max_total_flits, bounds.max_arity);
@@ -240,7 +235,9 @@ pub fn check_decoder_crc_with(bounds: &FaultBounds, exec: &Executor) -> FaultChe
         }))
         .collect();
 
-    let partials = exec.map(shapes.iter(), |_, shape| sweep_shape(shape, &masks));
+    let partials = exec.map_stage("verify.crc_shapes", shapes.iter(), |_, shape| {
+        sweep_shape(shape, &masks)
+    });
     let mut report = FaultCheckReport {
         shapes: shapes.len(),
         ..FaultCheckReport::default()
@@ -362,7 +359,7 @@ mod tests {
 
     #[test]
     fn exhaustive_sweep_is_clean_and_nonvacuous() {
-        let report = check_decoder_crc(&FaultBounds::quick());
+        let report = check_decoder_crc_with(&FaultBounds::quick(), &Executor::sequential());
         assert!(
             report.violations.is_empty(),
             "silent corruption escaped the CRC: {:?}",

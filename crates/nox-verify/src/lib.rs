@@ -5,9 +5,10 @@
 //! colliding flit and relies on a re-collision protocol, per-output
 //! masking, and a per-input decode register to deliver every flit
 //! exactly once. The correctness argument is distributed across two
-//! interacting FSMs (`nox_core::output::OutputCtl` and
-//! `nox_core::decode::Decoder`) plus credit flow control — precisely the
-//! kind of argument that unit tests sample but never close.
+//! interacting FSMs (`nox_core::output::OutputCtl` and the decode
+//! register of `nox_core::DecodePort`) plus credit flow control —
+//! precisely the kind of argument that unit tests sample but never
+//! close.
 //!
 //! This crate closes it, within explicit bounds. It composes the *real*
 //! FSM implementations (not re-implementations) with a model of the
@@ -39,7 +40,7 @@
 //! # Mutation smoke
 //!
 //! A checker that finds nothing might be checking nothing, so
-//! [`mutation_smoke`] flips each documented protocol rule in turn — the
+//! [`mutation_smoke_with`] flips each documented protocol rule in turn — the
 //! zero-credit freeze, the switch-mask discipline, the stream lock, the
 //! sole-winner rule, abort suppression, the encoded-latch rule, the
 //! chain hold, and the `DecodeKeep` commit — and requires the checker to
@@ -48,11 +49,13 @@
 //! # Entry points
 //!
 //! ```no_run
-//! use nox_verify::{check, mutation_smoke, Bounds};
+//! use nox_exec::Executor;
+//! use nox_verify::{check_with, mutation_smoke_with, Bounds};
 //!
-//! let report = check(&Bounds::quick());
+//! let exec = Executor::default();
+//! let report = check_with(&Bounds::quick(), &exec);
 //! assert!(report.is_clean());
-//! for m in mutation_smoke(&Bounds::quick()) {
+//! for m in mutation_smoke_with(&Bounds::quick(), &exec) {
 //!     assert!(m.caught.is_some(), "mutation {} survived", m.mutation.name());
 //! }
 //! ```
@@ -65,7 +68,7 @@
 //!   decoder never presents a silently-wrong flit: every chain shape,
 //!   strike position, and single-bit link mask within bounds is driven
 //!   through the real decoder and every corrupted presentation must be
-//!   flagged ([`fault::check_decoder_crc`]).
+//!   flagged ([`fault::check_decoder_crc_with`]).
 //!
 //! `noxsim verify` runs the same sweep at [`Bounds::full`] plus a
 //! sanitized simulation smoke sweep (`nox-sim`'s `sanitize` module) and
@@ -78,12 +81,10 @@ pub mod mutation;
 pub mod scenario;
 
 pub use checker::{
-    check, check_mutation, check_scenario, check_with, mutation_smoke, mutation_smoke_with,
-    CheckReport, MutationReport, ScenarioReport,
+    check_mutation, check_scenario, check_with, mutation_smoke_with, CheckReport, MutationReport,
+    ScenarioReport,
 };
-pub use fault::{
-    check_decoder_crc, check_decoder_crc_with, FaultBounds, FaultCheckReport, FaultViolation,
-};
+pub use fault::{check_decoder_crc_with, FaultBounds, FaultCheckReport, FaultViolation};
 pub use model::{EnvChoice, Model, Violation, ViolationKind};
 pub use mutation::Mutation;
 pub use scenario::{scenarios, Bounds, Flit, Scenario};

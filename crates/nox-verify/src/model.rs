@@ -3,13 +3,13 @@
 //! nondeterministic.
 //!
 //! The model composes the two real control FSMs from `nox-core` — the
-//! output-arbitration controller ([`OutputCtl`]) and the input decode
-//! register ([`Decoder`]) — with exactly the plumbing the simulator's
-//! router puts around them: per-input flit queues, a credit counter with
-//! the zero-credit freeze (DESIGN.md clarification 4), a one-cycle link,
-//! and the receiver FIFO. Nothing in the protocol logic is re-implemented;
-//! the model only schedules the same calls `nox-sim` makes, so a state
-//! explored here is a state the simulator can reach.
+//! output-arbitration controller ([`OutputCtl`]) and the receiving input
+//! port with its decode register ([`DecodePort`]) — with exactly the
+//! plumbing the simulator's router puts around them: per-input flit
+//! queues, a credit counter with the zero-credit freeze (DESIGN.md
+//! clarification 4) and a one-cycle link. Nothing in the protocol logic
+//! is re-implemented; the model only schedules the same calls `nox-sim`
+//! makes, so a state explored here is a state the simulator can reach.
 //!
 //! Three environment choices are resolved nondeterministically by the
 //! checker each cycle:
@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use nox_core::{
-    Coded, Decision, DecodeAction, DecodeStep, Decoder, Mode, OutputCtl, PortId, PortSet,
+    Coded, Decision, DecodeAction, DecodePort, DecodeStep, Mode, OutputCtl, PortId, PortSet,
     RequestSet,
 };
 
@@ -143,10 +143,8 @@ pub struct Model {
     pending: u8,
     /// The word currently traversing the link (delivered next cycle).
     link: Option<Word>,
-    /// The receiver's input FIFO.
-    rx_fifo: VecDeque<Word>,
-    /// The real input-port decode FSM under test.
-    decoder: Decoder<u64>,
+    /// The receiver: the real input port, FIFO and decode FSM, under test.
+    rx: DecodePort<u64>,
     /// Keys serviced by the sender but not yet presented by the receiver,
     /// in service order. The receiver must reproduce exactly this queue.
     outstanding: VecDeque<u64>,
@@ -163,8 +161,7 @@ impl Model {
             credits: sc.depth,
             pending: 0,
             link: None,
-            rx_fifo: VecDeque::new(),
-            decoder: Decoder::new(),
+            rx: DecodePort::new(sc.depth as usize),
             outstanding: VecDeque::new(),
         }
     }
@@ -191,9 +188,8 @@ impl Model {
             .enumerate()
             .all(|(i, &s)| s as usize == scripts[i].len())
             && self.outstanding.is_empty()
-            && self.rx_fifo.is_empty()
+            && self.rx.is_idle()
             && self.link.is_none()
-            && !self.decoder.is_mid_chain()
             && self.credits == depth
     }
 
@@ -204,12 +200,11 @@ impl Model {
             .map(|i| i as u8)
             .collect();
         // The stall choice only matters when the receiver could present.
-        let stalls: &[bool] =
-            if self.rx_fifo.is_empty() && self.link.is_none() && !self.decoder.is_mid_chain() {
-                &[false]
-            } else {
-                &[false, true]
-            };
+        let stalls: &[bool] = if self.rx.is_idle() && self.link.is_none() {
+            &[false]
+        } else {
+            &[false, true]
+        };
         let mut out = Vec::new();
         for mask in 0..(1u32 << eligible.len()) {
             let mut arrivals = PortSet::EMPTY;
@@ -293,14 +288,14 @@ impl Model {
 
         // Phase 1: the in-flight word lands in the receiver FIFO.
         if let Some(w) = self.link.take() {
-            if self.rx_fifo.len() >= sc.depth as usize {
+            if !self.rx.has_space() {
                 return Err(self.violation(
                     sc,
                     ViolationKind::FifoOverflow,
                     format!("word {w:?} arrived at a full FIFO (depth {})", sc.depth),
                 ));
             }
-            self.rx_fifo.push_back(w);
+            self.rx.receive(w);
         }
 
         // Phase 2: environment — arrivals and credit returns.
@@ -332,7 +327,7 @@ impl Model {
         // occupied (FIFO), or reserved by the word on the link.
         let slots = self.credits as usize
             + self.pending as usize
-            + self.rx_fifo.len()
+            + self.rx.len()
             + usize::from(self.link.is_some());
         if slots != sc.depth as usize {
             return Err(self.violation(
@@ -478,11 +473,11 @@ impl Model {
         rx_stall: bool,
         mutation: Option<Mutation>,
     ) -> Result<(), Violation> {
-        let mut step = self.decoder.step(self.rx_fifo.front());
+        let mut step = self.rx.step();
         if mutation == Some(Mutation::SkipEncodedLatch) && step == DecodeStep::Latch {
             // Mutated rule: the encoded marker is ignored — the head is
             // presented as if it were a plain flit (over the empty
-            // register a latch implies, that is the head itself).
+            // register a latch implies, `presented` is the head itself).
             step = DecodeStep::Present(DecodeAction::Pass);
         }
         match step {
@@ -490,16 +485,14 @@ impl Model {
             DecodeStep::Latch => {
                 // Latching needs no switch grant: it always proceeds, and
                 // the freed FIFO slot's credit starts its return trip.
-                let w = self.rx_fifo.pop_front().unwrap();
-                self.decoder.latch(w);
+                self.rx.latch();
                 self.pending += 1;
             }
             DecodeStep::Present(action) => {
                 if rx_stall {
                     return Ok(()); // presentation lost switch allocation
                 }
-                let head = self.rx_fifo.front().expect("only a head is presented");
-                let word = self.decoder.presented(head);
+                let word = self.rx.presented();
                 if !word.is_plain() {
                     return Err(self.violation(
                         sc,
@@ -527,26 +520,14 @@ impl Model {
                         ));
                     }
                 }
-                match action {
-                    DecodeAction::Pass => {
-                        self.rx_fifo.pop_front();
-                        self.decoder.commit(DecodeAction::Pass, None);
-                        self.pending += 1;
-                    }
-                    DecodeAction::DecodeKeep => {
-                        self.decoder.commit(DecodeAction::DecodeKeep, None);
-                        if mutation == Some(Mutation::PopOnDecodeKeep) {
-                            // Mutated rule: the chain's final flit is
-                            // dropped from the FIFO along with the decode.
-                            self.rx_fifo.pop_front();
-                            self.pending += 1;
-                        }
-                    }
-                    DecodeAction::DecodeShift => {
-                        let head = self.rx_fifo.pop_front().unwrap();
-                        self.decoder.commit(DecodeAction::DecodeShift, Some(head));
-                        self.pending += 1;
-                    }
+                let (_, freed) = self.rx.take(action);
+                self.pending += u8::from(freed);
+                if action == DecodeAction::DecodeKeep && mutation == Some(Mutation::PopOnDecodeKeep)
+                {
+                    // Mutated rule: the chain's final flit is dropped
+                    // from the FIFO along with the decode.
+                    self.rx.take(DecodeAction::Pass);
+                    self.pending += 1;
                 }
             }
         }

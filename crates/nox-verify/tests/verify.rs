@@ -2,14 +2,15 @@
 //! exhaustively with zero violations, and every documented mutation is
 //! caught.
 
+use nox_exec::Executor;
 use nox_verify::{
-    check, check_mutation, check_scenario, mutation_smoke, Bounds, Mutation, Scenario,
+    check_mutation, check_scenario, check_with, mutation_smoke_with, Bounds, Mutation, Scenario,
 };
 
 #[test]
 fn real_fsms_pass_the_bounded_checker_exhaustively() {
     let bounds = Bounds::quick();
-    let report = check(&bounds);
+    let report = check_with(&bounds, &Executor::sequential());
     assert!(
         report.scenarios > 100,
         "sweep too small: {}",
@@ -35,7 +36,7 @@ fn real_fsms_pass_the_bounded_checker_exhaustively() {
 #[test]
 fn every_documented_mutation_is_caught() {
     let bounds = Bounds::quick();
-    for report in mutation_smoke(&bounds) {
+    for report in mutation_smoke_with(&bounds, &Executor::sequential()) {
         assert!(
             report.caught.is_some(),
             "mutation `{}` ({}) survived the checker — an invariant has no teeth",

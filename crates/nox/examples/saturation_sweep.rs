@@ -6,7 +6,8 @@
 //! cargo run --release -p nox --example saturation_sweep
 //! ```
 
-use nox::analysis::sweep::{crossover_mbps, sweep, SweepConfig};
+use nox::analysis::sweep::{crossover_mbps, sweep_with, SweepConfig};
+use nox::exec::Executor;
 use nox::prelude::*;
 
 fn main() {
@@ -17,7 +18,11 @@ fn main() {
         "Sweeping {} rates x 4 architectures (this takes a minute)...\n",
         rates.len()
     );
-    let series: Vec<_> = Arch::ALL.iter().map(|&a| sweep(a, &cfg)).collect();
+    let exec = Executor::default();
+    let series: Vec<_> = Arch::ALL
+        .iter()
+        .map(|&a| sweep_with(a, &cfg, &exec))
+        .collect();
 
     let mut table = Table::new(
         "Mean packet latency (ns) vs offered load (MB/s/node), uniform random",

@@ -14,7 +14,7 @@
 //!
 //! `run` regenerates one figure or table of the paper from the harness
 //! table ([`nox::analysis::harness::HARNESSES`]); `profile` runs the same
-//! harness under the span profiler and emits the `nox-bench/profile/v1`
+//! harness under the span profiler and emits the `nox-bench/profile/v2`
 //! phase-attribution artifact. `--stream FILE|-` additionally emits
 //! line-delimited JSON progress events while an instrumented command
 //! runs — the wire format `noxsim serve` speaks.
@@ -168,7 +168,7 @@ const COMMANDS: &[Command] = &[
         positional: HARNESS,
         values: &[OUT, CHROME, THREADS, STREAM],
         switches: &["quick", "smoke", "full", "json"],
-        help: "span-profile one harness (default tier quick); the nox-bench/profile/v1 artifact goes to --out or --json",
+        help: "span-profile one harness (default tier quick); the nox-bench/profile/v2 artifact goes to --out or --json",
         run: cmd_profile,
     },
     Command {
@@ -496,7 +496,7 @@ fn cmd_faults(opts: &Opts) -> Result<(), String> {
 /// Runs one figure harness under the span profiler and reports where the
 /// wall time went: the per-phase attribution table, executor worker
 /// utilization, and latency histograms, plus the versioned
-/// `nox-bench/profile/v1` JSON artifact (`--out FILE`, or `--json` to
+/// `nox-bench/profile/v2` JSON artifact (`--out FILE`, or `--json` to
 /// print it). `--chrome FILE` additionally writes the recorded spans as
 /// a Chrome trace-event document.
 fn cmd_profile(positional: &[String], opts: &Opts) -> Result<(), String> {
@@ -683,8 +683,9 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
             seed: u64_opt(opts, "seed", 7)?,
         },
     );
-    let mut file = std::fs::File::create(out).map_err(|e| e.to_string())?;
-    trace.write_to(&mut file).map_err(|e| e.to_string())?;
+    let write_err = |e: std::io::Error| format!("could not write {out}: {e}");
+    let mut file = std::fs::File::create(out).map_err(write_err)?;
+    trace.write_to(&mut file).map_err(write_err)?;
     println!(
         "wrote {} packets ({} flits) to {out}",
         trace.len(),
@@ -695,8 +696,8 @@ fn cmd_gen(opts: &Opts) -> Result<(), String> {
 
 fn cmd_replay(opts: &Opts) -> Result<(), String> {
     let path = opts.get("trace").ok_or("replay needs --trace FILE")?;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let trace = Trace::parse(&text).map_err(|e| e.to_string())?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+    let trace = Trace::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let spec = RunSpec {
         warmup_ns: 1_000.0,
         measure_ns: trace.horizon_ns() * 0.5,
@@ -839,7 +840,7 @@ mod probe_cli {
                     );
                 }
                 std::fs::write(path, nox::probe::chrome::chrome_trace(&run.probe))
-                    .map_err(|e| e.to_string())?;
+                    .map_err(|e| format!("could not write {path}: {e}"))?;
                 eprintln!("wrote Chrome trace for {label} to {path}");
                 self.chrome_written = true;
             }
@@ -858,7 +859,8 @@ mod probe_cli {
                 .field("reports", Json::Arr(self.reports));
             match opts.get("probe-out") {
                 Some(path) => {
-                    std::fs::write(path, doc.to_string()).map_err(|e| e.to_string())?;
+                    std::fs::write(path, doc.to_string())
+                        .map_err(|e| format!("could not write {path}: {e}"))?;
                     eprintln!("wrote {n} probe report(s) to {path}");
                 }
                 None => println!("{doc}"),

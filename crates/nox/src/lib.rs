@@ -63,8 +63,8 @@ pub use nox_verify as verify;
 
 /// The most commonly used types, importable with one line.
 pub mod prelude {
-    pub use nox_analysis::{run_workload, sweep, SweepConfig, Table};
-    pub use nox_core::{Coded, Decoder, OutputCtl, PortId, PortSet, RequestSet};
+    pub use nox_analysis::{run_workload, sweep_with, SweepConfig, Table};
+    pub use nox_core::{Coded, DecodePort, OutputCtl, PortId, PortSet, RequestSet};
     pub use nox_power::{Channel, CriticalPath, EnergyModel, Floorplan};
     pub use nox_sim::{run, Arch, Mesh, NetConfig, NodeId, PacketEvent, RunSpec, Trace};
     pub use nox_traffic::{Pattern, SyntheticConfig, WORKLOADS};

@@ -243,6 +243,21 @@ fn replay_writes_the_probe_report_waveform_and_chrome_trace() {
 }
 
 #[test]
+fn replay_names_a_trace_it_cannot_read() {
+    let dir = scratch("replay-missing");
+    let missing = dir.join("missing.trace");
+    let missing = missing.to_str().unwrap();
+    let out = noxsim(&["replay", "--trace", missing]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(&format!("could not read {missing}: ")),
+        "{}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn probe_reports_repeat_byte_for_byte() {
     // A run report holds simulated time only, so a rerun writes the same
     // file; the run's wall time is `noxsim profile`'s.

@@ -102,7 +102,7 @@ fn eject_logs_are_reproducible() {
 
 #[test]
 fn sweeps_are_thread_count_invariant() {
-    use nox::analysis::sweep::{sweep, sweep_with};
+    use nox::analysis::sweep::sweep_with;
 
     let cfg = SweepConfig {
         duration_ns: 8_000.0,
@@ -113,7 +113,7 @@ fn sweeps_are_thread_count_invariant() {
         },
         ..SweepConfig::uniform(vec![400.0, 900.0, 1_400.0])
     };
-    let serial = format!("{:?}", sweep(Arch::Nox, &cfg));
+    let serial = format!("{:?}", sweep_with(Arch::Nox, &cfg, &Executor::sequential()));
     for threads in [2, 8] {
         let parallel = format!("{:?}", sweep_with(Arch::Nox, &cfg, &Executor::new(threads)));
         assert_eq!(serial, parallel, "sweep diverged at {threads} threads");

@@ -6,6 +6,7 @@
 
 use nox::analysis::harness::faults;
 use nox::analysis::Tier;
+use nox::exec::Executor;
 use nox::fault::FaultConfig;
 use nox::prelude::*;
 use nox::sim::network::Network;
@@ -43,15 +44,15 @@ fn fault_study_artifacts_are_bit_identical_across_runs() {
     // The smoke-tier campaign drives all four architectures; its JSON
     // document is the input to both fault claims, so bit-identical JSON
     // here means bit-identical claims output too.
-    let a = faults::run(Tier::Smoke);
-    let b = faults::run(Tier::Smoke);
+    let a = faults::run_with(Tier::Smoke, &Executor::sequential());
+    let b = faults::run_with(Tier::Smoke, &Executor::sequential());
     assert_eq!(a.render(), b.render());
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 }
 
 #[test]
 fn chain_fragility_and_protected_recovery_hold_end_to_end() {
-    let study = faults::run(Tier::Smoke);
+    let study = faults::run_with(Tier::Smoke, &Executor::sequential());
 
     // Claim (a): the unprotected XOR chain fans single bit flips out
     // into strictly more silent corruptions per flip than the

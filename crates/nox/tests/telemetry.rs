@@ -1,9 +1,12 @@
 //! End-to-end telemetry guarantees, exercised through the real harness
 //! stack (sweep -> executor -> simulator):
 //!
-//! - the `nox-bench/profile/v1` artifact's deterministic view is
+//! - the `nox-bench/profile/v2` artifact's deterministic view is
 //!   byte-identical at 1, 2, and 8 threads (durations excluded, phase
 //!   counts and counters included);
+//! - the profile's executor-worker table is the `exec.job` spans of the
+//!   run: its jobs and busy time sum to the phase totals and stage
+//!   counters, on at most one lane per worker;
 //! - the per-step phase attribution telescopes exactly: the attributed
 //!   phases plus the `sim.other` residual sum to `sim.step` to the
 //!   nanosecond, with the router loop one `sim.route` span per step and
@@ -65,7 +68,7 @@ fn profile_structure_is_identical_at_any_thread_count() {
     assert_eq!(views[0], views[1], "1 vs 2 threads");
     assert_eq!(views[0], views[2], "1 vs 8 threads");
     // The deterministic view is real structure, not an empty shell.
-    assert!(views[0].contains("\"schema\":\"nox-bench/profile/v1\""));
+    assert!(views[0].contains("\"schema\":\"nox-bench/profile/v2\""));
     assert!(views[0].contains("\"sim.step\""));
     assert!(views[0].contains("exec.stage.sweep.NoX.jobs"));
 }
@@ -98,6 +101,40 @@ fn sim_phase_attribution_telescopes_exactly() {
     ] {
         let n = report.acc.counters().get(key).copied();
         assert!(n.is_some_and(|n| n > 0), "{key}: {n:?}");
+    }
+}
+
+#[test]
+fn worker_table_agrees_with_spans() {
+    let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2, 4] {
+        let report = profiled_tiny_sweep(threads);
+        let job = report.acc.phase(phase::EXEC_JOB);
+        let workers = report.workers();
+        let jobs: u64 = workers.iter().map(|&(_, n, _)| n).sum();
+        let busy: u64 = workers.iter().map(|&(_, _, ns)| ns).sum();
+        let staged: u64 = report
+            .acc
+            .counters()
+            .iter()
+            .filter(|(k, _)| k.starts_with("exec.stage.") && k.ends_with(".jobs"))
+            .map(|(_, n)| n)
+            .sum();
+        let at = format!("{threads} thread(s)");
+        assert_eq!(jobs, job.count, "{at}: jobs vs exec.job spans");
+        assert_eq!(jobs, staged, "{at}: jobs vs stage counters");
+        assert_eq!(busy, job.nanos, "{at}: busy vs exec.job time");
+        // The lane is the worker index: one lane per worker at most.
+        let mut spans = report
+            .acc
+            .events()
+            .iter()
+            .filter(|e| e.phase == phase::EXEC_JOB);
+        assert!(spans.all(|e| (e.lane as usize) < threads), "{at}");
+        // Util is busy over the run's wall time: no worker above 100 %.
+        for &(w, _, ns) in &workers {
+            assert!(ns <= report.total_ns(), "{at}: worker {w} busy {ns} ns");
+        }
     }
 }
 
