@@ -121,7 +121,15 @@ impl ProfileReport {
         let mut out = String::new();
         let total = self.total_ns().max(1);
         let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
-        let pct = |ns: u64| format!("{:.1}", ns as f64 / total as f64 * 100.0);
+        let pct_of = |ns: u64, of: u64| format!("{:.1}", ns as f64 / of as f64 * 100.0);
+        // A phase inside executor jobs sums over every worker, so a phase's
+        // share is of the run's wall time on every thread.
+        let capacity = total * self.threads.max(1) as u64;
+        let share_col = if self.threads > 1 {
+            format!("% of {}x run", self.threads)
+        } else {
+            "% of run".to_string()
+        };
 
         let mut t = Table::new(
             format!(
@@ -131,7 +139,7 @@ impl ProfileReport {
                 self.threads,
                 if self.threads == 1 { "" } else { "s" }
             ),
-            &["phase", "count", "total ms", "% of run"],
+            &["phase", "count", "total ms", &share_col],
         );
         for (id, slot) in self.acc.phases() {
             if slot.count == 0 {
@@ -141,7 +149,7 @@ impl ProfileReport {
                 id.name().to_string(),
                 slot.count.to_string(),
                 ms(slot.nanos),
-                pct(slot.nanos),
+                pct_of(slot.nanos, capacity),
             ]);
         }
         let _ = writeln!(out, "{t}");
@@ -179,7 +187,7 @@ impl ProfileReport {
             };
             let mut t = Table::new(title, &["worker", "jobs", "busy ms", "util %"]);
             for (w, n, busy) in workers {
-                t.row([w.to_string(), n.to_string(), ms(busy), pct(busy)]);
+                t.row([w.to_string(), n.to_string(), ms(busy), pct_of(busy, total)]);
             }
             let _ = writeln!(out, "{t}");
         }
@@ -379,6 +387,35 @@ mod tests {
     }
 
     #[test]
+    fn no_phase_exceeds_the_run_at_two_threads() {
+        // Two workers busy for most of a 1 ms run: the phases inside the
+        // jobs sum over both of them.
+        let mut acc = ProfileAcc::new();
+        acc.add_span(phase::PROFILE_TOTAL, 1_000_000);
+        acc.add_span(phase::EXEC_JOB, 1_864_000);
+        acc.add_span(phase::SIM_STEP, 1_786_000);
+        acc.add_span(phase::HARNESS_POINT, 1_606_000);
+        let r = ProfileReport {
+            harness: "demo".to_string(),
+            tier: Tier::Smoke,
+            threads: 2,
+            acc,
+        };
+        let text = r.render();
+        // The phase rows: from the rule under the header to the first
+        // line that is not a row.
+        let shares: Vec<f64> = text
+            .lines()
+            .skip_while(|l| !l.starts_with("---"))
+            .skip(1)
+            .map_while(|l| l.split_whitespace().last()?.parse().ok())
+            .collect();
+        assert_eq!(shares.len(), 4, "{text}");
+        assert!(shares.iter().all(|&s| s <= 100.0), "{text}");
+        assert!(text.contains("% of 2x run"), "{text}");
+    }
+
+    #[test]
     fn worker_table_says_when_job_spans_were_dropped() {
         let mut r = build_report();
         r.acc.add_span(phase::EXEC_JOB, 300);
@@ -395,6 +432,6 @@ mod tests {
         assert!(r.workers().is_empty());
         let doc = r.to_json();
         assert_eq!(doc.get("sim_coverage"), Some(&Json::Null));
-        let _ = r.render();
+        assert!(r.render().contains("% of run"));
     }
 }

@@ -61,105 +61,6 @@ pub enum DecodeStep {
     Present(DecodeAction),
 }
 
-/// The NoX input-port decode register and its control logic, committed
-/// only through the [`DecodePort`] that owns it.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub(crate) struct Decoder<T> {
-    reg: Option<Coded<T>>,
-}
-
-impl<T: Xor> Decoder<T> {
-    /// Creates a decoder with an empty register.
-    pub(crate) fn new() -> Self {
-        Decoder { reg: None }
-    }
-
-    /// The current decode-register contents, if any.
-    pub(crate) fn register(&self) -> Option<&Coded<T>> {
-        self.reg.as_ref()
-    }
-
-    /// `true` when the register holds a partially-decoded chain.
-    pub(crate) fn is_mid_chain(&self) -> bool {
-        self.reg.is_some()
-    }
-
-    /// Decides this cycle's step from the FIFO head, copying nothing (see
-    /// [`DecodePort::step`]).
-    pub(crate) fn step(&self, head: Option<&Coded<T>>) -> DecodeStep {
-        let Some(head) = head else {
-            return DecodeStep::Idle;
-        };
-        match (self.reg.is_some(), head.is_encoded()) {
-            (false, true) => DecodeStep::Latch,
-            (false, false) => DecodeStep::Present(DecodeAction::Pass),
-            (true, false) => DecodeStep::Present(DecodeAction::DecodeKeep),
-            (true, true) => DecodeStep::Present(DecodeAction::DecodeShift),
-        }
-    }
-
-    /// The word offered to the switch when [`step`](Self::step) says
-    /// [`Present`](DecodeStep::Present) for `head`: the head itself,
-    /// borrowed, over an empty register, `register ^ head` otherwise.
-    pub(crate) fn presented<'a>(&self, head: &'a Coded<T>) -> Cow<'a, Coded<T>> {
-        match &self.reg {
-            None => Cow::Borrowed(head),
-            Some(reg) => Cow::Owned(reg.xor(head)),
-        }
-    }
-
-    /// Commits a [`DecodeStep::Latch`]: stores the encoded head that the
-    /// caller has popped from the FIFO.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register is already occupied or `word` is not encoded
-    /// — either indicates the caller deviated from the decided step.
-    pub(crate) fn latch(&mut self, word: Coded<T>) {
-        assert!(self.reg.is_none(), "decode register already occupied");
-        assert!(word.is_encoded(), "latched a word that needs no decoding");
-        self.reg = Some(word);
-    }
-
-    /// Clears the register, abandoning any partially-decoded chain, and
-    /// returns what it held.
-    ///
-    /// This is the containment action of the fault-tolerance layer
-    /// ("chain kill"): when the FSM self-check detects a desynchronized
-    /// chain — a presented word that is not one plain flit — the port
-    /// truncates the poisoned chain and restarts from scratch rather than
-    /// propagating garbage downstream.
-    pub(crate) fn reset(&mut self) -> Option<Coded<T>> {
-        self.reg.take()
-    }
-
-    /// Commits a serviced presentation.
-    ///
-    /// `popped` carries the FIFO head for [`DecodeAction::DecodeShift`]
-    /// (the caller pops it and it becomes the new register) and must be
-    /// `None` for the other actions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `popped` disagrees with what `action` requires.
-    pub(crate) fn commit(&mut self, action: DecodeAction, popped: Option<Coded<T>>) {
-        match action {
-            DecodeAction::Pass => {
-                assert!(popped.is_none(), "Pass pops outside the decoder");
-            }
-            DecodeAction::DecodeKeep => {
-                assert!(popped.is_none(), "DecodeKeep must keep the head");
-                assert!(self.reg.take().is_some(), "DecodeKeep with empty register");
-            }
-            DecodeAction::DecodeShift => {
-                let head = popped.expect("DecodeShift needs the popped head");
-                assert!(self.reg.is_some(), "DecodeShift with empty register");
-                self.reg = Some(head);
-            }
-        }
-    }
-}
-
 /// A NoX input port: a FIFO of at most `capacity` received words and the
 /// decode register that unwinds the encoded ones, committed together so
 /// that no caller pops the FIFO by hand.
@@ -199,7 +100,8 @@ impl<T: Xor> Decoder<T> {
 pub struct DecodePort<T> {
     fifo: VecDeque<Coded<T>>,
     capacity: usize,
-    decoder: Decoder<T>,
+    /// The decode register: a partially-decoded chain, if any.
+    reg: Option<Coded<T>>,
 }
 
 impl<T: Xor> DecodePort<T> {
@@ -208,7 +110,7 @@ impl<T: Xor> DecodePort<T> {
         DecodePort {
             fifo: VecDeque::with_capacity(capacity),
             capacity,
-            decoder: Decoder::new(),
+            reg: None,
         }
     }
 
@@ -245,7 +147,7 @@ impl<T: Xor> DecodePort<T> {
 
     /// `true` when the port holds no words and no partial decode.
     pub fn is_idle(&self) -> bool {
-        self.fifo.is_empty() && !self.decoder.is_mid_chain()
+        self.fifo.is_empty() && self.reg.is_none()
     }
 
     /// The buffered words, head first.
@@ -255,7 +157,7 @@ impl<T: Xor> DecodePort<T> {
 
     /// The decode-register contents, if a chain is in progress.
     pub fn register(&self) -> Option<&Coded<T>> {
-        self.decoder.register()
+        self.reg.as_ref()
     }
 
     /// Decides this cycle's step from the register and the FIFO head.
@@ -266,11 +168,20 @@ impl<T: Xor> DecodePort<T> {
     /// re-requesting.
     #[inline]
     pub fn step(&self) -> DecodeStep {
-        self.decoder.step(self.fifo.front())
+        let Some(head) = self.fifo.front() else {
+            return DecodeStep::Idle;
+        };
+        match (self.reg.is_some(), head.is_encoded()) {
+            (false, true) => DecodeStep::Latch,
+            (false, false) => DecodeStep::Present(DecodeAction::Pass),
+            (true, false) => DecodeStep::Present(DecodeAction::DecodeKeep),
+            (true, true) => DecodeStep::Present(DecodeAction::DecodeShift),
+        }
     }
 
     /// The word this port offers the switch: its FIFO head as seen through
-    /// the decode register, borrowed when nothing needs decoding.
+    /// the decode register — the head itself, borrowed, over an empty
+    /// register, `register ^ head` otherwise.
     ///
     /// # Panics
     ///
@@ -278,35 +189,57 @@ impl<T: Xor> DecodePort<T> {
     #[inline]
     pub fn presented(&self) -> Cow<'_, Coded<T>> {
         let head = self.fifo.front().expect("an empty port presents nothing");
-        self.decoder.presented(head)
+        match &self.reg {
+            None => Cow::Borrowed(head),
+            Some(reg) => Cow::Owned(reg.xor(head)),
+        }
     }
 
     /// Commits a [`DecodeStep::Latch`]: pops the encoded head into the
     /// register. Its slot frees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO is empty, the register is already occupied or
+    /// the head is not encoded — each means the caller deviated from the
+    /// decided step.
     #[inline]
     pub fn latch(&mut self) {
         let head = self.fifo.pop_front().expect("latch on an empty port");
-        self.decoder.latch(head);
+        assert!(self.reg.is_none(), "decode register already occupied");
+        assert!(head.is_encoded(), "latched a word that needs no decoding");
+        self.reg = Some(head);
     }
 
     /// Commits a serviced [`DecodeStep::Present`] and returns the word that
     /// was presented, with `true` when a FIFO slot freed (every action but
     /// [`DecodeAction::DecodeKeep`]). For [`DecodeAction::Pass`] the word is
     /// the popped head itself, moved, not copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `action` is not what [`step`](Self::step) decides (in
+    /// release builds only where a decode action finds the register
+    /// empty).
     #[inline]
     pub fn take(&mut self, action: DecodeAction) -> (Coded<T>, bool) {
-        debug_assert_eq!(self.step(), DecodeStep::Present(action));
+        debug_assert_eq!(
+            self.step(),
+            DecodeStep::Present(action),
+            "take disagrees with step"
+        );
         match action {
             DecodeAction::Pass => (self.pop(), true),
             DecodeAction::DecodeKeep => {
                 let word = self.presented().into_owned();
-                self.decoder.commit(action, None);
+                assert!(self.reg.take().is_some(), "DecodeKeep with empty register");
                 (word, false)
             }
             DecodeAction::DecodeShift => {
                 let word = self.presented().into_owned();
                 let head = self.pop();
-                self.decoder.commit(action, Some(head));
+                assert!(self.reg.is_some(), "DecodeShift with empty register");
+                self.reg = Some(head);
                 (word, true)
             }
         }
@@ -317,7 +250,7 @@ impl<T: Xor> DecodePort<T> {
     /// broken chain), it is popped too. Returns the number of constituent
     /// flit keys discarded and whether a FIFO slot freed.
     pub fn chain_kill(&mut self) -> (usize, bool) {
-        let mut lost = self.decoder.reset().map_or(0, |reg| reg.arity());
+        let mut lost = self.reg.take().map_or(0, |reg| reg.arity());
         let popped = self.fifo.front().is_some_and(Coded::is_encoded);
         if popped {
             lost += self.pop().arity();
@@ -409,70 +342,82 @@ mod tests {
         assert_eq!(drain(stream), vec![1, 2, 3, 4, 5]);
     }
 
+    /// A port holding `words`, enough room for two more.
+    fn port_of(words: Vec<W>) -> DecodePort<u64> {
+        let mut port = DecodePort::new(words.len() + 2);
+        words.into_iter().for_each(|w| port.receive(w));
+        port
+    }
+
     #[test]
     fn stalled_presentation_is_stable() {
         // step() and presented() are pure: a stalled cycle re-presents the
         // same word.
         let b = plain(2, 0xB);
         let c = plain(3, 0xC);
-        let mut dec = Decoder::new();
-        dec.latch(b.xor(&c));
-        assert_eq!(dec.step(Some(&c)), dec.step(Some(&c)));
-        assert_eq!(dec.presented(&c), dec.presented(&c));
+        let mut port = port_of(vec![b.xor(&c), c]);
+        port.latch();
+        assert_eq!(port.step(), DecodeStep::Present(DecodeAction::DecodeKeep));
+        assert_eq!(port.step(), port.step());
+        assert_eq!(port.presented(), port.presented());
+        assert_eq!(port.presented().sole_key(), Some(2));
     }
 
     #[test]
     fn latch_consumes_a_cycle_without_presentation() {
-        let enc = plain(1, 1).xor(&plain(2, 2));
-        let dec: Decoder<u64> = Decoder::new();
-        assert_eq!(dec.step(Some(&enc)), DecodeStep::Latch);
+        let port = port_of(vec![plain(1, 1).xor(&plain(2, 2))]);
+        assert_eq!(port.step(), DecodeStep::Latch);
     }
 
     #[test]
     fn idle_on_empty_fifo() {
-        let dec: Decoder<u64> = Decoder::new();
-        assert_eq!(dec.step(None), DecodeStep::Idle);
+        assert_eq!(DecodePort::<u64>::new(1).step(), DecodeStep::Idle);
+        let mut port = port_of(vec![plain(1, 1).xor(&plain(2, 2))]);
+        port.latch();
+        // A register mid-chain over an empty FIFO is not clocked.
+        assert_eq!(port.step(), DecodeStep::Idle);
+        assert!(!port.is_idle());
     }
 
     #[test]
     #[should_panic(expected = "already occupied")]
     fn double_latch_rejected() {
-        let mut dec = Decoder::new();
-        dec.latch(plain(1, 1).xor(&plain(2, 2)));
-        dec.latch(plain(3, 3).xor(&plain(4, 4)));
+        let mut port = port_of(vec![
+            plain(1, 1).xor(&plain(2, 2)),
+            plain(3, 3).xor(&plain(4, 4)),
+        ]);
+        port.latch();
+        port.latch();
     }
 
     #[test]
     #[should_panic(expected = "needs no decoding")]
     fn latching_plain_word_rejected() {
-        let mut dec = Decoder::new();
-        dec.latch(plain(1, 1));
+        port_of(vec![plain(1, 1)]).latch();
     }
 
     #[test]
-    #[should_panic(expected = "DecodeShift needs the popped head")]
+    #[should_panic(expected = "take disagrees with step")]
     fn shift_without_head_rejected() {
-        let mut dec = Decoder::new();
-        dec.latch(plain(1, 1).xor(&plain(2, 2)));
-        dec.commit(DecodeAction::DecodeShift, None);
+        let mut port = port_of(vec![plain(1, 1).xor(&plain(2, 2))]);
+        port.latch();
+        port.take(DecodeAction::DecodeShift);
     }
 
     #[test]
     fn reset_abandons_a_chain() {
-        let mut dec = Decoder::new();
         let enc = plain(1, 1).xor(&plain(2, 2));
-        dec.latch(enc.clone());
-        assert!(dec.is_mid_chain());
-        assert_eq!(dec.reset(), Some(enc));
-        assert!(!dec.is_mid_chain());
-        assert_eq!(dec.reset(), None);
-        // The decoder is fully reusable afterwards.
+        let mut port = port_of(vec![enc.clone()]);
+        port.latch();
+        assert_eq!(port.register(), Some(&enc));
+        assert_eq!(port.chain_kill(), (2, false));
+        assert!(port.is_idle());
+        assert_eq!(port.chain_kill(), (0, false));
+        // The port is fully reusable afterwards.
         let head = plain(3, 3);
-        assert_eq!(
-            dec.step(Some(&head)),
-            DecodeStep::Present(DecodeAction::Pass)
-        );
-        assert_eq!(*dec.presented(&head), head);
+        port.receive(head.clone());
+        assert_eq!(port.step(), DecodeStep::Present(DecodeAction::Pass));
+        assert_eq!(*port.presented(), head);
     }
 
     #[test]

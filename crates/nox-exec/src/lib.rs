@@ -41,7 +41,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 
 use nox_telemetry::Json;
-use nox_telemetry::{phase, ProfileAcc, SpanEvent, Stopwatch};
+use nox_telemetry::{phase, ProfileAcc, SpanEvent};
 
 /// A fixed-width worker pool that maps closures over indexed work lists
 /// and reduces results in submission order.
@@ -94,19 +94,19 @@ impl Progress<'_> {
     }
 }
 
-/// Runs one job, measuring it when `observe` is set: the job's telemetry
-/// lands in a private capture delta (later absorbed in submission
-/// order), annotated with its own `exec.job` span and queue-wait sample.
-/// The span event, on the worker's lane, is the one record of the job:
-/// the profile's per-worker table is built from these events.
+/// Runs one job, measuring it when the stage is observed (`stage_start_ns`
+/// is `Some`): the job's telemetry lands in a private capture delta
+/// (later absorbed in submission order), annotated with its own `exec.job`
+/// span and its queue wait, from the stage's start to this pickup. The
+/// span event, on the worker's lane, is the one record of the job: the
+/// profile's per-worker table is built from these events.
 fn run_job<T, R>(
     f: &(impl Fn(usize, T) -> R + Sync),
     i: usize,
     item: T,
-    observe: bool,
-    wait_ns: u64,
+    stage_start_ns: Option<u64>,
 ) -> (R, JobRecord) {
-    if !observe {
+    let Some(stage_start_ns) = stage_start_ns else {
         return (
             f(i, item),
             JobRecord {
@@ -114,7 +114,7 @@ fn run_job<T, R>(
                 dur_ns: 0,
             },
         );
-    }
+    };
     let start_ns = nox_telemetry::epoch_ns();
     let (result, mut delta) = nox_telemetry::capture(|| f(i, item));
     let dur_ns = nox_telemetry::epoch_ns().saturating_sub(start_ns);
@@ -129,7 +129,10 @@ fn run_job<T, R>(
             dur_ns,
         });
         d.sample_ns("exec.job_ns", dur_ns);
-        d.sample_ns("exec.queue_wait_ns", wait_ns);
+        d.sample_ns(
+            "exec.queue_wait_ns",
+            start_ns.saturating_sub(stage_start_ns),
+        );
     }
     (result, JobRecord { delta, dur_ns })
 }
@@ -212,7 +215,9 @@ impl Executor {
         let n = items.len();
         let profiling = nox_telemetry::profiling();
         let streaming = nox_telemetry::stream::active();
-        let observe = profiling || streaming;
+        // Read once, so that a job's queue wait is its pickup time less
+        // the stage's start, on both paths.
+        let stage_start_ns = (profiling || streaming).then(nox_telemetry::epoch_ns);
         if profiling {
             nox_telemetry::with_acc(|a| a.add_count(&format!("exec.stage.{stage}.jobs"), n as u64));
         }
@@ -236,7 +241,7 @@ impl Executor {
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| {
-                    let (r, rec) = run_job(&f, i, t, observe, 0);
+                    let (r, rec) = run_job(&f, i, t, stage_start_ns);
                     if let Some(delta) = rec.delta {
                         nox_telemetry::absorb(delta);
                     }
@@ -264,11 +269,9 @@ impl Executor {
                     scope.spawn(move || {
                         nox_telemetry::set_lane(w as u32);
                         loop {
-                            let idle = observe.then(Stopwatch::start);
                             let next = queue.lock().expect("work queue poisoned").next();
-                            let wait_ns = idle.map_or(0, |sw| sw.elapsed_ns());
                             let Some((i, item)) = next else { break };
-                            let (r, rec) = run_job(f, i, item, observe, wait_ns);
+                            let (r, rec) = run_job(f, i, item, stage_start_ns);
                             let dur_ns = rec.dur_ns;
                             *slots[i].lock().expect("result slot poisoned") = Some((r, rec));
                             if streaming {
@@ -642,6 +645,29 @@ mod tests {
         };
         assert_eq!(lanes(phase::EXEC_JOB), lanes(phase::HARNESS_POINT));
         assert!(lanes(phase::EXEC_JOB).iter().all(|&l| l < 4));
+    }
+
+    #[test]
+    fn queue_wait_runs_from_the_stage_start_to_the_pickup() {
+        let _g = telemetry_lock();
+        nox_telemetry::set_profiling(true);
+        nox_telemetry::stream::clear();
+        let _ = nox_telemetry::take_acc();
+        // One worker, three 5 ms jobs: the third is picked up after the
+        // first two have run, so it waited at least 10 ms.
+        Executor::sequential().map_stage("demo", 0..3u32, |_, n| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            n
+        });
+        let acc = nox_telemetry::take_acc().expect("profiling allocates the acc");
+        nox_telemetry::set_profiling(false);
+        let wait = &acc.samples()["exec.queue_wait_ns"];
+        assert_eq!(wait.count(), 3);
+        assert!(
+            wait.max_ns() >= 10_000_000,
+            "longest queue wait {} ns",
+            wait.max_ns()
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`Network::step`](crate::network::Network::step) walks the sources
 //! that can inject, the sinks that hold a word and the routers that are
-//! awake, not every source, sink and router (DESIGN.md §19). Each of
+//! awake, not every source, sink and router (DESIGN.md §16). Each of
 //! those is an [`ActiveSet`]: one bit per index over a universe fixed by
 //! the topology, visited in ascending index order, so the order in which
 //! counters move, credits queue and the probe hears of events is the

@@ -12,13 +12,13 @@
 //! 3. ticks every router whose tick can change something (they emit link
 //!    transfers and credit returns), each start to finish; a router with
 //!    empty input FIFOs and settled engines sleeps until a word or an
-//!    injected flit reaches it (DESIGN.md §17). A phase clock, if one is
-//!    attached, times the whole loop as one phase (DESIGN.md §18);
+//!    injected flit reaches it (DESIGN.md §16). A phase clock, if one is
+//!    attached, times the whole loop as one phase (DESIGN.md §16);
 //! 4. drains every sink that holds a word by at most one flit, recording
 //!    packet latencies.
 //!
 //! Steps 2 to 4 each run over a set of the things that can act, kept
-//! exact by the events that change it (DESIGN.md §19).
+//! exact by the events that change it (DESIGN.md §16).
 //!
 //! Per-packet flit ordering, payload integrity, and credit conservation
 //! are asserted continuously, so any router bug aborts the simulation
@@ -422,7 +422,7 @@ impl Network {
     /// `true` once every scheduled packet has been injected and the
     /// network, links, and sinks are empty.
     pub fn is_quiescent(&self) -> bool {
-        // Answered from the three sets (DESIGN.md §19). A source outside
+        // Answered from the three sets (DESIGN.md §16). A source outside
         // its set has no packet part-way in or created yet, so none at
         // all once the cursor has passed the trace's last. Outside the
         // other two sets FIFOs are empty, and so are decode registers
@@ -556,7 +556,7 @@ impl Network {
 
         // 3. Awake routers tick. A sleeping router is settled, so its
         // tick would emit nothing, count nothing and change nothing
-        // (DESIGN.md §17); the wakes of this cycle (1a, 2) are all in by
+        // (DESIGN.md §16); the wakes of this cycle (1a, 2) are all in by
         // now. Both tick buffers recycle allocations instead of growing
         // fresh `Vec`s every cycle: the drained `deliveries` vector
         // becomes this cycle's send buffer (it returns to `in_flight` in
@@ -591,7 +591,7 @@ impl Network {
             self.probe = ctx.probe;
         }
         // One clock read for the whole router loop: a read per router
-        // would cost more than the step (DESIGN.md §18).
+        // would cost more than the step (DESIGN.md §16).
         self.mark_phase(nox_telemetry::phase::SIM_ROUTE);
 
         // 4. Sinks that hold a word drain one flit and record latencies.

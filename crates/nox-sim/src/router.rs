@@ -21,10 +21,10 @@
 //!
 //! The two sets those loops run over (inputs whose FIFO holds a word,
 //! outputs whose engine is not settled) are kept exact as words come and
-//! go and engines tick: a cycle costs what moves (DESIGN.md §19).
+//! go and engines tick: a cycle costs what moves (DESIGN.md §16).
 //!
 //! A link word moves once per hop, as a flit crosses the paper's switch
-//! once per cycle (DESIGN.md §18). The control logic works on a [`Presented`]
+//! once per cycle (DESIGN.md §16). The control logic works on a [`Presented`]
 //! record that holds the flit's routing information but not the word; the
 //! word stays in its FIFO slot until its input is serviced, and is then
 //! popped straight into the [`Send`]. Only an XOR-encoded drive (1.4 % of
@@ -295,7 +295,7 @@ fn route_via(routes: &mut [PortId], topo: &Topology, node: NodeId, dest: NodeId)
 /// output's decision reads only what the inputs filed for it and its own
 /// engine and credit counter, and applying it touches only that counter
 /// and the inputs that requested it, so no output waits for another
-/// (DESIGN.md §19). Routers never interact within a cycle either: sends
+/// (DESIGN.md §16). Routers never interact within a cycle either: sends
 /// and credits emitted into the [`TickCtx`] are delivered by the network
 /// on *later* cycles.
 #[derive(Clone, Debug)]
@@ -430,7 +430,7 @@ impl Router {
     /// empty, so nothing can be presented or latched, and every output
     /// engine is settled, so an empty request set decides nothing: both
     /// port sets are empty. The network skips such a router until a word
-    /// or an injected flit reaches one of its inputs (DESIGN.md §17).
+    /// or an injected flit reaches one of its inputs (DESIGN.md §16).
     /// Credits do not enter into it: with nothing buffered there is
     /// nothing to request with, whatever the counters say, and a decode
     /// register left mid-chain over an empty FIFO waits for its next word
@@ -610,7 +610,7 @@ impl Router {
     /// The outputs whose engine has something to decide this cycle: the
     /// requested ones and the unsettled ones. Any other engine's tick
     /// would return the idle decision, which applies as nothing, and
-    /// leave it unchanged (DESIGN.md §17).
+    /// leave it unchanged (DESIGN.md §16).
     fn demanded(&self) -> PortSet {
         self.scratch.requested.union(self.unsettled)
     }

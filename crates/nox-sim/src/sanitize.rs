@@ -16,7 +16,7 @@
 //!   failed speculation for Spec, and nothing at all for Non-Spec;
 //! * **skipped ticks** — every router the step left asleep is ticked as
 //!   a clone, and the tick must have been the identity: the reference
-//!   the quiescence-driven step loop (DESIGN.md §17) is held to, in
+//!   the quiescence-driven step loop (DESIGN.md §16) is held to, in
 //!   place of a second loop that ticks everything;
 //! * **skipped sources** — every source outside the injecting set has
 //!   nothing it could inject, and the cursor over the trace's packets
@@ -24,7 +24,7 @@
 //! * **skipped sinks** — every sink outside the draining set is empty,
 //!   and draining a clone of it does nothing;
 //! * **port sets** — every router's occupied-input and unsettled-output
-//!   sets are what its FIFOs and engines say (DESIGN.md §19).
+//!   sets are what its FIFOs and engines say (DESIGN.md §16).
 //!
 //! The checks here are pure functions over counter snapshots, occupancy
 //! views and clones of routers and sinks; [`Network`](crate::network::Network)

@@ -1,4 +1,4 @@
-//! Quiescence-driven stepping (DESIGN.md §17, §19): the network visits
+//! Quiescence-driven stepping (DESIGN.md §16): the network visits
 //! only the sources, routers and sinks that can act, and a router only
 //! its occupied inputs and demanded outputs, and nothing a simulation
 //! reports may depend on that.

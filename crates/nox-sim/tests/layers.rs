@@ -7,7 +7,7 @@
 //! run reports, and the work it did to get there.
 //!
 //! Every run steps the same loop; a phase clock times the router loop
-//! from outside (DESIGN.md §18). So an observer must not change how many
+//! from outside (DESIGN.md §16). So an observer must not change how many
 //! routers, ports, sources or sinks are visited: the five work counters
 //! come out equal. A zero-rate campaign visits every router, source and
 //! sink every cycle, and still exactly the ports the bare run visits. The

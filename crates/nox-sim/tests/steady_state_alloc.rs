@@ -35,7 +35,7 @@ const _: () = assert!(std::mem::size_of::<Word>() <= 48);
 
 // Flit info, output port and decode action, and no `Word`: what the
 // control logic copies per input per cycle is half a word's size
-// (DESIGN.md §18).
+// (DESIGN.md §16).
 const _: () = assert!(std::mem::size_of::<Presented>() <= 24);
 
 // `Copy`, so it owns no heap block: fixed arrays of `MAX_PORTS` slots.

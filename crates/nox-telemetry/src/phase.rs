@@ -5,7 +5,7 @@
 //! the structural half of the determinism argument in DESIGN.md §14.
 //!
 //! `sim.route` times the simulator's whole router loop, one mark per
-//! step; the work inside it is counted, not timed (DESIGN.md §18). Three
+//! step; the work inside it is counted, not timed (DESIGN.md §16). Three
 //! ids are retired and nothing marks them: `sim.arbitrate`, `sim.drive`
 //! and `sim.encode`. They stay registered, reading 0, only because the
 //! frozen repo benchmark names them; ROADMAP item 1 drops them with the
