@@ -6,38 +6,30 @@
 //! Compares the 64-core 8x8 mesh of five-port routers against a 64-core
 //! 4x4 *concentrated* mesh of radix-8 routers (4 cores per router, 4 mm
 //! channels, clocks re-derived by the logical-effort model), sweeping
-//! uniform random traffic on both.
+//! uniform random traffic on both. Each of the eight series ends at its
+//! first undrained rate ([`sweep_series`]).
 
 use std::fmt::Write as _;
 
 use crate::harness::{uniform_config, Tier};
 use crate::json::Json;
-use crate::sweep::measure_rate;
+use crate::sweep::{sweep_series, ArchSeries};
 use crate::Table;
+use nox_exec::Executor;
 use nox_power::timing::CriticalPath;
 use nox_sim::config::{cmesh_clock_ps, Arch, NetConfig};
 
 /// Versioned schema of the `--json` document.
-pub const SCHEMA: &str = "nox-bench/cmesh/v1";
-
-/// One architecture's latency at one rate on one topology.
-#[derive(Clone, Debug)]
-pub struct TopoPoint {
-    /// Offered load, MB/s per node.
-    pub rate_mbps: f64,
-    /// Mean latency per architecture (`Arch::ALL` order), ns.
-    pub latency_ns: [f64; 4],
-    /// Drained flags per architecture.
-    pub drained: [bool; 4],
-}
+pub const SCHEMA: &str = "nox-bench/cmesh/v2";
 
 /// One topology's sweep.
 #[derive(Clone, Debug)]
 pub struct TopoSweep {
     /// Display label, e.g. `8x8 mesh (radix 5)`.
     pub label: &'static str,
-    /// The swept points.
-    pub points: Vec<TopoPoint>,
+    /// One series per architecture, in `Arch::ALL` order, each ending at
+    /// its first undrained rate.
+    pub series: Vec<ArchSeries>,
 }
 
 /// The §8 result.
@@ -45,6 +37,8 @@ pub struct TopoSweep {
 pub struct CmeshResult {
     /// Tier the study ran at.
     pub tier: Tier,
+    /// The swept offered loads, MB/s per node.
+    pub rates: Vec<f64>,
     /// Per-architecture mesh and cmesh clock periods, picoseconds.
     pub clocks_ps: Vec<(Arch, f64, f64)>,
     /// The mesh sweep followed by the cmesh sweep.
@@ -53,8 +47,9 @@ pub struct CmeshResult {
     pub clocks_consistent: bool,
 }
 
-/// Runs the topology comparison at `tier`.
-pub fn run(tier: Tier) -> CmeshResult {
+/// Runs the topology comparison at `tier`, its waves fanned out over
+/// `exec`.
+pub fn run(tier: Tier, exec: &Executor) -> CmeshResult {
     let mut clocks_consistent = true;
     let clocks_ps = Arch::ALL
         .iter()
@@ -69,7 +64,7 @@ pub fn run(tier: Tier) -> CmeshResult {
         Tier::Smoke => vec![500.0, 1_000.0, 2_000.0],
         _ => vec![500.0, 1_000.0, 1_500.0, 2_000.0, 2_500.0],
     };
-    let cfg = uniform_config(tier, rates, 6_000.0);
+    let cfg = uniform_config(tier, rates.clone(), 6_000.0);
     // One 64-core uniform trace per rate drives all eight networks: the
     // four architectures on the mesh, then the same four on the cmesh.
     let nets: Vec<NetConfig> = Arch::ALL
@@ -77,33 +72,21 @@ pub fn run(tier: Tier) -> CmeshResult {
         .into_iter()
         .chain(Arch::ALL.map(NetConfig::cmesh_paper))
         .collect();
-    let measured: Vec<_> = cfg
-        .rates_mbps
-        .iter()
-        .map(|&rate| measure_rate(&cfg, rate, &nets))
-        .collect();
+    let mut series = sweep_series("cmesh", &[cfg], &nets, exec)
+        .pop()
+        .expect("one configuration")
+        .into_iter();
     let sweeps = ["8x8 mesh (radix 5)", "4x4 cmesh (radix 8)"]
         .into_iter()
-        .zip([0, Arch::ALL.len()])
-        .map(|(label, first)| TopoSweep {
+        .map(|label| TopoSweep {
             label,
-            points: measured
-                .iter()
-                .zip(&cfg.rates_mbps)
-                .map(|(points, &rate_mbps)| {
-                    let topo = &points[first..first + Arch::ALL.len()];
-                    TopoPoint {
-                        rate_mbps,
-                        latency_ns: std::array::from_fn(|i| topo[i].latency_ns),
-                        drained: std::array::from_fn(|i| topo[i].drained),
-                    }
-                })
-                .collect(),
+            series: series.by_ref().take(Arch::ALL.len()).collect(),
         })
         .collect();
 
     CmeshResult {
         tier,
+        rates,
         clocks_ps,
         sweeps,
         clocks_consistent,
@@ -165,24 +148,27 @@ impl CmeshResult {
                     "NoX vs Spec-Acc",
                 ],
             );
-            for p in &sweep.points {
-                let cell = |i: usize| {
-                    if p.drained[i] {
-                        format!("{:.2}", p.latency_ns[i])
-                    } else {
-                        "sat".into()
-                    }
+            for (i, &rate) in self.rates.iter().enumerate() {
+                // The drained latencies; a rate past a series' end is one
+                // it did not drain.
+                let latency: Vec<Option<f64>> = sweep
+                    .series
+                    .iter()
+                    .map(|s| s.points.get(i).filter(|p| p.drained).map(|p| p.latency_ns))
+                    .collect();
+                let cell = |a: usize| match latency[a] {
+                    Some(l) => format!("{l:.2}"),
+                    None => "sat".into(),
                 };
                 t.row([
-                    format!("{:.0}", p.rate_mbps),
+                    format!("{rate:.0}"),
                     cell(0),
                     cell(1),
                     cell(2),
                     cell(3),
-                    if p.drained[2] && p.drained[3] {
-                        format!("{:+.1}%", (p.latency_ns[3] / p.latency_ns[2] - 1.0) * 100.0)
-                    } else {
-                        "-".into()
+                    match (latency[2], latency[3]) {
+                        (Some(acc), Some(nox)) => format!("{:+.1}%", (nox / acc - 1.0) * 100.0),
+                        _ => "-".into(),
                     },
                 ]);
             }
@@ -200,7 +186,9 @@ impl CmeshResult {
         out
     }
 
-    /// The versioned machine-readable document.
+    /// The versioned machine-readable document: per topology one series
+    /// per architecture, whose `points` end at its first undrained rate;
+    /// `rates_mbps` lists the whole grid.
     pub fn to_json(&self) -> Json {
         let clocks = self
             .clocks_ps
@@ -216,36 +204,35 @@ impl CmeshResult {
             .sweeps
             .iter()
             .map(|s| {
-                let points = s
-                    .points
+                let series = s
+                    .series
                     .iter()
-                    .map(|p| {
-                        let lat = p
-                            .latency_ns
+                    .map(|a| {
+                        let points = a
+                            .points
                             .iter()
-                            .zip(p.drained)
-                            .zip(Arch::ALL)
-                            .map(|((&l, d), a)| {
+                            .map(|p| {
                                 Json::obj()
-                                    .field("arch", a.name())
-                                    .field("latency_ns", l)
-                                    .field("drained", d)
+                                    .field("rate_mbps", p.rate_mbps)
+                                    .field("latency_ns", p.latency_ns)
+                                    .field("drained", p.drained)
                             })
                             .collect::<Vec<_>>();
                         Json::obj()
-                            .field("rate_mbps", p.rate_mbps)
-                            .field("results", Json::Arr(lat))
+                            .field("arch", a.arch.name())
+                            .field("points", Json::Arr(points))
                     })
                     .collect::<Vec<_>>();
                 Json::obj()
                     .field("label", s.label)
-                    .field("points", Json::Arr(points))
+                    .field("series", Json::Arr(series))
             })
             .collect::<Vec<_>>();
         let (pen_mesh, pen_cmesh) = self.nox_clock_penalties();
         Json::obj()
             .field("schema", SCHEMA)
             .field("tier", self.tier.name())
+            .field("rates_mbps", self.rates.clone())
             .field("clocks", Json::Arr(clocks))
             .field("clocks_consistent", self.clocks_consistent)
             .field("sweeps", Json::Arr(sweeps))

@@ -11,7 +11,7 @@ use crate::Table;
 use nox_sim::config::Arch;
 
 /// Versioned schema of the `--json` document.
-pub const SCHEMA: &str = "nox-bench/fig8/v1";
+pub const SCHEMA: &str = "nox-bench/fig8/v2";
 
 /// The Figure 8 result: the latency view of the synthetic study.
 #[derive(Clone, Debug)]
@@ -46,13 +46,10 @@ impl Fig8Result {
                 ],
             );
             for (i, &rate) in self.study.rates.iter().enumerate() {
-                let cell = |s: &ArchSeries| {
-                    let p = &s.points[i];
-                    if p.drained {
-                        format!("{:.2}", p.latency_ns)
-                    } else {
-                        "sat".to_string()
-                    }
+                // A rate past a series' end is one it did not drain.
+                let cell = |s: &ArchSeries| match s.points.get(i) {
+                    Some(p) if p.drained => format!("{:.2}", p.latency_ns),
+                    _ => "sat".to_string(),
                 };
                 t.row([
                     format!("{rate:.0}"),
@@ -98,7 +95,8 @@ impl Fig8Result {
         out
     }
 
-    /// The versioned machine-readable document.
+    /// The versioned machine-readable document. Each series' `points` end
+    /// at its first undrained rate; `rates_mbps` lists the whole grid.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("schema", SCHEMA)

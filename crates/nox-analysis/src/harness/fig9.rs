@@ -14,7 +14,7 @@ use crate::Table;
 use nox_sim::config::Arch;
 
 /// Versioned schema of the `--json` document.
-pub const SCHEMA: &str = "nox-bench/fig9/v1";
+pub const SCHEMA: &str = "nox-bench/fig9/v2";
 
 /// The Figure 9 result: the ED² view of the synthetic study.
 #[derive(Clone, Debug)]
@@ -48,13 +48,10 @@ impl Fig9Result {
                 ],
             );
             for (i, &rate) in self.study.rates.iter().enumerate() {
-                let cell = |s: &ArchSeries| {
-                    let p = &s.points[i];
-                    if p.drained {
-                        format!("{:.3e}", p.ed2)
-                    } else {
-                        "sat".to_string()
-                    }
+                // A rate past a series' end is one it did not drain.
+                let cell = |s: &ArchSeries| match s.points.get(i) {
+                    Some(p) if p.drained => format!("{:.3e}", p.ed2),
+                    _ => "sat".to_string(),
                 };
                 t.row([
                     format!("{rate:.0}"),
@@ -89,7 +86,8 @@ impl Fig9Result {
         out
     }
 
-    /// The versioned machine-readable document.
+    /// The versioned machine-readable document. Each series' `points` end
+    /// at its first undrained rate; `rates_mbps` lists the whole grid.
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("schema", SCHEMA)

@@ -6,7 +6,7 @@
 //!
 //! * `render()` — the human-readable tables;
 //! * `to_json()` — the same numbers on a versioned machine-readable
-//!   schema (`nox-bench/<harness>/v1`).
+//!   schema (`nox-bench/<harness>/vN`).
 //!
 //! [`HARNESSES`] lists them once: name, one-line description, and a
 //! `run(tier, executor)` that returns a [`Report`] — the rendered text,
@@ -229,7 +229,7 @@ pub static HARNESSES: &[Harness] = &[
     harness!(
         "cmesh",
         "section 8 future work: radix-8 concentrated mesh",
-        |tier, _exec| cmesh::run(tier),
+        |tier, exec| cmesh::run(tier, exec),
         ok: |r: &cmesh::CmeshResult| r.clocks_consistent
     ),
     harness!(

@@ -9,7 +9,7 @@
 
 use crate::harness::Tier;
 use crate::json::Json;
-use crate::sweep::{crossover_mbps, measure_rate, ArchSeries, SweepConfig};
+use crate::sweep::{crossover_mbps, sweep_series, ArchSeries, SweepConfig};
 use nox_exec::Executor;
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::sim::RunSpec;
@@ -32,7 +32,8 @@ pub struct Scenario {
     pub pattern: Pattern,
     /// Arrival process.
     pub process: Process,
-    /// One series per architecture, in `Arch::ALL` order.
+    /// One series per architecture, in `Arch::ALL` order, each ending at
+    /// its first undrained rate.
     pub series: Vec<ArchSeries>,
 }
 
@@ -41,7 +42,8 @@ pub struct Scenario {
 pub struct SyntheticStudy {
     /// Tier the study ran at.
     pub tier: Tier,
-    /// The swept offered loads, MB/s per node.
+    /// The swept offered loads, MB/s per node: the grid every series
+    /// starts on (a series may end before its last rate).
     pub rates: Vec<f64>,
     /// The four scenarios, in the paper's panel order.
     pub scenarios: Vec<Scenario>,
@@ -109,14 +111,14 @@ pub fn sweep_config(tier: Tier, rates: Vec<f64>) -> SweepConfig {
     }
 }
 
-/// Runs the full four-scenario study at `tier`, fanning every
-/// (scenario, rate) operating point out over `exec`.
-///
-/// Each point is measured by [`measure_rate`]: its one trace, generated
-/// from the scenario's configuration and the rate alone, drives all four
-/// architectures. The ordered reduction reassembles the panel / series /
-/// point nesting in definition order — so the study is bit-identical at
-/// any thread count.
+/// Runs the full four-scenario study at `tier` through [`sweep_series`],
+/// over `exec`: one wave per rate, each scenario's trace at that rate
+/// generated once and driving every architecture still draining under
+/// it. Each series ends at its first undrained rate, the last point
+/// Figures 8 and 9 and the claims read (§5.1 reads a curve up to
+/// saturation). The ordered reduction keeps the panel / series / point
+/// nesting in definition order — so the study is bit-identical at any
+/// thread count.
 pub fn study_with(tier: Tier, exec: &Executor) -> SyntheticStudy {
     let rates = rates(tier);
     let defs = scenario_defs();
@@ -128,38 +130,16 @@ pub fn study_with(tier: Tier, exec: &Executor) -> SyntheticStudy {
             ..sweep_config(tier, rates.clone())
         })
         .collect();
-    let nets = Arch::ALL.map(NetConfig::paper);
-    let jobs: Vec<(usize, f64)> = (0..defs.len())
-        .flat_map(|si| rates.iter().map(move |&rate| (si, rate)))
-        .collect();
-    let points = exec.map_stage("synthetic.sweeps", jobs, |_, (si, rate)| {
-        measure_rate(&cfgs[si], rate, &nets)
-    });
-
-    let mut it = points.into_iter();
+    let series = sweep_series("synthetic", &cfgs, &Arch::ALL.map(NetConfig::paper), exec);
     let scenarios = defs
         .into_iter()
-        .map(|(key, label, pattern, process)| {
-            let mut series: Vec<ArchSeries> = Arch::ALL
-                .iter()
-                .map(|&arch| ArchSeries {
-                    arch,
-                    pattern,
-                    points: Vec::with_capacity(rates.len()),
-                })
-                .collect();
-            for point in it.by_ref().take(rates.len()) {
-                for (s, p) in series.iter_mut().zip(point) {
-                    s.points.push(p);
-                }
-            }
-            Scenario {
-                key,
-                label,
-                pattern,
-                process,
-                series,
-            }
+        .zip(series)
+        .map(|((key, label, pattern, process), series)| Scenario {
+            key,
+            label,
+            pattern,
+            process,
+            series,
         })
         .collect();
     SyntheticStudy {
@@ -213,7 +193,8 @@ impl Scenario {
 
     /// The largest swept rate up to which `arch` has the strictly lowest
     /// latency at every drained point (the "best at low load up to X
-    /// MB/s/node" prose of §5.1), or `None` if it never leads.
+    /// MB/s/node" prose of §5.1), or `None` if it never leads. A rate past
+    /// a series' end reads as undrained.
     pub fn best_region_edge(&self, arch: Arch) -> Option<f64> {
         let mut edge = None;
         for (i, p) in self.series_of(arch).points.iter().enumerate() {
@@ -221,7 +202,10 @@ impl Scenario {
                 break;
             }
             let leads = self.series.iter().zip(Arch::ALL).all(|(s, a)| {
-                a == arch || s.points[i].latency_ns > p.latency_ns || !s.points[i].drained
+                a == arch
+                    || s.points
+                        .get(i)
+                        .is_none_or(|q| q.latency_ns > p.latency_ns || !q.drained)
             });
             if leads {
                 edge = Some(p.rate_mbps);
@@ -233,11 +217,15 @@ impl Scenario {
     }
 
     /// Index of the last rate at which *all* architectures still drained
-    /// (the fair ED² comparison point of Figure 9).
+    /// (the fair ED² comparison point of Figure 9). A rate past a series'
+    /// end reads as undrained.
     pub fn last_common_drained(&self) -> Option<usize> {
-        (0..self.series[0].points.len())
-            .rev()
-            .find(|&i| self.series.iter().all(|s| s.points[i].drained))
+        let longest = self.series.iter().map(|s| s.points.len()).max()?;
+        (0..longest).rev().find(|&i| {
+            self.series
+                .iter()
+                .all(|s| s.points.get(i).is_some_and(|p| p.drained))
+        })
     }
 
     /// ED² of `arch` relative to NoX at the last common drained rate, as

@@ -10,7 +10,7 @@
 //!   energy-delay^2 comparison (Figures 10 and 11);
 //! * [`harness`] — one library module per figure or table, each
 //!   returning a structured result type with `render()` (the human
-//!   table) and `to_json()` (a versioned `nox-bench/<harness>/v1`
+//!   table) and `to_json()` (a versioned `nox-bench/<harness>/vN`
 //!   document), and the one table ([`harness::HARNESSES`]) through which
 //!   `noxsim run`, `noxsim profile` and the serve daemon reach them;
 //! * [`claims`] — the machine-checkable conformance registry binding
@@ -26,12 +26,13 @@
 //! # Example
 //!
 //! ```no_run
-//! use nox_analysis::sweep::{sweep_with, SweepConfig};
+//! use nox_analysis::sweep::{sweep_series, SweepConfig};
 //! use nox_exec::Executor;
-//! use nox_sim::config::Arch;
+//! use nox_sim::config::{Arch, NetConfig};
 //!
 //! let cfg = SweepConfig::uniform(vec![500.0, 1500.0, 2500.0]);
-//! let series = sweep_with(Arch::Nox, &cfg, &Executor::default());
+//! let nets = [NetConfig::paper(Arch::Nox)];
+//! let series = &sweep_series("example", &[cfg], &nets, &Executor::default())[0][0];
 //! println!("saturation: {:.0} MB/s/node", series.saturation_mbps(15.0));
 //! ```
 
@@ -48,5 +49,5 @@ pub mod table;
 pub use apps::{mean_ed2_improvement_pct, run_workload, AppResult};
 pub use harness::Tier;
 pub use nox_telemetry::json::{self, Json};
-pub use sweep::{crossover_mbps, sweep_with, ArchSeries, SweepConfig, SweepPoint};
+pub use sweep::{crossover_mbps, sweep_series, ArchSeries, SweepConfig, SweepPoint};
 pub use table::Table;

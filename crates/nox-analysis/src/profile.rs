@@ -24,11 +24,15 @@ use std::fmt::Write as _;
 use crate::harness::Tier;
 use crate::json::Json;
 use crate::Table;
-use nox_telemetry::phase::{self, SIM_ATTRIBUTED};
+use nox_telemetry::phase::{self, PhaseId, SIM_ATTRIBUTED};
 use nox_telemetry::{LogHist, ProfileAcc, Stopwatch};
 
 /// Versioned schema of the profile artifact.
 pub const SCHEMA: &str = "nox-bench/profile/v2";
+
+/// The phases only the calling thread records, never an executor job:
+/// the whole run and a harness row's run.
+const CALLER_PHASES: [PhaseId; 2] = [phase::HARNESS_STAGE, phase::PROFILE_TOTAL];
 
 /// One collected profile: a harness run's accumulated telemetry plus the
 /// run parameters that contextualize it.
@@ -122,9 +126,20 @@ impl ProfileReport {
         let total = self.total_ns().max(1);
         let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
         let pct_of = |ns: u64, of: u64| format!("{:.1}", ns as f64 / of as f64 * 100.0);
-        // A phase inside executor jobs sums over every worker, so a phase's
-        // share is of the run's wall time on every thread.
+        // A phase inside executor jobs sums over every worker, so its share
+        // is of the run's wall time on every thread; a phase only the
+        // calling thread records gets its share of one run.
         let capacity = total * self.threads.max(1) as u64;
+        let share = |id: PhaseId, ns: u64| {
+            pct_of(
+                ns,
+                if CALLER_PHASES.contains(&id) {
+                    total
+                } else {
+                    capacity
+                },
+            )
+        };
         let share_col = if self.threads > 1 {
             format!("% of {}x run", self.threads)
         } else {
@@ -149,10 +164,17 @@ impl ProfileReport {
                 id.name().to_string(),
                 slot.count.to_string(),
                 ms(slot.nanos),
-                pct_of(slot.nanos, capacity),
+                share(id, slot.nanos),
             ]);
         }
         let _ = writeln!(out, "{t}");
+        if self.threads > 1 {
+            let _ = writeln!(
+                out,
+                "  {} run on the calling thread alone: their share is of one run",
+                CALLER_PHASES.map(PhaseId::name).join(" and ")
+            );
+        }
 
         if let Some(cov) = self.sim_coverage() {
             let _ = writeln!(
@@ -395,6 +417,7 @@ mod tests {
         acc.add_span(phase::EXEC_JOB, 1_864_000);
         acc.add_span(phase::SIM_STEP, 1_786_000);
         acc.add_span(phase::HARNESS_POINT, 1_606_000);
+        acc.add_span(phase::HARNESS_STAGE, 990_000);
         let r = ProfileReport {
             harness: "demo".to_string(),
             tier: Tier::Smoke,
@@ -410,9 +433,22 @@ mod tests {
             .skip(1)
             .map_while(|l| l.split_whitespace().last()?.parse().ok())
             .collect();
-        assert_eq!(shares.len(), 4, "{text}");
+        assert_eq!(shares.len(), 5, "{text}");
         assert!(shares.iter().all(|&s| s <= 100.0), "{text}");
         assert!(text.contains("% of 2x run"), "{text}");
+        // The spans of the calling thread alone read their share of one
+        // run: the run itself is all of it.
+        let share_of = |name: &str| {
+            let mut row = text
+                .lines()
+                .map(str::split_whitespace)
+                .find(|w| w.clone().next() == Some(name))
+                .expect(name);
+            row.next_back().unwrap().to_string()
+        };
+        assert_eq!(share_of("profile.total"), "100.0", "{text}");
+        assert_eq!(share_of("harness.stage"), "99.0", "{text}");
+        assert_eq!(share_of("exec.job"), "93.2", "{text}");
     }
 
     #[test]

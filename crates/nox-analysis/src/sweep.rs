@@ -1,15 +1,20 @@
 //! Injection-rate sweeps for the synthetic-traffic studies (Figures 8, 9).
 //!
-//! A sweep runs one router architecture over a list of injection rates
+//! A sweep runs router architectures over a list of injection rates
 //! with a fixed traffic pattern, collecting latency, accepted throughput,
 //! and energy at every point, and locates the saturation point and the
 //! crossovers between architectures that the paper reports in §5.1.
 //!
 //! This module also decides which trace an operating point runs on:
 //! [`SweepConfig::trace`] is the one place a synthetic trace is generated
-//! for a study, a harness or the daemon, and [`measure_rate`] generates it
-//! once and runs every network of the point on it — the paper's method of
-//! one offered-traffic trace driving all the routers it compares.
+//! for a study, a harness or the daemon, and [`sweep_series`] and
+//! [`measure_rate`] generate it once per rate and run every network of
+//! the point on it — the paper's method of one offered-traffic trace
+//! driving all the routers it compares.
+//!
+//! [`sweep_series`] drives the studies: it stops each series at its first
+//! undrained rate, the last point any reader of a sweep uses.
+//! [`measure_rate`] answers exactly the rates it is asked for.
 
 use nox_exec::Executor;
 use nox_power::energy::{energy_delay2, energy_per_packet_pj, EnergyModel};
@@ -17,6 +22,7 @@ use nox_sim::config::{Arch, NetConfig};
 use nox_sim::sim::{run, RunSpec, SimResult};
 use nox_sim::topology::Mesh;
 use nox_sim::trace::Trace;
+use nox_telemetry::{phase, SpanGuard};
 use nox_traffic::synthetic::{generate, Process, SyntheticConfig};
 use nox_traffic::Pattern;
 
@@ -48,7 +54,9 @@ pub struct ArchSeries {
     pub arch: Arch,
     /// Traffic pattern swept.
     pub pattern: Pattern,
-    /// The measured points, in increasing rate order.
+    /// The measured points, in increasing rate order. A series from
+    /// [`sweep_series`] ends at its first undrained point: a rate past the
+    /// end is one the network did not drain.
     pub points: Vec<SweepPoint>,
 }
 
@@ -112,21 +120,81 @@ impl SweepConfig {
     }
 }
 
+/// Sweeps every configuration of `cfgs` over its rates on every network
+/// of `nets`, fanned out over `exec`, and returns one series per
+/// (configuration, network): `series[c][n]` is network `n` under
+/// configuration `c`, its architecture and `cfgs[c]`'s pattern.
+///
+/// The rates run in increasing order, one wave per rate: wave `k` runs
+/// the `k`-th rate of every configuration. A network is live up to and
+/// including its first undrained rate, and its series ends there; no
+/// higher rate is simulated for it. In each wave every configuration
+/// with a live network gets its trace generated once, through
+/// [`SweepConfig::trace`] (the fan-out `"{stage}.traces"`), and every
+/// live (configuration, network) pair is one job of the fan-out
+/// `"{stage}.runs"`. The waves stop when no network is live.
+///
+/// A point is the same bits as [`measure_rate`]'s at that rate, and the
+/// results are reduced in submission order, so the series are
+/// bit-identical at any thread count.
+pub fn sweep_series(
+    stage: &str,
+    cfgs: &[SweepConfig],
+    nets: &[NetConfig],
+    exec: &Executor,
+) -> Vec<Vec<ArchSeries>> {
+    let mut series: Vec<Vec<ArchSeries>> = cfgs
+        .iter()
+        .map(|cfg| {
+            nets.iter()
+                .map(|net| ArchSeries {
+                    arch: net.arch,
+                    pattern: cfg.pattern,
+                    points: Vec::with_capacity(cfg.rates_mbps.len()),
+                })
+                .collect()
+        })
+        .collect();
+    let (traces_stage, runs_stage) = (format!("{stage}.traces"), format!("{stage}.runs"));
+    for wave in 0.. {
+        let jobs: Vec<(usize, usize)> = (0..cfgs.len())
+            .filter(|&c| wave < cfgs[c].rates_mbps.len())
+            .flat_map(|c| (0..nets.len()).map(move |n| (c, n)))
+            .filter(|&(c, n)| series[c][n].points.last().is_none_or(|p| p.drained))
+            .collect();
+        if jobs.is_empty() {
+            break;
+        }
+        let mut traced: Vec<usize> = jobs.iter().map(|&(c, _)| c).collect();
+        traced.dedup();
+        let traces = exec.map_stage(&traces_stage, &traced, |_, &c| {
+            cfgs[c].trace(cfgs[c].rates_mbps[wave])
+        });
+        let points = exec.map_stage(&runs_stage, &jobs, |_, &(c, n)| {
+            let trace = &traces[traced
+                .binary_search(&c)
+                .expect("a live configuration's trace")];
+            run_point(&cfgs[c], cfgs[c].rates_mbps[wave], nets[n], trace)
+        });
+        for (&(c, n), point) in jobs.iter().zip(points) {
+            series[c][n].points.push(point);
+        }
+    }
+    series
+}
+
 /// Measures the operating point of `cfg` at `rate` on every network of
 /// `nets`: generates the point's trace once ([`SweepConfig::trace`]),
 /// runs each network on it, and derives each one's metrics with its own
 /// architecture's energy model. The results come back in `nets` order.
 /// A point depends on its configuration, rate and networks alone, which
 /// is what lets a study fan points out across threads without changing
-/// a single output bit.
+/// a single output bit. Unlike [`sweep_series`] it runs every network,
+/// drained or not: it answers the rate it was asked for.
 pub fn measure_rate(cfg: &SweepConfig, rate: f64, nets: &[NetConfig]) -> Vec<SweepPoint> {
-    let _span = nox_telemetry::SpanGuard::begin(nox_telemetry::phase::HARNESS_POINT);
     let trace = cfg.trace(rate);
     nets.iter()
-        .map(|&net| {
-            let result = run(net, &trace, &cfg.run);
-            point_from_result(rate, result, &EnergyModel::for_arch(net.arch))
-        })
+        .map(|&net| run_point(cfg, rate, net, &trace))
         .collect()
 }
 
@@ -138,19 +206,22 @@ pub fn measure_point(arch: Arch, cfg: &SweepConfig, rate: f64) -> SweepPoint {
         .expect("one network, one point")
 }
 
-/// Runs a sweep of `arch` under `cfg`, fanning the load points out over
-/// `exec`. Points are reduced in rate order, so the series is
-/// bit-identical at any thread count.
-pub fn sweep_with(arch: Arch, cfg: &SweepConfig, exec: &Executor) -> ArchSeries {
-    let stage = format!("sweep.{}", arch.name());
-    let points = exec.map_stage(&stage, cfg.rates_mbps.clone(), |_, rate| {
-        measure_point(arch, cfg, rate)
+/// Runs one network on the trace of `cfg` at `rate`, as one
+/// `harness.point` span whose index is the rate in MB/s/node. A profile
+/// counts the run and its simulated cycles (`sweep.runs`,
+/// `sweep.cycles`), and separately those of runs that ended undrained
+/// (`sweep.undrained_runs`, `sweep.undrained_cycles`).
+fn run_point(cfg: &SweepConfig, rate: f64, net: NetConfig, trace: &Trace) -> SweepPoint {
+    let _span = SpanGuard::with_index(phase::HARNESS_POINT, rate.round() as u32);
+    let result = run(net, trace, &cfg.run);
+    nox_telemetry::with_acc(|a| {
+        let undrained = u64::from(!result.drained);
+        a.add_count("sweep.runs", 1);
+        a.add_count("sweep.cycles", result.cycles);
+        a.add_count("sweep.undrained_runs", undrained);
+        a.add_count("sweep.undrained_cycles", undrained * result.cycles);
     });
-    ArchSeries {
-        arch,
-        pattern: cfg.pattern,
-        points,
-    }
+    point_from_result(rate, result, &EnergyModel::for_arch(net.arch))
 }
 
 /// Builds a [`SweepPoint`] from a finished run.
@@ -236,13 +307,21 @@ mod tests {
         }
     }
 
+    /// The series of one paper-mesh network under one configuration.
+    fn one_series(arch: Arch, cfg: SweepConfig) -> ArchSeries {
+        sweep_series(
+            "test",
+            &[cfg],
+            &[NetConfig::paper(arch)],
+            &Executor::sequential(),
+        )
+        .remove(0)
+        .remove(0)
+    }
+
     #[test]
     fn sweep_produces_monotone_nonneg_latencies() {
-        let s = sweep_with(
-            Arch::Nox,
-            &quick_cfg(vec![300.0, 900.0, 1500.0]),
-            &Executor::sequential(),
-        );
+        let s = one_series(Arch::Nox, quick_cfg(vec![300.0, 900.0, 1500.0]));
         assert_eq!(s.points.len(), 3);
         for p in &s.points {
             assert!(p.latency_ns > 0.0);
@@ -255,11 +334,7 @@ mod tests {
 
     #[test]
     fn accepted_tracks_offered_below_saturation() {
-        let s = sweep_with(
-            Arch::SpecAccurate,
-            &quick_cfg(vec![600.0]),
-            &Executor::sequential(),
-        );
+        let s = one_series(Arch::SpecAccurate, quick_cfg(vec![600.0]));
         let p = &s.points[0];
         assert!(p.drained);
         assert!((p.accepted_mbps - 600.0).abs() / 600.0 < 0.1);
@@ -287,6 +362,76 @@ mod tests {
                     "{arch} @ {rate} MB/s/node"
                 );
             }
+        }
+    }
+
+    /// A grid that crosses saturation and is cheap in a debug build: a
+    /// short drain cap ends an undrained run early.
+    fn saturating_cfgs() -> [SweepConfig; 2] {
+        let base = SweepConfig {
+            duration_ns: 1_500.0,
+            run: RunSpec {
+                warmup_ns: 200.0,
+                measure_ns: 600.0,
+                drain_ns: 1_000.0,
+            },
+            ..SweepConfig::uniform(vec![500.0, 1_500.0, 2_500.0])
+        };
+        [
+            base.clone(),
+            SweepConfig {
+                pattern: Pattern::Transpose,
+                ..base
+            },
+        ]
+    }
+
+    #[test]
+    fn series_end_at_the_first_undrained_rate_of_the_full_grid() {
+        let cfgs = saturating_cfgs();
+        let nets = [Arch::SpecFast, Arch::Nox].map(NetConfig::paper);
+        // The full grid, every rate of every network, point by point.
+        let grid: Vec<Vec<Vec<SweepPoint>>> = cfgs
+            .iter()
+            .map(|cfg| {
+                let by_rate: Vec<Vec<SweepPoint>> = cfg
+                    .rates_mbps
+                    .iter()
+                    .map(|&rate| measure_rate(cfg, rate, &nets))
+                    .collect();
+                (0..nets.len())
+                    .map(|n| by_rate.iter().map(|points| points[n].clone()).collect())
+                    .collect()
+            })
+            .collect();
+        // The stop rule's precondition: once undrained, a series stays so.
+        let mut cut = Vec::new();
+        for (c, series) in grid.iter().enumerate() {
+            let mut cut_series = Vec::new();
+            for (n, points) in series.iter().enumerate() {
+                let end = points
+                    .iter()
+                    .position(|p| !p.drained)
+                    .map_or(points.len(), |i| i + 1);
+                assert!(
+                    points[end..].iter().all(|p| !p.drained),
+                    "configuration {c}, network {n} drains again above its first undrained rate"
+                );
+                cut_series.push(ArchSeries {
+                    arch: nets[n].arch,
+                    pattern: cfgs[c].pattern,
+                    points: points[..end].to_vec(),
+                });
+            }
+            cut.push(cut_series);
+        }
+        // Not vacuous: one series runs the whole grid, and one is cut short.
+        let lens: Vec<usize> = cut.iter().flatten().map(|s| s.points.len()).collect();
+        assert!(lens.contains(&3) && lens.iter().any(|&l| l < 3), "{lens:?}");
+        let expected = format!("{cut:?}");
+        for threads in [1, 2, 8] {
+            let series = sweep_series("test", &cfgs, &nets, &Executor::new(threads));
+            assert_eq!(format!("{series:?}"), expected, "{threads} thread(s)");
         }
     }
 

@@ -1,12 +1,14 @@
 //! A miniature of the paper's Figure 8: latency versus injection
 //! bandwidth for all four routers on uniform random traffic, with the
-//! crossovers and saturation points called out.
+//! crossovers and saturation points called out. One trace per rate
+//! drives all four routers, and each router's series ends at its first
+//! undrained rate.
 //!
 //! ```sh
 //! cargo run --release -p nox --example saturation_sweep
 //! ```
 
-use nox::analysis::sweep::{crossover_mbps, sweep_with, SweepConfig};
+use nox::analysis::sweep::{crossover_mbps, sweep_series, SweepConfig};
 use nox::exec::Executor;
 use nox::prelude::*;
 
@@ -18,24 +20,20 @@ fn main() {
         "Sweeping {} rates x 4 architectures (this takes a minute)...\n",
         rates.len()
     );
-    let exec = Executor::default();
-    let series: Vec<_> = Arch::ALL
-        .iter()
-        .map(|&a| sweep_with(a, &cfg, &exec))
-        .collect();
+    let nets = Arch::ALL.map(NetConfig::paper);
+    let series = sweep_series("sweep", &[cfg], &nets, &Executor::default())
+        .pop()
+        .expect("one configuration");
 
     let mut table = Table::new(
         "Mean packet latency (ns) vs offered load (MB/s/node), uniform random",
         &["MB/s/node", "Non-Spec", "Spec-Fast", "Spec-Acc", "NoX"],
     );
     for (i, &rate) in rates.iter().enumerate() {
-        let cell = |s: &nox::analysis::ArchSeries| {
-            let p = &s.points[i];
-            if p.drained {
-                format!("{:.2}", p.latency_ns)
-            } else {
-                format!("{:.0}*", p.latency_ns)
-            }
+        let cell = |s: &nox::analysis::ArchSeries| match s.points.get(i) {
+            Some(p) if p.drained => format!("{:.2}", p.latency_ns),
+            Some(p) => format!("{:.0}*", p.latency_ns),
+            None => "sat".to_string(),
         };
         table.row([
             format!("{rate:.0}"),
@@ -46,7 +44,9 @@ fn main() {
         ]);
     }
     println!("{table}");
-    println!("(* = saturated: measured packets did not drain)\n");
+    println!(
+        "(* = saturated: measured packets did not drain; sat = past the first saturated rate, not run)\n"
+    );
 
     for s in &series {
         println!(

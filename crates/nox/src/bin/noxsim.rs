@@ -160,7 +160,7 @@ const COMMANDS: &[Command] = &[
         positional: HARNESS,
         values: &[OUT, THREADS, STREAM],
         switches: &["quick", "smoke", "full", "json"],
-        help: "regenerate one figure or table of the paper (default tier full; --json prints the nox-bench/<harness>/v1 document)",
+        help: "regenerate one figure or table of the paper (default tier full; --json prints the nox-bench/<harness>/vN document)",
         run: cmd_run,
     },
     Command {

@@ -102,20 +102,31 @@ fn eject_logs_are_reproducible() {
 
 #[test]
 fn sweeps_are_thread_count_invariant() {
-    use nox::analysis::sweep::sweep_with;
+    use nox::analysis::sweep::sweep_series;
 
+    // Transpose saturates inside this grid, so some series end early and
+    // the waves shrink as they go.
     let cfg = SweepConfig {
-        duration_ns: 8_000.0,
+        pattern: Pattern::Transpose,
+        duration_ns: 3_000.0,
         run: RunSpec {
-            warmup_ns: 500.0,
-            measure_ns: 2_000.0,
-            drain_ns: 8_000.0,
+            warmup_ns: 300.0,
+            measure_ns: 1_000.0,
+            drain_ns: 2_000.0,
         },
-        ..SweepConfig::uniform(vec![400.0, 900.0, 1_400.0])
+        ..SweepConfig::uniform(vec![400.0, 1_200.0, 2_000.0, 2_800.0])
     };
-    let serial = format!("{:?}", sweep_with(Arch::Nox, &cfg, &Executor::sequential()));
+    let nets = [Arch::NonSpec, Arch::SpecFast, Arch::Nox].map(NetConfig::paper);
+    let sweep = |exec: &Executor| sweep_series("sweep", std::slice::from_ref(&cfg), &nets, exec);
+    let serial = sweep(&Executor::sequential());
+    let undrained = serial[0]
+        .iter()
+        .filter(|s| s.points.last().is_some_and(|p| !p.drained))
+        .count();
+    assert!(undrained > 0, "the grid never saturates: {serial:?}");
+    let serial = format!("{serial:?}");
     for threads in [2, 8] {
-        let parallel = format!("{:?}", sweep_with(Arch::Nox, &cfg, &Executor::new(threads)));
+        let parallel = format!("{:?}", sweep(&Executor::new(threads)));
         assert_eq!(serial, parallel, "sweep diverged at {threads} threads");
     }
 }

@@ -24,11 +24,16 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use nox::analysis::profile::{self, ProfileReport};
-use nox::analysis::sweep::{sweep_with, SweepConfig};
+use nox::analysis::sweep::{sweep_series, SweepConfig};
 use nox::analysis::{Json, Tier};
 use nox::exec::Executor;
 use nox::prelude::*;
 use nox::telemetry::{self, phase, stream};
+
+/// Simulated cycles of `saturating_sweep`'s five runs, and of its two
+/// undrained ones (each runs to the drain cap).
+const PINNED_CYCLES: u64 = 9_079;
+const PINNED_UNDRAINED_CYCLES: u64 = 4_980;
 
 static TELEMETRY: Mutex<()> = Mutex::new(());
 
@@ -43,7 +48,9 @@ fn tiny_sweep(exec: &Executor) -> usize {
         measure_ns: 1_000.0,
         drain_ns: 8_000.0,
     };
-    sweep_with(Arch::Nox, &cfg, exec).points.len()
+    sweep_series("tiny", &[cfg], &[NetConfig::paper(Arch::Nox)], exec)[0][0]
+        .points
+        .len()
 }
 
 fn profiled_tiny_sweep(threads: usize) -> ProfileReport {
@@ -70,7 +77,8 @@ fn profile_structure_is_identical_at_any_thread_count() {
     // The deterministic view is real structure, not an empty shell.
     assert!(views[0].contains("\"schema\":\"nox-bench/profile/v2\""));
     assert!(views[0].contains("\"sim.step\""));
-    assert!(views[0].contains("exec.stage.sweep.NoX.jobs"));
+    assert!(views[0].contains("exec.stage.tiny.runs.jobs"));
+    assert!(views[0].contains("\"sweep.runs\":4"));
 }
 
 #[test]
@@ -138,6 +146,61 @@ fn worker_table_agrees_with_spans() {
     }
 }
 
+/// A sweep that crosses saturation: transpose traffic, where Spec-Fast
+/// stops draining first, over a short drain cap.
+fn saturating_sweep(exec: &Executor) -> Vec<usize> {
+    let cfg = SweepConfig {
+        pattern: Pattern::Transpose,
+        duration_ns: 1_500.0,
+        run: RunSpec {
+            warmup_ns: 200.0,
+            measure_ns: 600.0,
+            drain_ns: 1_000.0,
+        },
+        ..SweepConfig::uniform(vec![500.0, 1_500.0, 2_500.0])
+    };
+    let nets = [Arch::SpecFast, Arch::Nox].map(NetConfig::paper);
+    sweep_series("pinned", &[cfg], &nets, exec)[0]
+        .iter()
+        .map(|s| s.points.len())
+        .collect()
+}
+
+#[test]
+fn sweep_counters_name_the_work_at_any_thread_count() {
+    let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2, 8] {
+        let exec = Executor::new(threads);
+        let (lens, report) =
+            profile::collect("pinned", Tier::Smoke, threads, || saturating_sweep(&exec));
+        let at = format!("{threads} thread(s)");
+        // Spec-Fast's series ends undrained at 1500 MB/s/node, so its 2500
+        // point is never run; NoX's ends undrained at 2500.
+        assert_eq!(lens, [2, 3], "{at}");
+        let counter = |key: &str| report.acc.counters().get(key).copied();
+        assert_eq!(counter("sweep.runs"), Some(5), "{at}");
+        assert_eq!(counter("sweep.undrained_runs"), Some(2), "{at}");
+        assert_eq!(counter("sweep.cycles"), Some(PINNED_CYCLES), "{at}");
+        assert_eq!(
+            counter("sweep.undrained_cycles"),
+            Some(PINNED_UNDRAINED_CYCLES),
+            "{at}"
+        );
+        assert_eq!(counter("exec.stage.pinned.traces.jobs"), Some(3), "{at}");
+        assert_eq!(counter("exec.stage.pinned.runs.jobs"), Some(5), "{at}");
+        // One harness.point span per run, indexed by its rate.
+        let mut rates: Vec<u32> = report
+            .acc
+            .events()
+            .iter()
+            .filter(|e| e.phase == phase::HARNESS_POINT)
+            .map(|e| e.index)
+            .collect();
+        rates.sort_unstable();
+        assert_eq!(rates, [500, 500, 1_500, 1_500, 2_500], "{at}");
+    }
+}
+
 /// A stream sink capturing emitted bytes for inspection.
 #[derive(Clone, Default)]
 struct Capture(Arc<Mutex<Vec<u8>>>);
@@ -179,20 +242,21 @@ fn stream_frames_are_complete_json_in_deterministic_order() {
     let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let serial = streamed_tiny_sweep(1);
     let wide = streamed_tiny_sweep(4);
-    // One stage announcement plus one completion per point.
-    assert_eq!(serial.len(), 5, "{serial:?}");
-    assert_eq!(
-        structure(&serial[0]),
-        "{\"event\":\"stage\",\"seq\":0,\"stage\":\"sweep.NoX\",\"jobs\":4}"
-    );
-    for (i, line) in serial.iter().enumerate().skip(1) {
-        assert!(
-            line.starts_with(&format!(
-                "{{\"event\":\"job\",\"seq\":{i},\"stage\":\"sweep.NoX\",\"index\":{},\"total\":4",
-                i - 1
-            )),
-            "{line}"
-        );
+    // Per rate, one wave: the trace fan-out and the run fan-out, each a
+    // stage announcement plus one completion.
+    assert_eq!(serial.len(), 16, "{serial:?}");
+    for (i, line) in serial.iter().enumerate() {
+        let stage = if i % 4 < 2 {
+            "tiny.traces"
+        } else {
+            "tiny.runs"
+        };
+        let frame = if i % 2 == 0 {
+            format!("{{\"event\":\"stage\",\"seq\":{i},\"stage\":\"{stage}\",\"jobs\":1}}")
+        } else {
+            format!("{{\"event\":\"job\",\"seq\":{i},\"stage\":\"{stage}\",\"index\":0,\"total\":1")
+        };
+        assert_eq!(structure(line), frame, "{line}");
     }
     // Every line is one complete JSON document on its own.
     for line in serial.iter().chain(wide.iter()) {
