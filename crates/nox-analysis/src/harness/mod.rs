@@ -45,6 +45,7 @@ pub mod figs237;
 pub mod synthetic;
 pub mod table1;
 pub mod table2;
+pub mod verify;
 
 /// How much simulation to spend on a harness run.
 ///
@@ -172,7 +173,8 @@ macro_rules! harness {
 
 /// Every harness, in menu order: the paper's evaluation (Figures 8-13,
 /// the golden timing traces, Tables 1-2), the three beyond-paper
-/// studies, the fault campaigns and the claims registry.
+/// studies, the fault campaigns, the protocol and deadlock checks, and
+/// the claims registry.
 pub static HARNESSES: &[Harness] = &[
     harness!(
         "fig8",
@@ -243,6 +245,18 @@ pub static HARNESSES: &[Harness] = &[
         |tier, exec| faults::run_with(tier, exec)
     ),
     harness!(
+        "verify",
+        "protocol model check, mutation smoke, CRC invariant I7 and a sanitized sweep",
+        |tier, exec| verify::run(tier, exec),
+        ok: verify::VerifyResult::ok
+    ),
+    harness!(
+        "statics",
+        "static design analysis: deadlock CDG proofs + credit sizing",
+        |_tier, exec| nox_statics::standard_report(exec),
+        ok: nox_statics::StaticsReport::verdict_ok
+    ),
+    harness!(
         "claims",
         "the paper-conformance claims registry over all of the above",
         |tier, exec| crate::claims::evaluate(&crate::claims::ClaimInputs::gather_with(tier, exec))
@@ -276,13 +290,13 @@ mod tests {
 
     #[test]
     fn table_names_are_unique_and_keep_the_menu_order() {
-        // The (distinct) names `noxsim profile` and the serve protocol
-        // have always accepted, in the order their menus listed them.
+        // The (distinct) names `noxsim run`, `noxsim profile` and the
+        // serve protocol accept, in menu order.
         assert_eq!(
             names(),
             [
                 "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "figs237", "table1", "table2",
-                "ablation", "cmesh", "feedback", "faults", "claims"
+                "ablation", "cmesh", "feedback", "faults", "verify", "statics", "claims"
             ]
         );
         assert!(HARNESSES.iter().all(|h| !h.what.is_empty()));

@@ -206,12 +206,12 @@ pub fn measure_point(arch: Arch, cfg: &SweepConfig, rate: f64) -> SweepPoint {
         .expect("one network, one point")
 }
 
-/// Runs one network on the trace of `cfg` at `rate`, as one
-/// `harness.point` span whose index is the rate in MB/s/node. A profile
-/// counts the run and its simulated cycles (`sweep.runs`,
-/// `sweep.cycles`), and separately those of runs that ended undrained
-/// (`sweep.undrained_runs`, `sweep.undrained_cycles`).
-fn run_point(cfg: &SweepConfig, rate: f64, net: NetConfig, trace: &Trace) -> SweepPoint {
+/// Runs one network on `trace`, the trace of `cfg` at `rate`
+/// ([`SweepConfig::trace`]), as one `harness.point` span whose index is
+/// the rate in MB/s/node. A profile counts the run and its simulated
+/// cycles (`sweep.runs`, `sweep.cycles`), and separately those of runs
+/// that ended undrained (`sweep.undrained_runs`, `sweep.undrained_cycles`).
+pub fn run_point(cfg: &SweepConfig, rate: f64, net: NetConfig, trace: &Trace) -> SweepPoint {
     let _span = SpanGuard::with_index(phase::HARNESS_POINT, rate.round() as u32);
     let result = run(net, trace, &cfg.run);
     nox_telemetry::with_acc(|a| {

@@ -243,7 +243,7 @@ mod tests {
     fn store_then_lookup_round_trips() {
         let dir = scratch("roundtrip");
         let cache = Cache::open(&dir).unwrap();
-        let key = content_key(r#"{"req":"claims","tier":"smoke"}"#);
+        let key = content_key(r#"{"req":"run","harness":"claims","tier":"smoke"}"#);
         assert_eq!(cache.lookup(&key), Lookup::Miss);
         cache.store(&key, &artifact()).unwrap();
         let Lookup::Hit(got) = cache.lookup(&key) else {
@@ -265,13 +265,14 @@ mod tests {
 
     #[test]
     fn keys_separate_requests_and_code_versions() {
-        let a = content_key(r#"{"req":"claims","tier":"smoke"}"#);
-        let b = content_key(r#"{"req":"claims","tier":"quick"}"#);
+        let smoke = r#"{"req":"run","harness":"claims","tier":"smoke"}"#;
+        let a = content_key(smoke);
+        let b = content_key(r#"{"req":"run","harness":"claims","tier":"quick"}"#);
         assert_ne!(a, b);
         assert_eq!(a.len(), 32);
         assert!(a.bytes().all(|c| c.is_ascii_hexdigit()));
         // Stable across calls (pure function of content).
-        assert_eq!(a, content_key(r#"{"req":"claims","tier":"smoke"}"#));
+        assert_eq!(a, content_key(smoke));
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! than a dead daemon.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
 use nox_analysis::profile;
-use nox_analysis::sweep::{measure_rate, SweepConfig, SweepPoint};
-use nox_exec::Executor;
+use nox_analysis::sweep::{run_point, SweepConfig, SweepPoint};
+use nox_exec::{panic_message, Executor, JobPanic};
 use nox_sim::config::NetConfig;
 use nox_sim::sim::RunSpec;
-use nox_verify::{check_with, Bounds};
+use nox_sim::trace::Trace;
 
 use crate::proto::{Body, DebugOp, SweepReq};
 
@@ -127,32 +128,7 @@ pub fn execute(
             Ok(Json::obj().field("slept_ms", *ms))
         }
         Body::Debug(DebugOp::Panic) => contained(|| panic!("debug-requested panic")),
-        Body::Claims { tier } => contained(|| harness_run("claims", *tier, exec).json),
-        Body::Faults { tier } => contained(|| harness_run("faults", *tier, exec).json),
-        Body::Verify { quick } => {
-            let bounds = if *quick {
-                Bounds::quick()
-            } else {
-                Bounds::full()
-            };
-            contained(|| {
-                let r = check_with(&bounds, exec);
-                Json::obj()
-                    .field("schema", "nox-serve/verify/v1")
-                    .field("scenarios", r.scenarios)
-                    .field("states", r.states)
-                    .field("exhausted", r.exhausted)
-                    .field(
-                        "violations",
-                        Json::Arr(
-                            r.violations
-                                .iter()
-                                .map(|v| Json::from(v.to_string()))
-                                .collect(),
-                        ),
-                    )
-            })
-        }
+        Body::Run { harness, tier } => contained(|| harness_run(harness, *tier, exec).json),
         Body::Profile { harness, tier } => contained(|| {
             let (_, report) = profile::collect(harness, *tier, exec.threads(), || {
                 harness_run(harness, *tier, exec)
@@ -173,17 +149,7 @@ fn harness_run(name: &str, tier: Tier, exec: &Executor) -> harness::Report {
 
 /// Runs `f` under `catch_unwind`, mapping a panic to [`JobError::Panic`].
 fn contained(f: impl FnOnce() -> Json) -> Result<Json, JobError> {
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobError::Panic(panic_text(payload)))
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobError::Panic(panic_message(payload)))
 }
 
 /// The sweep configuration of a request: its traffic, and the
@@ -211,42 +177,56 @@ fn sweep_spec(req: &SweepReq) -> SweepConfig {
     }
 }
 
-/// Runs a sweep request: every `(arch, rate)` point fans out over the
-/// executor with per-point panic containment and a per-point deadline
-/// check, reducing to the `nox-serve/sweep/v1` artifact in submission
-/// order (byte-identical at any thread count). A request has few rates,
-/// so the architectures are its parallelism: each point runs its one
-/// network on the rate's trace.
+/// Runs a sweep request as one fan-out (`serve.sweep`) of its (rate,
+/// architecture) points, rate-major. A rate's first point to start
+/// generates its trace, the others share it, and the last to start
+/// takes it out of the shared slot, so about one trace per worker is
+/// alive, as when each point made its own: a rate may be as high as
+/// 1e6 MB/s/node. Every point is panic-contained and checks the
+/// deadline first. The points reduce to the `nox-serve/sweep/v1`
+/// artifact architecture-major, byte-identical at any thread count.
 fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Result<Json, JobError> {
     let cfg = sweep_spec(req);
-    let points: Vec<_> = req
+    let n = req.archs.len();
+    let shared: Vec<Mutex<Option<Arc<Trace>>>> =
+        req.rates.iter().map(|_| Mutex::new(None)).collect();
+    let jobs = (0..req.rates.len()).flat_map(|r| req.archs.iter().enumerate().map(move |a| (r, a)));
+    // The point of rate `r` on architecture `a` is `points[r * n + a]`.
+    let points = settle(
+        exec.try_map_stage("serve.sweep", jobs, |_, (r, (a, &arch))| {
+            if token.expired() {
+                return None;
+            }
+            let rate = req.rates[r];
+            let trace = {
+                // A panic while generating leaves the slot empty, and the
+                // rate's next point regenerates (and panics alike).
+                let mut slot = shared[r].lock().unwrap_or_else(PoisonError::into_inner);
+                let trace = Arc::clone(slot.get_or_insert_with(|| Arc::new(cfg.trace(rate))));
+                if a + 1 == n {
+                    *slot = None;
+                }
+                trace
+            };
+            let net = if req.cmesh {
+                NetConfig::cmesh_paper(arch)
+            } else {
+                NetConfig::paper(arch)
+            };
+            Some(run_point(&cfg, rate, net, &trace))
+        }),
+    )?;
+    let series: Vec<Json> = req
         .archs
         .iter()
-        .flat_map(|&arch| req.rates.iter().map(move |&rate| (arch, rate)))
-        .collect();
-    let slots = exec.try_map_stage("serve.sweep", points.clone(), |_, (arch, rate)| {
-        if token.expired() {
-            return None;
-        }
-        let net = if req.cmesh {
-            NetConfig::cmesh_paper(arch)
-        } else {
-            NetConfig::paper(arch)
-        };
-        Some(measure_rate(&cfg, rate, &[net]).remove(0))
-    });
-    let mut measured = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            Err(p) => return Err(JobError::Panic(p.message)),
-            Ok(None) => return Err(JobError::Deadline),
-            Ok(Some(point)) => measured.push(point),
-        }
-    }
-    let series: Vec<Json> = points
-        .iter()
-        .zip(&measured)
-        .map(|(&(arch, _), p)| point_json(arch.name(), p))
+        .enumerate()
+        .flat_map(|(a, arch)| {
+            points
+                .iter()
+                .skip(a)
+                .step_by(n)
+                .map(move |p| point_json(arch.name(), p))
+        })
         .collect();
     Ok(Json::obj()
         .field("schema", "nox-serve/sweep/v1")
@@ -256,6 +236,19 @@ fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Resul
         .field("tier", req.tier.name())
         .field("cmesh", req.cmesh)
         .field("points", Json::Arr(series)))
+}
+
+/// The results of one fan-out, or the first job's panic or expired
+/// deadline (`None`) in submission order.
+fn settle<R>(slots: Vec<Result<Option<R>, JobPanic>>) -> Result<Vec<R>, JobError> {
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Err(p) => Err(JobError::Panic(p.message)),
+            Ok(None) => Err(JobError::Deadline),
+            Ok(Some(r)) => Ok(r),
+        })
+        .collect()
 }
 
 fn point_json(arch: &str, p: &SweepPoint) -> Json {

@@ -3,8 +3,8 @@
 //! This crate turns the workspace's harnesses into a long-running
 //! service: a dependency-free Unix-domain-socket daemon speaking the
 //! line-delimited JSON protocol of [`nox_telemetry::stream`], accepting
-//! `claims` / `faults` / `verify` / `profile` / `sweep` requests,
-//! queuing them onto the [`nox_exec`] pool, and streaming run/stage/job
+//! `run` / `profile` requests for any row of the harness table and
+//! `sweep` requests, queuing them onto the [`nox_exec`] pool, and streaming run/stage/job
 //! progress events back to the requesting client live.
 //!
 //! Robustness is the design center, not an afterthought:
@@ -39,6 +39,14 @@
 
 #![warn(missing_docs)]
 
+/// The protocol revision, written once: [`proto::PROTO_VERSION`] and
+/// the suffix of [`CODE_VERSION`] both expand it.
+macro_rules! proto_rev {
+    () => {
+        3
+    };
+}
+
 pub mod cache;
 #[cfg(unix)]
 pub mod client;
@@ -49,7 +57,8 @@ pub mod proto;
 #[cfg(unix)]
 pub mod signal;
 
-/// The code-version component of every cache key: bump the suffix when
-/// a change alters any artifact's bytes, and every stale cache entry
-/// becomes unreachable (a miss) instead of silently wrong.
-pub const CODE_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+serve-proto/v2");
+/// The code-version component of every cache key: bump `proto_rev!`
+/// when a change alters any request's meaning or artifact's bytes, and
+/// every stale cache entry becomes unreachable (a miss) instead of
+/// silently wrong.
+pub const CODE_VERSION: &str = concat!(env!("CARGO_PKG_VERSION"), "+serve-proto/v", proto_rev!());

@@ -11,13 +11,16 @@
 //!
 //! ```json
 //! {"req":"ping","id":"p0"}
-//! {"req":"claims","id":"c1","tier":"smoke","deadline_ms":60000}
-//! {"req":"faults","id":"f1","tier":"smoke"}
-//! {"req":"verify","id":"v1","quick":true}
+//! {"req":"run","id":"c1","harness":"claims","tier":"smoke","deadline_ms":60000}
 //! {"req":"profile","id":"p1","harness":"fig12","tier":"quick"}
 //! {"req":"sweep","id":"s1","arch":"nox","pattern":"uniform","rates":[500,1000],"len":1,"seed":7,"tier":"smoke"}
 //! {"req":"debug","id":"d1","op":"sleep","ms":500}
 //! ```
+//!
+//! `run` answers with the `--json` document of one row of the harness
+//! table, the bytes `noxsim run HARNESS --out F` writes; `profile` with
+//! that row's `nox-bench/profile/v2` artifact. Both take the tier from
+//! `tier` (default smoke) and list the table when the name is not in it.
 //!
 //! `id` is a client-chosen **idempotency token** echoed on every frame
 //! about the request; resending a request (same or different id) after
@@ -40,8 +43,9 @@ use nox_sim::config::Arch;
 use nox_traffic::synthetic::Process;
 use nox_traffic::Pattern;
 
-/// Protocol revision, announced in the `hello` frame.
-pub const PROTO_VERSION: u64 = 1;
+/// Protocol revision, announced in the `hello` frame and named by
+/// [`crate::CODE_VERSION`].
+pub const PROTO_VERSION: u64 = proto_rev!();
 
 /// Longest request line the daemon will read, in bytes. Longer lines
 /// are rejected and the connection closed — a malformed client cannot
@@ -72,20 +76,12 @@ pub struct Request {
 pub enum Body {
     /// Liveness probe; answered inline, never queued.
     Ping,
-    /// Evaluate the conformance-claims registry at a tier.
-    Claims {
-        /// Evaluation tier.
+    /// Run one named harness; the artifact is its `--json` document.
+    Run {
+        /// Harness name (a row of [`harness::HARNESSES`]).
+        harness: String,
+        /// Harness tier.
         tier: Tier,
-    },
-    /// Run the fault-injection campaign study at a tier.
-    Faults {
-        /// Campaign tier.
-        tier: Tier,
-    },
-    /// Run the bounded model checker.
-    Verify {
-        /// Use the fast CI bounds instead of the full ones.
-        quick: bool,
     },
     /// Span-profile one named harness. Never cached: the artifact is
     /// wall-clock attribution, different on every run by design.
@@ -169,20 +165,18 @@ impl Request {
             .ok_or("request needs a string \"req\" field")?;
         let body = match kind {
             "ping" => Body::Ping,
-            "claims" => Body::Claims { tier: tier(doc)? },
-            "faults" => Body::Faults { tier: tier(doc)? },
-            "verify" => Body::Verify {
-                quick: flag(doc, "quick")?.unwrap_or(true),
-            },
-            "profile" => {
-                let harness = doc
-                    .get("harness")
-                    .and_then(Json::as_str)
-                    .ok_or("profile needs a string \"harness\" field")?;
-                harness::find(harness)?;
-                Body::Profile {
-                    harness: harness.to_string(),
-                    tier: tier(doc)?,
+            "run" | "profile" => {
+                let harness = doc.get("harness").and_then(Json::as_str).ok_or_else(|| {
+                    format!(
+                        "{kind} needs a string \"harness\" field, one of: {}",
+                        harness::names().join(" ")
+                    )
+                })?;
+                let (harness, tier) = (harness::find(harness)?.name.to_string(), tier(doc)?);
+                if kind == "run" {
+                    Body::Run { harness, tier }
+                } else {
+                    Body::Profile { harness, tier }
                 }
             }
             "sweep" => Body::Sweep(SweepReq::from_json(doc)?),
@@ -220,13 +214,10 @@ impl Request {
     pub fn canonical(&self) -> Option<String> {
         let doc = match &self.body {
             Body::Ping | Body::Profile { .. } | Body::Debug(_) => return None,
-            Body::Claims { tier } => Json::obj()
-                .field("req", "claims")
+            Body::Run { harness, tier } => Json::obj()
+                .field("req", "run")
+                .field("harness", harness.as_str())
                 .field("tier", tier.name()),
-            Body::Faults { tier } => Json::obj()
-                .field("req", "faults")
-                .field("tier", tier.name()),
-            Body::Verify { quick } => Json::obj().field("req", "verify").field("quick", *quick),
             Body::Sweep(s) => Json::obj()
                 .field("req", "sweep")
                 .field(
@@ -350,11 +341,12 @@ mod tests {
     fn parses_every_request_kind() {
         let r = Request::parse(r#"{"req":"ping","id":"p"}"#).unwrap();
         assert_eq!((r.id.as_str(), r.body), ("p", Body::Ping));
-        let r = Request::parse(r#"{"req":"claims","tier":"quick"}"#).unwrap();
-        assert_eq!(r.body, Body::Claims { tier: Tier::Quick });
-        assert_eq!(r.id, "-");
-        let r = Request::parse(r#"{"req":"verify"}"#).unwrap();
-        assert_eq!(r.body, Body::Verify { quick: true });
+        let r = Request::parse(r#"{"req":"run","harness":"claims","tier":"quick"}"#).unwrap();
+        let claims = Body::Run {
+            harness: "claims".into(),
+            tier: Tier::Quick,
+        };
+        assert_eq!((r.id.as_str(), r.body), ("-", claims));
         let r = Request::parse(r#"{"req":"profile","harness":"fig12"}"#).unwrap();
         assert!(
             matches!(r.body, Body::Profile { ref harness, tier: Tier::Smoke } if harness == "fig12")
@@ -373,16 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn profile_accepts_exactly_the_harness_table() {
-        for name in harness::names() {
-            let line = format!(r#"{{"req":"profile","harness":"{name}"}}"#);
-            let r = Request::parse(&line).expect(name);
-            assert!(matches!(r.body, Body::Profile { ref harness, .. } if harness == name));
-        }
-        // Names of retired front ends and near misses are not in it.
-        for name in ["fig13_area", "synthetic", "Fig8", ""] {
-            let line = format!(r#"{{"req":"profile","harness":"{name}"}}"#);
-            let err = Request::parse(&line).unwrap_err();
+    fn run_and_profile_accept_exactly_the_harness_table() {
+        for kind in ["run", "profile"] {
+            for name in harness::names() {
+                let line = format!(r#"{{"req":"{kind}","harness":"{name}"}}"#);
+                let r = Request::parse(&line).expect(name);
+                let (Body::Run { harness, tier } | Body::Profile { harness, tier }) = r.body else {
+                    panic!("{line} parsed as {:?}", r.body)
+                };
+                assert_eq!((harness.as_str(), tier), (name, Tier::Smoke));
+            }
+            // Names of retired front ends, near misses and a missing name
+            // are refused with the table.
+            for name in ["fig13_area", "synthetic", "Fig8", "nope", ""] {
+                let line = format!(r#"{{"req":"{kind}","harness":"{name}"}}"#);
+                let err = Request::parse(&line).unwrap_err();
+                assert!(err.contains(&harness::names().join(" ")), "{err}");
+            }
+            let err = Request::parse(&format!(r#"{{"req":"{kind}"}}"#)).unwrap_err();
             assert!(err.contains(&harness::names().join(" ")), "{err}");
         }
     }
@@ -392,9 +392,13 @@ mod tests {
         for bad in [
             r#"{"id":"x"}"#,
             r#"{"req":"nope"}"#,
-            r#"{"req":"claims","tier":"huge"}"#,
+            r#"{"req":"run","harness":"table2","tier":"huge"}"#,
             r#"{"req":"profile"}"#,
             r#"{"req":"profile","harness":"nope"}"#,
+            // The kinds `run` replaced.
+            r#"{"req":"claims"}"#,
+            r#"{"req":"faults"}"#,
+            r#"{"req":"verify"}"#,
             r#"{"req":"sweep","rates":[]}"#,
             r#"{"req":"sweep","rates":[0.5]}"#,
             r#"{"req":"sweep","len":0}"#,
@@ -417,10 +421,14 @@ mod tests {
     #[test]
     fn canonical_excludes_id_deadline_and_is_stable() {
         let a =
-            Request::parse(r#"{"req":"claims","id":"a","tier":"smoke","deadline_ms":5}"#).unwrap();
-        let b = Request::parse(r#"{"req":"claims","id":"b","tier":"smoke"}"#).unwrap();
+            Request::parse(r#"{"req":"run","id":"a","harness":"claims","deadline_ms":5}"#).unwrap();
+        let b =
+            Request::parse(r#"{"tier":"smoke","req":"run","harness":"claims","id":"b"}"#).unwrap();
         assert_eq!(a.canonical(), b.canonical());
-        assert_eq!(a.canonical().unwrap(), r#"{"req":"claims","tier":"smoke"}"#);
+        assert_eq!(
+            a.canonical().unwrap(),
+            r#"{"req":"run","harness":"claims","tier":"smoke"}"#
+        );
         // Uncacheable kinds have no canonical form.
         assert_eq!(
             Request::parse(r#"{"req":"ping"}"#).unwrap().canonical(),

@@ -9,6 +9,7 @@
 mod common;
 
 use common::{daemon, kind, Conn};
+use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
 use nox_exec::Executor;
 use nox_serve::cache::{content_key, Cache, Lookup};
@@ -40,6 +41,26 @@ fn the_artifact_is_byte_identical_at_threads_1_2_and_8() {
     // And the key is a pure function of the canonical request.
     let key = content_key(&req.canonical().unwrap());
     assert_eq!(key, content_key(&req.canonical().unwrap()));
+}
+
+/// A `run` request answers with the row's own `--json` document, the
+/// bytes `noxsim run HARNESS --smoke --out F` writes, at any executor
+/// width.
+#[test]
+fn a_run_request_answers_with_the_harness_document() {
+    for name in ["statics", "table2"] {
+        let req = Request::parse(&format!(r#"{{"req":"run","harness":"{name}"}}"#)).unwrap();
+        for threads in [1, 4] {
+            let exec = Executor::new(threads);
+            let want = (harness::find(name).unwrap().run)(Tier::Smoke, &exec).json;
+            let got = execute(&req.body, &exec, &CancelToken::unbounded(), false).unwrap();
+            assert_eq!(
+                got.to_string(),
+                want.to_string(),
+                "{name} at {threads} thread(s)"
+            );
+        }
+    }
 }
 
 /// A repeated identical request is served from the cache, observable

@@ -24,11 +24,14 @@ fn malformed_lines_get_structured_errors_and_the_daemon_survives() {
         "[1,2,3]",
         "42",
         "\"claims\"",
-        "{\"req\":\"claims\",\"tier\":42}",
+        "{\"req\":\"run\",\"harness\":\"table2\",\"tier\":42}",
         "{\"req\":\"sweep\",\"rates\":[1e999]}",
-        "{\"req\":\"claims\",\"id\":\"\"}",
+        "{\"req\":\"run\",\"harness\":\"table2\",\"id\":\"\"}",
         // Large but bounded, and truncated mid-string.
-        &format!("{{\"req\":\"claims\",\"pad\":\"{}", "x".repeat(100_000)),
+        &format!(
+            "{{\"req\":\"run\",\"harness\":\"table2\",\"pad\":\"{}",
+            "x".repeat(100_000)
+        ),
         &"[".repeat(200),
         "{\"req\":\"debug\",\"op\":\"sleep\"}",
     ];

@@ -1,5 +1,5 @@
 //! Static design analysis for the NoX reproduction, wired into
-//! `noxsim statics` and CI.
+//! `noxsim run statics` and CI.
 //!
 //! [`cdg`], [`credit`] and [`report`] extract the channel-dependency
 //! graph of any [`nox_sim::topology::Topology`] × routing function by

@@ -80,7 +80,7 @@ pub struct FaultBounds {
 }
 
 impl FaultBounds {
-    /// Bounds used by tests and `noxsim verify`: streams of up to five
+    /// Bounds used by tests and `noxsim run verify`: streams of up to five
     /// flits, chains up to the 4-way collisions a mesh router can form.
     pub fn quick() -> Self {
         FaultBounds {

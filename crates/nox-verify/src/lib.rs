@@ -70,9 +70,11 @@
 //!   through the real decoder and every corrupted presentation must be
 //!   flagged ([`fault::check_decoder_crc_with`]).
 //!
-//! `noxsim verify` runs the same sweep at [`Bounds::full`] plus a
-//! sanitized simulation smoke sweep (`nox-sim`'s `sanitize` module) and
-//! the I7 fault sweep at [`FaultBounds::quick`].
+//! `noxsim run verify` (the `verify` row of `nox-analysis`'s harness
+//! table) runs the same sweep at [`Bounds::full`] (at [`Bounds::quick`]
+//! with `--quick` or `--smoke`) plus a sanitized simulation smoke sweep
+//! (`nox-sim`'s `sanitize` module) and the I7 fault sweep at
+//! [`FaultBounds::quick`].
 
 pub mod checker;
 pub mod fault;

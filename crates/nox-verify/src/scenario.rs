@@ -122,7 +122,7 @@ impl Bounds {
         }
     }
 
-    /// Full bounds for `noxsim verify`: up to 5 colliding inputs (the
+    /// Full bounds for `noxsim run verify`: up to 5 colliding inputs (the
     /// paper's worst case for a 5-port mesh router), deeper buffers.
     pub fn full() -> Self {
         Bounds {

@@ -5,15 +5,16 @@
 //! prints it, and a flag a command does not list is an error, not a
 //! silent no-op.
 //!
-//! `--threads N` fans the heavy sweeps (`verify`, `claims`, `faults`,
-//! `run`, `profile`) out over a deterministic worker pool
+//! `--threads N` fans the heavy sweeps (`claims`, `run`, `profile`) out
+//! over a deterministic worker pool
 //! ([`nox::exec`]); results reduce in submission order, so every table,
 //! claim status, and JSON artifact is bit-identical at any thread count.
 //! `N` defaults to the machine's available parallelism; `--threads 1`
 //! runs everything inline on the calling thread.
 //!
-//! `run` regenerates one figure or table of the paper from the harness
-//! table ([`nox::analysis::harness::HARNESSES`]); `profile` runs the same
+//! `run` regenerates one figure or table of the paper, or runs the
+//! protocol and deadlock checks, from the harness table
+//! ([`nox::analysis::harness::HARNESSES`]); `profile` runs the same
 //! harness under the span profiler and emits the `nox-bench/profile/v2`
 //! phase-attribution artifact. `--stream FILE|-` additionally emits
 //! line-delimited JSON progress events while an instrumented command
@@ -23,7 +24,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use nox::analysis::apps::{app_run_spec, measure_workload, workload_traces, APP_TRACE_NS};
-use nox::analysis::harness::{self, fig12, Harness};
+use nox::analysis::harness::{self, fig12};
 use nox::analysis::sweep::{measure_rate, point_from_result, SweepConfig};
 use nox::analysis::{Json, Table, Tier};
 use nox::power::energy::EnergyModel;
@@ -124,22 +125,6 @@ const COMMANDS: &[Command] = &[
         run: |_, o| cmd_heatmap(o),
     },
     Command {
-        name: "verify",
-        positional: NONE,
-        values: &[THREADS, STREAM],
-        switches: &["quick"],
-        help: "model-check invariants + sanitized sweep (--quick: fast CI bounds)",
-        run: |_, o| cmd_verify(o),
-    },
-    Command {
-        name: "statics",
-        positional: NONE,
-        values: &[OUT, THREADS],
-        switches: &["json"],
-        help: "static design analysis: deadlock CDG proofs + credit sizing (nox-bench/statics/v1)",
-        run: |_, o| cmd_statics(o),
-    },
-    Command {
         name: "claims",
         positional: NONE,
         values: &[OUT, ("baseline", "FILE"), THREADS, STREAM],
@@ -148,19 +133,11 @@ const COMMANDS: &[Command] = &[
         run: |_, o| cmd_claims(o),
     },
     Command {
-        name: "faults",
-        positional: NONE,
-        values: &[OUT, THREADS, STREAM],
-        switches: &["quick", "smoke", "full", "json"],
-        help: "fault-injection campaigns: XOR-chain fragility + CRC/retransmission recovery (default tier quick; writes faults_report.json)",
-        run: |_, o| cmd_faults(o),
-    },
-    Command {
         name: "run",
         positional: HARNESS,
         values: &[OUT, THREADS, STREAM],
         switches: &["quick", "smoke", "full", "json"],
-        help: "regenerate one figure or table of the paper (default tier full; --json prints the nox-bench/<harness>/vN document)",
+        help: "run one harness: a figure or table of the paper, a study, or a check (default tier full; --json prints the nox-bench/<harness>/vN document)",
         run: cmd_run,
     },
     Command {
@@ -444,17 +421,14 @@ fn emit_report(
     Ok(())
 }
 
-/// Runs one row of the harness table for command `cmd` and reports it.
-/// Non-zero exit when the harness's own check fails (a golden trace
-/// diverged, the timing model drifted from Table 2, ...).
-fn run_harness(
-    cmd: &str,
-    h: &Harness,
-    default_tier: Tier,
-    default_out: Option<&str>,
-    opts: &Opts,
-) -> Result<(), String> {
-    let tier = tier(opts, default_tier);
+/// Runs one row of the harness table — a figure or table of the paper,
+/// a beyond-paper study, or a protocol or deadlock check — at the full
+/// tier unless told otherwise. Non-zero exit when the harness's own
+/// check fails (a golden trace diverged, the timing model drifted from
+/// Table 2, a mutation survived the model checker, ...).
+fn cmd_run(positional: &[String], opts: &Opts) -> Result<(), String> {
+    let h = harness::find(&positional[0])?;
+    let tier = tier(opts, Tier::Full);
     let exec = executor(opts)?;
     eprintln!(
         "running {} at the {} tier on {} thread(s)...",
@@ -462,35 +436,15 @@ fn run_harness(
         tier.name(),
         exec.threads()
     );
-    let streaming = setup_stream(opts, cmd)?;
+    let streaming = setup_stream(opts, "run")?;
     let report = (h.run)(tier, &exec);
     finish_stream(streaming);
-    emit_report(opts, &report.text, &report.json, default_out)?;
+    emit_report(opts, &report.text, &report.json, None)?;
     if report.ok {
         Ok(())
     } else {
         Err(format!("{}: the harness's own check failed", h.name))
     }
-}
-
-/// Regenerates one figure or table of the paper (or one of the
-/// beyond-paper studies) at the full tier unless told otherwise.
-fn cmd_run(positional: &[String], opts: &Opts) -> Result<(), String> {
-    run_harness(
-        "run",
-        harness::find(&positional[0])?,
-        Tier::Full,
-        None,
-        opts,
-    )
-}
-
-/// Runs the fault-injection campaign study: the bit-flip sweep over all
-/// four architectures with and without the CRC + retransmission stack,
-/// and writes the versioned `nox-bench/faults/v1` artifact.
-fn cmd_faults(opts: &Opts) -> Result<(), String> {
-    let h = harness::find("faults")?;
-    run_harness("faults", h, Tier::Quick, Some("faults_report.json"), opts)
 }
 
 /// Runs one figure harness under the span profiler and reports where the
@@ -568,18 +522,19 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         ],
     );
     let mut probe = probe_cli::Collector::new(opts);
-    // Architecture-major, so the table and the probe's report set keep
-    // their order; every architecture's point at a rate sees one trace.
-    for &arch in &archs {
-        let model = EnergyModel::for_arch(arch);
-        for &rate in &cfg.rates_mbps {
-            let trace = cfg.trace(rate);
+    // Rate-major, so each rate's trace is generated once and every
+    // architecture runs on it; the probe's report set comes in (rate,
+    // arch) order, and the table is printed architecture-major.
+    let mut rows = vec![Vec::with_capacity(cfg.rates_mbps.len()); archs.len()];
+    for &rate in &cfg.rates_mbps {
+        let trace = cfg.trace(rate);
+        for (&arch, rows) in archs.iter().zip(&mut rows) {
             let r = probe.run_or_plain(opts, net_config(opts, arch), &trace, &cfg.run, || {
                 format!("{} @ {rate:.0} MB/s/node", arch.name())
             })?;
             let p99 = r.latency_percentile_ns(99.0);
-            let p = point_from_result(rate, r, &model);
-            t.row([
+            let p = point_from_result(rate, r, &EnergyModel::for_arch(arch));
+            rows.push([
                 arch.name().to_string(),
                 format!("{rate:.0}"),
                 format!("{:.2}", p.latency_ns),
@@ -589,6 +544,9 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
                 p.drained.to_string(),
             ]);
         }
+    }
+    for row in rows.into_iter().flatten() {
+        t.row(row);
     }
     emit(opts, &t);
     probe.finish(opts)?;
@@ -870,157 +828,6 @@ mod probe_cli {
     }
 }
 
-fn cmd_verify(opts: &Opts) -> Result<(), String> {
-    use nox::verify::{check_with, mutation_smoke_with, scenarios, Bounds};
-
-    let exec = executor(opts)?;
-    let streaming = setup_stream(opts, "verify")?;
-    let bounds = if opts.contains_key("quick") {
-        Bounds::quick()
-    } else {
-        Bounds::full()
-    };
-    println!(
-        "== bounded model check: {} scenarios (<= {} inputs, <= {} flits, depths {:?}, \
-         {} thread(s)) ==",
-        scenarios(&bounds).len(),
-        bounds.max_inputs,
-        bounds.max_total_flits,
-        bounds.depths,
-        exec.threads()
-    );
-    let report = check_with(&bounds, &exec);
-    println!(
-        "explored {} states across {} scenarios; exhausted: {}",
-        report.states, report.scenarios, report.exhausted
-    );
-    for v in &report.violations {
-        println!("VIOLATION {v}");
-    }
-    if !report.exhausted {
-        return Err("state budget exhausted before closing the reachable space".into());
-    }
-    if !report.violations.is_empty() {
-        return Err(format!(
-            "{} protocol violation(s) found",
-            report.violations.len()
-        ));
-    }
-    println!("no violations: the protocol invariants hold over the bounded space\n");
-
-    println!("== mutation smoke: each disabled rule must be caught ==");
-    let mut missed = 0;
-    for m in mutation_smoke_with(&bounds, &exec) {
-        match &m.caught {
-            Some(v) => println!(
-                "caught  {:<24} ({}) as {} after {} states",
-                m.mutation.name(),
-                m.mutation.description(),
-                v.kind.name(),
-                m.states
-            ),
-            None => {
-                missed += 1;
-                println!(
-                    "MISSED  {:<24} ({})",
-                    m.mutation.name(),
-                    m.mutation.description()
-                );
-            }
-        }
-    }
-    if missed > 0 {
-        return Err(format!("{missed} mutation(s) survived the checker"));
-    }
-    println!("all mutations caught: the invariants have teeth\n");
-
-    fault_invariant(&exec)?;
-    finish_stream(streaming);
-
-    sanitized_smoke(opts)
-}
-
-fn fault_invariant(exec: &nox::exec::Executor) -> Result<(), String> {
-    use nox::verify::{check_decoder_crc_with, FaultBounds};
-
-    println!("== fault invariant I7: CRC shields every single-bit link strike ==");
-    let report = check_decoder_crc_with(&FaultBounds::quick(), exec);
-    println!(
-        "{} chain shapes, {} strike cases, {} presentations: {} corrupted, {} flagged, \
-         max fan-out {}",
-        report.shapes,
-        report.cases,
-        report.presented,
-        report.corrupted,
-        report.flagged,
-        report.max_fanout
-    );
-    for v in &report.violations {
-        println!(
-            "SILENT CORRUPTION {}: key {} expected {:#x} got {:#x}",
-            v.label, v.key, v.expected, v.actual
-        );
-    }
-    if !report.is_clean() {
-        return Err(format!(
-            "fault invariant failed: {} silent corruption(s)",
-            report.violations.len()
-        ));
-    }
-    println!("no silent corruption: every corrupted presentation is CRC-flagged\n");
-    Ok(())
-}
-
-fn sanitized_smoke(opts: &Opts) -> Result<(), String> {
-    use nox::sim::network::Network;
-
-    println!("== sanitized simulation smoke sweep ==");
-    let mesh = Mesh::new(4, 4);
-    let rates = if opts.contains_key("quick") {
-        vec![800.0]
-    } else {
-        vec![500.0, 2_000.0]
-    };
-    for arch in Arch::ALL {
-        for &rate in &rates {
-            let trace = generate(mesh, &SyntheticConfig::uniform(rate, 4_000.0));
-            let mut net = Network::new(NetConfig::small(arch), &trace, (0.0, f64::MAX));
-            net.enable_sanitizer();
-            if !net.run_to_quiescence(500_000) {
-                return Err(format!(
-                    "{} @ {rate:.0} MB/s/node failed to drain under the sanitizer",
-                    arch.name()
-                ));
-            }
-            let c = net.counters();
-            println!(
-                "ok  {:<16} @ {rate:>5.0} MB/s/node: {} flits, {} cycles, every audit clean",
-                arch.name(),
-                c.flits_ejected,
-                c.cycles
-            );
-        }
-    }
-    println!("sanitized sweep clean");
-    Ok(())
-}
-
-/// Runs the static design-analysis suite — channel-dependency deadlock
-/// proofs over the standard topologies and the credit-sizing checks —
-/// prints the verdict, and optionally writes the `nox-bench/statics/v1`
-/// artifact. Nonzero exit when any analysis misses its expectation, so
-/// CI can gate on it directly.
-fn cmd_statics(opts: &Opts) -> Result<(), String> {
-    let exec = executor(opts)?;
-    let report = nox::statics::standard_report(&exec);
-    emit_report(opts, &report.render(), &report.to_json(), None)?;
-    if report.verdict_ok() {
-        Ok(())
-    } else {
-        Err("statics verdict FAIL: an analysis missed its expectation".into())
-    }
-}
-
 /// Evaluates the full conformance-claim registry (EXPERIMENTS.md as
 /// code), writes the versioned report, and diffs it against the
 /// committed baseline — nonzero exit on any status regression.
@@ -1140,7 +947,7 @@ fn cmd_client(positional: &[String], opts: &Opts) -> Result<(), String> {
 
     let [req] = positional else {
         return Err(
-            "client needs one request line, e.g. '{\"req\":\"claims\",\"tier\":\"smoke\"}'".into(),
+            "client needs one request line, e.g. '{\"req\":\"run\",\"harness\":\"claims\",\"tier\":\"smoke\"}'".into(),
         );
     };
     let socket = opts

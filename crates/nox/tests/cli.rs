@@ -79,7 +79,7 @@ fn flags_a_command_does_not_list_are_errors() {
     // A typo, a flag that belongs to other commands, and a value flag
     // spelled as another command's option: none may be swallowed.
     for args in [
-        &["statics", "--jsno", "x"][..],
+        &["run", "statics", "--jsno", "x"][..],
         &["power", "--smoke", "--json"],
         &["claims", "--tier", "smoke"],
         &["run", "table1", "--chrome", "t.json"],
@@ -99,19 +99,64 @@ fn flags_a_command_does_not_list_are_errors() {
 }
 
 #[test]
+fn the_commands_run_replaced_are_unknown() {
+    // `run verify`, `run statics` and `run faults` keep no aliases.
+    for cmd in ["verify", "statics", "faults"] {
+        let out = noxsim(&[cmd, "--quick"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("unknown command {cmd:?}")),
+            "{cmd}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{cmd} ran anyway");
+    }
+}
+
+#[test]
+fn run_verify_checks_the_protocol() {
+    // One run (the sanitized sweep is slow in a debug build): the text on
+    // stdout, the document that `--json` would print in the `--out` file.
+    let dir = scratch("verify");
+    let path = dir.join("verify.json");
+    let path = path.to_str().unwrap();
+    let out = noxsim(&["run", "verify", "--smoke", "--out", path]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("all mutations caught"), "{text}");
+    let text = text
+        .strip_suffix(&format!("wrote {path}\n"))
+        .expect("--out");
+    assert!(text.ends_with("sanitized sweep clean\n"), "{text}");
+    let doc = read_json(std::path::Path::new(path));
+    assert_eq!(
+        doc.get("schema").and_then(Json::as_str),
+        Some("nox-bench/verify/v1")
+    );
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_is_printed_from_the_command_table() {
     let out = noxsim(&["--help"]);
     assert!(out.status.success());
     let help = stdout(&out);
-    for cmd in [
-        "sweep", "app", "power", "gen", "replay", "heatmap", "verify", "statics", "claims",
-        "faults", "run", "profile", "serve", "client", "info",
-    ] {
+    let commands = [
+        "sweep", "app", "power", "gen", "replay", "heatmap", "claims", "run", "profile", "serve",
+        "client", "info",
+    ];
+    for cmd in commands {
         assert!(
             help.contains(&format!("\n  {cmd}")),
             "{cmd} missing: {help}"
         );
     }
+    // And no others: a command's synopsis is indented two spaces, its
+    // description six.
+    let section = help.split("\n\n").nth(1).expect("the command section");
+    let listed = section.lines().filter(|l| !l.starts_with("   ")).count();
+    assert_eq!(listed, 1 + commands.len(), "{section}");
     assert!(help.contains("run HARNESS"), "{help}");
     for h in harness::HARNESSES {
         assert!(help.contains(h.name) && help.contains(h.what), "{}", h.name);

@@ -1,7 +1,7 @@
 //! End-to-end fault-tolerance properties across the whole stack: the
 //! injection campaign is bit-reproducible, the unprotected XOR chain is
 //! measurably fragile, and the CRC + retransmission stack recovers full
-//! delivery — the same properties `noxsim faults` turns into artifacts,
+//! delivery — the same properties `noxsim run faults` turns into artifacts,
 //! here locked as regression tests.
 
 use nox::analysis::harness::faults;

@@ -88,7 +88,7 @@ fn analyzer_flags_ring_and_the_sim_wedges() {
 
 #[test]
 fn statics_artifact_is_byte_identical_across_thread_counts() {
-    // The CLI-visible contract behind `noxsim statics --threads N`.
+    // The CLI-visible contract behind `noxsim run statics --threads N`.
     let baseline = nox::statics::standard_report(&Executor::new(1)).to_json();
     for threads in [2, 8] {
         assert_eq!(
