@@ -216,7 +216,7 @@ impl ProfileReport {
 
         if !self.acc.samples().is_empty() {
             let mut t = Table::new(
-                "Latency histograms",
+                "Latency histograms (percentiles interpolated within power-of-two buckets)",
                 &[
                     "sample", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms", "max ms",
                 ],

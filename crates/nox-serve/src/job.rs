@@ -11,7 +11,7 @@
 //! than a dead daemon.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
@@ -179,17 +179,17 @@ fn sweep_spec(req: &SweepReq) -> SweepConfig {
 
 /// Runs a sweep request as one fan-out (`serve.sweep`) of its (rate,
 /// architecture) points, rate-major. A rate's first point to start
-/// generates its trace, the others share it, and the last to start
-/// takes it out of the shared slot, so about one trace per worker is
-/// alive, as when each point made its own: a rate may be as high as
-/// 1e6 MB/s/node. Every point is panic-contained and checks the
-/// deadline first. The points reduce to the `nox-serve/sweep/v1`
-/// artifact architecture-major, byte-identical at any thread count.
+/// generates its trace, the others share it (a cloned `Trace` is a
+/// handle to the same events), and the last to start takes it out of
+/// the shared slot, so about one trace per worker is alive, as when each
+/// point made its own: a rate may be as high as 1e6 MB/s/node. Every
+/// point is panic-contained and checks the deadline first. The points
+/// reduce to the `nox-serve/sweep/v1` artifact architecture-major,
+/// byte-identical at any thread count.
 fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Result<Json, JobError> {
     let cfg = sweep_spec(req);
     let n = req.archs.len();
-    let shared: Vec<Mutex<Option<Arc<Trace>>>> =
-        req.rates.iter().map(|_| Mutex::new(None)).collect();
+    let shared: Vec<Mutex<Option<Trace>>> = req.rates.iter().map(|_| Mutex::new(None)).collect();
     let jobs = (0..req.rates.len()).flat_map(|r| req.archs.iter().enumerate().map(move |a| (r, a)));
     // The point of rate `r` on architecture `a` is `points[r * n + a]`.
     let points = settle(
@@ -202,7 +202,7 @@ fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Resul
                 // A panic while generating leaves the slot empty, and the
                 // rate's next point regenerates (and panics alike).
                 let mut slot = shared[r].lock().unwrap_or_else(PoisonError::into_inner);
-                let trace = Arc::clone(slot.get_or_insert_with(|| Arc::new(cfg.trace(rate))));
+                let trace = slot.get_or_insert_with(|| cfg.trace(rate)).clone();
                 if a + 1 == n {
                     *slot = None;
                 }

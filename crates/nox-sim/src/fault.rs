@@ -206,7 +206,7 @@ impl FaultState {
     }
 
     /// Registers a physical packet as a fresh logical packet (attempt 1).
-    pub(crate) fn register(&mut self, id: PacketId, meta: &PacketMeta) {
+    pub(crate) fn register(&mut self, id: PacketId, meta: PacketMeta) {
         let deadline = self
             .plan
             .config()

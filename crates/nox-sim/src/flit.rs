@@ -3,15 +3,16 @@
 //! The simulator keeps per-flit storage minimal: a flit travelling through
 //! the network is a [`Word`] — the XOR-coding wrapper from `nox-core`
 //! instantiated with a 64-bit payload and keyed by [`FlitKey`]. All other
-//! per-packet information (source, destination, length, timestamps) lives
-//! once in the [`PacketTable`] and is recovered from the key via
-//! [`PacketTable::flit_info`].
+//! per-packet information (source, destination, length, timestamps) is
+//! kept once, in the trace's event or a [`PacketTable`] row, and is
+//! recovered from the key via [`PacketTable::flit_info`].
 //!
 //! Payload bits are a deterministic hash of the flit key, which lets the
 //! ejection logic verify — for every flit, in every run — that XOR
 //! decoding reproduced the exact original bits.
 
 use crate::topology::NodeId;
+use crate::trace::{PacketEvent, Trace};
 use nox_core::Coded;
 
 /// Index of a packet in the [`PacketTable`].
@@ -94,6 +95,13 @@ pub struct PacketMeta {
 
 /// The table of all packets in a simulation, indexed by [`PacketId`].
 ///
+/// A network's trace packets are ids `0..traced()`, in trace order. The
+/// table holds a handle to the trace, not a copy of it, and derives their
+/// metadata from the events (DESIGN.md §16.5). Packets created during the
+/// run (retransmissions, [`Network::inject`](crate::network::Network::inject))
+/// are [pushed](Self::push) as rows after them; a table built with
+/// [`new`](Self::new) has only those.
+///
 /// # Example
 ///
 /// ```
@@ -114,7 +122,13 @@ pub struct PacketMeta {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PacketTable {
-    metas: Vec<PacketMeta>,
+    trace: Trace,
+    /// The clock period and measurement window (half-open, both in
+    /// nanoseconds) the trace's events are read with.
+    clock_ns: f64,
+    window_ns: (f64, f64),
+    /// Packets `traced()..`, created during the run.
+    created: Vec<PacketMeta>,
 }
 
 impl PacketTable {
@@ -123,33 +137,42 @@ impl PacketTable {
         Self::default()
     }
 
-    /// Creates an empty table with room for `packets` packets.
-    pub(crate) fn with_capacity(packets: usize) -> Self {
+    /// A table whose first packets are `trace`'s events, created on a
+    /// `clock_ns` clock and measured within `window_ns`.
+    pub(crate) fn for_trace(trace: &Trace, clock_ns: f64, window_ns: (f64, f64)) -> Self {
         PacketTable {
-            metas: Vec::with_capacity(packets),
+            trace: trace.clone(),
+            clock_ns,
+            window_ns,
+            created: Vec::new(),
         }
     }
 
-    /// Registers a packet, returning its id.
+    /// Registers a packet created during the run, returning its id.
     ///
     /// # Panics
     ///
     /// Panics if `meta.len == 0`.
     pub fn push(&mut self, meta: PacketMeta) -> PacketId {
         assert!(meta.len >= 1, "a packet needs at least one flit");
-        let id = PacketId(self.metas.len() as u64);
-        self.metas.push(meta);
+        let id = PacketId(self.len() as u64);
+        self.created.push(meta);
         id
     }
 
     /// Number of packets registered.
     pub fn len(&self) -> usize {
-        self.metas.len()
+        self.traced() + self.created.len()
     }
 
     /// `true` if no packets are registered.
     pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of packets that come from the trace: ids below it.
+    pub fn traced(&self) -> usize {
+        self.trace.len()
     }
 
     /// The packet's static metadata.
@@ -157,19 +180,67 @@ impl PacketTable {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn meta(&self, id: PacketId) -> &PacketMeta {
-        &self.metas[id.0 as usize]
+    #[inline]
+    pub fn meta(&self, id: PacketId) -> PacketMeta {
+        let i = id.0 as usize;
+        match self.trace.events().get(i) {
+            Some(e) => self.event_meta(e),
+            None => self.created[i - self.traced()],
+        }
+    }
+
+    /// The metadata of a trace event: created in the cycle its time
+    /// falls in, measured when that time is in the window.
+    #[inline]
+    pub(crate) fn event_meta(&self, e: &PacketEvent) -> PacketMeta {
+        PacketMeta {
+            src: e.src,
+            dest: e.dest,
+            len: e.len,
+            created_cycle: (e.time_ns / self.clock_ns) as u64,
+            measured: e.time_ns >= self.window_ns.0 && e.time_ns < self.window_ns.1,
+        }
+    }
+
+    /// Creation cycle of the trace's packet `i`, `u64::MAX` past the
+    /// trace's last: what a cursor over the trace waits for.
+    #[inline]
+    pub(crate) fn trace_due(&self, i: usize) -> u64 {
+        self.trace
+            .events()
+            .get(i)
+            .map_or(u64::MAX, |e| self.event_meta(e).created_cycle)
+    }
+
+    /// A packet's length in flits.
+    #[inline]
+    pub(crate) fn len_of(&self, id: PacketId) -> u16 {
+        self.dest_len(id).1
+    }
+
+    /// A packet's destination and length, read from one row: the
+    /// trace's event or the created packet's.
+    #[inline]
+    fn dest_len(&self, id: PacketId) -> (NodeId, u16) {
+        let i = id.0 as usize;
+        match self.trace.events().get(i) {
+            Some(e) => (e.dest, e.len),
+            None => {
+                let m = &self.created[i - self.traced()];
+                (m.dest, m.len)
+            }
+        }
     }
 
     /// Routing/flow-control information for one flit.
     pub fn flit_info(&self, key: FlitKey) -> FlitInfo {
-        let m = self.meta(key.packet);
+        let (dest, len) = self.dest_len(key.packet);
         FlitInfo {
             packet: key.packet,
             seq: key.seq,
-            dest: m.dest,
-            multiflit: m.len > 1,
-            tail: key.seq + 1 == m.len,
+            dest,
+            multiflit: len > 1,
+            tail: key.seq + 1 == len,
         }
     }
 
@@ -257,6 +328,48 @@ mod tests {
         assert!(head.multiflit && !head.tail);
         assert!(body.multiflit && !body.tail);
         assert!(tail.multiflit && tail.tail);
+    }
+
+    #[test]
+    fn trace_packets_are_read_from_their_events() {
+        let ev = |time_ns, dest, len| PacketEvent {
+            time_ns,
+            src: NodeId(1),
+            dest: NodeId(dest),
+            len,
+        };
+        let trace = Trace::from_events(vec![ev(0.0, 2, 1), ev(9.9, 3, 4), ev(20.0, 4, 2)]);
+        let mut t = PacketTable::for_trace(&trace, 2.5, (9.9, 20.0));
+        assert_eq!((t.len(), t.traced()), (3, 3));
+        let metas: Vec<(u64, bool)> = (0..3)
+            .map(|i| t.meta(PacketId(i)))
+            .map(|m| (m.created_cycle, m.measured))
+            .collect();
+        // 9.9 / 2.5 = 3.96: the cycle the time falls in. The window is
+        // half-open.
+        assert_eq!(metas, [(0, false), (3, true), (8, false)]);
+        assert_eq!(t.trace_due(1), 3);
+        assert_eq!(t.trace_due(3), u64::MAX, "past the trace's last");
+        let info = t.flit_info(FlitKey {
+            packet: PacketId(1),
+            seq: 3,
+        });
+        assert_eq!(
+            (info.dest, info.multiflit, info.tail),
+            (NodeId(3), true, true)
+        );
+
+        // A packet created during the run follows the trace's.
+        let meta = PacketMeta {
+            src: NodeId(0),
+            dest: NodeId(5),
+            len: 1,
+            created_cycle: 7,
+            measured: false,
+        };
+        let id = t.push(meta);
+        assert_eq!((id, t.meta(id), t.len()), (PacketId(3), meta, 4));
+        assert_eq!(t.flit_info(FlitKey { packet: id, seq: 0 }).dest, NodeId(5));
     }
 
     #[test]

@@ -56,14 +56,18 @@ pub struct Network {
     awake: ActiveSet,
     /// One source per core.
     sources: Vec<Source>,
+    /// The trace's packet ids grouped by source, each group in trace
+    /// order: every source's share is a range of it.
+    trace_order: Vec<u32>,
     /// The sources that [can inject](Source::can_inject) this cycle. One
     /// joins when a packet of its own is created and leaves, after its
     /// visit, once it has none part-way in and none created yet.
     injecting: ActiveSet,
-    /// The trace's packets are `0..static_packets` of the table, in
-    /// creation order; those before `next_static` have been created.
+    /// The trace's packets are the table's first, in creation order;
+    /// those before `next_static` have been created, and `next_due` is
+    /// the creation cycle of the next (`u64::MAX` past the last).
     next_static: usize,
-    static_packets: usize,
+    next_due: u64,
     /// One sink per core.
     sinks: Vec<Sink>,
     /// The sinks whose FIFO holds a word: in by `deliver_word`, out when
@@ -121,35 +125,46 @@ impl Network {
     pub fn new(cfg: NetConfig, trace: &Trace, measure_window_ns: (f64, f64)) -> Self {
         cfg.validate().expect("invalid network configuration");
         let topo = cfg.topology();
-        let clock_ns = cfg.clock_ns();
+        assert!(
+            u32::try_from(trace.len()).is_ok(),
+            "a trace holds at most u32::MAX events"
+        );
+        // The table reads the trace's packets from the trace itself: no
+        // event is copied (DESIGN.md §16.5).
+        let packets = PacketTable::for_trace(trace, cfg.clock_ns(), measure_window_ns);
 
-        // One pass to check every event and count each source's share,
-        // so the packet table and every source queue are allocated once,
-        // at their final size.
-        let mut per_source = vec![0; topo.cores()];
+        // One pass to check every event and count the measured ones and
+        // each source's share, then a counting sort of the trace's ids by
+        // source: `ends[s]` holds the count of source `s`, then where its
+        // group starts, and once the group is filled, where it ends.
+        let mut ends = vec![0u32; topo.cores()];
+        let mut measured_total = 0;
         for e in trace.events() {
             assert!(
                 e.src.index() < topo.cores() && e.dest.index() < topo.cores(),
                 "trace event addresses a node outside the mesh"
             );
-            per_source[e.src.index()] += 1;
+            ends[e.src.index()] += 1;
+            measured_total += u64::from(packets.event_meta(e).measured);
         }
-        let mut packets = PacketTable::with_capacity(trace.len());
-        let mut sources: Vec<Source> = per_source.into_iter().map(Source::with_capacity).collect();
-        let mut measured_total = 0;
-        for e in trace.events() {
-            let measured = e.time_ns >= measure_window_ns.0 && e.time_ns < measure_window_ns.1;
-            measured_total += u64::from(measured);
-            let created_cycle = (e.time_ns / clock_ns) as u64;
-            let id = packets.push(PacketMeta {
-                src: e.src,
-                dest: e.dest,
-                len: e.len,
-                created_cycle,
-                measured,
-            });
-            sources[e.src.index()].schedule(id, created_cycle);
+        let mut start = 0;
+        for end in &mut ends {
+            let count = *end;
+            *end = start;
+            start += count;
         }
+        let mut trace_order = vec![0u32; trace.len()];
+        for (i, e) in trace.events().iter().enumerate() {
+            let slot = &mut ends[e.src.index()];
+            trace_order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        let sources = (0..ends.len())
+            .map(|s| {
+                let share = s.checked_sub(1).map_or(0, |prev| ends[prev])..ends[s];
+                Source::for_share(share, &trace_order)
+            })
+            .collect();
 
         let nox_options = nox_core::NoxOptions {
             scheduled_mode: cfg.nox_scheduled_mode,
@@ -172,9 +187,10 @@ impl Network {
             awake: ActiveSet::new(routers.len()),
             routers,
             sources,
+            trace_order,
             injecting: ActiveSet::new(topo.cores()),
             next_static: 0,
-            static_packets: packets.len(),
+            next_due: packets.trace_due(0),
             sinks,
             draining: ActiveSet::new(topo.cores()),
             router_ticks: 0,
@@ -205,26 +221,25 @@ impl Network {
 
     /// Queues packet `id`, created this cycle at `src`, and puts the
     /// source in the injecting set: how every injection and
-    /// retransmission enters a source. The trace's packets are queued by
-    /// [`new`](Self::new), and `admit_created` finds them when they fall
-    /// due.
+    /// retransmission enters a source. The trace's packets are each
+    /// source's share from [`new`](Self::new) on, and `admit_created`
+    /// finds them when they fall due.
     fn schedule_now(&mut self, id: PacketId, src: NodeId) {
-        self.sources[src.index()].schedule(id, self.cycle);
+        self.sources[src.index()].schedule(id);
         self.injecting.insert(src.index());
     }
 
     /// Moves the cursor past the trace's packets created by this cycle,
     /// putting their sources in the injecting set. Ids follow the trace,
     /// which is in time order, so the first packet still in the future
-    /// ends the walk: one compare on most cycles.
+    /// ends the walk: one compare on most cycles, against the cached
+    /// creation cycle of the next.
     fn admit_created(&mut self) {
-        while self.next_static < self.static_packets {
-            let meta = self.packets.meta(PacketId(self.next_static as u64));
-            if meta.created_cycle > self.cycle {
-                break;
-            }
-            self.injecting.insert(meta.src.index());
+        while self.next_due <= self.cycle {
+            let src = self.packets.meta(PacketId(self.next_static as u64)).src;
+            self.injecting.insert(src.index());
             self.next_static += 1;
+            self.next_due = self.packets.trace_due(self.next_static);
         }
     }
 
@@ -432,7 +447,7 @@ impl Network {
         // its set). A fault campaign can orphan a register, and under
         // one the sets hold everything.
         let quiescent = self.in_flight.is_empty()
-            && self.next_static == self.static_packets
+            && self.next_static == self.packets.traced()
             && self.injecting.iter().all(|i| self.sources[i].is_done())
             && self.awake.iter().all(|i| self.routers[i].is_idle())
             && self.draining.iter().all(|i| self.sinks[i].port.is_idle());
@@ -538,10 +553,11 @@ impl Network {
             let (router, port) = self.wiring.attach(core);
             let src = &mut self.sources[i];
             let injected = src.inject(
-                self.cycle,
+                self.next_static,
                 &mut self.routers[router.index()],
                 port,
                 &self.packets,
+                &self.trace_order,
                 &mut self.counters,
             );
             if let Some(key) = injected {
@@ -550,7 +566,7 @@ impl Network {
             }
             // A source stalled on a full buffer stays in: it is still
             // part-way through its packet.
-            visit_all || src.can_inject(self.cycle)
+            visit_all || src.can_inject(self.next_static)
         });
         self.mark_phase(nox_telemetry::phase::SIM_INJECT);
 
@@ -981,13 +997,19 @@ impl Network {
             }
             check_trace_cursor(
                 &self.packets,
-                self.static_packets,
+                self.packets.traced(),
                 self.next_static,
                 stepped,
             )?;
+            if self.next_due != self.packets.trace_due(self.next_static) {
+                return Err(format!(
+                    "trace cursor at packet {} caches creation cycle {}",
+                    self.next_static, self.next_due
+                ));
+            }
             for (i, src) in self.sources.iter().enumerate() {
                 if !self.injecting.contains(i) {
-                    check_skipped_source(i, src, stepped)?;
+                    check_skipped_source(i, src, self.next_static)?;
                 }
             }
             for (i, sink) in self.sinks.iter().enumerate() {
@@ -1182,6 +1204,58 @@ mod tests {
         net.run(50);
         assert!(net.is_quiescent());
         assert_eq!(net.counters().packets_ejected, ejected);
+    }
+
+    #[test]
+    fn a_run_time_packet_waits_behind_its_sources_trace_packets() {
+        // Source 0 has trace packets at 0 ns and 1000 ns. A packet
+        // injected at cycle 10, while source 0 is idle, is served after
+        // the trace's second packet: its source serves the trace's share
+        // first and what the run adds after it. This pins the order, not
+        // a virtue: retransmissions wait the same way.
+        let mut t = one_packet_trace(0, 14, 1);
+        t.push(PacketEvent {
+            time_ns: 1000.0,
+            ..t.events()[0]
+        });
+        let mut net = Network::new(NetConfig::small(Arch::Nox), &t, (0.0, f64::MAX));
+        net.enable_eject_log();
+        net.run(10);
+        assert_eq!(net.inject(NodeId(0), NodeId(14), 1, true), PacketId(2));
+        assert!(net.run_to_quiescence(10_000));
+        let log: Vec<(u64, u64)> = net
+            .eject_log()
+            .expect("enabled")
+            .iter()
+            .map(|&(id, cycle)| (id.0, cycle))
+            .collect();
+        assert_eq!(log, [(0, 7), (1, 1322), (2, 1323)]);
+    }
+
+    #[test]
+    fn a_network_runs_the_same_after_its_caller_drops_the_trace() {
+        let events: Vec<PacketEvent> = (0..400u16)
+            .map(|i| PacketEvent {
+                time_ns: f64::from(i) * 0.7,
+                src: NodeId(i % 16),
+                dest: NodeId((i * 7 + 3) % 16),
+                len: 1 + i % 3,
+            })
+            .collect();
+        let kept = Trace::from_events(events.clone());
+        let run = |mut net: Network| {
+            net.enable_eject_log();
+            net.run(20);
+            net.inject(NodeId(2), NodeId(9), 2, true);
+            assert!(net.run_to_quiescence(100_000));
+            (*net.counters(), net.eject_log().expect("enabled").to_vec())
+        };
+        for arch in Arch::ALL {
+            let cfg = NetConfig::small(arch);
+            let orphan = Network::new(cfg, &Trace::from_events(events.clone()), (0.0, 100.0));
+            let alive = Network::new(cfg, &kept, (0.0, 100.0));
+            assert_eq!(run(orphan), run(alive), "{arch}");
+        }
     }
 
     #[test]

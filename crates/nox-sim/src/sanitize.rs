@@ -190,13 +190,15 @@ pub fn check_port_sets(router: &Router) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks that skipping the visit of core `core`'s `source` in cycle
-/// `cycle` lost nothing: it has no packet part-way in, and the head of
-/// its queue had not been created yet.
-pub fn check_skipped_source(core: usize, source: &Source, cycle: u64) -> Result<(), String> {
-    if source.can_inject(cycle) {
+/// Checks that skipping the visit of core `core`'s `source` lost
+/// nothing, once the trace's packets below `admitted` have been created:
+/// it has no packet part-way in, and the head of its queue had not been
+/// created yet.
+pub fn check_skipped_source(core: usize, source: &Source, admitted: usize) -> Result<(), String> {
+    if source.can_inject(admitted) {
         return Err(format!(
-            "source {core} was skipped in cycle {cycle}, but it could inject: {source:?}"
+            "source {core} was skipped with {admitted} trace packets created, but it could \
+             inject: {source:?}"
         ));
     }
     Ok(())
@@ -349,13 +351,14 @@ mod tests {
 
     #[test]
     fn skipped_source_check_rejects_a_source_with_a_created_head() {
-        let mut packets = PacketTable::new();
-        let id = one_packet(&mut packets, 10);
-        let mut src = Source::new();
-        assert!(check_skipped_source(5, &src, 0).is_ok(), "nothing queued");
-        src.schedule(id, 10);
-        assert!(check_skipped_source(5, &src, 9).is_ok(), "not created yet");
-        let err = check_skipped_source(5, &src, 10).unwrap_err();
+        assert!(
+            check_skipped_source(5, &Source::new(), 9).is_ok(),
+            "nothing queued"
+        );
+        // Trace packet 3 is this source's share.
+        let src = Source::for_share(0..1, &[3]);
+        assert!(check_skipped_source(5, &src, 3).is_ok(), "not created yet");
+        let err = check_skipped_source(5, &src, 4).unwrap_err();
         assert!(err.contains("could inject"), "{err}");
     }
 

@@ -6,8 +6,14 @@
 //! queueing delay, as in the paper's latency curves) and their flits feed
 //! the router's local input port at up to one flit per cycle — the
 //! injection bandwidth of a 64-bit interface.
+//!
+//! A source's share of the trace is not copied into its queue: it is a
+//! range of the network's trace order (the trace's packet ids grouped by
+//! source, in trace order), and the source is a cursor into it. Packets
+//! created during the run queue behind that range.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use nox_core::PortId;
 
@@ -18,12 +24,18 @@ use crate::stats::Counters;
 /// The injection process for one node.
 #[derive(Clone, Debug)]
 pub struct Source {
-    /// Packets scheduled for this node, in creation order.
-    pending: VecDeque<PacketId>,
-    /// Creation cycle of `pending`'s head, `u64::MAX` when it is empty:
-    /// a source with nothing due is one compare per cycle, not a packet
-    /// table lookup.
-    head_due: u64,
+    /// The trace packets not yet taken: `order[next..end]` of the trace
+    /// order [`inject`](Self::inject) is given.
+    next: u32,
+    end: u32,
+    /// The trace id of the first of them, `u32::MAX` once they are all
+    /// taken: it is due once the network's trace cursor has passed it,
+    /// so a source with nothing due is one compare per cycle, and never
+    /// works out a creation cycle.
+    head: u32,
+    /// Packets created during the run, in creation order, each due at
+    /// once. They are served once the trace's share is used up.
+    created: VecDeque<PacketId>,
     /// Packet currently being injected flit by flit.
     current: Option<(PacketId, u16, u16)>, // (id, next_seq, len)
 }
@@ -37,30 +49,39 @@ impl Default for Source {
 impl Source {
     /// Creates an empty source.
     pub fn new() -> Self {
-        Self::with_capacity(0)
+        Self::for_share(0..0, &[])
     }
 
-    /// Creates an empty source with room for `packets` queued packets.
-    pub(crate) fn with_capacity(packets: usize) -> Self {
-        Source {
-            pending: VecDeque::with_capacity(packets),
-            head_due: u64::MAX,
+    /// A source whose share of the trace is `order[share]`.
+    pub(crate) fn for_share(share: Range<u32>, order: &[u32]) -> Self {
+        let mut s = Source {
+            next: share.start,
+            end: share.end,
+            head: u32::MAX,
+            created: VecDeque::new(),
             current: None,
-        }
+        };
+        s.find_head(order);
+        s
     }
 
-    /// Schedules a packet created at `created_cycle` (must be pushed in
-    /// creation-time order).
-    pub fn schedule(&mut self, id: PacketId, created_cycle: u64) {
-        if self.pending.is_empty() {
-            self.head_due = created_cycle;
-        }
-        self.pending.push_back(id);
+    /// Points `head` at `order[next]`, or past every trace id.
+    fn find_head(&mut self, order: &[u32]) {
+        self.head = if self.next < self.end {
+            order[self.next as usize]
+        } else {
+            u32::MAX
+        };
+    }
+
+    /// Queues a packet created this cycle, behind everything queued.
+    pub fn schedule(&mut self, id: PacketId) {
+        self.created.push_back(id);
     }
 
     /// Number of packets not yet fully injected.
     pub fn backlog(&self) -> usize {
-        self.pending.len() + usize::from(self.current.is_some())
+        (self.end - self.next) as usize + self.created.len() + usize::from(self.current.is_some())
     }
 
     /// `true` when everything scheduled has been injected.
@@ -68,33 +89,41 @@ impl Source {
         self.backlog() == 0
     }
 
-    /// `true` when [`inject`](Self::inject) at `cycle` has something to
-    /// do: a packet is part-way in, or the queue's head has been created.
-    /// The network visits exactly the sources for which this holds.
-    pub fn can_inject(&self, cycle: u64) -> bool {
-        self.current.is_some() || self.head_due <= cycle
+    /// `true` when [`inject`](Self::inject) has something to do once the
+    /// trace's packets below `admitted` have been created: a packet is
+    /// part-way in, or the queue's head has been created. The network
+    /// visits exactly the sources for which this holds.
+    pub fn can_inject(&self, admitted: usize) -> bool {
+        self.current.is_some()
+            || (self.head as usize) < admitted
+            || (self.next == self.end && !self.created.is_empty())
     }
 
     /// Injects up to one flit into input `local` of the core's router,
-    /// returning the key of the flit injected this cycle (if any).
+    /// returning the key of the flit injected this cycle (if any). The
+    /// trace's packets below `admitted` have been created, and `order` is
+    /// the network's trace order this source's share indexes.
     pub fn inject(
         &mut self,
-        cycle: u64,
+        admitted: usize,
         router: &mut Router,
         local: PortId,
         packets: &PacketTable,
+        order: &[u32],
         counters: &mut Counters,
     ) -> Option<FlitKey> {
         if self.current.is_none() {
-            if self.head_due > cycle {
+            let id = if (self.head as usize) < admitted {
+                self.next += 1;
+                let id = PacketId(u64::from(self.head));
+                self.find_head(order);
+                id
+            } else if self.next == self.end {
+                self.created.pop_front()?
+            } else {
                 return None;
-            }
-            let id = self.pending.pop_front().expect("a due head is queued");
-            self.head_due = self
-                .pending
-                .front()
-                .map_or(u64::MAX, |&next| packets.meta(next).created_cycle);
-            self.current = Some((id, 0, packets.meta(id).len));
+            };
+            self.current = Some((id, 0, packets.len_of(id)));
             counters.packets_injected += 1;
         }
         let (id, seq, len) = self.current?;
@@ -140,13 +169,14 @@ mod tests {
             created_cycle: 0,
             measured: false,
         });
-        src.schedule(id, packets.meta(id).created_cycle);
-        for cycle in 0..3 {
+        src.schedule(id);
+        for _ in 0..3 {
             src.inject(
-                cycle,
+                0,
                 &mut router,
                 Port::Local.id(),
                 &packets,
+                &[],
                 &mut counters,
             );
         }
@@ -159,19 +189,36 @@ mod tests {
     #[test]
     fn respects_creation_time() {
         let (mut packets, mut router, mut counters) = setup();
-        let mut src = Source::new();
-        let id = packets.push(PacketMeta {
-            src: NodeId(0),
-            dest: NodeId(3),
-            len: 1,
-            created_cycle: 5,
-            measured: false,
-        });
-        src.schedule(id, packets.meta(id).created_cycle);
-        src.inject(4, &mut router, Port::Local.id(), &packets, &mut counters);
-        assert_eq!(router.input(Port::Local.id()).len(), 0);
-        src.inject(5, &mut router, Port::Local.id(), &packets, &mut counters);
-        assert_eq!(router.input(Port::Local.id()).len(), 1);
+        for _ in 0..3 {
+            packets.push(PacketMeta {
+                src: NodeId(0),
+                dest: NodeId(3),
+                len: 1,
+                created_cycle: 0,
+                measured: false,
+            });
+        }
+        // Packets 0 and 1 stand for the trace, and packet 1 is this
+        // source's share; packet 2 is created during the run.
+        let order = [0, 1];
+        let mut src = Source::for_share(1..2, &order);
+        let local = Port::Local.id();
+        assert!(!src.can_inject(1), "packet 1 is not created yet");
+        src.inject(1, &mut router, local, &packets, &order, &mut counters);
+        assert_eq!(router.input(local).len(), 0);
+        // A packet created during the run waits behind the share.
+        src.schedule(PacketId(2));
+        assert!(!src.can_inject(1));
+        assert!(src.can_inject(2), "the cursor passed packet 1");
+        src.inject(2, &mut router, local, &packets, &order, &mut counters);
+        let head = router
+            .input(local)
+            .words()
+            .next()
+            .and_then(|w| w.sole_key());
+        assert_eq!(head.map(|k| FlitKey::unpack(k).packet), Some(PacketId(1)));
+        assert!(src.can_inject(2), "the run's packet is due now");
+        assert_eq!(src.backlog(), 1);
     }
 
     #[test]
@@ -186,14 +233,15 @@ mod tests {
                 created_cycle: 0,
                 measured: false,
             });
-            src.schedule(id, packets.meta(id).created_cycle);
+            src.schedule(id);
         }
-        for cycle in 0..6 {
+        for _ in 0..6 {
             src.inject(
-                cycle,
+                0,
                 &mut router,
                 Port::Local.id(),
                 &packets,
+                &[],
                 &mut counters,
             );
         }
@@ -220,14 +268,15 @@ mod tests {
             created_cycle: 0,
             measured: false,
         });
-        src.schedule(a, 0);
-        src.schedule(b, 0);
-        for cycle in 0..3 {
+        src.schedule(a);
+        src.schedule(b);
+        for _ in 0..3 {
             src.inject(
-                cycle,
+                0,
                 &mut router,
                 Port::Local.id(),
                 &packets,
+                &[],
                 &mut counters,
             );
         }

@@ -9,6 +9,8 @@
 //! exactly the paper's "CPU injection bandwidth constant across all
 //! interconnection networks" methodology.
 
+use std::sync::Arc;
+
 use crate::topology::NodeId;
 
 /// One packet-injection event.
@@ -26,6 +28,13 @@ pub struct PacketEvent {
 
 /// A time-sorted sequence of injection events for one network.
 ///
+/// The events sit behind a shared handle: a clone is a handle to the
+/// same events, not a copy of them, and [`push`](Self::push) and
+/// [`extend`](Self::extend) copy them only while another handle is
+/// alive. So every network built from a trace holds the one event vector
+/// (DESIGN.md §16.5), and a caller may drop its own trace once the
+/// networks are built.
+///
 /// # Example
 ///
 /// ```
@@ -40,7 +49,7 @@ pub struct PacketEvent {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
-    events: Vec<PacketEvent>,
+    events: Arc<Vec<PacketEvent>>,
 }
 
 impl Trace {
@@ -57,14 +66,14 @@ impl Trace {
     /// zero-length packet.
     pub fn push(&mut self, e: PacketEvent) {
         check(self.events.last(), &e);
-        self.events.push(e);
+        Arc::make_mut(&mut self.events).push(e);
     }
 
     /// Builds a trace from possibly-unsorted events, sorting by time
     /// (stable, so same-time events keep their relative order). The
     /// events are sorted and checked where they are: the trace keeps the
-    /// caller's vector and allocates nothing when it is already in time
-    /// order.
+    /// caller's vector, and when it is already in time order allocates
+    /// only the shared handle.
     ///
     /// # Panics
     ///
@@ -82,7 +91,9 @@ impl Trace {
             check(last, e);
             last = Some(e);
         }
-        Trace { events }
+        Trace {
+            events: Arc::new(events),
+        }
     }
 
     /// The events, in time order.
@@ -293,7 +304,7 @@ impl Trace {
     /// writer can be passed (e.g. `&mut file`).
     pub fn write_to<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "# noxtrace v1")?;
-        for e in &self.events {
+        for e in self.events.iter() {
             writeln!(w, "{} {} {} {}", e.time_ns, e.src.0, e.dest.0, e.len)?;
         }
         Ok(())

@@ -124,7 +124,7 @@ proptest! {
         net.enable_eject_log();
         prop_assert!(net.run_to_quiescence(200_000));
         for &(pkt, eject_cycle) in net.eject_log().unwrap() {
-            let meta = *net.packets().meta(pkt);
+            let meta = net.packets().meta(pkt);
             let hops = topo.hops(meta.src, meta.dest) as u64;
             let min_cycles = hops + meta.len as u64;
             prop_assert!(

@@ -13,8 +13,9 @@
 //!
 //! Set-up allocates once per structure, whatever the trace's length:
 //! generated events are reserved up front, a trace keeps the vector it
-//! was built from, and a network sizes its packet table and source queues
-//! from the trace.
+//! was built from behind one shared handle, and a network holds that
+//! handle and copies no event: what it allocates per event is one `u32`
+//! of its sources' trace order (DESIGN.md §16.5).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -54,6 +55,15 @@ thread_local! {
     // const-initialised `Cell`s, so touching them cannot itself allocate.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes` new bytes, if armed.
+fn count(bytes: usize) {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + bytes as u64));
+    }
 }
 
 struct Counting;
@@ -63,17 +73,13 @@ struct Counting;
 // thread-local integer and never influences what is returned.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.with(Cell::get) {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-        }
+        count(layout.size());
         // SAFETY: the caller's layout is passed through untouched.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.with(Cell::get) {
-            ALLOCS.with(|c| c.set(c.get() + 1));
-        }
+        count(new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr` and `layout` come from an earlier call on this
         // allocator, which handed out `System` blocks.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -88,13 +94,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Heap allocations (and growing reallocations) `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+/// Heap allocations (and reallocations) `f` makes on this thread, and
+/// the bytes they add.
+fn allocated(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     ARMED.with(|a| a.set(true));
     f();
     ARMED.with(|a| a.set(false));
-    ALLOCS.with(Cell::get) - before
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
+/// Heap allocations (and reallocations) `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    allocated(f).0
 }
 
 const WARMUP_CYCLES: u64 = 2_000;
@@ -170,7 +185,8 @@ fn a_trace_keeps_the_vector_it_is_built_from() {
     let mut trace = None;
     let allocs = allocations(|| trace = Some(Trace::from_events(events)));
     let trace = trace.expect("built");
-    assert_eq!(allocs, 0, "from_events allocated {allocs} times");
+    // The shared handle's block, and no copy of the events.
+    assert_eq!(allocs, 1, "from_events allocated {allocs} times");
     assert_eq!((trace.len(), trace.events().as_ptr()), (len, at));
 }
 
@@ -182,13 +198,21 @@ fn network_set_up_allocates_the_same_for_any_trace_length() {
     let allocs_for = |events: &[PacketEvent]| {
         let trace = Trace::from_events(events.to_vec());
         let mut net = None;
-        let allocs = allocations(|| net = Some(Network::new(cfg, &trace, (0.0, f64::MAX))));
+        let allocs = allocated(|| net = Some(Network::new(cfg, &trace, (0.0, f64::MAX))));
         assert_eq!(net.expect("built").packets().len(), events.len());
         allocs
     };
-    assert_eq!(
+    let (short, long) = (
         allocs_for(&full.events()[..n]),
-        allocs_for(&full.events()[..4 * n])
+        allocs_for(&full.events()[..4 * n]),
+    );
+    assert_eq!(short.0, long.0, "allocations for n and 4n events");
+    // A `u32` of trace order per event, and no copy of the event: a
+    // 16-byte packet row or an 8-byte queue entry would break this.
+    let per_event = (long.1 - short.1) as f64 / (3 * n) as f64;
+    assert!(
+        per_event <= 4.0,
+        "set-up allocates {per_event:.2} bytes per extra trace event"
     );
 }
 

@@ -127,21 +127,30 @@ impl LogHist {
         }
     }
 
-    /// Upper bound of the bucket containing the `p`-th percentile
-    /// (`0 < p <= 100`), capped at the largest sample, or 0 when empty.
-    /// Bucket resolution is a factor of two — enough to expose load
-    /// imbalance, not for fine tails.
+    /// The `p`-th percentile (`0 < p <= 100`), or 0 when empty,
+    /// interpolated within its bucket: the bucket's range, cut to the
+    /// smallest and largest sample, is taken to hold its `n` samples
+    /// evenly, so the `k`-th of them reads `k / n` of the way up. p100 is
+    /// the largest sample; any other percentile is an estimate within
+    /// its bucket's factor of two.
     pub fn percentile_ns(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (b, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if b == 0 { 0 } else { (1u64 << b).min(self.max) };
+        for (b, &n) in self.buckets.iter().enumerate() {
+            if seen + n < rank {
+                seen += n;
+                continue;
             }
+            if b == 0 {
+                return 0;
+            }
+            let lo = (1u64 << (b - 1)).max(self.min);
+            let hi = (1u64 << b).min(self.max);
+            let k = rank - seen;
+            return lo + (u128::from(hi - lo) * u128::from(k) / u128::from(n)) as u64;
         }
         self.max
     }
@@ -263,10 +272,26 @@ mod tests {
         assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 1_000_000);
         assert_eq!(h.sum_ns(), 1_001_006);
-        // The p100 bucket bound is capped at the max sample.
+        // p100 is the max sample.
         assert_eq!(h.percentile_ns(100.0), h.max_ns());
         // Half the samples are <= 3ns.
-        assert!(h.percentile_ns(50.0) <= 4);
+        assert!(h.percentile_ns(50.0) <= 3);
+    }
+
+    #[test]
+    fn percentiles_interpolate_within_a_bucket() {
+        // Four samples in [1024, 2048): the bucket's upper bound would
+        // read 1400 for every percentile.
+        let mut h = LogHist::new();
+        for ns in [1100, 1200, 1300, 1400] {
+            h.record(ns);
+        }
+        let ps = [25.0, 50.0, 75.0, 100.0].map(|p| h.percentile_ns(p));
+        assert_eq!(ps, [1175, 1250, 1325, 1400]);
+        // One sample is its own every percentile.
+        let mut one = LogHist::new();
+        one.record(1663);
+        assert_eq!(one.percentile_ns(50.0), 1663);
     }
 
     #[test]

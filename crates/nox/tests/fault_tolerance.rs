@@ -76,3 +76,60 @@ fn chain_fragility_and_protected_recovery_hold_end_to_end() {
         "recovery latency {latency} outside the claimed band"
     );
 }
+
+#[test]
+fn fault_study_numbers_are_pinned() {
+    // The study is compared with itself above, and the claims baseline
+    // pins only verdicts, so a change in when a retransmission enters
+    // its source would pass both. These are the smoke tier's exact
+    // numbers: per campaign (protected, architecture, flip rate) its
+    // cycles and offered and delivered packets, and NoX's worst
+    // recovery latency.
+    let study = faults::run_with(Tier::Smoke, &Executor::sequential());
+    let rows: Vec<(bool, &str, f64, u64, u64, u64)> = [false, true]
+        .into_iter()
+        .flat_map(|protected| {
+            let study = &study;
+            Arch::ALL.into_iter().flat_map(move |arch| {
+                let series = if protected {
+                    study.protected_of(arch)
+                } else {
+                    study.unprotected_of(arch)
+                };
+                series.points.iter().map(move |p| {
+                    (
+                        protected,
+                        arch.name(),
+                        p.rate,
+                        p.cycles,
+                        p.offered_packets,
+                        p.delivered_packets,
+                    )
+                })
+            })
+        })
+        .collect();
+    assert_eq!(rows, PINNED, "{rows:#?}");
+    assert_eq!(study.nox_max_recovery_latency(), 1205);
+}
+
+/// `fault_study_numbers_are_pinned`'s table: (protected, architecture,
+/// flip rate, cycles, offered packets, delivered packets).
+const PINNED: &[(bool, &str, f64, u64, u64, u64)] = &[
+    (false, "Non-Speculative", 0.01, 522, 300, 300),
+    (false, "Non-Speculative", 0.02, 522, 300, 300),
+    (false, "Spec-Fast", 0.01, 696, 300, 300),
+    (false, "Spec-Fast", 0.02, 696, 300, 300),
+    (false, "Spec-Accurate", 0.01, 667, 300, 300),
+    (false, "Spec-Accurate", 0.02, 667, 300, 300),
+    (false, "NoX", 0.01, 632, 300, 300),
+    (false, "NoX", 0.02, 632, 300, 300),
+    (true, "Non-Speculative", 0.01, 830, 300, 300),
+    (true, "Non-Speculative", 0.02, 1334, 300, 300),
+    (true, "Spec-Fast", 0.01, 1680, 300, 300),
+    (true, "Spec-Fast", 0.02, 1060, 300, 300),
+    (true, "Spec-Accurate", 0.01, 1832, 300, 300),
+    (true, "Spec-Accurate", 0.02, 1270, 300, 300),
+    (true, "NoX", 0.01, 1831, 300, 300),
+    (true, "NoX", 0.02, 1430, 300, 300),
+];
