@@ -42,7 +42,7 @@ use nox_core::{
 
 use crate::config::Arch;
 use crate::fault::FaultState;
-use crate::flit::{FlitInfo, PacketTable, Word};
+use crate::flit::{FlitInfo, PacketId, PacketTable, Word};
 use crate::probe::ProbeSlot;
 use crate::stats::Counters;
 use crate::topology::{NodeId, Topology, MAX_PORTS};
@@ -230,38 +230,61 @@ impl OutputPort {
     }
 }
 
-/// What an input offers the switch this cycle: the routing information
-/// of its presented (decode-complete) flit, the output it requests and how
-/// to commit it when serviced. The word is not in here. It stays in the
-/// FIFO (and decode register) until the input is serviced, so the control
+/// What an input offers the switch: the routing information of its
+/// presented (decode-complete) flit, the output it requests and how to
+/// commit it when serviced. The word is not in here. It stays in the FIFO
+/// (and decode register) until the input is serviced, so the control
 /// logic copies a 24-byte record around, not a link word.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Presented {
     info: FlitInfo,
     out: PortId,
     action: DecodeAction,
 }
 
-/// Per-cycle working state, one slot per port: what each input presents
-/// (indexed by input), and each output's request set and Spec-Fast fresh
-/// set (indexed by output). Fixed arrays of [`MAX_PORTS`], so it is plain
-/// data inside the router with no heap block of its own.
+impl Presented {
+    /// The slot of an input that has presented nothing yet; `current`
+    /// never names it.
+    const NONE: Presented = Presented {
+        info: FlitInfo {
+            packet: PacketId(0),
+            seq: 0,
+            dest: NodeId(0),
+            multiflit: false,
+            tail: false,
+        },
+        out: UNROUTED,
+        action: DecodeAction::Pass,
+    };
+}
+
+/// The router's working state, one slot per port: what each input
+/// presents (indexed by input), and each output's request set and
+/// Spec-Fast fresh set (indexed by output). Fixed arrays of
+/// [`MAX_PORTS`], so it is plain data inside the router with no heap block
+/// of its own.
 ///
-/// Meaningful only within one tick of a router, and then only the slots
-/// the sets name: `presented` is blanked every tick, `reqs` and `fresh`
-/// are rewritten for the outputs in `requested`.
+/// Only the slots the sets name mean anything. An input's `presented`
+/// record lasts from the visit that builds it until its head or decode
+/// register changes, and `current` names the inputs whose record is
+/// still that of their head and register, across ticks. `reqs` and
+/// `fresh` hold within one tick, rewritten for the outputs in
+/// `requested`.
 #[derive(Clone, Copy, Debug)]
 pub struct TickScratch {
-    presented: [Option<Presented>; MAX_PORTS],
+    presented: [Presented; MAX_PORTS],
     reqs: [RequestSet; MAX_PORTS],
     fresh: [PortSet; MAX_PORTS],
     /// Outputs that some input requests this cycle.
     requested: PortSet,
+    /// Inputs whose `presented` record is the one a fresh decode step and
+    /// route would build now.
+    current: PortSet,
 }
 
 impl TickScratch {
     const BLANK: TickScratch = TickScratch {
-        presented: [None; MAX_PORTS],
+        presented: [Presented::NONE; MAX_PORTS],
         reqs: [RequestSet {
             req: PortSet::EMPTY,
             multiflit: PortSet::EMPTY,
@@ -269,6 +292,7 @@ impl TickScratch {
         }; MAX_PORTS],
         fresh: [PortSet::EMPTY; MAX_PORTS],
         requested: PortSet::EMPTY,
+        current: PortSet::EMPTY,
     };
 }
 
@@ -462,6 +486,7 @@ impl Router {
     /// control logic runs, and the occupied set is not told.
     #[cfg(test)]
     pub(crate) fn pop_unaccounted(&mut self, p: PortId) -> Word {
+        self.scratch.current.remove(p);
         self.inputs[p.index()].port.take(DecodeAction::Pass).0
     }
 
@@ -498,6 +523,7 @@ impl Router {
         }
         // An engine in its reset state is settled.
         self.unsettled = PortSet::EMPTY;
+        self.scratch.current = PortSet::EMPTY;
         let mut flushed = Vec::new();
         for (idx, input) in self.inputs.iter_mut().enumerate() {
             if input.port.register().is_some() {
@@ -534,10 +560,6 @@ impl Router {
     /// as it stands — and files it in the credit-qualified request set
     /// (and, for Spec-Fast, the fresh set) of the output it asks for.
     fn present(&mut self, ctx: &mut TickCtx<'_>) {
-        // Blanked every tick, so that an entry left by an earlier cycle
-        // can never stand in for an input that presents nothing now.
-        let ports = self.inputs.len();
-        self.scratch.presented[..ports].fill(None);
         self.scratch.requested = PortSet::EMPTY;
         ctx.input_visits += u64::from(self.occupied.len());
         // A copy of the set: a latch or a chain kill below may empty the
@@ -547,8 +569,9 @@ impl Router {
             let input = &mut self.inputs[idx];
             // A head exposed last cycle is fresh in this one.
             let exposed = std::mem::take(&mut input.fresh_next);
-            let presented = match input.port.step() {
-                DecodeStep::Idle => None,
+            let p = match input.port.step() {
+                // An occupied input has a head.
+                DecodeStep::Idle => continue,
                 DecodeStep::Latch => {
                     // Known early in the cycle (§2.4): pop the encoded
                     // word into the register; the slot frees now.
@@ -556,27 +579,27 @@ impl Router {
                     ctx.counters.count_decode(DecodeStep::Latch);
                     ctx.probe.on_latch(self.node, ip);
                     self.slot_freed(ip, ctx);
-                    None
+                    continue;
                 }
                 DecodeStep::Present(action) => {
                     let word = input.port.presented();
-                    if !ctx.fault_desync(&word) {
-                        let info = ctx.packets.word_info(&word);
-                        let preferred =
-                            route_via(&mut self.routes, &self.topo, self.node, info.dest);
-                        let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
-                        Some(Presented { info, out, action })
-                    } else {
-                        // The decode register lost sync with its chain
-                        // (an injected drop or duplication upstream):
-                        // contain by truncating the poisoned chain.
+                    if ctx.fault_desync(&word) {
+                        // The decode register lost sync with its
+                        // chain (an injected drop or duplication
+                        // upstream): contain by truncating the
+                        // poisoned chain.
                         self.chain_kill_input(ip, ctx);
-                        None
+                        continue;
                     }
+                    let info = ctx.packets.word_info(&word);
+                    let preferred = route_via(&mut self.routes, &self.topo, self.node, info.dest);
+                    let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
+                    let p = Presented { info, out, action };
+                    self.scratch.presented[idx] = p;
+                    self.scratch.current.insert(ip);
+                    p
                 }
             };
-            self.scratch.presented[idx] = presented;
-            let Some(p) = presented else { continue };
             let o = p.out.index();
             if self.outputs[o].credits == 0 {
                 continue; // output-wide stall: nobody requests
@@ -663,6 +686,7 @@ impl Router {
     /// Truncates a poisoned decode chain at input `ip`, accounting for the
     /// discarded flits and freeing the slot of a discarded head.
     fn chain_kill_input(&mut self, ip: PortId, ctx: &mut TickCtx<'_>) {
+        self.scratch.current.remove(ip);
         let (lost, popped) = self.inputs[ip.index()].port.chain_kill();
         ctx.fault_chain_kill(self.node, ip, lost);
         if popped {
@@ -678,8 +702,13 @@ impl Router {
     /// flit, that is the popped head itself: the word's one move of the
     /// hop, FIFO slot to link.
     fn take_presented(&mut self, i: PortId, ctx: &mut TickCtx<'_>) -> Word {
-        let p = self.scratch.presented[i.index()]
-            .expect("engine serviced an input that presented nothing");
+        assert!(
+            self.scratch.current.contains(i),
+            "engine serviced an input that presented nothing"
+        );
+        // Every action changes the head or the register.
+        self.scratch.current.remove(i);
+        let p = self.scratch.presented[i.index()];
         let input = &mut self.inputs[i.index()];
         let (word, slot_freed) = input.port.take(p.action);
         ctx.counters.count_decode(DecodeStep::Present(p.action));
@@ -720,7 +749,7 @@ impl Router {
                         word.xor(&self.take_presented(i, ctx))
                     } else {
                         assert!(
-                            self.scratch.presented[i.index()].is_some(),
+                            self.scratch.current.contains(i),
                             "engine drove an input that presented nothing"
                         );
                         word.xor(&self.inputs[i.index()].port.presented())
@@ -841,6 +870,26 @@ mod tests {
             assert!(sends.is_empty(), "{arch}: sent without credit");
             assert_eq!(r.input(Port::West.id()).len(), 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "engine serviced an input that presented nothing")]
+    fn a_latching_input_has_nothing_to_take() {
+        // West presents a plain word and is serviced in the first cycle;
+        // in the second its head is encoded and latches, so it presents
+        // nothing, and the first cycle's record must not stand in.
+        let mesh = Topology::mesh(4, 4);
+        let (mut packets, mut counters, mut sends, mut credits) = ctx_parts();
+        let [a, b, c] = [(); 3].map(|_| word_for(single_flit_packet(&mut packets, 5, 7)));
+        let mut r = Router::new(NodeId(5), Arch::Nox, mesh, 4);
+        r.receive(Port::West.id(), a);
+        r.receive(Port::West.id(), b.xor(&c));
+        let mut ctx = TickCtx::new(&packets, &mut counters, &mut sends, &mut credits);
+        r.tick(&mut ctx);
+        r.tick(&mut ctx);
+        assert_eq!(ctx.sends.len(), 1);
+        assert!(r.input(Port::West.id()).register().is_some(), "latched");
+        r.take_presented(Port::West.id(), &mut ctx);
     }
 
     #[test]
