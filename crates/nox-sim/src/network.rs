@@ -79,6 +79,7 @@ pub struct Network {
     sink_visits: u64,
     input_visits: u64,
     output_ticks: u64,
+    presents_reused: u64,
     packets: PacketTable,
     cycle: u64,
     counters: Counters,
@@ -198,6 +199,7 @@ impl Network {
             sink_visits: 0,
             input_visits: 0,
             output_ticks: 0,
+            presents_reused: 0,
             packets,
             cycle: 0,
             counters: Counters::new(),
@@ -403,6 +405,14 @@ impl Network {
         self.output_ticks
     }
 
+    /// Input visits so far that reused the record an earlier visit built
+    /// for the same head (a head waiting for its output), of the
+    /// [`input_visits`](Self::input_visits). None under a fault campaign,
+    /// where every visit builds it again.
+    pub fn presents_reused(&self) -> u64 {
+        self.presents_reused
+    }
+
     /// Current event counters (cumulative).
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -604,6 +614,7 @@ impl Network {
             });
             self.input_visits += ctx.input_visits;
             self.output_ticks += ctx.output_ticks;
+            self.presents_reused += ctx.presents_reused;
             self.probe = ctx.probe;
         }
         // One clock read for the whole router loop: a read per router
@@ -916,9 +927,9 @@ impl Network {
     /// proves; any failure is a router bug and panics immediately.
     fn sanitize_audit(&self) {
         use crate::sanitize::{
-            check_credit_loop, check_flit_conservation, check_port_sets, check_productivity,
-            check_skipped_router, check_skipped_sink, check_skipped_source, check_trace_cursor,
-            CreditLoopView,
+            check_credit_loop, check_flit_conservation, check_port_sets, check_presented_records,
+            check_productivity, check_skipped_router, check_skipped_sink, check_skipped_source,
+            check_trace_cursor, CreditLoopView,
         };
         use nox_core::PortId;
 
@@ -985,7 +996,8 @@ impl Network {
         // Skipped visits. A router asleep now either slept through this
         // step untouched or has just been put to sleep; in both cases its
         // tick must be the identity, and asleep or awake its port sets
-        // must be what its FIFOs and engines say. Sources and sinks
+        // must be what its FIFOs and engines say, and the presented
+        // records it keeps what its heads present. Sources and sinks
         // outside their sets, likewise, in the step that just ended.
         let stepped = self.cycle - 1;
         let skipped = || -> Result<(), String> {
@@ -994,6 +1006,7 @@ impl Network {
                     check_skipped_router(r, &self.packets)?;
                 }
                 check_port_sets(r)?;
+                check_presented_records(r, &self.packets, self.faults.is_some())?;
             }
             check_trace_cursor(
                 &self.packets,
@@ -1046,7 +1059,7 @@ impl Network {
 
 impl Drop for Network {
     /// Flushes the phase clock into the dropping thread's telemetry
-    /// accumulator, and with it the five work counters as named counters
+    /// accumulator, and with it the work counters as named counters
     /// (`sim.router_ticks`, ...): the work inside the router loop, which
     /// the clock times only as a whole. Inside an executor job
     /// this lands in the job's capture delta, which `nox-exec` absorbs in
@@ -1063,6 +1076,7 @@ impl Drop for Network {
                 acc.add_count("sim.output_ticks", self.output_ticks);
                 acc.add_count("sim.source_visits", self.source_visits);
                 acc.add_count("sim.sink_visits", self.sink_visits);
+                acc.add_count("sim.presents_reused", self.presents_reused);
             });
         }
     }

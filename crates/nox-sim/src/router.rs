@@ -82,9 +82,11 @@ pub struct TickCtx<'a> {
     pub(crate) probe: ProbeSlot,
     /// Fault-injection state, if a campaign is attached to the network.
     pub(crate) faults: Option<&'a mut FaultState>,
-    /// Inputs visited and output engines ticked under this context.
+    /// Inputs visited and output engines ticked under this context, and
+    /// the visits that reused the input's presented record.
     pub(crate) input_visits: u64,
     pub(crate) output_ticks: u64,
+    pub(crate) presents_reused: u64,
 }
 
 impl<'a> TickCtx<'a> {
@@ -104,6 +106,7 @@ impl<'a> TickCtx<'a> {
             faults: None,
             input_visits: 0,
             output_ticks: 0,
+            presents_reused: 0,
         }
     }
 
@@ -482,6 +485,45 @@ impl Router {
         sets
     }
 
+    /// The inputs whose presented record is current, each with the record
+    /// it keeps and the one its head and register give now, routed by
+    /// [`Topology::route`] (sanitizer support). With `detours` (a fault
+    /// campaign is attached) the output is not rebuilt but copied from the
+    /// kept record: a campaign's detour choice is stateful, and every
+    /// visit under it builds the record again anyway.
+    pub(crate) fn presented_records<'s>(
+        &'s self,
+        packets: &'s PacketTable,
+        detours: bool,
+    ) -> impl Iterator<Item = (PortId, Presented, Option<Presented>)> + 's {
+        self.scratch.current.iter().map(move |ip| {
+            let kept = self.scratch.presented[ip.index()];
+            let port = &self.inputs[ip.index()].port;
+            let fresh = match port.step() {
+                DecodeStep::Present(action) if port.presented().is_plain() => {
+                    let info = packets.word_info(&port.presented());
+                    let out = if detours {
+                        kept.out
+                    } else {
+                        self.topo.route(self.node, info.dest)
+                    };
+                    Some(Presented { info, out, action })
+                }
+                _ => None,
+            };
+            (ip, kept, fresh)
+        })
+    }
+
+    /// Test helper: files input `p`'s record as current with its output
+    /// replaced by `out`, the stale record of a router that missed a
+    /// change.
+    #[cfg(test)]
+    pub(crate) fn forge_record(&mut self, p: PortId, out: PortId) {
+        self.scratch.presented[p.index()].out = out;
+        self.scratch.current.insert(p);
+    }
+
     /// Test helper: pops input `p`'s head behind the router's back — no
     /// control logic runs, and the occupied set is not told.
     #[cfg(test)]
@@ -559,9 +601,17 @@ impl Router {
     /// for a baseline, whose words are always one key, presents the head
     /// as it stands — and files it in the credit-qualified request set
     /// (and, for Spec-Fast, the fresh set) of the output it asks for.
+    ///
+    /// A head that waits keeps the record its first visit built, as the
+    /// input keeps its decoded state in hardware: a visit to an input in
+    /// `current` reuses it. Under a fault campaign every visit builds it
+    /// again, because the campaign's detour choice is stateful (a
+    /// packet's pin is dropped at its tail's first visit) and its desync
+    /// check runs per visit.
     fn present(&mut self, ctx: &mut TickCtx<'_>) {
         self.scratch.requested = PortSet::EMPTY;
         ctx.input_visits += u64::from(self.occupied.len());
+        let reuse = ctx.faults.is_none();
         // A copy of the set: a latch or a chain kill below may empty the
         // FIFO it is looking at.
         for ip in self.occupied {
@@ -569,35 +619,41 @@ impl Router {
             let input = &mut self.inputs[idx];
             // A head exposed last cycle is fresh in this one.
             let exposed = std::mem::take(&mut input.fresh_next);
-            let p = match input.port.step() {
-                // An occupied input has a head.
-                DecodeStep::Idle => continue,
-                DecodeStep::Latch => {
-                    // Known early in the cycle (§2.4): pop the encoded
-                    // word into the register; the slot frees now.
-                    input.port.latch();
-                    ctx.counters.count_decode(DecodeStep::Latch);
-                    ctx.probe.on_latch(self.node, ip);
-                    self.slot_freed(ip, ctx);
-                    continue;
-                }
-                DecodeStep::Present(action) => {
-                    let word = input.port.presented();
-                    if ctx.fault_desync(&word) {
-                        // The decode register lost sync with its
-                        // chain (an injected drop or duplication
-                        // upstream): contain by truncating the
-                        // poisoned chain.
-                        self.chain_kill_input(ip, ctx);
+            let p = if reuse && self.scratch.current.contains(ip) {
+                ctx.presents_reused += 1;
+                self.scratch.presented[idx]
+            } else {
+                match input.port.step() {
+                    // An occupied input has a head.
+                    DecodeStep::Idle => continue,
+                    DecodeStep::Latch => {
+                        // Known early in the cycle (§2.4): pop the encoded
+                        // word into the register; the slot frees now.
+                        input.port.latch();
+                        ctx.counters.count_decode(DecodeStep::Latch);
+                        ctx.probe.on_latch(self.node, ip);
+                        self.slot_freed(ip, ctx);
                         continue;
                     }
-                    let info = ctx.packets.word_info(&word);
-                    let preferred = route_via(&mut self.routes, &self.topo, self.node, info.dest);
-                    let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
-                    let p = Presented { info, out, action };
-                    self.scratch.presented[idx] = p;
-                    self.scratch.current.insert(ip);
-                    p
+                    DecodeStep::Present(action) => {
+                        let word = input.port.presented();
+                        if ctx.fault_desync(&word) {
+                            // The decode register lost sync with its
+                            // chain (an injected drop or duplication
+                            // upstream): contain by truncating the
+                            // poisoned chain.
+                            self.chain_kill_input(ip, ctx);
+                            continue;
+                        }
+                        let info = ctx.packets.word_info(&word);
+                        let preferred =
+                            route_via(&mut self.routes, &self.topo, self.node, info.dest);
+                        let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
+                        let p = Presented { info, out, action };
+                        self.scratch.presented[idx] = p;
+                        self.scratch.current.insert(ip);
+                        p
+                    }
                 }
             };
             let o = p.out.index();
@@ -869,6 +925,37 @@ mod tests {
             }
             assert!(sends.is_empty(), "{arch}: sent without credit");
             assert_eq!(r.input(Port::West.id()).len(), 1);
+        }
+    }
+
+    #[test]
+    fn a_waiting_head_reuses_its_record() {
+        // A head stalled on credit is presented every tick; only its first
+        // visit builds the record, unless a fault campaign is attached.
+        for campaign in [false, true] {
+            let mesh = Topology::mesh(4, 4);
+            let (mut packets, mut counters, mut sends, mut credits) = ctx_parts();
+            let key = single_flit_packet(&mut packets, 5, 7);
+            let mut r = Router::new(NodeId(5), Arch::Nox, mesh, 4);
+            r.output_mut(Port::East.id()).credits = 0;
+            r.receive(Port::West.id(), word_for(key));
+            let mut faults = FaultState::new(crate::fault::FaultConfig::default());
+            let mut reused = 0;
+            for cycle in 0..5 {
+                if cycle == 4 {
+                    r.output_mut(Port::East.id()).return_credit(4);
+                }
+                let mut ctx = TickCtx::new(&packets, &mut counters, &mut sends, &mut credits);
+                if campaign {
+                    ctx.faults = Some(&mut faults);
+                }
+                r.tick(&mut ctx);
+                assert_eq!(ctx.input_visits, 1);
+                reused += ctx.presents_reused;
+            }
+            assert_eq!(reused, if campaign { 0 } else { 4 }, "campaign {campaign}");
+            assert_eq!(sends.len(), 1, "sent once the credit came back");
+            assert!(r.scratch.current.is_empty(), "the serviced head left");
         }
     }
 

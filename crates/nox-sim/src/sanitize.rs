@@ -24,7 +24,9 @@
 //! * **skipped sinks** — every sink outside the draining set is empty,
 //!   and draining a clone of it does nothing;
 //! * **port sets** — every router's occupied-input and unsettled-output
-//!   sets are what its FIFOs and engines say (DESIGN.md §16).
+//!   sets are what its FIFOs and engines say (DESIGN.md §16);
+//! * **kept records** — every presented record a router keeps for a
+//!   waiting head is the one a fresh decode step and route would build.
 //!
 //! The checks here are pure functions over counter snapshots, occupancy
 //! views and clones of routers and sinks; [`Network`](crate::network::Network)
@@ -186,6 +188,30 @@ pub fn check_port_sets(router: &Router) -> Result<(), String> {
             scanned.0,
             scanned.1
         ));
+    }
+    Ok(())
+}
+
+/// Checks that every presented record `router` keeps as current is the
+/// one its input's head and register give now: the decode action, the
+/// flit's routing information and its output. The present stage reuses
+/// such a record instead of building it again, so a stale one would
+/// route a head by the flit that left before it. With `detours` (a fault
+/// campaign attached) the output is not compared (see
+/// `Router::presented_records`).
+pub fn check_presented_records(
+    router: &Router,
+    packets: &PacketTable,
+    detours: bool,
+) -> Result<(), String> {
+    for (ip, kept, fresh) in router.presented_records(packets, detours) {
+        if fresh != Some(kept) {
+            return Err(format!(
+                "router {} input {ip} keeps the presented record {kept:?}, but its head and \
+                 register present {fresh:?}",
+                router.node()
+            ));
+        }
     }
     Ok(())
 }
@@ -409,6 +435,66 @@ mod tests {
         // The chain's last word arrives: the sink is owed a drain again.
         sink.port.receive(b);
         assert!(check_skipped_sink(7, &sink, &packets).is_err());
+    }
+
+    #[test]
+    fn presented_record_check_rejects_a_stale_record() {
+        use crate::flit::{word_for, FlitKey};
+        use crate::topology::{NodeId, Port, Topology};
+
+        let mut packets = PacketTable::new();
+        let [a, b, c] = [(); 3].map(|_| {
+            word_for(FlitKey {
+                packet: one_packet(&mut packets, 0),
+                seq: 0,
+            })
+        });
+        let (west, east) = (Port::West.id(), Port::East.id());
+        let tick = |r: &mut Router| {
+            let mut counters = Counters::new();
+            let (mut sends, mut credits) = (Vec::new(), Vec::new());
+            r.tick(&mut TickCtx::new(
+                &packets,
+                &mut counters,
+                &mut sends,
+                &mut credits,
+            ));
+        };
+        for arch in Arch::ALL {
+            // West's head waits for East's credit, and keeps its record.
+            let mut r = Router::new(NodeId(5), arch, Topology::mesh(4, 4), 4);
+            r.output_mut(east).force_credits(0);
+            r.receive(west, a.clone());
+            r.receive(west, b.clone());
+            tick(&mut r);
+            tick(&mut r);
+            assert!(
+                check_presented_records(&r, &packets, false).is_ok(),
+                "{arch}"
+            );
+            // A record that routes the head elsewhere.
+            let mut misrouted = r.clone();
+            misrouted.forge_record(west, Port::North.id());
+            let err = check_presented_records(&misrouted, &packets, false).unwrap_err();
+            assert!(err.contains("router n5 input p4 keeps"), "{arch}: {err}");
+            // Under a campaign the output is the campaign's to choose.
+            assert!(check_presented_records(&misrouted, &packets, true).is_ok());
+            // A head popped behind the router's back takes its record with
+            // it; the next head's is built at the next visit.
+            r.pop_unaccounted(west);
+            assert!(
+                check_presented_records(&r, &packets, false).is_ok(),
+                "{arch}"
+            );
+        }
+
+        // A record kept for an input whose encoded head latches, which
+        // presents nothing.
+        let mut r = Router::new(NodeId(5), Arch::Nox, Topology::mesh(4, 4), 4);
+        r.receive(west, b.xor(&c));
+        r.forge_record(west, east);
+        let err = check_presented_records(&r, &packets, true).unwrap_err();
+        assert!(err.contains("present None"), "{err}");
     }
 
     #[test]

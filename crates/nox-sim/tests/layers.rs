@@ -8,9 +8,10 @@
 //!
 //! Every run steps the same loop; a phase clock times the router loop
 //! from outside (DESIGN.md §16). So an observer must not change how many
-//! routers, ports, sources or sinks are visited: the five work counters
-//! come out equal. A zero-rate campaign visits every router, source and
-//! sink every cycle, and still exactly the ports the bare run visits. The
+//! routers, ports, sources or sinks are visited: the work counters come
+//! out equal. A zero-rate campaign visits every router, source and sink
+//! every cycle, and still exactly the ports the bare run visits; it
+//! builds every presented record at every visit, and reuses none. The
 //! saturated case keeps routers busy on every port: collisions, encoded
 //! chains, aborts, Spec-Fast stale reservations, outputs out of credit.
 
@@ -73,6 +74,7 @@ struct Work {
     sink_visits: u64,
     input_visits: u64,
     output_ticks: u64,
+    presents_reused: u64,
 }
 
 fn work(net: &Network) -> Work {
@@ -82,6 +84,7 @@ fn work(net: &Network) -> Work {
         sink_visits: net.sink_visits(),
         input_visits: net.input_visits(),
         output_ticks: net.output_ticks(),
+        presents_reused: net.presents_reused(),
     }
 }
 
@@ -124,6 +127,7 @@ fn profiled_steps(net: Network) -> u64 {
         sink_visits: flushed("sim.sink_visits"),
         input_visits: flushed("sim.input_visits"),
         output_ticks: flushed("sim.output_ticks"),
+        presents_reused: flushed("sim.presents_reused"),
     };
     assert_eq!(counted, w, "the work counters did not go with the clock");
     steps
@@ -170,6 +174,12 @@ fn layers_attached_together_move_no_simulated_number() {
             assert!(
                 bare.router_ticks() < expected.cycles * routers,
                 "{arch} {name}: no router ever slept"
+            );
+            // Heads wait for their outputs, and their records are reused.
+            assert!(
+                0 < expected_work.presents_reused
+                    && expected_work.presents_reused < expected_work.input_visits,
+                "{arch} {name}: {expected_work:?}"
             );
             if routers == 64 {
                 let c = &expected.counters;
@@ -222,6 +232,7 @@ fn layers_attached_together_move_no_simulated_number() {
                     router_ticks: expected.cycles * routers,
                     source_visits: expected.cycles * cores,
                     sink_visits: expected.cycles * cores,
+                    presents_reused: 0,
                     ..expected_work
                 },
                 "{arch} {name}: a zero-rate campaign visited the wrong ports"

@@ -10,7 +10,7 @@
 //! - the per-step phase attribution telescopes exactly: the attributed
 //!   phases plus the `sim.other` residual sum to `sim.step` to the
 //!   nanosecond, with the router loop one `sim.route` span per step and
-//!   the work inside it counted (`sim.router_ticks` and four more);
+//!   the work inside it counted (`sim.router_ticks` and five more);
 //! - the `--stream` wire format frames every event as one complete JSON
 //!   line with a deterministic (event, stage, index) order at any
 //!   thread count; and
@@ -106,6 +106,7 @@ fn sim_phase_attribution_telescopes_exactly() {
         "sim.output_ticks",
         "sim.source_visits",
         "sim.sink_visits",
+        "sim.presents_reused",
     ] {
         let n = report.acc.counters().get(key).copied();
         assert!(n.is_some_and(|n| n > 0), "{key}: {n:?}");
