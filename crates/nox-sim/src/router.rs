@@ -151,7 +151,8 @@ impl<'a> TickCtx<'a> {
 /// One input port: its FIFO and decode register, and the Spec-Fast
 /// freshness flag. The flag is set when a `Pass` pops a tail and the FIFO
 /// still holds a word, the newly exposed head of the next packet, and is
-/// read and cleared when the next cycle's present stage visits the port.
+/// read and cleared when the next cycle's present stage visits the port
+/// and builds the new head's record (the `Pass` ended the old one).
 #[derive(Clone, Debug)]
 struct InputPort {
     port: DecodePort<u64>,
@@ -603,86 +604,96 @@ impl Router {
     /// (and, for Spec-Fast, the fresh set) of the output it asks for.
     ///
     /// A head that waits keeps the record its first visit built, as the
-    /// input keeps its decoded state in hardware: a visit to an input in
-    /// `current` reuses it. Under a fault campaign every visit builds it
-    /// again, because the campaign's detour choice is stateful (a
+    /// input keeps its decoded state in hardware: the inputs in `current`
+    /// file the record they keep and read nothing of their port. Such a
+    /// head is not fresh, since the `Pass` that exposes a head also ends
+    /// its input's record. Under a fault campaign every visit builds the
+    /// record again, because the campaign's detour choice is stateful (a
     /// packet's pin is dropped at its tail's first visit) and its desync
     /// check runs per visit.
     fn present(&mut self, ctx: &mut TickCtx<'_>) {
         self.scratch.requested = PortSet::EMPTY;
         ctx.input_visits += u64::from(self.occupied.len());
-        let reuse = ctx.faults.is_none();
+        let kept = if ctx.faults.is_none() {
+            self.scratch.current.intersect(self.occupied)
+        } else {
+            PortSet::EMPTY
+        };
+        ctx.presents_reused += u64::from(kept.len());
         // A copy of the set: a latch or a chain kill below may empty the
-        // FIFO it is looking at.
-        for ip in self.occupied {
+        // FIFO it is looking at. Filing is the same in any order, and only
+        // these visits do anything else.
+        for ip in self.occupied.difference(kept) {
             let idx = ip.index();
             let input = &mut self.inputs[idx];
             // A head exposed last cycle is fresh in this one.
             let exposed = std::mem::take(&mut input.fresh_next);
-            let p = if reuse && self.scratch.current.contains(ip) {
-                ctx.presents_reused += 1;
-                self.scratch.presented[idx]
-            } else {
-                match input.port.step() {
-                    // An occupied input has a head.
-                    DecodeStep::Idle => continue,
-                    DecodeStep::Latch => {
-                        // Known early in the cycle (§2.4): pop the encoded
-                        // word into the register; the slot frees now.
-                        input.port.latch();
-                        ctx.counters.count_decode(DecodeStep::Latch);
-                        ctx.probe.on_latch(self.node, ip);
-                        self.slot_freed(ip, ctx);
+            match input.port.step() {
+                // An occupied input has a head.
+                DecodeStep::Idle => {}
+                DecodeStep::Latch => {
+                    // Known early in the cycle (§2.4): pop the encoded
+                    // word into the register; the slot frees now.
+                    input.port.latch();
+                    ctx.counters.count_decode(DecodeStep::Latch);
+                    ctx.probe.on_latch(self.node, ip);
+                    self.slot_freed(ip, ctx);
+                }
+                DecodeStep::Present(action) => {
+                    let word = input.port.presented();
+                    if ctx.fault_desync(&word) {
+                        // The decode register lost sync with its chain
+                        // (an injected drop or duplication upstream):
+                        // contain by truncating the poisoned chain.
+                        self.chain_kill_input(ip, ctx);
                         continue;
                     }
-                    DecodeStep::Present(action) => {
-                        let word = input.port.presented();
-                        if ctx.fault_desync(&word) {
-                            // The decode register lost sync with its
-                            // chain (an injected drop or duplication
-                            // upstream): contain by truncating the
-                            // poisoned chain.
-                            self.chain_kill_input(ip, ctx);
-                            continue;
-                        }
-                        let info = ctx.packets.word_info(&word);
-                        let preferred =
-                            route_via(&mut self.routes, &self.topo, self.node, info.dest);
-                        let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
-                        let p = Presented { info, out, action };
-                        self.scratch.presented[idx] = p;
-                        self.scratch.current.insert(ip);
-                        p
-                    }
+                    let info = ctx.packets.word_info(&word);
+                    let preferred = route_via(&mut self.routes, &self.topo, self.node, info.dest);
+                    let out = ctx.fault_route(&self.topo, self.node, &info, preferred);
+                    let p = Presented { info, out, action };
+                    self.scratch.presented[idx] = p;
+                    self.scratch.current.insert(ip);
+                    self.file(ip, p, exposed);
                 }
-            };
-            let o = p.out.index();
-            if self.outputs[o].credits == 0 {
-                continue; // output-wide stall: nobody requests
             }
-            let TickScratch {
-                reqs,
-                fresh,
-                requested,
-                ..
-            } = &mut self.scratch;
-            if !requested.contains(p.out) {
-                // The output's first request of the cycle: its sets still
-                // hold those of the last cycle it was asked for.
-                requested.insert(p.out);
-                reqs[o] = RequestSet::default();
-                fresh[o] = PortSet::EMPTY;
-            }
-            reqs[o].req.insert(ip);
-            if p.info.multiflit {
-                reqs[o].multiflit.insert(ip);
-            }
-            if p.info.tail {
-                reqs[o].tail.insert(ip);
-            }
-            if exposed && p.info.seq == 0 {
-                fresh[o].insert(ip);
-            }
+        }
+        for ip in kept {
+            self.file(ip, self.scratch.presented[ip.index()], false);
+        }
+    }
+
+    /// Files input `ip`'s record `p` in the request sets of the output it
+    /// asks for, and in its fresh set if the head is `exposed` and a
+    /// packet's first flit, unless that output has no credit.
+    #[inline]
+    fn file(&mut self, ip: PortId, p: Presented, exposed: bool) {
+        let o = p.out.index();
+        if self.outputs[o].credits == 0 {
+            return; // output-wide stall: nobody requests
+        }
+        let TickScratch {
+            reqs,
+            fresh,
+            requested,
+            ..
+        } = &mut self.scratch;
+        if !requested.contains(p.out) {
+            // The output's first request of the cycle: its sets still
+            // hold those of the last cycle it was asked for.
+            requested.insert(p.out);
+            reqs[o] = RequestSet::default();
+            fresh[o] = PortSet::EMPTY;
+        }
+        reqs[o].req.insert(ip);
+        if p.info.multiflit {
+            reqs[o].multiflit.insert(ip);
+        }
+        if p.info.tail {
+            reqs[o].tail.insert(ip);
+        }
+        if exposed && p.info.seq == 0 {
+            fresh[o].insert(ip);
         }
     }
 
