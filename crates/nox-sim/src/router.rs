@@ -10,8 +10,9 @@
 //!
 //! 1. computes, per input that holds a word, the *presented* flit — the
 //!    decode step, which for NoX may consume the cycle to latch an
-//!    encoded word — and files it in its output's request set, qualified
-//!    by downstream credit;
+//!    encoded word — or reuses what it computed for a head that is still
+//!    waiting, and files it in its output's request set, qualified by
+//!    downstream credit;
 //! 2. for each output that is requested or not settled, ticks its control
 //!    engine and applies the [`Decision`] it answers with, whatever the
 //!    architecture, in one place: drives a link word (possibly
@@ -615,7 +616,7 @@ impl Router {
         self.scratch.requested = PortSet::EMPTY;
         ctx.input_visits += u64::from(self.occupied.len());
         let kept = if ctx.faults.is_none() {
-            self.scratch.current.intersect(self.occupied)
+            self.scratch.current
         } else {
             PortSet::EMPTY
         };
