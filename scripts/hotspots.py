@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Where a program's time goes, by sampling its instruction pointer.
 
-    scripts/hotspots.py [--interval-ms N] [--top K] [--csv FILE] -- PROGRAM [ARGS...]
+    scripts/hotspots.py [--] PROGRAM [ARGS...]
 
-Runs PROGRAM, attaches to it (and to every thread it starts) with
-PTRACE_SEIZE, and every N milliseconds (default 1) interrupts each
-thread, reads its instruction pointer and lets it go on. When the
-program exits, the samples that fall in its executable are resolved with
-`addr2line -f -i -C` (inline frames included, so it needs the debug info
-the workspace's release profile keeps) and two tables are printed:
+Starts PROGRAM held before its exec, attaches to it with PTRACE_SEIZE
+(and so to every thread it will start), lets it go on, and every
+millisecond interrupts each thread, reads its instruction pointer and
+lets it go on. When the program exits, the samples that fall in its
+executable are resolved with `addr2line -f -i -C` (inline frames
+included, so it needs the debug info the workspace's release profile
+keeps) and the top 25 rows of two tables are printed:
 
 - by the innermost source line under `crates/` (the line of this
   workspace's code that was running or had inlined what was running),
@@ -30,13 +31,14 @@ Example, the saturated mesh of the repo benchmark:
         --workload mesh_saturated --seed 1
 """
 
-import argparse
 import collections
+import contextlib
 import ctypes
 import errno
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -51,6 +53,9 @@ PTRACE_EVENT_CLONE = 3
 PTRACE_EVENT_STOP = 128
 NT_PRSTATUS = 1
 WALL = 0x40000000
+
+INTERVAL_S = 0.001
+TOP = 25
 
 # Index of the program counter among the 64-bit words of NT_PRSTATUS.
 PC_INDEX = {"x86_64": 16, "aarch64": 32}
@@ -88,15 +93,49 @@ def event_msg(tid):
     return msg.value
 
 
-def sample(argv, interval_s):
-    """Runs argv to completion; returns (process, sampled PCs, its mappings)."""
-    child = subprocess.Popen(argv)
-    pid = child.pid
-    if not ptrace(PTRACE_SEIZE, pid, None, PTRACE_O_TRACECLONE):
-        raise SystemExit(f"{argv[0]} exited before it could be traced")
+def start_traced(argv):
+    """Forks, execs argv traced from its first instruction; returns the pid.
+
+    The child waits on a pipe before its exec until it is seized, so no
+    thread of the program runs untraced and every clone it makes is
+    traced. If it cannot be traced, it is killed."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(w)
+            os.read(r, 1)
+            os.execvp(argv[0], argv)
+        finally:
+            os._exit(127)
+    os.close(r)
+    try:
+        if not ptrace(PTRACE_SEIZE, pid, None, PTRACE_O_TRACECLONE):
+            raise OSError(errno.ESRCH, os.strerror(errno.ESRCH))
+    except OSError as e:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise SystemExit(f"cannot trace {argv[0]}: {e.strerror}") from None
+    finally:
+        os.close(w)  # lets the child go on to its exec, or to its end
+    return pid
+
+
+def sample(argv):
+    """Runs argv to completion; returns (exit code, sampled PCs, its mappings)."""
     pc_index = PC_INDEX.get(platform.machine())
     if pc_index is None:
         raise SystemExit(f"no register layout for {platform.machine()}")
+    pid = start_traced(argv)
+    try:
+        return follow(pid, pc_index)
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        raise
+
+
+def follow(pid, pc_index):
     threads = {pid}
     # Threads whose first stop is their start, not an interrupt.
     starting = set()
@@ -104,7 +143,7 @@ def sample(argv, interval_s):
     maps = None
     exit_status = 0
     while pid in threads:
-        time.sleep(interval_s)
+        time.sleep(INTERVAL_S)
         pending = {t for t in threads if t not in starting and ptrace(PTRACE_INTERRUPT, t)}
         while pending or starting:
             tid, status = os.waitpid(-1, WALL)
@@ -137,8 +176,7 @@ def sample(argv, interval_s):
             elif event == 0:
                 sig = os.WSTOPSIG(status)  # a signal for the program: deliver it
             ptrace(PTRACE_CONT, tid, None, sig)
-    child.returncode = os.waitstatus_to_exitcode(exit_status) if exit_status else 0
-    return child, pcs, maps or []
+    return os.waitstatus_to_exitcode(exit_status), pcs, maps or []
 
 
 def read_maps(pid):
@@ -205,31 +243,22 @@ def short_func(func, width=70):
     return func if len(func) <= width else "..." + func[-(width - 3) :]
 
 
-def table(title, counts, total, top):
+def table(title, counts, total):
     print(f"\n{title}")
     print(f"{'share':>7}  {'samples':>7}  where")
-    for key, n in counts.most_common(top):
+    for key, n in counts.most_common(TOP):
         print(f"{100 * n / total:6.1f}%  {n:7d}  {key}")
 
 
 def main():
-    ap = argparse.ArgumentParser(
-        description=__doc__.split("\n\n")[0], usage="%(prog)s [options] -- PROGRAM [ARGS...]"
-    )
-    ap.add_argument("--interval-ms", type=float, default=1.0, help="sampling period (default 1)")
-    ap.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
-    ap.add_argument("--csv", help="also write every (line, function) count to this file")
-    ap.add_argument("argv", nargs=argparse.REMAINDER)
-    args = ap.parse_args()
-    argv = args.argv[1:] if args.argv[:1] == ["--"] else args.argv
-    if not argv:
-        ap.error("no PROGRAM given")
-    if args.interval_ms <= 0:
-        ap.error("--interval-ms must be above 0")
+    argv = sys.argv[1:]
+    argv = argv[1:] if argv[:1] == ["--"] else argv
+    if not argv or argv[0].startswith("-"):
+        raise SystemExit(__doc__.split("\n\n")[1])
 
-    child, pcs, maps = sample(argv, args.interval_ms / 1000)
+    code, pcs, maps = sample(argv)
     if not pcs:
-        raise SystemExit("no samples taken")
+        raise SystemExit(f"no samples taken ({argv[0]} exited with {code})")
     exe = os.path.realpath(shutil.which(argv[0]) or argv[0])
     base = min((lo - off for lo, _, off, path in maps if path == exe), default=0)
     if not is_pie(exe):
@@ -247,7 +276,6 @@ def main():
     frames = resolve(exe, in_exe)
     by_line = collections.Counter()
     by_func = collections.Counter()
-    pairs = collections.Counter()
     for addr, n in in_exe.items():
         chain = frames.get(addr) or [("??", "??:0")]
         func = short_func(chain[0][0])
@@ -255,25 +283,18 @@ def main():
         line = line or f"(outside crates/) {short_path(chain[0][1])}"
         by_line[line] += n
         by_func[func] += n
-        pairs[(line, func)] += n
     for name, n in elsewhere.items():
         by_line[name] += n
         by_func[name] += n
-        pairs[(name, name)] += n
 
     total = len(pcs)
     print(
-        f"\n{total} samples every {args.interval_ms:g} ms of {' '.join(argv)}"
-        f" (exit {child.returncode}); {sum(elsewhere.values())} outside the executable"
+        f"\n{total} samples every {INTERVAL_S * 1000:g} ms of {' '.join(argv)}"
+        f" (exit {code}); {sum(elsewhere.values())} outside the executable"
     )
-    table("By innermost crates/ source line", by_line, total, args.top)
-    table("By innermost function (inlined ones included)", by_func, total, args.top)
-    if args.csv:
-        with open(args.csv, "w") as f:
-            f.write("samples,line,function\n")
-            for (line, func), n in pairs.most_common():
-                f.write(f'{n},"{line}","{func}"\n')
-    sys.exit(child.returncode or 0)
+    table("By innermost crates/ source line", by_line, total)
+    table("By innermost function (inlined ones included)", by_func, total)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
