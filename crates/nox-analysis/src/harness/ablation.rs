@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 use crate::apps::workload_traces;
 use crate::harness::{appstudy::APP_SEED, uniform_config, Tier};
 use crate::json::Json;
-use crate::sweep::measure_rate;
+use crate::sweep::{run_point, run_rates};
 use crate::Table;
+use nox_exec::Executor;
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::sim::run as sim_run;
 use nox_traffic::cmp::workload;
@@ -53,8 +54,9 @@ pub struct AblationResult {
     pub apps: Vec<AblationRow>,
 }
 
-/// Runs the ablation at `tier`.
-pub fn run(tier: Tier) -> AblationResult {
+/// Runs the ablation at `tier`, its synthetic rows fanned out over
+/// `exec`: one trace per rate drives both variants.
+pub fn run(tier: Tier, exec: &Executor) -> AblationResult {
     let rates = match tier {
         Tier::Smoke => vec![500.0, 2_500.0, 3_000.0],
         _ => vec![500.0, 1_500.0, 2_500.0, 3_000.0],
@@ -67,16 +69,12 @@ pub fn run(tier: Tier) -> AblationResult {
         ..full
     };
 
-    let synthetic = cfg
-        .rates_mbps
-        .iter()
-        .map(|&rate| {
-            let points = measure_rate(&cfg, rate, &[full, ablated]);
-            AblationRow {
-                label: format!("{rate:.0}"),
-                full_ns: points[0].latency_ns,
-                ablated_ns: points[1].latency_ns,
-            }
+    let synthetic = run_rates("ablation", exec, &cfg, &[full, ablated], run_point)
+        .chunks(2)
+        .map(|pair| AblationRow {
+            label: format!("{:.0}", pair[0].rate_mbps),
+            full_ns: pair[0].latency_ns,
+            ablated_ns: pair[1].latency_ns,
         })
         .collect();
 

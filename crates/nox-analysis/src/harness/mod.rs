@@ -226,7 +226,7 @@ pub static HARNESSES: &[Harness] = &[
     harness!(
         "ablation",
         "beyond the paper: NoX with Scheduled mode disabled",
-        |tier, _exec| ablation::run(tier)
+        |tier, exec| ablation::run(tier, exec)
     ),
     harness!(
         "cmesh",

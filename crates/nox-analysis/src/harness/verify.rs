@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use crate::harness::Tier;
 use crate::json::Json;
-use crate::sweep::SweepConfig;
+use crate::sweep::{run_rates, SweepConfig};
 use nox_exec::Executor;
 use nox_sim::config::{Arch, NetConfig};
 use nox_sim::network::Network;
@@ -77,31 +77,37 @@ pub fn run(tier: Tier, exec: &Executor) -> VerifyResult {
 
 /// Every architecture on the paper's mesh at every rate, under the
 /// sanitizer: uniform single-flit Poisson traffic of 4 µs, one trace per
-/// rate.
+/// rate. The runs go rate-major, so a rate's trace lives only while its
+/// networks run, and come back architecture-major.
 fn sanitized_sweep(rates: Vec<f64>, exec: &Executor) -> Vec<SanitizedRun> {
     let cfg = SweepConfig {
         seed: UNIFORM_SEED,
         duration_ns: 4_000.0,
         ..SweepConfig::uniform(rates)
     };
-    let traces: Vec<_> = cfg.rates_mbps.iter().map(|&rate| cfg.trace(rate)).collect();
-    let runs: Vec<(Arch, usize)> = Arch::ALL
-        .iter()
-        .flat_map(|&arch| (0..traces.len()).map(move |r| (arch, r)))
-        .collect();
-    exec.map_stage("verify.sanitized", runs, |_, (arch, r)| {
-        let mut net = Network::new(NetConfig::paper(arch), &traces[r], (0.0, f64::MAX));
-        net.enable_sanitizer();
-        let drained = net.run_to_quiescence(SANITIZED_MAX_CYCLES);
-        let c = net.counters();
-        SanitizedRun {
-            arch,
-            rate_mbps: cfg.rates_mbps[r],
-            drained,
-            flits_ejected: c.flits_ejected,
-            cycles: c.cycles,
-        }
-    })
+    let nets = Arch::ALL.map(NetConfig::paper);
+    let runs = run_rates(
+        "verify.sanitized",
+        exec,
+        &cfg,
+        &nets,
+        |_, rate, net_cfg, trace| {
+            let mut net = Network::new(net_cfg, trace, (0.0, f64::MAX));
+            net.enable_sanitizer();
+            let drained = net.run_to_quiescence(SANITIZED_MAX_CYCLES);
+            let c = net.counters();
+            SanitizedRun {
+                arch: net_cfg.arch,
+                rate_mbps: rate,
+                drained,
+                flits_ejected: c.flits_ejected,
+                cycles: c.cycles,
+            }
+        },
+    );
+    (0..nets.len())
+        .flat_map(|a| runs.iter().skip(a).step_by(nets.len()).cloned())
+        .collect()
 }
 
 impl VerifyResult {

@@ -51,7 +51,9 @@ pub struct ProfileReport {
 /// Runs `f` with profiling enabled on a clean accumulator and collects
 /// the result into a [`ProfileReport`]. The whole run is recorded as one
 /// `profile.total` span, so phase shares have a denominator even when
-/// the harness spends time outside the simulator.
+/// the harness spends time outside the simulator. If `f` panics,
+/// profiling is off again and the calling thread holds no accumulator
+/// once the panic leaves `collect`.
 pub fn collect<R>(
     harness: &str,
     tier: Tier,
@@ -60,11 +62,12 @@ pub fn collect<R>(
 ) -> (R, ProfileReport) {
     nox_telemetry::set_profiling(true);
     let _ = nox_telemetry::take_acc();
+    let profiled = Profiled;
     let sw = Stopwatch::start();
     let result = f();
     let total_ns = sw.elapsed_ns();
     let mut acc = nox_telemetry::take_acc().map(|b| *b).unwrap_or_default();
-    nox_telemetry::set_profiling(false);
+    drop(profiled);
     acc.add_span(phase::PROFILE_TOTAL, total_ns);
     (
         result,
@@ -75,6 +78,17 @@ pub fn collect<R>(
             acc,
         },
     )
+}
+
+/// A profiled run in progress: dropping it, on return or on unwind,
+/// turns profiling off and drops the calling thread's accumulator.
+struct Profiled;
+
+impl Drop for Profiled {
+    fn drop(&mut self) {
+        nox_telemetry::set_profiling(false);
+        let _ = nox_telemetry::take_acc();
+    }
 }
 
 impl ProfileReport {

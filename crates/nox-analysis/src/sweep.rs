@@ -7,14 +7,17 @@
 //!
 //! This module also decides which trace an operating point runs on:
 //! [`SweepConfig::trace`] is the one place a synthetic trace is generated
-//! for a study, a harness or the daemon, and [`sweep_series`] and
-//! [`measure_rate`] generate it once per rate and run every network of
-//! the point on it — the paper's method of one offered-traffic trace
-//! driving all the routers it compares.
+//! for a study, a harness or the daemon, and [`run_points`] (the one
+//! fan-out of networks over rates) and [`measure_rate`] generate it once
+//! per rate and run every network of the point on it — the paper's
+//! method of one offered-traffic trace driving all the routers it
+//! compares.
 //!
 //! [`sweep_series`] drives the studies: it stops each series at its first
 //! undrained rate, the last point any reader of a sweep uses.
 //! [`measure_rate`] answers exactly the rates it is asked for.
+
+use std::sync::{Mutex, PoisonError};
 
 use nox_exec::Executor;
 use nox_power::energy::{energy_delay2, energy_per_packet_pj, EnergyModel};
@@ -128,11 +131,11 @@ impl SweepConfig {
 /// The rates run in increasing order, one wave per rate: wave `k` runs
 /// the `k`-th rate of every configuration. A network is live up to and
 /// including its first undrained rate, and its series ends there; no
-/// higher rate is simulated for it. In each wave every configuration
-/// with a live network gets its trace generated once, through
-/// [`SweepConfig::trace`] (the fan-out `"{stage}.traces"`), and every
-/// live (configuration, network) pair is one job of the fan-out
-/// `"{stage}.runs"`. The waves stop when no network is live.
+/// higher rate is simulated for it. Each wave is one [`run_points`]
+/// fan-out, `"{stage}.runs"`, of the live (configuration, network)
+/// pairs, configuration-major, so each configuration's trace of the
+/// wave lives only while its networks run. The waves stop when no
+/// network is live.
 ///
 /// A point is the same bits as [`measure_rate`]'s at that rate, and the
 /// results are reduced in submission order, so the series are
@@ -155,32 +158,93 @@ pub fn sweep_series(
                 .collect()
         })
         .collect();
-    let (traces_stage, runs_stage) = (format!("{stage}.traces"), format!("{stage}.runs"));
+    let stage = format!("{stage}.runs");
     for wave in 0.. {
-        let jobs: Vec<(usize, usize)> = (0..cfgs.len())
-            .filter(|&c| wave < cfgs[c].rates_mbps.len())
-            .flat_map(|c| (0..nets.len()).map(move |n| (c, n)))
-            .filter(|&(c, n)| series[c][n].points.last().is_none_or(|p| p.drained))
-            .collect();
+        let mut traces = Vec::new();
+        let mut jobs = Vec::new();
+        let mut cells = Vec::new();
+        for (c, cfg) in cfgs.iter().enumerate() {
+            let Some(&rate) = cfg.rates_mbps.get(wave) else {
+                continue;
+            };
+            for (n, &net) in nets.iter().enumerate() {
+                if series[c][n].points.last().is_none_or(|p| p.drained) {
+                    jobs.push((traces.len(), net));
+                    cells.push((c, n));
+                }
+            }
+            traces.push((cfg, rate));
+        }
         if jobs.is_empty() {
             break;
         }
-        let mut traced: Vec<usize> = jobs.iter().map(|&(c, _)| c).collect();
-        traced.dedup();
-        let traces = exec.map_stage(&traces_stage, &traced, |_, &c| {
-            cfgs[c].trace(cfgs[c].rates_mbps[wave])
-        });
-        let points = exec.map_stage(&runs_stage, &jobs, |_, &(c, n)| {
-            let trace = &traces[traced
-                .binary_search(&c)
-                .expect("a live configuration's trace")];
-            run_point(&cfgs[c], cfgs[c].rates_mbps[wave], nets[n], trace)
-        });
-        for (&(c, n), point) in jobs.iter().zip(points) {
+        let points = run_points(&stage, exec, &traces, &jobs, run_point);
+        for ((c, n), point) in cells.into_iter().zip(points) {
             series[c][n].points.push(point);
         }
     }
     series
+}
+
+/// Runs `point` on every job of `jobs` as the one fan-out `stage` over
+/// `exec`, and returns its results in submission order. Job `(t, net)`
+/// runs network `net` on the trace of `traces[t]`, a configuration and
+/// a rate.
+///
+/// Each trace is generated once, through [`SweepConfig::trace`], by the
+/// first of its jobs to start; the others share the handle (a cloned
+/// [`Trace`] is a handle to the same events), and the last of them to
+/// start takes it out of its slot. So a trace lives only while its jobs
+/// run, whatever order they come in: submitted trace-major, a serial run
+/// holds one trace at a time. A trace no job names is never generated.
+pub fn run_points<R: Send>(
+    stage: &str,
+    exec: &Executor,
+    traces: &[(&SweepConfig, f64)],
+    jobs: &[(usize, NetConfig)],
+    point: impl Fn(&SweepConfig, f64, NetConfig, &Trace) -> R + Sync,
+) -> Vec<R> {
+    // Per trace: its jobs not yet started, and the trace while one has
+    // started and another has not.
+    let mut pending = vec![0usize; traces.len()];
+    for &(t, _) in jobs {
+        pending[t] += 1;
+    }
+    let slots: Vec<Mutex<(usize, Option<Trace>)>> =
+        pending.into_iter().map(|n| Mutex::new((n, None))).collect();
+    exec.map_stage(stage, jobs, |_, &(t, net)| {
+        let (cfg, rate) = traces[t];
+        let trace = {
+            // A panic while generating leaves the slot empty, and the
+            // fan-out re-raises it once the pool joins.
+            let mut slot = slots[t].lock().unwrap_or_else(PoisonError::into_inner);
+            let (pending, shared) = &mut *slot;
+            *pending -= 1;
+            let trace = shared.take().unwrap_or_else(|| cfg.trace(rate));
+            if *pending > 0 {
+                *shared = Some(trace.clone());
+            }
+            trace
+        };
+        point(cfg, rate, net, &trace)
+    })
+}
+
+/// [`run_points`] over every rate of `cfg` on every network of `nets`,
+/// rate-major: the result of rate `r` on network `n` is at
+/// `r * nets.len() + n`. One trace per rate drives all of `nets`.
+pub fn run_rates<R: Send>(
+    stage: &str,
+    exec: &Executor,
+    cfg: &SweepConfig,
+    nets: &[NetConfig],
+    point: impl Fn(&SweepConfig, f64, NetConfig, &Trace) -> R + Sync,
+) -> Vec<R> {
+    let traces: Vec<(&SweepConfig, f64)> = cfg.rates_mbps.iter().map(|&rate| (cfg, rate)).collect();
+    let jobs: Vec<(usize, NetConfig)> = (0..traces.len())
+        .flat_map(|t| nets.iter().map(move |&net| (t, net)))
+        .collect();
+    run_points(stage, exec, &traces, &jobs, point)
 }
 
 /// Measures the operating point of `cfg` at `rate` on every network of
@@ -432,6 +496,58 @@ mod tests {
         for threads in [1, 2, 8] {
             let series = sweep_series("test", &cfgs, &nets, &Executor::new(threads));
             assert_eq!(format!("{series:?}"), expected, "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn run_points_shares_each_trace_among_its_jobs_only() {
+        let cfg = SweepConfig {
+            duration_ns: 500.0,
+            ..SweepConfig::uniform(vec![])
+        };
+        let transpose = SweepConfig {
+            pattern: Pattern::Transpose,
+            ..cfg.clone()
+        };
+        // No job names the last trace, and the others' jobs interleave.
+        let traces = [
+            (&cfg, 300.0),
+            (&cfg, 900.0),
+            (&transpose, 300.0),
+            (&cfg, 1_200.0),
+        ];
+        let nets = Arch::ALL.map(NetConfig::paper);
+        let jobs: Vec<(usize, NetConfig)> = (0..9).map(|j| (j % 3, nets[j % 4])).collect();
+        for threads in [1, 2, 8] {
+            // Every job keeps its handle, so two traces cannot share an
+            // address by turns.
+            let seen = run_points(
+                "test",
+                &Executor::new(threads),
+                &traces,
+                &jobs,
+                |_, rate, net, trace| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    (rate, net.arch, trace.clone())
+                },
+            );
+            assert_eq!(seen.len(), jobs.len());
+            let mut events = [None; 4];
+            for (&(t, net), (rate, arch, trace)) in jobs.iter().zip(&seen) {
+                let (cfg, want_rate) = traces[t];
+                assert_eq!((*rate, *arch), (want_rate, net.arch), "{threads} thread(s)");
+                assert_eq!(trace.events(), cfg.trace(want_rate).events());
+                let ptr = trace.events().as_ptr();
+                assert_eq!(
+                    *events[t].get_or_insert(ptr),
+                    ptr,
+                    "{threads} thread(s): trace {t}"
+                );
+            }
+            let mut named: Vec<_> = events.iter().flatten().collect();
+            named.sort_unstable();
+            named.dedup();
+            assert_eq!((named.len(), events[3]), (3, None), "{threads} thread(s)");
         }
     }
 

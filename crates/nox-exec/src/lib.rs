@@ -36,8 +36,6 @@
 //! assert_eq!(squares, serial);
 //! ```
 
-use std::fmt;
-use std::panic::AssertUnwindSafe;
 use std::sync::Mutex;
 
 use nox_telemetry::Json;
@@ -135,26 +133,6 @@ fn run_job<T, R>(
         );
     }
     (result, JobRecord { delta, dur_ns })
-}
-
-/// One job's panic, caught by [`Executor::try_map_stage`]: the submission
-/// index that panicked plus the stringified panic payload.
-///
-/// The payload keeps only its message (`&str` / `String` payloads are
-/// preserved verbatim; anything else is summarized), because the boxed
-/// payload itself is not `Sync` and callers only ever report it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Submission index of the job that panicked.
-    pub index: usize,
-    /// The panic message.
-    pub message: String,
-}
-
-impl fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job {} panicked: {}", self.index, self.message)
-    }
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -309,59 +287,6 @@ impl Executor {
             })
             .collect()
     }
-
-    /// [`map_stage`](Self::map_stage) with per-job panic containment:
-    /// every slot is `Ok(result)` or `Err(JobPanic)`, still in submission
-    /// order.
-    ///
-    /// Where [`map_stage`](Self::map_stage) re-raises the first worker
-    /// panic to the caller (all-or-nothing, the right default for sweeps
-    /// whose points are expected to succeed), this catches each job's panic at
-    /// the job boundary: one poisoned item costs exactly its own slot,
-    /// every other job still runs, and the caller decides what a
-    /// per-item failure means. This is the isolation primitive the
-    /// `noxsim serve` daemon builds on — a panicking request becomes a
-    /// structured error instead of taking the process down.
-    ///
-    /// Ordering, telemetry capture, and stream-event semantics are
-    /// identical to [`map_stage`](Self::map_stage); `threads = 1` runs
-    /// inline on the calling thread.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use nox_exec::Executor;
-    ///
-    /// let out = Executor::new(4).try_map_stage("demo", 0..4u32, |_, n| {
-    ///     if n == 2 { panic!("poisoned item") }
-    ///     n * 10
-    /// });
-    /// assert_eq!(out[0], Ok(0));
-    /// assert_eq!(out[3], Ok(30));
-    /// assert_eq!(out[2].as_ref().unwrap_err().message, "poisoned item");
-    /// ```
-    pub fn try_map_stage<T, R, F>(
-        &self,
-        stage: &str,
-        items: impl IntoIterator<Item = T>,
-        f: F,
-    ) -> Vec<Result<R, JobPanic>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.map_stage(stage, items, |i, item| {
-            // The catch boundary sits inside the job, so a panic is
-            // contained before it can poison the worker thread or the
-            // result slot: the slot is filled with `Err` and the pool
-            // keeps draining the queue.
-            std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| JobPanic {
-                index: i,
-                message: panic_message(payload),
-            })
-        })
-    }
 }
 
 impl Default for Executor {
@@ -491,60 +416,17 @@ mod tests {
     }
 
     #[test]
-    fn try_map_contains_panics_in_their_own_slots() {
-        let _g = telemetry_lock();
-        for threads in [1usize, 4] {
-            let out = Executor::new(threads).try_map_stage("demo", 0..16u32, |i, n| {
-                if i % 5 == 3 {
-                    panic!("boom at {i}");
-                }
-                n * 2
-            });
-            assert_eq!(out.len(), 16);
-            for (i, slot) in out.iter().enumerate() {
-                if i % 5 == 3 {
-                    let err = slot.as_ref().expect_err("poisoned slot must be Err");
-                    assert_eq!(err.index, i);
-                    assert_eq!(err.message, format!("boom at {i}"));
-                } else {
-                    assert_eq!(slot, &Ok(i as u32 * 2), "healthy slot {i} must survive");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn try_map_with_string_payload_and_all_ok() {
-        let _g = telemetry_lock();
-        let out = Executor::new(2).try_map_stage("demo", 0..3u32, |i, n| {
-            if i == 1 {
-                std::panic::panic_any(format!("typed {n}"));
-            }
-            n
-        });
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[1].as_ref().unwrap_err().message, "typed 1");
-        assert_eq!(out[2], Ok(2));
-        // And a fully healthy run matches map_stage exactly.
-        let healthy = Executor::new(3).try_map_stage("demo", 0..8u64, |_, n| n + 1);
+    fn panic_message_keeps_str_and_string_payloads() {
+        let message = |f: fn()| panic_message(std::panic::catch_unwind(f).unwrap_err());
+        assert_eq!(message(|| panic!("plain")), "plain");
         assert_eq!(
-            healthy.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
-            Executor::new(3).map_stage("demo", 0..8u64, |_, n| n + 1)
+            message(|| std::panic::panic_any(format!("typed {}", 1))),
+            "typed 1"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn map_still_reraises_panics() {
-        let _g = telemetry_lock();
-        // try_map_stage's containment must not change map_stage's
-        // all-or-nothing contract.
-        Executor::new(2).map_stage("demo", 0..4u32, |i, n| {
-            if i == 2 {
-                panic!("boom");
-            }
-            n
-        });
+        assert_eq!(
+            message(|| std::panic::panic_any(7u8)),
+            "non-string panic payload"
+        );
     }
 
     #[test]

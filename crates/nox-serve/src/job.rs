@@ -4,23 +4,19 @@
 //! The daemon runs one compute job at a time; each job fans out
 //! internally over the shared [`nox_exec::Executor`]. A job is bounded
 //! by a [`CancelToken`] — an absolute deadline on the telemetry clock —
-//! checked cooperatively at stage boundaries (and per sweep point via
-//! [`nox_exec::Executor::try_map_stage`], which also contains per-point
-//! panics). The whole dispatch runs under `catch_unwind`, so a
-//! poisoned request becomes a structured [`JobError::Panic`] rather
-//! than a dead daemon.
+//! checked cooperatively at stage boundaries (and per sweep point). The
+//! whole dispatch runs under `catch_unwind`, so a poisoned request
+//! becomes a structured [`JobError::Panic`] rather than a dead daemon.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
 use nox_analysis::harness::{self, Tier};
 use nox_analysis::json::Json;
 use nox_analysis::profile;
-use nox_analysis::sweep::{run_point, SweepConfig, SweepPoint};
-use nox_exec::{panic_message, Executor, JobPanic};
+use nox_analysis::sweep::{run_point, run_rates, SweepConfig, SweepPoint};
+use nox_exec::{panic_message, Executor};
 use nox_sim::config::NetConfig;
 use nox_sim::sim::RunSpec;
-use nox_sim::trace::Trace;
 
 use crate::proto::{Body, DebugOp, SweepReq};
 
@@ -95,7 +91,7 @@ pub fn error_kind(e: &JobError) -> &'static str {
 /// Executes one request body to its JSON artifact.
 ///
 /// Every path is panic-contained: a panic anywhere in the harness
-/// stack (or in any individual sweep point, via `try_map_stage`) returns
+/// stack (or in any sweep point, which the fan-out re-raises) returns
 /// [`JobError::Panic`]. Deadlines are honored at entry, at stage
 /// boundaries, and per sweep point / sleep slice.
 pub fn execute(
@@ -148,7 +144,7 @@ fn harness_run(name: &str, tier: Tier, exec: &Executor) -> harness::Report {
 }
 
 /// Runs `f` under `catch_unwind`, mapping a panic to [`JobError::Panic`].
-fn contained(f: impl FnOnce() -> Json) -> Result<Json, JobError> {
+fn contained<R>(f: impl FnOnce() -> R) -> Result<R, JobError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobError::Panic(panic_message(payload)))
 }
 
@@ -177,45 +173,32 @@ fn sweep_spec(req: &SweepReq) -> SweepConfig {
     }
 }
 
-/// Runs a sweep request as one fan-out (`serve.sweep`) of its (rate,
-/// architecture) points, rate-major. A rate's first point to start
-/// generates its trace, the others share it (a cloned `Trace` is a
-/// handle to the same events), and the last to start takes it out of
-/// the shared slot, so about one trace per worker is alive, as when each
-/// point made its own: a rate may be as high as 1e6 MB/s/node. Every
-/// point is panic-contained and checks the deadline first. The points
-/// reduce to the `nox-serve/sweep/v1` artifact architecture-major,
-/// byte-identical at any thread count.
+/// Runs a sweep request as one [`run_rates`] fan-out (`serve.sweep`)
+/// of its (rate, architecture) points, rate-major, so a rate's trace
+/// lives only while its points run: a rate may be as high as 1e6
+/// MB/s/node. A point that starts after the deadline runs no network,
+/// and the sweep answers [`JobError::Deadline`]; a panicking point fails
+/// the whole sweep. The points reduce to the
+/// `nox-serve/sweep/v1` artifact architecture-major, byte-identical at
+/// any thread count.
 fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Result<Json, JobError> {
     let cfg = sweep_spec(req);
-    let n = req.archs.len();
-    let shared: Vec<Mutex<Option<Trace>>> = req.rates.iter().map(|_| Mutex::new(None)).collect();
-    let jobs = (0..req.rates.len()).flat_map(|r| req.archs.iter().enumerate().map(move |a| (r, a)));
+    let net = if req.cmesh {
+        NetConfig::cmesh_paper
+    } else {
+        NetConfig::paper
+    };
+    let nets: Vec<NetConfig> = req.archs.iter().map(|&arch| net(arch)).collect();
+    let n = nets.len();
     // The point of rate `r` on architecture `a` is `points[r * n + a]`.
-    let points = settle(
-        exec.try_map_stage("serve.sweep", jobs, |_, (r, (a, &arch))| {
-            if token.expired() {
-                return None;
-            }
-            let rate = req.rates[r];
-            let trace = {
-                // A panic while generating leaves the slot empty, and the
-                // rate's next point regenerates (and panics alike).
-                let mut slot = shared[r].lock().unwrap_or_else(PoisonError::into_inner);
-                let trace = slot.get_or_insert_with(|| cfg.trace(rate)).clone();
-                if a + 1 == n {
-                    *slot = None;
-                }
-                trace
-            };
-            let net = if req.cmesh {
-                NetConfig::cmesh_paper(arch)
-            } else {
-                NetConfig::paper(arch)
-            };
-            Some(run_point(&cfg, rate, net, &trace))
-        }),
-    )?;
+    let points = contained(|| {
+        run_rates("serve.sweep", exec, &cfg, &nets, |cfg, rate, net, trace| {
+            (!token.expired()).then(|| run_point(cfg, rate, net, trace))
+        })
+    })?
+    .into_iter()
+    .collect::<Option<Vec<SweepPoint>>>()
+    .ok_or(JobError::Deadline)?;
     let series: Vec<Json> = req
         .archs
         .iter()
@@ -236,19 +219,6 @@ fn sweep_artifact(req: &SweepReq, exec: &Executor, token: &CancelToken) -> Resul
         .field("tier", req.tier.name())
         .field("cmesh", req.cmesh)
         .field("points", Json::Arr(series)))
-}
-
-/// The results of one fan-out, or the first job's panic or expired
-/// deadline (`None`) in submission order.
-fn settle<R>(slots: Vec<Result<Option<R>, JobPanic>>) -> Result<Vec<R>, JobError> {
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Err(p) => Err(JobError::Panic(p.message)),
-            Ok(None) => Err(JobError::Deadline),
-            Ok(Some(r)) => Ok(r),
-        })
-        .collect()
 }
 
 fn point_json(arch: &str, p: &SweepPoint) -> Json {

@@ -15,9 +15,9 @@
 //! * **Deadlines** — every request carries a deadline; cancellation is
 //!   cooperative and checked at stage boundaries ([`job::CancelToken`]).
 //! * **Panic containment** — a poisoned request is caught at the job
-//!   boundary ([`nox_exec::Executor::try_map_stage`] per point, plus a
-//!   `catch_unwind` around the whole job) and returned as a structured
-//!   `error` event; the daemon itself never goes down with a job.
+//!   boundary (a `catch_unwind` around the whole job, which a fan-out's
+//!   panicking point reaches too) and returned as a structured `error`
+//!   event; the daemon itself never goes down with a job.
 //! * **A watchdog** — flags jobs that run past the hang threshold with
 //!   a `watchdog` event and a log line.
 //! * **Graceful drain** — on SIGTERM the daemon finishes accepted work,

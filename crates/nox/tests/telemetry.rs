@@ -187,7 +187,6 @@ fn sweep_counters_name_the_work_at_any_thread_count() {
             Some(PINNED_UNDRAINED_CYCLES),
             "{at}"
         );
-        assert_eq!(counter("exec.stage.pinned.traces.jobs"), Some(3), "{at}");
         assert_eq!(counter("exec.stage.pinned.runs.jobs"), Some(5), "{at}");
         // One harness.point span per run, indexed by its rate.
         let mut rates: Vec<u32> = report
@@ -243,19 +242,16 @@ fn stream_frames_are_complete_json_in_deterministic_order() {
     let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
     let serial = streamed_tiny_sweep(1);
     let wide = streamed_tiny_sweep(4);
-    // Per rate, one wave: the trace fan-out and the run fan-out, each a
-    // stage announcement plus one completion.
-    assert_eq!(serial.len(), 16, "{serial:?}");
+    // Per rate, one wave: one fan-out, a stage announcement plus one
+    // completion.
+    assert_eq!(serial.len(), 8, "{serial:?}");
     for (i, line) in serial.iter().enumerate() {
-        let stage = if i % 4 < 2 {
-            "tiny.traces"
-        } else {
-            "tiny.runs"
-        };
         let frame = if i % 2 == 0 {
-            format!("{{\"event\":\"stage\",\"seq\":{i},\"stage\":\"{stage}\",\"jobs\":1}}")
+            format!("{{\"event\":\"stage\",\"seq\":{i},\"stage\":\"tiny.runs\",\"jobs\":1}}")
         } else {
-            format!("{{\"event\":\"job\",\"seq\":{i},\"stage\":\"{stage}\",\"index\":0,\"total\":1")
+            format!(
+                "{{\"event\":\"job\",\"seq\":{i},\"stage\":\"tiny.runs\",\"index\":0,\"total\":1"
+            )
         };
         assert_eq!(structure(line), frame, "{line}");
     }
@@ -268,6 +264,23 @@ fn stream_frames_are_complete_json_in_deterministic_order() {
     let serial_shape: Vec<&str> = serial.iter().map(|l| structure(l)).collect();
     let wide_shape: Vec<&str> = wide.iter().map(|l| structure(l)).collect();
     assert_eq!(serial_shape, wide_shape);
+}
+
+#[test]
+fn a_panicking_profile_leaves_profiling_off() {
+    let _guard = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
+    let caught = std::panic::catch_unwind(|| {
+        profile::collect("panics", Tier::Smoke, 1, || {
+            telemetry::with_acc(|a| a.add_count("before.panic", 1));
+            panic!("a harness failed");
+        })
+    });
+    assert!(caught.is_err());
+    assert!(!telemetry::profiling(), "profiling is still on");
+    assert!(
+        !telemetry::acc_allocated(),
+        "the thread kept an accumulator"
+    );
 }
 
 #[test]
